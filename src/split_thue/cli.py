@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import bounds, cubic, solver, units
-from .precision import PrecisionBudget, PrecisionExhausted, SplitThueError
+from .precision import MIN_WORKING_BITS, PrecisionBudget, PrecisionExhausted, SplitThueError
 from .sequences import FamilyInstance, HypothesisViolated, check_hypotheses, sequence_from_json
 
 EXIT_OK = 0
@@ -65,6 +65,8 @@ def load_config(args) -> dict:
     for key, val in opts.items():
         if not isinstance(val, int) or val <= 0:
             raise ConfigError(f"option {key} must be a positive integer")
+    if opts["working_bits"] < MIN_WORKING_BITS:
+        raise ConfigError(f"option working_bits must be at least {MIN_WORKING_BITS}")
     if opts["n_lo"] > opts["n_hi"]:
         raise ConfigError("n_lo must not exceed n_hi")
     data["options"] = opts

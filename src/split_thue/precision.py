@@ -28,14 +28,17 @@ class UndecidedComparison(SplitThueError):
     """An interval comparison stayed undecided after all refinements."""
 
 
+MIN_WORKING_BITS = 64
+
+
 @dataclass(frozen=True)
 class PrecisionBudget:
     working_bits: int = 256
     max_refinements: int = 20
 
     def __post_init__(self):
-        if self.working_bits < 64:
-            raise ValueError("working_bits must be >= 64")
+        if self.working_bits < MIN_WORKING_BITS:
+            raise ValueError(f"working_bits must be >= {MIN_WORKING_BITS}")
         if self.max_refinements < 1:
             raise ValueError("max_refinements must be >= 1")
 

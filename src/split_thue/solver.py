@@ -35,100 +35,85 @@ def classify(x: int, y: int, A: int, B: int) -> str:
     return "nontrivial"
 
 
-def _floor_crit(num: int, ysq_S: int, sign: int) -> int:
-    """Exact floor of (num + sign*sqrt(ysq_S)) / 3 for integers, where the
-    square root is taken of a nonnegative integer."""
-    r = isqrt(ysq_S)
-    # initial estimate, then correct with the exact predicate
-    # k <= (num + sign*sqrt(S'))/3  <=>  sign*sqrt(S') >= 3k - num
-    est = (num + sign * r) // 3
-    def le(k):
-        rhs = 3 * k - num
-        if sign > 0:
-            if rhs <= 0:
-                return True
-            return rhs * rhs <= ysq_S
-        if rhs > 0:
-            return False
-        return rhs * rhs >= ysq_S
-    k = est
-    while le(k + 1):
-        k += 1
-    while not le(k):
-        k -= 1
-    return k
+def _scaled_cubic(A: int, B: int, K: int):
+    """m -> 2^(3K) f(m / 2^K) for f = X^3 - (A+B)X^2 + ABX - 1, on integers."""
+    s1, s2, s3 = (A + B) << K, (A * B) << (2 * K), 1 << (3 * K)
+    return lambda m: ((m - s1) * m + s2) * m - s3
 
 
-def _search_piece(p, lo, hi, t, increasing):
-    """All integer x in [lo, hi] with p(x) == t, for p monotone there.
+def _bisect(F, lo: int, hi: int):
+    """Shrink [lo, hi] around the sign change of F to width <= 1.
 
-    Either bound may be None, meaning the piece is unbounded on that side.
+    F(lo) < 0 < F(hi) or F(lo) > 0 > F(hi); an exact zero collapses the
+    bracket to that point.
     """
-    if lo is None:
-        # grow downward until p passes t
-        anchor = hi
-        step = 1
-        lo = anchor
-        while (p(lo) > t) if increasing else (p(lo) < t):
-            lo = anchor - step
-            step *= 2
-            if step > 1 << 200:  # unreachable for genuine cubics
-                return []
-    if hi is None:
-        anchor = lo
-        step = 1
-        hi = anchor
-        while (p(hi) < t) if increasing else (p(hi) > t):
-            hi = anchor + step
-            step *= 2
-            if step > 1 << 200:
-                return []
-    if lo > hi:
-        return []
-    a, b = lo, hi
-    while a < b:
-        mid = (a + b) // 2
-        v = p(mid)
-        if v == t:
-            return [mid]
-        if (v < t) == increasing:
-            a = mid + 1
+    neg_lo = F(lo) < 0
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        v = F(mid)
+        if v == 0:
+            return mid, mid
+        if (v < 0) == neg_lo:
+            lo = mid
         else:
-            b = mid - 1
-    return [a] if a == b and p(a) == t else []
+            hi = mid
+    return lo, hi
 
 
-def _solve_fixed_y(A: int, B: int, y: int, t: int):
-    """Integer roots of x(x - Ay)(x - By) = t for fixed y > 0, exactly.
+def root_brackets(A: int, B: int, y_max: int):
+    """Exact brackets of the real parts of the roots of X^3 - (A+B)X^2 + ABX - 1.
 
-    The cubic is split at its two critical points into three monotone
-    pieces, each resolved by exact big-integer binary search.
+    Returns (K, brackets): each (lo, hi) in brackets satisfies
+    lo / 2^K <= Re(lambda) <= hi / 2^K for a root lambda, with
+    (hi - lo) / 2^K <= 1 / (4 y_max); every root is covered by a bracket
+    (a complex-conjugate pair shares one). Only integers are used.
     """
-    c2 = -(A + B) * y
-    c1 = A * B * y * y
-
-    def p(x):
-        return x * (x * (x + c2) + c1)
-
-    S = A * A - A * B + B * B  # discriminant quarter: crit pts exist iff S > 0
-    if S <= 0:
-        # strictly monotone cubic (only possible for A = B = 0)
-        return _search_piece(p, None, None, t, True)
-    num = (A + B) * y
-    ys_S = y * y * S
-    f_minus = _floor_crit(num, ys_S, -1)  # floor of smaller critical point
-    f_plus = _floor_crit(num, ys_S, +1)  # floor of larger critical point
-    out = []
-    out += _search_piece(p, None, f_minus, t, True)
-    out += _search_piece(p, f_minus + 1, f_plus, t, False)
-    out += _search_piece(p, f_plus + 1, None, t, True)
-    return out
+    a, b = -(A + B), A * B
+    disc = a * a * b * b - 4 * b**3 + 4 * a**3 - 18 * a * b - 27
+    # a repeated root would be rational, hence +-1, and neither (X-1)^3 nor
+    # (X+1)^2 (X-1) has integer A, B
+    assert disc != 0, "f has a repeated root"
+    K = (4 * y_max - 1).bit_length()  # 2^-K <= 1/(4 y_max)
+    # |x(x - A)(x - B)| >= 4R > 1 for real |x| >= R, so every real root is in (-R, R)
+    R = max(abs(A), abs(B)) + 2
+    if disc < 0:
+        # one real root rho; the complex pair has real part (A + B - rho) / 2
+        lo, hi = _bisect(_scaled_cubic(A, B, K), -R << K, R << K)
+        s = (A + B) << K
+        return K + 1, ((2 * lo, 2 * hi), (s - hi, s - lo))
+    # three real roots, separated near the critical points
+    # ((A+B) -+ sqrt(A^2 - AB + B^2)) / 3 once f(m1/2^K) > 0 > f(m2/2^K)
+    S = A * A - A * B + B * B
+    while True:
+        F = _scaled_cubic(A, B, K)
+        r = isqrt(S << (2 * K))
+        m1 = (((A + B) << K) - r) // 3
+        m2 = (((A + B) << K) + r) // 3
+        if m1 < m2 and F(m1) > 0 > F(m2):
+            break
+        K += 8
+    return K, (_bisect(F, -R << K, m1), _bisect(F, m1, m2), _bisect(F, m2, R << K))
 
 
 def solve_bruteforce(fam, n: int, y_max: int):
     """All solutions with |y| <= y_max, for both signs of the right side.
 
     ``fam`` may be a FamilyInstance or a plain (A, B) integer pair.
+
+    Neighbour lemma: X(X - AY)(X - BY) - Y^3 = prod_j (X - lambda_j Y) over
+    the roots lambda_j of f = X^3 - (A+B)X^2 + ABX - 1, so a solution with
+    y != 0 has |x - lambda_j y| <= 1 for some j, hence
+    |x - Re(lambda_j) y| <= 1. With lo/2^K <= Re(lambda_j) <= hi/2^K this
+    leaves x in [ceil(lo y / 2^K) - 1, floor(hi y / 2^K) + 1], at most three
+    integers per bracket once the bracket width is <= 1/(4 y_max); each is
+    checked by one exact evaluation that covers both signs.
+
+    The brackets (``root_brackets``) are certified once per n with integers
+    only: the sign of the discriminant counts the real roots; three real
+    roots are separated at dyadic points near the critical points (found
+    with ``isqrt``, refined until f changes sign there) and each piece is
+    bisected; for one real root rho the complex pair has real part
+    (A + B - rho) / 2.
     """
     if y_max < 1:
         raise ValueError("y_max must be >= 1")
@@ -136,17 +121,18 @@ def solve_bruteforce(fam, n: int, y_max: int):
         A, B = fam
     else:
         A, B = fam.terms(n)
-    found = set()
-    for s in (1, -1):
-        found.add((s, 0, n, s, classify(s, 0, A, B)))  # y = 0: x^3 = s
+    K, brackets = root_brackets(A, B, y_max)
+    found = {(1, 0, 1), (-1, 0, -1)}  # y = 0: x^3 = s
     for y in range(1, y_max + 1):
-        y3 = y**3
-        for s in (1, -1):
-            for x in _solve_fixed_y(A, B, y, y3 + s):
-                found.add((x, y, n, s, classify(x, y, A, B)))
-                # the mirrored solution flips the attained sign
-                found.add((-x, -y, n, -s, classify(-x, -y, A, B)))
-    sols = sorted(Solution(*f) for f in found)
+        Ay, By, y3 = A * y, B * y, y**3
+        for lo, hi in brackets:
+            for x in range(-((-lo * y) >> K) - 1, ((hi * y) >> K) + 2):
+                v = x * (x - Ay) * (x - By) - y3
+                if v == 1 or v == -1:
+                    found.add((x, y, v))
+                    # the mirrored solution flips the attained sign
+                    found.add((-x, -y, -v))
+    sols = sorted(Solution(x, y, n, s, classify(x, y, A, B)) for x, y, s in found)
     for sol in sols:
         assert sol.verify(A, B), "solver produced a non-solution"
     return sols

@@ -80,6 +80,16 @@ def test_option_validation(config_path, capsys):
     capsys.readouterr()
 
 
+def test_bits_below_minimum_is_usage_error(config_path, capsys, monkeypatch):
+    assert cli.main(["solve", config_path, "--bits", "10"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: option working_bits must be at least 64\n"
+    monkeypatch.setenv("SPLIT_THUE_BITS", "32")
+    assert cli.main(["solve", config_path]) == cli.EXIT_USAGE
+    capsys.readouterr()
+
+
 def test_env_var_overrides_bits(config_path, capsys, monkeypatch):
     monkeypatch.setenv("SPLIT_THUE_BITS", "128")
     code, report = run(["solve", config_path], capsys)

@@ -13,6 +13,7 @@ from split_thue.precision import (
     iv_sup,
 )
 from split_thue.solver import solve_bruteforce
+from test_solver import naive_solutions
 
 rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**6
@@ -53,6 +54,13 @@ def test_solver_solutions_all_verify(a, gap):
     for s in solve_bruteforce((A, B), 0, 30):
         assert s.verify(A, B)
         assert abs(s.sign) == 1
+
+
+@given(st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 15))
+@settings(max_examples=40, deadline=None)
+def test_solver_matches_naive_oracle(A, B, y_max):
+    got = {(s.x, s.y, s.sign) for s in solve_bruteforce((A, B), 0, y_max)}
+    assert got == naive_solutions(A, B, 0, y_max)
 
 
 @given(st.integers(-1000, 1000), st.integers(-1000, 1000), st.integers(5, 15))

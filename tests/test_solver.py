@@ -1,21 +1,31 @@
 import random
+from fractions import Fraction
 
+import mpmath
 import pytest
 
+from split_thue.algebraic import poly_eval_sign
+from split_thue.cubic import cubic_coeffs, isolate_roots
+from split_thue.precision import PrecisionBudget
 from split_thue.solver import (
     Solution,
     classify,
+    root_brackets,
     solve_bruteforce,
     verify_family,
 )
 
 
 def naive_solutions(A, B, n, y_max, x_pad=4):
-    """Independent double-loop oracle over a padded sub-box in x."""
+    """Independent double-loop oracle over a padded box in x.
+
+    Every root of x(x - A)(x - B) = 1 has modulus <= max(|A|, |B|) + 1, and a
+    solution lies within 1 of (real part of root) * y, so the box covers it.
+    """
     out = set()
     x_lo = min(-1, A * -1, B * -1, -abs(A), -abs(B)) - x_pad
     x_hi = max(1, abs(A), abs(B)) + x_pad
-    span = max(abs(A), abs(B), 1)
+    span = max(abs(A), abs(B)) + 1
     for y in range(-y_max, y_max + 1):
         lo = min(-span * abs(y), x_lo) - x_pad
         hi = max(span * abs(y), x_hi) + x_pad
@@ -58,6 +68,47 @@ def test_solver_matches_naive_oracle_random_pairs():
         assert got == want, (A, B)
 
 
+def test_solver_matches_naive_oracle_on_small_grid():
+    # A = B, zero and negative parameters, cubics with one real root, and
+    # (0, 0), where f = X^3 - 1 has a rational root
+    for A in range(-6, 7):
+        for B in range(-6, 7):
+            got = {(s.x, s.y, s.sign) for s in solve_bruteforce((A, B), 0, 15)}
+            assert got == naive_solutions(A, B, 0, 15), (A, B)
+
+
+def test_root_brackets_overlap_isolated_roots(fib_pow2):
+    y_max = 5000
+    budget = PrecisionBudget(working_bits=64)
+    for n in range(2, 61):
+        A, B = fib_pow2.terms(n)
+        K, brackets = root_brackets(A, B, y_max)
+        enclosures = sorted(isolate_roots(fib_pow2, n, budget).roots(), key=lambda r: r.lo)
+        assert len(brackets) == 3
+        for (lo, hi), r in zip(brackets, enclosures):
+            assert Fraction(hi - lo, 2**K) <= Fraction(1, 4 * y_max)
+            assert Fraction(lo, 2**K) <= r.hi and r.lo <= Fraction(hi, 2**K), n
+
+
+def test_root_brackets_one_real_root():
+    A, B = 1, 2
+    coeffs = cubic_coeffs(A, B)
+    K, ((rlo, rhi), (clo, chi)) = root_brackets(A, B, 15)
+    assert Fraction(rhi - rlo, 2**K) <= Fraction(1, 60)
+    assert Fraction(chi - clo, 2**K) <= Fraction(1, 60)
+    # f < 0 left of its only real root rho and f > 0 right of it
+    assert poly_eval_sign(coeffs, Fraction(rlo, 2**K)) <= 0 <= poly_eval_sign(coeffs, Fraction(rhi, 2**K))
+    # (A + B - rho) / 2 in [clo, chi] / 2^K  <=>  rho in A + B - [2 chi, 2 clo] / 2^K
+    assert poly_eval_sign(coeffs, A + B - Fraction(2 * chi, 2**K)) <= 0
+    assert poly_eval_sign(coeffs, A + B - Fraction(2 * clo, 2**K)) >= 0
+    with mpmath.workdps(50):
+        roots = mpmath.polyroots(coeffs, extraprec=100)
+        rho = next(r for r in roots if abs(mpmath.im(r)) < mpmath.mpf(10) ** -40)
+        rho = mpmath.re(rho)
+        assert rlo <= rho * 2**K <= rhi
+        assert clo <= (A + B - rho) / 2 * 2**K <= chi
+
+
 def test_solver_negative_bullet_regime():
     # A <= -1, B <= A - 3 regime, mirrored parameters
     got = {(s.x, s.y, s.sign) for s in solve_bruteforce((-8, -3), 0, 8)}
@@ -90,7 +141,7 @@ def test_solver_rejects_bad_y_max(fib_pow2):
 
 
 def test_solver_large_y(fib_pow2):
-    # big-integer binary search keeps large y cheap
+    # a handful of exact checks per y around the root brackets
     sols = solve_bruteforce(fib_pow2, 30, 10**4)
     assert len(sols) == 8
     assert all(s.classification.startswith("trivial") for s in sols)
