@@ -18,7 +18,6 @@ from mpmath import iv
 
 from .precision import (
     DEFAULT_BUDGET,
-    PrecisionBudget,
     PrecisionExhausted,
     SplitThueError,
     interval_bits,

@@ -152,18 +152,12 @@ def logH_upper(fam: FamilyInstance, consts, n: int, bits: int = 128) -> Fraction
 @dataclass(frozen=True)
 class LogyUpper:
     value: Fraction
-    n4logn_coeff: float
 
 
 def logy_upper(fam: FamilyInstance, consts, n: int, bits: int = 128) -> LogyUpper:
     """Explicit upper bound on log|y| for any solution at parameter n."""
     r_low, r_up = regulator_bounds(fam, consts, n, bits)
-    val = bugy_bound(r_up, logH_upper(fam, consts, n, bits), bits)
-    with interval_bits(bits):
-        la, lb = _alpha_beta_logs(fam, bits)
-        q = iv_sup(lb * (2 * la + lb))
-    coeff = 2.0 * float(C_RANK2_CUBIC) * float(q) ** 2
-    return LogyUpper(value=val, n4logn_coeff=coeff)
+    return LogyUpper(bugy_bound(r_up, logH_upper(fam, consts, n, bits), bits))
 
 
 # -- linear-form lower bound -----------------------------------------------
@@ -304,34 +298,6 @@ def xi_upper_log(fam: FamilyInstance, consts, n: int, bits: int = 128) -> Fracti
         t2 = iv.log(iv_from_fraction(6 * consts.C, bits)) + fam.d2 * logn + n * log_eps
         log2 = iv.log(iv.mpf(2))
         return max(iv_sup(t1), iv_sup(t2)) + iv_sup(log2)
-
-
-def logy_lower_altunit(fam: FamilyInstance, consts, n: int, bits: int = 128) -> Fraction:
-    """Exponential lower bound on log|y| for type-1 solutions when the
-    dominant roots have distinct moduli, via the alternative unit pair.
-
-    Returns 0 when n is too small for the chain to say anything.
-    """
-    if fam.equal_modulus:
-        raise SplitThueError("chain requires distinct dominant-root moduli")
-    r_low, _ = regulator_bounds(fam, consts, n, bits)
-    if r_low <= 2:
-        return Fraction(0)
-    d = _seq_coeff_data(fam, bits)
-    with interval_bits(bits):
-        la, lb = _alpha_beta_logs(fam, bits)
-        ratio = (
-            iv_from_fraction(d["U_A"], bits)
-            * iv.mpf(n) ** fam.d2
-            * abs(fam.alpha.approx(bits)) ** n
-            * 2
-            / (iv_from_fraction(d["L_B"], bits) * abs(fam.beta.approx(bits)) ** n)
-        )
-        q = _sup_clamped(ratio)
-    if q >= Fraction(1, 4):
-        return Fraction(0)
-    delta_up = 4 * q
-    return (r_low - 2) / delta_up
 
 
 def log_logy_lower_altunit(fam: FamilyInstance, consts, n: int, bits: int = 128):

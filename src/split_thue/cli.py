@@ -10,9 +10,8 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 
-from . import bounds, cubic, solver, units
+from . import bounds, cubic, solver
 from .precision import MIN_WORKING_BITS, PrecisionBudget, PrecisionExhausted, SplitThueError
 from .sequences import FamilyInstance, HypothesisViolated, check_hypotheses, sequence_from_json
 
@@ -92,9 +91,11 @@ def _num(x):
     """JSON-safe number: exact for ints, float elsewhere."""
     if isinstance(x, bool) or isinstance(x, int):
         return x
-    if isinstance(x, Fraction):
-        return float(x)
     return float(x)
+
+
+def _constants(consts):
+    return {key: _num(getattr(consts, key)) for key in ("C", "eps", "c5", "c6")}
 
 
 def _config_echo(config):
@@ -129,10 +130,10 @@ def cmd_solve(config, args):
 def cmd_verify(config, args):
     fam, budget = build_family(config, args)
     opts = config["options"]
-    consts = cubic.compute_constants(fam)
     fv = solver.verify_family(fam, opts["n_lo"], opts["n_hi"], opts["y_max"], budget)
     hyp = check_hypotheses(fam, opts["n_hi"], budget)
     per_n = []
+    residuals = []
     any_out_of_scope = False
     lemma_fail_beyond = False
     code = EXIT_OK
@@ -151,20 +152,11 @@ def cmd_verify(config, args):
             any_out_of_scope = True
             row["failures"] = [reason for _, reason in rep.hypothesis_failures]
         per_n.append(row)
-    # residual tables over the in-scope range
-    residuals = []
-    for rep in fv.per_n:
-        if not rep.in_scope:
-            continue
-        try:
-            rs = cubic.isolate_roots(fam, rep.n, budget)
-        except cubic.AnchorSignFailure:
-            continue
-        la = cubic.verify_log_approx(rs, fam, consts, budget)
-        for e in la.entries:
-            residuals.append(
+        if rep.residuals is not None:
+            residuals.extend(
                 {"n": rep.n, "name": e.name, "residual": e.residual, "bound": e.bound,
                  "ratio": e.ratio, "ok": e.ok}
+                for e in rep.residuals.entries
             )
     threshold = hyp.first_n_all_pass
     for rep in fv.per_n:
@@ -187,12 +179,7 @@ def cmd_verify(config, args):
             "bullet": hyp.bullet,
             "equal_case_condition": hyp.equal_case_condition,
         },
-        "constants": {
-            "C": _num(consts.C),
-            "eps": _num(consts.eps),
-            "c5": _num(consts.c5),
-            "c6": _num(consts.c6),
-        },
+        "constants": _constants(fv.constants),
         "per_n": per_n,
         "residuals": residuals,
         "nontrivial_found": len(fv.nontrivial_found),
@@ -226,10 +213,7 @@ def cmd_bounds(config, args):
         "command": "bounds",
         "config": _config_echo(config),
         "case": fam.case_tag,
-        "constants": {
-            "C": _num(consts.C), "eps": _num(consts.eps),
-            "c5": _num(consts.c5), "c6": _num(consts.c6),
-        },
+        "constants": _constants(consts),
         "n0": res.n0,
         "no_crossing": res.no_crossing,
         "n_cap": res.n_cap,

@@ -17,9 +17,8 @@ from .precision import (
     iv_from_fractions,
     iv_inf,
     iv_sup,
-    iv_width,
 )
-from .sequences import FamilyInstance, coeff_poly_sub
+from .sequences import FamilyInstance, HypothesisViolated, coeff_poly_sub
 
 
 class AnchorSignFailure(SplitThueError):
@@ -123,11 +122,6 @@ class CubicRootSet:
 
     def root(self, i):
         return self.roots()[i - 1]
-
-    def refine_all(self, width):
-        for r in self.roots():
-            r.refine(width)
-        return self
 
 
 def _bracket_around(coeffs, center, halfwidth):
@@ -289,6 +283,8 @@ def compute_constants(fam: FamilyInstance, n_min: int = 2, bits: int = 128) -> A
     c3 = max([U_cA] + U_cA_sec + U_cB_sec) / L_cB
     if fam.equal_modulus:
         diff_poly = coeff_poly_sub(cB, cA)
+        if all(c.is_zero for c in diff_poly.coeffs):
+            raise HypothesisViolated("c_B - c_A vanishes identically (A = B)")
         L_diff = diff_poly.abs_lower_inf(n_min, bits)
         U_diff = diff_poly.abs_coeff_sum_upper(bits)
         c4 = max([U_cA] + U_cA_sec + U_cB_sec) / L_diff
@@ -412,27 +408,3 @@ def verify_root_diff(
         ]
     entries = tuple(ResidualEntry(name, 0.0, 0.0, ok) for name, ok in checks)
     return ResidualReport(n, entries)
-
-
-def find_threshold(fam: FamilyInstance, n_max: int, n_min: int = 1, budget=DEFAULT_BUDGET):
-    """Smallest n from which all lemma checks pass up to n_max (empirical)."""
-    consts = compute_constants(fam)
-    status = []
-    for n in range(n_min, n_max + 1):
-        try:
-            rs = isolate_roots(fam, n, budget)
-        except AnchorSignFailure:
-            status.append(False)
-            continue
-        ok = (
-            verify_root_approx(rs, fam).all_pass
-            and verify_log_approx(rs, fam, consts, budget).all_pass
-            and verify_root_diff(rs, fam, consts, budget).all_pass
-        )
-        status.append(ok)
-    first = None
-    for i in range(len(status) - 1, -1, -1):
-        if not status[i]:
-            break
-        first = n_min + i
-    return first, status

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import sympy as sp
 from mpmath import iv
@@ -279,17 +278,6 @@ class RecurrentSequence:
                     f"explicit formula does not reproduce initial term {n}"
                 )
 
-    # -- family helpers ----------------------------------------------------
-
-    def coeff_value(self, which, n):
-        """Coefficient polynomial of the selected root evaluated at n.
-
-        ``which`` = -1 selects the dominant root, 0.. an index into secondary.
-        """
-        if which == -1:
-            return self.dominant_coeff.value_at(n)
-        return self.secondary[which][1].value_at(n)
-
 
 def _dominant_index(entries):
     """Index of the entry whose root strictly dominates in modulus."""
@@ -387,10 +375,6 @@ class FamilyInstance:
 
     def c_B(self, n):
         return self.B.dominant_coeff.value_at(n)
-
-    def c_diff(self, n):
-        """(c_B - c_A)(n)."""
-        return coeff_poly_sub(self.B.dominant_coeff, self.A.dominant_coeff).value_at(n)
 
 
 def _modulus_equal(a: AlgebraicNumber, b: AlgebraicNumber):

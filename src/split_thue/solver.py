@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
+from .cubic import ApproxConstants, ResidualReport
 from .precision import DEFAULT_BUDGET
 from .sequences import FamilyInstance, check_hypotheses_at
 
@@ -149,6 +150,7 @@ class PerNReport:
     lemma_log_approx: bool | None
     lemma_root_diff: bool | None
     xi_bound_ok: bool | None
+    residuals: ResidualReport | None = None  # behind lemma_log_approx
 
 
 @dataclass(frozen=True)
@@ -157,6 +159,7 @@ class FamilyVerification:
     n_hi: int
     y_max: int
     per_n: tuple
+    constants: ApproxConstants  # the lemmas were checked with these
 
     @property
     def nontrivial_found(self):
@@ -168,16 +171,16 @@ class FamilyVerification:
 
 
 def verify_family(
-    fam: FamilyInstance, n_lo: int, n_hi: int, y_max: int, budget=DEFAULT_BUDGET,
-    with_lemmas: bool = True,
+    fam: FamilyInstance, n_lo: int, n_hi: int, y_max: int, budget=DEFAULT_BUDGET
 ) -> FamilyVerification:
     """Hypothesis check + brute force + classification for each n in range,
-    with per-n lemma summaries where the roots are certifiable."""
+    with per-n lemma summaries and log residuals where the roots are
+    certifiable."""
     from . import cubic, units
 
     if n_lo > n_hi:
         raise ValueError("empty n range")
-    consts = cubic.compute_constants(fam) if with_lemmas else None
+    consts = cubic.compute_constants(fam)
     reports = []
     for n in range(n_lo, n_hi + 1):
         ok, reasons = check_hypotheses_at(fam, n, budget)
@@ -188,25 +191,25 @@ def verify_family(
             continue
         sols = tuple(solve_bruteforce(fam, n, y_max))
         nontrivial = tuple(s for s in sols if s.classification == "nontrivial")
-        ra = la = rd = xi_ok = None
-        if with_lemmas:
-            try:
-                rs = cubic.isolate_roots(fam, n, budget)
-                ra = cubic.verify_root_approx(rs, fam).all_pass
-                la = cubic.verify_log_approx(rs, fam, consts, budget).all_pass
-                rd = cubic.verify_root_diff(rs, fam, consts, budget).all_pass
-                xi_ok = True
-                for s in sols:
-                    if s.y == 0 and abs(s.x) == 1 and s.x < 0:
-                        continue  # same orbit as (1,0)
-                    j = units.solution_type(s.x, s.y, rs, budget)
-                    ue = units.unit_decompose(s.x, s.y, rs, budget)
-                    xi = units.xi_form(j, fam.case_tag, n, ue.b1, ue.b2)
-                    if not units.verify_xi_bound(xi, fam, consts, n).ok:
-                        xi_ok = False
-            except cubic.AnchorSignFailure:
-                pass
+        ra = la = rd = xi_ok = resid = None
+        try:
+            rs = cubic.isolate_roots(fam, n, budget)
+            ra = cubic.verify_root_approx(rs, fam).all_pass
+            resid = cubic.verify_log_approx(rs, fam, consts, budget)
+            la = resid.all_pass
+            rd = cubic.verify_root_diff(rs, fam, consts, budget).all_pass
+            xi_ok = True
+            for s in sols:
+                if s.y == 0 and abs(s.x) == 1 and s.x < 0:
+                    continue  # same orbit as (1,0)
+                j = units.solution_type(s.x, s.y, rs, budget)
+                ue = units.unit_decompose(s.x, s.y, rs, budget)
+                xi = units.xi_form(j, fam.case_tag, n, ue.b1, ue.b2)
+                if not units.verify_xi_bound(xi, fam, consts, n).ok:
+                    xi_ok = False
+        except cubic.AnchorSignFailure:
+            pass
         reports.append(
-            PerNReport(n, True, (), sols, nontrivial, ra, la, rd, xi_ok)
+            PerNReport(n, True, (), sols, nontrivial, ra, la, rd, xi_ok, resid)
         )
-    return FamilyVerification(n_lo, n_hi, y_max, tuple(reports))
+    return FamilyVerification(n_lo, n_hi, y_max, tuple(reports), consts)

@@ -4,12 +4,12 @@ coefficient tables."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import iv
 
-from .cubic import CubicRootSet, log_closed_forms, _log_quantities
+from .cubic import CubicRootSet, _log_quantities
 from .precision import (
     DEFAULT_BUDGET,
     SplitThueError,
@@ -354,12 +354,9 @@ class XiBoundReport:
     flags: tuple
 
 
-def verify_xi_bound(
-    xi: LinearFormXi, fam: FamilyInstance, consts, n: int, from_solution=True
-) -> XiBoundReport:
-    """Check |xi_j| against its decaying upper bound."""
-    if not from_solution:
-        raise ValueError("xi bound only applies to exponents of genuine solutions")
+def verify_xi_bound(xi: LinearFormXi, fam: FamilyInstance, consts, n: int) -> XiBoundReport:
+    """Check |xi_j| against its decaying upper bound; the bound only holds
+    for exponents that come from a genuine solution."""
     if n != xi.n:
         raise ValueError("n mismatch")
     value = xi_value(xi, fam)
@@ -367,29 +364,3 @@ def verify_xi_bound(
     sup = iv_sup(abs(value))
     flags = xi.flags + ("c5-inverted-in-upper-bound",)
     return XiBoundReport(xi.j, n, float(sup), float(rhs), sup <= rhs, flags)
-
-
-def exponent_closed_forms(fam: FamilyInstance, n: int, j: int, logy, bits=None):
-    """Closed-form (R b1, R b2) from the inverted log system, with every
-    logarithm replaced by its decaying-error approximation.
-
-    ``logy`` may be a number or an interval for log|y|.
-    """
-    bits = bits or DEFAULT_BUDGET.working_bits
-    k, l = KL_CONVENTION[j]
-    closed = log_closed_forms(fam, n, bits)
-    la, lb, lcA, lcB, ldiff = _log_quantities(fam, n, bits)
-    cross = ldiff if fam.equal_modulus else lcB
-    logdiff = {
-        frozenset((1, 2)): n * lb + cross,
-        frozenset((1, 3)): n * lb + lcB,
-        frozenset((2, 3)): n * la + lcA,
-    }
-    with interval_bits(bits):
-        lam = {i: closed[f"log|l{i}|"] for i in (1, 2, 3)}
-        lamA = {i: closed[f"log|l{i}-A|"] for i in (1, 2, 3)}
-        dk = logy + logdiff[frozenset((j, k))]
-        dl = logy + logdiff[frozenset((j, l))]
-        Rb1 = lamA[l] * dk - lamA[k] * dl
-        Rb2 = -lam[l] * dk + lam[k] * dl
-    return Rb1, Rb2

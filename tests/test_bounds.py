@@ -14,8 +14,8 @@ from split_thue.bounds import (
     field_degree,
     log_coeff_bound,
     logH_upper,
+    log_logy_lower_altunit,
     logy_lower_eq8,
-    logy_lower_altunit,
     logy_upper,
     regulator_bounds,
     xi_heights,
@@ -118,9 +118,9 @@ def test_xi_upper_log_decreases(fib_pow2, fib_pow2_consts):
 
 def test_logy_lower_altunit(fib_pow2, fib_pow2_consts):
     # vacuous at small n, then exponentially growing
-    assert logy_lower_altunit(fib_pow2, fib_pow2_consts, 5) == 0
-    v600 = logy_lower_altunit(fib_pow2, fib_pow2_consts, 600)
-    v700 = logy_lower_altunit(fib_pow2, fib_pow2_consts, 700)
+    assert log_logy_lower_altunit(fib_pow2, fib_pow2_consts, 5) is None
+    v600 = log_logy_lower_altunit(fib_pow2, fib_pow2_consts, 600)
+    v700 = log_logy_lower_altunit(fib_pow2, fib_pow2_consts, 700)
     assert 0 < v600 < v700
 
 

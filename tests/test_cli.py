@@ -3,8 +3,11 @@ import os
 
 import pytest
 
-from split_thue import cli
+from split_thue import cli, cubic
 
+EXAMPLE_CONFIG = os.path.join(
+    os.path.dirname(__file__), os.pardir, "configs", "fibonacci_pow2.json"
+)
 
 CONFIG = {
     "name": "fibonacci-pow2",
@@ -61,6 +64,41 @@ def test_bounds_finite_n0(config_path, capsys):
     code, report = run(["bounds", config_path, "--n-cap", str(10**25)], capsys)
     assert code == cli.EXIT_OK
     assert report["n0"] == 59362923407947908538
+
+
+def test_equal_sequences_are_a_hypothesis_violation(tmp_path, capsys):
+    # A = B makes c_B - c_A vanish identically, so no constant c5 exists
+    p = tmp_path / "equal.json"
+    p.write_text(json.dumps(dict(CONFIG, A=CONFIG["B"])))
+    for command in ("verify", "bounds"):
+        assert cli.main([command, str(p)]) == cli.EXIT_HYPOTHESIS
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hypothesis violated: ")
+        assert captured.err.count("\n") == 1
+
+
+def test_verify_runs_each_stage_once(monkeypatch, capsys):
+    calls = {"isolate_roots": [], "compute_constants": 0}
+    isolate, constants = cubic.isolate_roots, cubic.compute_constants
+
+    def counting_isolate(fam, n, *args, **kwargs):
+        calls["isolate_roots"].append(n)
+        return isolate(fam, n, *args, **kwargs)
+
+    def counting_constants(*args, **kwargs):
+        calls["compute_constants"] += 1
+        return constants(*args, **kwargs)
+
+    monkeypatch.setattr(cubic, "isolate_roots", counting_isolate)
+    monkeypatch.setattr(cubic, "compute_constants", counting_constants)
+    code, report = run(["verify", EXAMPLE_CONFIG], capsys)
+    assert code == cli.EXIT_OK
+    in_scope = [row["n"] for row in report["per_n"] if row["in_scope"]]
+    assert in_scope == list(range(2, 9))
+    assert calls["isolate_roots"] == in_scope
+    assert calls["compute_constants"] == 1
+    assert sorted({r["n"] for r in report["residuals"]}) == in_scope
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -10,7 +10,6 @@ from split_thue.cubic import (
     check_irreducible,
     compute_constants,
     cubic_coeffs,
-    find_threshold,
     isolate_roots,
     verify_log_approx,
     verify_root_approx,
@@ -119,7 +118,10 @@ def test_verify_root_diff(fib_pow2, fib_pow2_consts, budget):
     assert rep.all_pass
 
 
-def test_find_threshold(fib_pow2, budget):
-    first, status = find_threshold(fib_pow2, 8, 1, budget)
-    assert first == 1
-    assert all(status)
+def test_find_threshold(fib_pow2, fib_pow2_consts, budget):
+    # the lemma threshold of this family is n = 1: every lemma holds for n = 1..8
+    for n in range(1, 9):
+        rs = isolate_roots(fib_pow2, n, budget)
+        assert verify_root_approx(rs, fib_pow2).all_pass
+        assert verify_log_approx(rs, fib_pow2, fib_pow2_consts, budget).all_pass
+        assert verify_root_diff(rs, fib_pow2, fib_pow2_consts, budget).all_pass

@@ -147,17 +147,20 @@ def test_solver_large_y(fib_pow2):
     assert all(s.classification.startswith("trivial") for s in sols)
 
 
-def test_verify_family(fib_pow2, budget):
-    fv = verify_family(fib_pow2, 2, 6, 100, budget)
-    assert fv.all_in_scope_clean
-    assert fv.nontrivial_found == ()
+def test_verify_family(fib_pow2, fib_pow2_consts, budget):
+    # every lemma already holds at n = 1, the one n with a nontrivial solution
+    fv = verify_family(fib_pow2, 1, 8, 100, budget)
+    assert {(s.x, s.y, s.n) for s in fv.nontrivial_found} == {(7, 4, 1), (-7, -4, 1)}
+    assert fv.constants == fib_pow2_consts
     for rep in fv.per_n:
         assert rep.in_scope
         assert rep.lemma_root_approx and rep.lemma_log_approx and rep.lemma_root_diff
         assert rep.xi_bound_ok
+        assert rep.residuals.n == rep.n and len(rep.residuals.entries) == 6
+        assert rep.residuals.all_pass
 
 
 def test_verify_family_reports_nontrivial(fib_pow2, budget):
-    fv = verify_family(fib_pow2, 1, 1, 10, budget, with_lemmas=False)
+    fv = verify_family(fib_pow2, 1, 1, 10, budget)
     assert not fv.all_in_scope_clean
     assert {(s.x, s.y) for s in fv.nontrivial_found} == {(7, 4), (-7, -4)}

@@ -162,9 +162,3 @@ def test_xi_value_matches_computed_form(fib_pow2, rs20, fib_pow2_consts, budget)
     xi = xi_form(2, fib_pow2.case_tag, 20, ue.b1, ue.b2)
     val = xi_value(xi, fib_pow2)
     assert iv_sup(abs(val)) < Fraction(1, 10**3)
-
-
-def test_verify_xi_bound_requires_solution_context(fib_pow2, fib_pow2_consts):
-    xi = xi_form(1, "strict", 10, 3, 5)
-    with pytest.raises(ValueError):
-        verify_xi_bound(xi, fib_pow2, fib_pow2_consts, 10, from_solution=False)
