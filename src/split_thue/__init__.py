@@ -23,7 +23,6 @@ from .sequences import (
     HypothesisViolated,
     RecurrentSequence,
     check_hypotheses,
-    check_hypotheses_at,
     sequence_from_json,
 )
 from .cubic import (
@@ -78,7 +77,6 @@ __all__ = [
     "baker_lower",
     "bugy_bound",
     "check_hypotheses",
-    "check_hypotheses_at",
     "compute_constants",
     "compute_n0",
     "field_arith",

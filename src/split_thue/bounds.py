@@ -25,7 +25,7 @@ from .precision import (
     iv_inf,
     iv_sup,
 )
-from .sequences import CoefficientPolynomial, FamilyInstance, coeff_poly_sub
+from .sequences import FamilyInstance, family_table
 
 
 class NoCrossing(SplitThueError):
@@ -54,47 +54,19 @@ def bugy_bound(R_upper: Fraction, logH_upper: Fraction, bits: int = 192) -> Frac
     )
 
 
-# -- closed-form envelopes for the family data -----------------------------
+# -- closed forms over the family table ------------------------------------
 
-def _seq_coeff_data(fam: FamilyInstance, bits: int = 128):
-    """Rational upper/lower envelopes of the coefficient polynomials."""
-    cA, cB = fam.A.dominant_coeff, fam.B.dominant_coeff
-    data = {
-        "U_A": cA.abs_coeff_sum_upper(bits)
-        + sum((c.abs_coeff_sum_upper(bits) for _, c in fam.A.secondary), Fraction(0)),
-        "U_B": cB.abs_coeff_sum_upper(bits)
-        + sum((c.abs_coeff_sum_upper(bits) for _, c in fam.B.secondary), Fraction(0)),
-        "L_A": cA.abs_lower_inf(2, bits),
-        "L_B": cB.abs_lower_inf(2, bits),
-    }
-    if fam.equal_modulus:
-        diff = coeff_poly_sub(cB, cA)
-        data["U_diff"] = diff.abs_coeff_sum_upper(bits)
-        data["L_diff"] = diff.abs_lower_inf(2, bits)
-    return data
-
-
-def _log_iv(x, bits):
-    return iv.log(iv_from_fraction(Fraction(x), bits))
+def _logn_sup(n: int, bits: int) -> Fraction:
+    """Rational upper bound on log n (0 for n = 1)."""
+    with interval_bits(bits):
+        return iv_sup(iv.log(iv.mpf(n))) if n > 1 else Fraction(0)
 
 
 def log_coeff_bound(fam: FamilyInstance, n: int, bits: int = 128) -> Fraction:
     """Upper bound m(n) on |log| of every coefficient value at n (dominant
     coefficients and, in the equal-modulus case, their difference)."""
-    d = _seq_coeff_data(fam, bits)
-    lows = [d["L_A"], d["L_B"]] + ([d["L_diff"]] if fam.equal_modulus else [])
-    ups = [d["U_A"], d["U_B"]] + ([d["U_diff"]] if fam.equal_modulus else [])
-    with interval_bits(bits):
-        neg = max(abs(iv_inf(_log_iv(lo, bits))) for lo in lows)
-        pos = max(iv_sup(_log_iv(up, bits)) for up in ups)
-        logn = iv_sup(iv.log(iv.mpf(n))) if n > 1 else Fraction(0)
-    return max(neg, pos + fam.d2 * logn)
-
-
-def _alpha_beta_logs(fam: FamilyInstance, bits: int):
-    la = iv.log(abs(fam.alpha.approx(bits)))
-    lb = iv.log(abs(fam.beta.approx(bits)))
-    return la, lb
+    t = family_table(fam, bits)
+    return max(t.log_coeff_neg, t.log_coeff_pos + fam.d2 * _logn_sup(n, bits))
 
 
 def _sup_clamped(x, cap_bits: int = 256) -> Fraction:
@@ -125,8 +97,9 @@ def regulator_bounds(fam: FamilyInstance, consts, n: int, bits: int = 128):
     log approximations with every coefficient log ranging over [-m, m]."""
     m = log_coeff_bound(fam, n, bits)
     e = lterm_sup(consts, fam.d2, n, bits)
+    t = family_table(fam, bits)
+    la, lb = t.log_alpha, t.log_beta
     with interval_bits(bits):
-        la, lb = _alpha_beta_logs(fam, bits)
         u1 = iv_from_fractions(-(m + e), m + e, bits)
         u2 = iv_from_fractions(-(2 * m + e), 2 * m + e, bits)
         x1 = n * lb + u1  # log|l1|
@@ -142,10 +115,9 @@ def logH_upper(fam: FamilyInstance, consts, n: int, bits: int = 128) -> Fraction
     """Upper bound on log of the largest form coefficient, |A_n B_n|."""
     m = log_coeff_bound(fam, n, bits)
     e = lterm_sup(consts, fam.d2, n, bits)
+    t = family_table(fam, bits)
     with interval_bits(bits):
-        la, lb = _alpha_beta_logs(fam, bits)
-        top = n * (la + lb)
-        val = iv_sup(top) + 2 * (m + 1) + e
+        val = iv_sup(n * (t.log_alpha + t.log_beta)) + 2 * (m + 1) + e
     return max(val, Fraction(2))  # H >= 3 floor
 
 
@@ -185,20 +157,6 @@ def baker_lower(heights, D: int, log_B: Fraction, t: int = None, bits: int = 128
     for h in heights:
         prod *= h
     return -K * log2tD * prod * max(log_B, Fraction(1))
-
-
-def coeff_poly_height_upper(poly: CoefficientPolynomial, n: int, budget=DEFAULT_BUDGET) -> Fraction:
-    """h(c(n)) <= sum_j (h(a_j) + j log n) + log(#terms)."""
-    bits = budget.working_bits
-    total = Fraction(0)
-    terms = 0
-    with interval_bits(bits):
-        logn = iv_sup(iv.log(iv.mpf(n))) if n > 1 else Fraction(0)
-        log_terms = iv_sup(iv.log(iv.mpf(poly.degree + 1)))
-    for j, a in enumerate(poly.coeffs):
-        total += iv_sup(a.height(budget)) + j * logn
-        terms += 1
-    return total + log_terms
 
 
 def compositum_degree(elements, budget=DEFAULT_BUDGET) -> int:
@@ -247,25 +205,18 @@ def xi_heights(fam: FamilyInstance, n: int, D: int, budget=DEFAULT_BUDGET):
     """Per-argument height bounds (with Baker floors) for the transformed
     form's logarithms at parameter n."""
     bits = budget.working_bits
+    t = family_table(fam, bits)
     m = log_coeff_bound(fam, n, bits)
+    logn = _logn_sup(n, bits)
     floor = Fraction(16, 100) / D
-    out = []
+    h_alpha, h_beta, coeff_heights = t.heights
     with interval_bits(bits):
-        la, lb = _alpha_beta_logs(fam, bits)
-        la_abs, lb_abs = iv_sup(abs(la)), iv_sup(abs(lb))
-    h_alpha = iv_sup(fam.alpha.height(budget))
-    h_beta = iv_sup(fam.beta.height(budget))
-    out.append(("alpha", max(h_alpha, la_abs / D, floor)))
+        la_abs, lb_abs = iv_sup(abs(t.log_alpha)), iv_sup(abs(t.log_beta))
+    out = [("alpha", max(h_alpha, la_abs / D, floor))]
     if not fam.equal_modulus:
         out.append(("beta", max(h_beta, lb_abs / D, floor)))
-    hA = coeff_poly_height_upper(fam.A.dominant_coeff, n, budget)
-    hB = coeff_poly_height_upper(fam.B.dominant_coeff, n, budget)
-    out.append(("cA", max(hA, m / D, floor)))
-    out.append(("cB", max(hB, m / D, floor)))
-    if fam.equal_modulus:
-        diff = coeff_poly_sub(fam.B.dominant_coeff, fam.A.dominant_coeff)
-        hd = coeff_poly_height_upper(diff, n, budget)
-        out.append(("cB-cA", max(hd, m / D, floor)))
+    for label, base, slope in coeff_heights:
+        out.append((label, max(base + slope * logn, m / D, floor)))
     return out
 
 
@@ -276,8 +227,9 @@ def exponent_bound_B(fam: FamilyInstance, consts, n: int, logy: Fraction, R_low:
         raise ValueError("need a positive regulator lower bound")
     m = log_coeff_bound(fam, n, bits)
     e = lterm_sup(consts, fam.d2, n, bits)
+    t = family_table(fam, bits)
+    la, lb = t.log_alpha, t.log_beta
     with interval_bits(bits):
-        la, lb = _alpha_beta_logs(fam, bits)
         entry = iv_sup(n * (la + lb)) + 2 * m + e  # largest |log| matrix entry
         maxdiff = iv_sup(n * lb) + m + e  # largest log root difference
     b_bound = (2 * entry) * (logy + maxdiff) / R_low + 1
@@ -287,8 +239,9 @@ def exponent_bound_B(fam: FamilyInstance, consts, n: int, logy: Fraction, R_low:
 def xi_upper_log(fam: FamilyInstance, consts, n: int, bits: int = 128) -> Fraction:
     """log of the right-hand side of the transformed-form upper bound,
     evaluated in closed form (safe at astronomically large n)."""
+    t = family_table(fam, bits)
+    la, lb = t.log_alpha, t.log_beta
     with interval_bits(bits):
-        la, lb = _alpha_beta_logs(fam, bits)
         log_c5 = iv.log(iv_from_fraction(consts.c5, bits))
         logn = iv.log(iv.mpf(n))
         t1 = iv.log(iv.mpf(4)) - 3 * log_c5 - fam.d1 * logn - n * (2 * la + lb)
@@ -312,15 +265,14 @@ def log_logy_lower_altunit(fam: FamilyInstance, consts, n: int, bits: int = 128)
     r_low, _ = regulator_bounds(fam, consts, n, bits)
     if r_low <= 2:
         return None
-    d = _seq_coeff_data(fam, bits)
+    t = family_table(fam, bits)
     with interval_bits(bits):
-        la, lb = _alpha_beta_logs(fam, bits)
         logn = iv.log(iv.mpf(n))
         log_q = (
-            iv.log(iv_from_fraction(2 * d["U_A"], bits))
+            iv.log(iv_from_fraction(2 * t.U_A, bits))
             + fam.d2 * logn
-            + n * (la - lb)
-            - iv.log(iv_from_fraction(d["L_B"], bits))
+            + n * (t.log_alpha - t.log_beta)
+            - iv.log(iv_from_fraction(t.L_B, bits))
         )
         log_quarter = iv.log(iv_from_fraction(Fraction(1, 4), bits))
         if iv_sup(log_q) >= iv_inf(log_quarter):
@@ -341,8 +293,9 @@ def logy_lower_eq8(fam: FamilyInstance, consts, n: int, D: int, bits: int = 128)
     r_low, r_up = regulator_bounds(fam, consts, n, bits)
     if r_low <= 0:
         return Fraction(0)
+    t = family_table(fam, bits)
+    la, lb = t.log_alpha, t.log_beta
     with interval_bits(bits):
-        la, lb = _alpha_beta_logs(fam, bits)
         # heights of the three unit/root-quotient arguments: each is a ratio
         # of numbers of log-magnitude <= n(la+lb) + 2m; degree <= 3D field
         h_arg = (Fraction(2, 3) * (iv_sup(n * (la + lb)) + 2 * m) + 1)
@@ -366,21 +319,32 @@ def logy_lower_eq8(fam: FamilyInstance, consts, n: int, D: int, bits: int = 128)
 
 # -- the crossing search ---------------------------------------------------
 
+# The doubling search starts at N_START; a threshold must also contradict on
+# the WINDOW values of n after it.
+N_START = 8
+WINDOW = 10
+
+
 @dataclass(frozen=True)
 class BoundReport:
+    """One probe of one branch. The verdict compares the exact lower bound
+    (None while the chain gives none) with the exact upper bound; the
+    floats are for the report only."""
+
     n: int
     branch: str
     R_upper: float
     logy_upper: float
     heights: tuple
-    baker_lower_exponent: float
-    xi_upper_log: float
+    baker_lower_exponent: Fraction | None
+    xi_upper_log: Fraction
     verdict: str
     extras: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        want = "contradiction" if self.baker_lower_exponent > self.xi_upper_log else "no-contradiction"
-        if self.verdict != want:
+        lower = self.baker_lower_exponent
+        contra = lower is not None and lower > self.xi_upper_log
+        if self.verdict != ("contradiction" if contra else "no-contradiction"):
             raise ValueError("verdict inconsistent with the recorded bounds")
 
 
@@ -396,59 +360,40 @@ class N0Result:
 def _branch_report(fam, consts, n, branch, D, budget, bits=160) -> BoundReport:
     r_low, r_up = regulator_bounds(fam, consts, n, bits)
     ly = logy_upper(fam, consts, n, bits)
+    heights, extras = (), {}
     if branch == "altunit-j1":
         # log-domain comparison: chain lower bound vs upper bound
-        log_lower = log_logy_lower_altunit(fam, consts, n, bits)
+        lower = log_logy_lower_altunit(fam, consts, n, bits)
         with interval_bits(bits):
-            lo = float(log_lower) if log_lower is not None else float("-inf")
-            up = float(iv_sup(iv.log(iv_from_fraction(ly.value, bits))))
-        verdict = "contradiction" if lo > up else "no-contradiction"
-        return BoundReport(
-            n=n, branch=branch, R_upper=float(r_up), logy_upper=float(ly.value),
-            heights=(), baker_lower_exponent=lo, xi_upper_log=up, verdict=verdict,
-        )
-    j = int(branch.split("-j")[1])
-    heights = xi_heights(fam, n, D, budget)
-    if r_low <= 0:
-        return BoundReport(
-            n=n, branch=branch, R_upper=float(r_up), logy_upper=float(ly.value),
-            heights=tuple((lab, float(h)) for lab, h in heights),
-            baker_lower_exponent=float("-inf"),
-            xi_upper_log=float(xi_upper_log(fam, consts, n, bits)),
-            verdict="no-contradiction",
-            extras={"note": "regulator lower bound not yet positive"},
-        )
-    B_exp = exponent_bound_B(fam, consts, n, ly.value, r_low, bits)
-    with interval_bits(bits):
-        log_B = iv_sup(iv.log(iv_from_fraction(B_exp, bits)))
-    lower = float(baker_lower([h for _, h in heights], D, log_B, bits=bits))
-    upper = float(xi_upper_log(fam, consts, n, bits))
-    verdict = "contradiction" if lower > upper else "no-contradiction"
+            upper = iv_sup(iv.log(iv_from_fraction(ly.value, bits)))
+    else:
+        heights = xi_heights(fam, n, D, budget)
+        upper = xi_upper_log(fam, consts, n, bits)
+        if r_low <= 0:
+            lower, extras = None, {"note": "regulator lower bound not yet positive"}
+        else:
+            B_exp = exponent_bound_B(fam, consts, n, ly.value, r_low, bits)
+            with interval_bits(bits):
+                log_B = iv_sup(iv.log(iv_from_fraction(B_exp, bits)))
+            lower = baker_lower([h for _, h in heights], D, log_B, bits=bits)
+            extras = {"B": float(B_exp), "D": D}
+    contra = lower is not None and lower > upper
     return BoundReport(
         n=n, branch=branch, R_upper=float(r_up), logy_upper=float(ly.value),
         heights=tuple((lab, float(h)) for lab, h in heights),
         baker_lower_exponent=lower,
         xi_upper_log=upper,
-        verdict=verdict,
-        extras={"B": float(B_exp), "D": D},
+        verdict="contradiction" if contra else "no-contradiction",
+        extras=extras,
     )
 
 
 def compute_n0(
-    fam: FamilyInstance,
-    consts=None,
-    n_cap: int = 10**7,
-    window: int = 10,
-    n_start: int = 8,
-    budget=DEFAULT_BUDGET,
+    fam: FamilyInstance, consts, n_cap: int = 10**7, budget=DEFAULT_BUDGET
 ) -> N0Result:
     """Smallest n beyond which every solution-type branch yields a
     contradiction between the lower and upper linear-form bounds, verified
     over a sanity window; per-branch thresholds and a probe trace included."""
-    if consts is None:
-        from .cubic import compute_constants
-
-        consts = compute_constants(fam)
     D = field_degree(fam, budget)
     branches = ["xi-j2", "xi-j3"]
     if fam.equal_modulus:
@@ -467,7 +412,7 @@ def compute_n0(
     no_crossing = False
     for branch in branches:
         lo, hi = None, None
-        n = max(2, n_start)
+        n = N_START
         while n <= n_cap:
             if contra(n, branch):
                 hi = n
@@ -492,7 +437,7 @@ def compute_n0(
         # sanity window, advancing past any non-monotone wiggle
         start = hi
         while start <= n_cap:
-            if all(contra(start + w, branch) for w in range(window + 1)):
+            if all(contra(start + w, branch) for w in range(WINDOW + 1)):
                 break
             start += 1
         if start > n_cap:

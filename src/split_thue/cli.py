@@ -131,7 +131,7 @@ def cmd_verify(config, args):
     fam, budget = build_family(config, args)
     opts = config["options"]
     fv = solver.verify_family(fam, opts["n_lo"], opts["n_hi"], opts["y_max"], budget)
-    hyp = check_hypotheses(fam, opts["n_hi"], budget)
+    hyp = fv.hypotheses
     per_n = []
     residuals = []
     any_out_of_scope = False
@@ -193,18 +193,16 @@ def cmd_bounds(config, args):
     opts = config["options"]
     consts = cubic.compute_constants(fam)
     res = bounds.compute_n0(fam, consts, n_cap=opts["n_cap"], budget=budget)
-    def finite(x):
-        # keep the JSON strictly standard: -inf marks "no lower bound yet"
-        return x if x == x and abs(x) != float("inf") else None
-
     trace = [
         {
             "n": r.n,
             "branch": r.branch,
-            "R_upper": finite(r.R_upper),
-            "logy_upper": finite(r.logy_upper),
-            "baker_lower_exponent": finite(r.baker_lower_exponent),
-            "xi_upper_log": finite(r.xi_upper_log),
+            "R_upper": r.R_upper,
+            "logy_upper": r.logy_upper,
+            # null marks "no lower bound yet"
+            "baker_lower_exponent": None if r.baker_lower_exponent is None
+            else float(r.baker_lower_exponent),
+            "xi_upper_log": float(r.xi_upper_log),
             "verdict": r.verdict,
         }
         for r in res.trace

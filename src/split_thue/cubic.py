@@ -18,7 +18,7 @@ from .precision import (
     iv_inf,
     iv_sup,
 )
-from .sequences import FamilyInstance, HypothesisViolated, coeff_poly_sub
+from .sequences import FamilyInstance, HypothesisViolated, coeff_poly_sub, family_table
 
 
 class AnchorSignFailure(SplitThueError):
@@ -318,9 +318,8 @@ def compute_constants(fam: FamilyInstance, n_min: int = 2, bits: int = 128) -> A
 def _log_quantities(fam: FamilyInstance, n: int, bits: int):
     """Interval values of log|alpha|, log|beta|, log|c_A(n)|, log|c_B(n)|,
     log|(c_B - c_A)(n)| (the last only in the equal-modulus case)."""
+    t = family_table(fam, bits)
     with interval_bits(bits):
-        la = iv.log(abs(fam.alpha.approx(bits)))
-        lb = iv.log(abs(fam.beta.approx(bits)))
         lcA = iv.log(abs(fam.A.dominant_coeff.approx_at(n, bits)))
         lcB = iv.log(abs(fam.B.dominant_coeff.approx_at(n, bits)))
         if fam.equal_modulus:
@@ -328,7 +327,7 @@ def _log_quantities(fam: FamilyInstance, n: int, bits: int):
             ldiff = iv.log(abs(diff.approx_at(n, bits)))
         else:
             ldiff = None
-    return la, lb, lcA, lcB, ldiff
+    return t.log_alpha, t.log_beta, lcA, lcB, ldiff
 
 
 def log_closed_forms(fam: FamilyInstance, n: int, bits: int):

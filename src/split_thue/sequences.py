@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 import sympy as sp
 from mpmath import iv
@@ -17,6 +18,7 @@ from mpmath import iv
 from .algebraic import AlgebraicNumber, _isolate_all, _normalize_coeffs
 from .precision import (
     DEFAULT_BUDGET,
+    PrecisionBudget,
     SplitThueError,
     certified_lt,
     interval_bits,
@@ -347,7 +349,7 @@ class FamilyInstance:
     def build(cls, A, B, budget=DEFAULT_BUDGET):
         """Order the pair so |alpha| <= |beta| and classify the case."""
         alpha, beta = A.dominant_root, B.dominant_root
-        equal = _modulus_equal(alpha, beta)
+        equal = _abs_equal(alpha, beta)
         if not equal and not _certified_modulus_less(alpha, beta, budget):
             A, B = B, A
         degrees = [A.dominant_coeff.degree, B.dominant_coeff.degree]
@@ -377,9 +379,79 @@ class FamilyInstance:
         return self.B.dominant_coeff.value_at(n)
 
 
-def _modulus_equal(a: AlgebraicNumber, b: AlgebraicNumber):
-    """Exact |a| = |b| for real algebraic numbers: a = b or a = -b."""
-    return a == b or a == -b
+def _abs_equal(x: AlgebraicNumber, y: AlgebraicNumber):
+    """Exact |x| = |y| for real algebraic numbers: x = y or x = -y."""
+    return x == y or x == -y
+
+
+@dataclass(frozen=True)
+class FamilyTable:
+    """What the bound chain needs of a family that does not depend on n, at
+    one precision: log|alpha| and log|beta| (intervals), the envelopes
+    U >= sum of |coefficients| (dominant and secondary) and
+    L <= inf_{n >= 2} |c(n)| of the coefficient polynomials, and the
+    n-independent part of the coefficient log bound m(n)."""
+
+    fam: FamilyInstance
+    bits: int
+    log_alpha: object
+    log_beta: object
+    U_A: Fraction
+    U_B: Fraction
+    L_A: Fraction
+    L_B: Fraction
+    U_diff: Fraction | None  # of c_B - c_A, equal-modulus case only
+    L_diff: Fraction | None
+    log_coeff_neg: Fraction  # max |log L| over the lower envelopes
+    log_coeff_pos: Fraction  # max log U over the upper envelopes
+
+    @cached_property
+    def heights(self):
+        """(h(alpha), h(beta), ((label, base, slope), ...)): rational upper
+        bounds with h(c(n)) <= base + slope log n for c_A, c_B (and c_B - c_A
+        in the equal-modulus case), from h(c(n)) <= sum_j (h(a_j) + j log n)
+        + log(#terms)."""
+        budget = PrecisionBudget(working_bits=self.bits)
+        cA, cB = self.fam.A.dominant_coeff, self.fam.B.dominant_coeff
+        polys = [("cA", cA), ("cB", cB)]
+        if self.fam.equal_modulus:
+            polys.append(("cB-cA", coeff_poly_sub(cB, cA)))
+        coeffs = []
+        for label, poly in polys:
+            with interval_bits(self.bits):
+                log_terms = iv_sup(iv.log(iv.mpf(poly.degree + 1)))
+            base = sum((iv_sup(a.height(budget)) for a in poly.coeffs), log_terms)
+            coeffs.append((label, base, sum(range(len(poly.coeffs)))))
+        h_alpha = iv_sup(self.fam.alpha.height(budget))
+        h_beta = iv_sup(self.fam.beta.height(budget))
+        return h_alpha, h_beta, tuple(coeffs)
+
+
+@lru_cache(maxsize=64)
+def family_table(fam: FamilyInstance, bits: int) -> FamilyTable:
+    """The table of ``fam`` at ``bits``, built once per (family, precision);
+    the one place that encloses log|alpha| and log|beta|."""
+    def upper(seq):
+        rest = (c.abs_coeff_sum_upper(bits) for _, c in seq.secondary)
+        return sum(rest, seq.dominant_coeff.abs_coeff_sum_upper(bits))
+
+    cA, cB = fam.A.dominant_coeff, fam.B.dominant_coeff
+    U_A, U_B = upper(fam.A), upper(fam.B)
+    L_A, L_B = cA.abs_lower_inf(2, bits), cB.abs_lower_inf(2, bits)
+    U_diff = L_diff = None
+    if fam.equal_modulus:
+        diff = coeff_poly_sub(cB, cA)
+        U_diff, L_diff = diff.abs_coeff_sum_upper(bits), diff.abs_lower_inf(2, bits)
+    lows = [L for L in (L_A, L_B, L_diff) if L is not None]
+    ups = [U for U in (U_A, U_B, U_diff) if U is not None]
+    with interval_bits(bits):
+        neg = max(abs(iv_inf(iv.log(iv_from_fraction(lo, bits)))) for lo in lows)
+        pos = max(iv_sup(iv.log(iv_from_fraction(up, bits))) for up in ups)
+        log_alpha = iv.log(abs(fam.alpha.approx(bits)))
+        log_beta = iv.log(abs(fam.beta.approx(bits)))
+    return FamilyTable(
+        fam, bits, log_alpha, log_beta, U_A, U_B, L_A, L_B, U_diff, L_diff, neg, pos
+    )
 
 
 # -- hypothesis checking ---------------------------------------------------
@@ -432,15 +504,6 @@ def check_hypotheses(fam: FamilyInstance, n_probe: int, budget=DEFAULT_BUDGET) -
     )
 
 
-def check_hypotheses_at(fam: FamilyInstance, n: int, budget=DEFAULT_BUDGET):
-    """Single-n version: (ok, reasons) for the bullet conditions at n."""
-    An, Bn = fam.terms(n)
-    ok, reason, _ = _bullet_check(An, Bn)
-    if ok and fam.equal_modulus:
-        ok, reason, _ = _equal_modulus_check(fam, n, budget)
-    return ok, (() if ok else ((n, reason),))
-
-
 def _bullet_check(An, Bn):
     if 1 <= An <= Bn - 2:
         return True, None, "positive"
@@ -482,10 +545,6 @@ def _equal_modulus_check(fam, n, budget):
 
 def abs_square(x: AlgebraicNumber):
     return x * x
-
-
-def _abs_equal(x: AlgebraicNumber, y: AlgebraicNumber):
-    return x == y or x == -y
 
 
 def _certified_abs_le(x: AlgebraicNumber, bound, budget):

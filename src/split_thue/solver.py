@@ -8,7 +8,7 @@ from math import isqrt
 
 from .cubic import ApproxConstants, ResidualReport
 from .precision import DEFAULT_BUDGET
-from .sequences import FamilyInstance, check_hypotheses_at
+from .sequences import FamilyInstance, HypothesisReport, check_hypotheses
 
 
 @dataclass(frozen=True, order=True)
@@ -160,14 +160,11 @@ class FamilyVerification:
     y_max: int
     per_n: tuple
     constants: ApproxConstants  # the lemmas were checked with these
+    hypotheses: HypothesisReport  # for n = 1..n_hi; in_scope comes from it
 
     @property
     def nontrivial_found(self):
         return tuple(s for rep in self.per_n for s in rep.nontrivial)
-
-    @property
-    def all_in_scope_clean(self):
-        return all((not r.in_scope) or not r.nontrivial for r in self.per_n)
 
 
 def verify_family(
@@ -181,12 +178,13 @@ def verify_family(
     if n_lo > n_hi:
         raise ValueError("empty n range")
     consts = cubic.compute_constants(fam)
+    hyp = check_hypotheses(fam, n_hi, budget)
+    failed = dict(hyp.failures)
     reports = []
     for n in range(n_lo, n_hi + 1):
-        ok, reasons = check_hypotheses_at(fam, n, budget)
-        if not ok:
+        if n in failed:
             reports.append(
-                PerNReport(n, False, reasons, (), (), None, None, None, None)
+                PerNReport(n, False, ((n, failed[n]),), (), (), None, None, None, None)
             )
             continue
         sols = tuple(solve_bruteforce(fam, n, y_max))
@@ -212,4 +210,4 @@ def verify_family(
         reports.append(
             PerNReport(n, True, (), sols, nontrivial, ra, la, rd, xi_ok, resid)
         )
-    return FamilyVerification(n_lo, n_hi, y_max, tuple(reports), consts)
+    return FamilyVerification(n_lo, n_hi, y_max, tuple(reports), consts, hyp)

@@ -20,7 +20,7 @@ from .precision import (
     iv_sup,
     iv_width,
 )
-from .sequences import FamilyInstance
+from .sequences import FamilyInstance, family_table
 
 
 class NotAUnit(SplitThueError):
@@ -75,10 +75,9 @@ def verify_regulator_growth(
 
     bits = budget.working_bits
     ns = sorted({n_lo + round(i * (n_hi - n_lo) / (samples - 1)) for i in range(samples)})
+    t = family_table(fam, bits)
     with interval_bits(bits):
-        la = iv.log(abs(fam.alpha.approx(bits)))
-        lb = iv.log(abs(fam.beta.approx(bits)))
-        limit = lb * (2 * la + lb)
+        limit = t.log_beta * (2 * t.log_alpha + t.log_beta)
     limit_mid = float((iv_inf(limit) + iv_sup(limit)) / 2)
 
     vals = []

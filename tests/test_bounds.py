@@ -21,6 +21,8 @@ from split_thue.bounds import (
     xi_heights,
     xi_upper_log,
 )
+from split_thue import sequences
+from split_thue.algebraic import AlgebraicNumber
 from split_thue.cubic import isolate_roots
 from split_thue.precision import SplitThueError
 from split_thue.units import regulator
@@ -140,6 +142,28 @@ def test_compute_n0_small_cap_reports_no_crossing(fib_pow2, fib_pow2_consts, bud
 def test_compute_n0_finite_at_large_cap(fib_pow2, fib_pow2_consts, budget):
     res = compute_n0(fib_pow2, fib_pow2_consts, n_cap=10**25, budget=budget)
     assert not res.no_crossing
-    assert res.n0 == 59362923407947908538
+    assert res.n0 == 59362923407947902848
     assert set(res.branch_thresholds) == {"xi-j2", "xi-j3", "altunit-j1"}
     assert res.branch_thresholds["altunit-j1"] == 568
+
+
+def test_compute_n0_reads_the_family_table_once(fib_pow2, fib_pow2_consts, budget, monkeypatch):
+    # the envelopes and heights do not depend on n: a full run at cap 10**19
+    # (152 probes) must not recompute them per probe
+    calls = {"envelope": 0, "height": 0}
+
+    def counting(method, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    poly = sequences.CoefficientPolynomial
+    for name in ("abs_coeff_sum_upper", "abs_lower_inf"):
+        monkeypatch.setattr(poly, name, counting(getattr(poly, name), "envelope"))
+    monkeypatch.setattr(AlgebraicNumber, "height", counting(AlgebraicNumber.height, "height"))
+    sequences.family_table.cache_clear()
+    res = compute_n0(fib_pow2, fib_pow2_consts, n_cap=10**19, budget=budget)
+    assert len(res.trace) == 152
+    assert calls["envelope"] <= 12
+    assert calls["height"] <= 8

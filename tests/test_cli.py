@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from split_thue import cli, cubic
+from split_thue import cli, cubic, sequences
 
 EXAMPLE_CONFIG = os.path.join(
     os.path.dirname(__file__), os.pardir, "configs", "fibonacci_pow2.json"
@@ -63,7 +63,7 @@ def test_bounds_no_crossing_exit_code(config_path, capsys):
 def test_bounds_finite_n0(config_path, capsys):
     code, report = run(["bounds", config_path, "--n-cap", str(10**25)], capsys)
     assert code == cli.EXIT_OK
-    assert report["n0"] == 59362923407947908538
+    assert report["n0"] == 59362923407947902848
 
 
 def test_equal_sequences_are_a_hypothesis_violation(tmp_path, capsys):
@@ -79,8 +79,9 @@ def test_equal_sequences_are_a_hypothesis_violation(tmp_path, capsys):
 
 
 def test_verify_runs_each_stage_once(monkeypatch, capsys):
-    calls = {"isolate_roots": [], "compute_constants": 0}
+    calls = {"isolate_roots": [], "compute_constants": 0, "bullet": 0}
     isolate, constants = cubic.isolate_roots, cubic.compute_constants
+    bullet = sequences._bullet_check
 
     def counting_isolate(fam, n, *args, **kwargs):
         calls["isolate_roots"].append(n)
@@ -90,14 +91,21 @@ def test_verify_runs_each_stage_once(monkeypatch, capsys):
         calls["compute_constants"] += 1
         return constants(*args, **kwargs)
 
+    def counting_bullet(*args):
+        calls["bullet"] += 1
+        return bullet(*args)
+
     monkeypatch.setattr(cubic, "isolate_roots", counting_isolate)
     monkeypatch.setattr(cubic, "compute_constants", counting_constants)
+    monkeypatch.setattr(sequences, "_bullet_check", counting_bullet)
     code, report = run(["verify", EXAMPLE_CONFIG], capsys)
     assert code == cli.EXIT_OK
     in_scope = [row["n"] for row in report["per_n"] if row["in_scope"]]
     assert in_scope == list(range(2, 9))
     assert calls["isolate_roots"] == in_scope
     assert calls["compute_constants"] == 1
+    # one hypothesis pass over n = 1..n_hi
+    assert calls["bullet"] == report["config"]["options"]["n_hi"]
     assert sorted({r["n"] for r in report["residuals"]}) == in_scope
 
 

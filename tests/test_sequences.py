@@ -8,7 +8,6 @@ from split_thue.sequences import (
     HypothesisViolated,
     RecurrentSequence,
     check_hypotheses,
-    check_hypotheses_at,
     sequence_from_json,
 )
 
@@ -74,8 +73,8 @@ def test_check_hypotheses(fib_pow2, budget):
 
 
 def test_check_hypotheses_at(fib_pow2, budget):
-    ok, reasons = check_hypotheses_at(fib_pow2, 3, budget)
-    assert ok and reasons == ()
+    rep = check_hypotheses(fib_pow2, 3, budget)
+    assert rep.failures == ()
 
 
 def test_hypotheses_fail_outside_bullets(budget):
@@ -84,8 +83,9 @@ def test_hypotheses_fail_outside_bullets(budget):
     b = RecurrentSequence.from_recurrence([1, -1, -1], [2, 3])
     fam = FamilyInstance.build(a, b, budget)
     assert fam.equal_modulus
-    ok, reasons = check_hypotheses_at(fam, 1, budget)
-    assert not ok and reasons
+    rep = check_hypotheses(fam, 1, budget)
+    assert [n for n, _ in rep.failures] == [1]
+    assert not rep.passed
 
 
 def test_sequence_from_json_plain():
