@@ -220,26 +220,6 @@ class AlgebraicNumber:
         best = min(boxes, key=lambda b: abs(b.mid() - near))
         return cls(coeffs, best, _validate=False) if _is_irreducible(coeffs) else _factor_pick(coeffs, best)
 
-    @classmethod
-    def from_sympy(cls, expr, bits=64):
-        """Build from an exact sympy expression (must be algebraic)."""
-        expr = sp.nsimplify(expr, rational=False) if expr.free_symbols else expr
-        if expr.is_Rational:
-            return cls.from_rational(Fraction(int(expr.p), int(expr.q)))
-        poly = sp.minimal_polynomial(expr, _X, polys=True)
-        coeffs = _normalize_coeffs(poly.all_coeffs())
-        val = sp.nsimplify(expr).evalf(60)
-        re = Fraction(str(sp.re(val)))
-        im = Fraction(str(sp.im(val)))
-        eps_bits = 64
-        while eps_bits <= 2**14:
-            boxes = _isolate_all(coeffs, eps_bits)
-            hits = [b for b in boxes if _box_contains_point(b, re, im, slack=Fraction(1, 2**50))]
-            if len(hits) == 1:
-                return cls(coeffs, hits[0], _validate=False)
-            eps_bits *= 2
-        raise PrecisionExhausted("could not designate root for sympy expression")
-
     # -- basic structure ---------------------------------------------------
 
     @property
@@ -324,12 +304,18 @@ class AlgebraicNumber:
         return RealEnclosure(lo, hi)
 
     def _refine_complex(self, box, width):
+        """Exact Newton steps certified by :func:`_newton_box` against the
+        other roots' isolating boxes, which are refined when they fail."""
         target = Fraction(width)
-        eps_bits = 34
+        eps_bits = 64
         while eps_bits <= 2**16:
             boxes = _isolate_all(self.min_poly, eps_bits)
             hits = [b for b in boxes if b.intersects(box)]
             if len(hits) == 1:
+                others = [b for b in boxes if b is not hits[0]]
+                tight = _newton_box(self.min_poly, box, others, target)
+                if tight is not None:
+                    return tight
                 box = hits[0]
                 if box.width() <= target:
                     return box
@@ -455,13 +441,40 @@ def _log_plus(mag):
     return iv_from_fractions(0, iv_sup(hi))
 
 
-def _box_contains_point(box, re, im, slack=Fraction(0)):
-    if box.is_real:
-        return abs(im) <= slack and box.lo - slack <= re <= box.hi + slack
-    return (
-        box.re_lo - slack <= re <= box.re_hi + slack
-        and box.im_lo - slack <= im <= box.im_hi + slack
-    )
+def _newton_box(coeffs, start, others, target):
+    """A square of width <= ``target`` holding the root of ``coeffs`` that
+    lies in ``start``, or None if Newton's method from the centre of
+    ``start`` does not certify one.  ``others`` are isolating boxes of all
+    the other roots.
+
+    Since f'/f(z) = sum_k 1/(z - z_k), some root lies within d |f(z)/f'(z)|
+    of any z (d = degree).  When the square around z of that half-width
+    meets none of ``others``, that root is the one in ``start``.  All
+    arithmetic is exact; the iterates are rounded to multiples of 2^-K.
+    """
+    d = len(coeffs) - 1
+    K = target.denominator.bit_length() - target.numerator.bit_length() + 16
+    unit = 2**K
+    re = (start.re_lo + start.re_hi) / 2
+    im = (start.im_lo + start.im_hi) / 2
+    for _ in range(2 * K.bit_length() + 8):
+        fr = fi = dr = di = Fraction(0)
+        for c in coeffs:  # Horner for f and f' at re + i im
+            dr, di = dr * re - di * im + fr, dr * im + di * re + fi
+            fr, fi = fr * re - fi * im + c, fr * im + fi * re
+        norm = dr * dr + di * di
+        if norm == 0:
+            return None
+        # half-width R >= d |f/f'|, rounded up to a multiple of 2^-K
+        R = Fraction(math.isqrt(d * d * (fr * fr + fi * fi) * unit * unit // norm) + 1, unit)
+        if 2 * R <= target:
+            square = ComplexEnclosure(re - R, re + R, im - R, im + R)
+            if not any(square.intersects(b) for b in others):
+                return square
+        # z - f/f' with f/f' = f conj(f') / |f'|^2
+        re = Fraction(round((re - (fr * dr + fi * di) / norm) * unit), unit)
+        im = Fraction(round((im - (fi * dr - fr * di) / norm) * unit), unit)
+    return None
 
 
 def _factor_pick(coeffs, box):

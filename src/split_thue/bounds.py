@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from mpmath import iv
 
-from .algebraic import AlgebraicNumber, field_arith
+from .algebraic import AlgebraicNumber, ComplexEnclosure, RealEnclosure, field_arith
 from .precision import (
     DEFAULT_BUDGET,
     SplitThueError,
@@ -161,7 +161,15 @@ def baker_lower(heights, D: int, log_B: Fraction, t: int = None, bits: int = 128
 
 def compositum_degree(elements, budget=DEFAULT_BUDGET) -> int:
     """Degree of the field generated by the given algebraic numbers, found
-    by primitive-element trials gamma + k*delta over enough shifts k."""
+    by primitive-element trials gamma + k*delta, k = 1, 2, ...
+
+    With conjugates gamma_1 = gamma, ..., gamma_d1 and delta_1 = delta, ...,
+    delta_d2, gamma + k*delta generates Q(gamma, delta) unless
+    gamma + k*delta = gamma_i + k*delta_j for some j != 1, that is
+    k = (gamma_i - gamma)/(delta - delta_j).  The terms with i = 1 give
+    k = 0, so at most (d1-1)(d2-1) shifts k >= 1 fail, and the largest
+    degree over (d1-1)(d2-1)+1 shifts is the degree of Q(gamma, delta).
+    """
     gamma = None
     for el in elements:
         if gamma is None:
@@ -175,12 +183,10 @@ def compositum_degree(elements, budget=DEFAULT_BUDGET) -> int:
             gamma = el
             continue
         cap = d1 * d2
-        trials = max(3, (d1 * d2 * (d1 * d2 - 1)) // 2 + 1)
         best = None
         best_deg = 0
-        for k in range(1, trials + 1):
-            shifted = field_arith(el, AlgebraicNumber.from_rational(k), "mul", budget)
-            cand = field_arith(gamma, shifted, "add", budget)
+        for k in range(1, (d1 - 1) * (d2 - 1) + 2):
+            cand = field_arith(gamma, _times_int(el, k), "add", budget)
             deg = len(cand.min_poly) - 1
             if deg > best_deg:
                 best_deg, best = deg, cand
@@ -188,6 +194,19 @@ def compositum_degree(elements, budget=DEFAULT_BUDGET) -> int:
                 break
         gamma = best
     return len(gamma.min_poly) - 1 if gamma is not None else 1
+
+
+def _times_int(el: AlgebraicNumber, k: int) -> AlgebraicNumber:
+    """k * el for an integer k >= 1 without a resultant: the minimal
+    polynomial sum c_i x^(d-i) becomes sum c_i k^i x^(d-i), and the box
+    scales by k."""
+    coeffs = [c * k**i for i, c in enumerate(el.min_poly)]
+    box = el.enclosure
+    if box.is_real:
+        box = RealEnclosure(k * box.lo, k * box.hi)
+    else:
+        box = ComplexEnclosure(k * box.re_lo, k * box.re_hi, k * box.im_lo, k * box.im_hi)
+    return AlgebraicNumber(coeffs, box, _validate=False)
 
 
 def field_degree(fam: FamilyInstance, budget=DEFAULT_BUDGET) -> int:

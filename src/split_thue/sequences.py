@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 import sympy as sp
 from mpmath import iv
 
-from .algebraic import AlgebraicNumber, _isolate_all, _normalize_coeffs
+from .algebraic import AlgebraicNumber, _designate_from_iv, _isolate_all, _normalize_coeffs
 from .precision import (
     DEFAULT_BUDGET,
     PrecisionBudget,
@@ -150,50 +150,50 @@ class RecurrentSequence:
     @classmethod
     def from_recurrence(cls, recurrence_coeffs, initial_terms):
         """Factor the characteristic polynomial and solve for the explicit
-        formula's coefficient polynomials."""
+        formula's coefficient polynomials.
+
+        sympy only factors and isolates roots; the rest is exact rational
+        linear algebra.  The initial terms are rational, so the coefficient
+        of n^j at every root r of an irreducible factor g is P_{g,j}(r) for
+        one P_{g,j} in Q[x] of degree < deg g.  Row n of the linear system in
+        the coefficients of the P_{g,j} reads
+        a_n = sum_{g,j,i} n^j p_{g,j,i} Tr_g(r^(i+n)).
+        """
         recurrence_coeffs = tuple(int(c) for c in recurrence_coeffs)
         initial_terms = tuple(int(a) for a in initial_terms)
         order = len(recurrence_coeffs) - 1
         if order < 1:
             raise ValueError("recurrence must have positive order")
-        poly = sp.Poly(list(recurrence_coeffs), _X)
-        if poly.LC() != 1:
+        if len(initial_terms) != order:
+            raise ValueError("initial_terms must match recurrence order")
+        if recurrence_coeffs[0] != 1:
             raise ValueError("characteristic polynomial must be monic")
-        roots_sym = []  # (sympy root, multiplicity, factor coeffs)
-        for fac, mult in poly.factor_list()[1]:
-            fc = _normalize_coeffs(fac.all_coeffs())
-            if len(fc) < 2:
-                continue
-            for idx in range(len(fc) - 1):
-                roots_sym.append((sp.CRootOf(sp.Poly(list(fc), _X), idx), mult, fc))
-        if sum(m for _, m, _ in roots_sym) != order:
-            raise ValueError("characteristic polynomial must not have zero root of deficient factorization")
-        # linear system for the coefficient polynomials
-        unknown_index = []
-        for k, (_, mult, _) in enumerate(roots_sym):
-            for j in range(mult):
-                unknown_index.append((k, j))
-        rows = []
-        for n in range(order):
-            row = []
-            for k, j in unknown_index:
-                r = roots_sym[k][0]
-                row.append(sp.Integer(n) ** j * r**n)
-            rows.append(row)
-        sol = sp.Matrix(rows).LUsolve(sp.Matrix(list(initial_terms)))
-        values = [sp.simplify(v) for v in sol]
+        factors = []  # (g, multiplicity, power sums of g's roots)
+        for fac, mult in sp.Poly(list(recurrence_coeffs), _X).factor_list()[1]:
+            g = _normalize_coeffs(fac.all_coeffs())
+            factors.append((g, mult, _power_sums(g, 2 * order)))
+        unknowns = [
+            (k, j, i)
+            for k, (g, mult, _) in enumerate(factors)
+            for j in range(mult)
+            for i in range(len(g) - 1)
+        ]
+        rows = [
+            [n**j * factors[k][2][i + n] for k, j, i in unknowns] for n in range(order)
+        ]
+        solution = iter(_solve_rational(rows, initial_terms))
 
-        per_root = {}
-        for (k, j), v in zip(unknown_index, values):
-            per_root.setdefault(k, {})[j] = v
         entries = []
-        for k, (r_sym, mult, fc) in enumerate(roots_sym):
-            root = _algebraic_from_crootof(fc, r_sym)
-            coeffs = tuple(
-                _algebraic_from_sympy_value(per_root[k].get(j, sp.Integer(0)))
-                for j in range(mult)
-            )
-            entries.append((root, CoefficientPolynomial(coeffs)))
+        for g, mult, sums in factors:
+            m = len(g) - 1
+            polys = [[next(solution) for _ in range(m)] for _ in range(mult)]
+            for box in _isolate_all(g, 64):
+                # designate on a copy, so the root's own enclosure is refined
+                # only by the formula checks, as for a root read from JSON
+                probe = AlgebraicNumber(g, box, _validate=False)
+                coeffs = tuple(_value_at_root(g, sums, P, probe) for P in polys)
+                root = AlgebraicNumber(g, box, _validate=False)
+                entries.append((root, CoefficientPolynomial(coeffs)))
 
         dom_idx = _dominant_index(entries)
         dominant_root, dominant_coeff = entries[dom_idx]
@@ -305,33 +305,98 @@ def _certified_modulus_less(a: AlgebraicNumber, b: AlgebraicNumber, budget=DEFAU
         return False
 
 
-def _algebraic_from_crootof(factor_coeffs, r_sym):
-    val = r_sym.evalf(60)
-    re = Fraction(str(sp.re(val)))
-    im = Fraction(str(sp.im(val)))
-    slack = Fraction(1, 2**40)
-    for eps_bits in (64, 128, 256, 512):
-        boxes = _isolate_all(tuple(factor_coeffs), eps_bits)
-        hits = []
-        for b in boxes:
-            if b.is_real:
-                if abs(im) <= slack and b.lo - slack <= re <= b.hi + slack:
-                    hits.append(b)
-            elif (
-                b.re_lo - slack <= re <= b.re_hi + slack
-                and b.im_lo - slack <= im <= b.im_hi + slack
-            ):
-                hits.append(b)
-        if len(hits) == 1:
-            return AlgebraicNumber(factor_coeffs, hits[0], _validate=False)
-        slack /= 2**16
-    raise SplitThueError("could not match characteristic root to enclosure")
+def _power_sums(g, count):
+    """Power sums p_0..p_{count-1} of the roots of g (descending integer
+    coefficients), by Newton's identities."""
+    m = len(g) - 1
+    a = [Fraction(c, g[0]) for c in g]
+    sums = [Fraction(m)]
+    for k in range(1, count):
+        s = -sum(a[i] * sums[k - i] for i in range(1, min(k, m + 1)))
+        if k <= m:
+            s -= k * a[k]
+        sums.append(s)
+    return sums
 
 
-def _algebraic_from_sympy_value(expr):
-    if expr.is_Rational:
-        return AlgebraicNumber.from_rational(Fraction(int(expr.p), int(expr.q)))
-    return AlgebraicNumber.from_sympy(expr)
+def _solve_rational(rows, rhs):
+    """Solve the square system rows . x = rhs exactly (Gauss-Jordan)."""
+    size = len(rows)
+    m = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(size):
+        piv = next((r for r in range(col, size) if m[r][col]), None)
+        if piv is None:
+            raise SplitThueError("singular system for the explicit formula")
+        m[col], m[piv] = m[piv], m[col]
+        for r in range(size):
+            if r != col and m[r][col]:
+                f = m[r][col] / m[col][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return [m[i][size] / m[i][i] for i in range(size)]
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_divmod(a, b):
+    """Quotient and remainder of polynomials as descending coefficient lists
+    (b has a nonzero leading coefficient; the zero polynomial is [])."""
+    a, q = list(a), []
+    while len(a) >= len(b):
+        c = a[0] / b[0]
+        q.append(c)
+        a = [x - c * y for x, y in zip(a[1:], b[1:])] + a[len(b):]
+    while a and a[0] == 0:
+        a.pop(0)
+    return q, a
+
+
+def _value_at_root(g, sums, P, root):
+    """The algebraic number P(root), for a root of the irreducible g with
+    power sums ``sums`` and P in Q[x] of degree < deg g (ascending).
+
+    The minimal polynomial is the squarefree part of the characteristic
+    polynomial of multiplication by P on Q[x]/(g), because the
+    characteristic polynomial of an element of a field is a power of its
+    minimal polynomial.  Its root is the one isolating box (eps 64 first,
+    then doubling) that meets the interval value of P at the root.
+    """
+    if not any(P[1:]):
+        return AlgebraicNumber.from_rational(P[0])
+    m = len(g) - 1
+    P_desc = list(reversed(P))
+    # power sums of the conjugates of P(r): traces of P^k mod g, k = 1..m
+    traces, power = [], [Fraction(1)]
+    for _ in range(m):
+        power = _poly_divmod(_poly_mul(power, P_desc), g)[1]
+        traces.append(sum(c * sums[i] for i, c in enumerate(reversed(power))))
+    # Newton's identities: elementary symmetric functions of the conjugates
+    e = [Fraction(1)]
+    for k in range(1, m + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * traces[i - 1] for i in range(1, k + 1)) / k)
+    charpoly = [(-1) ** k * c for k, c in enumerate(e)]
+    deriv = [c * (m - k) for k, c in enumerate(charpoly[:-1])]
+    a, b = charpoly, deriv
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    minpoly = _poly_divmod(charpoly, a)[0]
+    scale = math.lcm(*(c.denominator for c in minpoly))
+    minpoly = _normalize_coeffs([c * scale for c in minpoly])
+
+    def value(bits):
+        with interval_bits(bits):
+            r = root.approx(bits)
+            acc = iv_from_fraction(P[-1], bits)
+            for c in reversed(P[:-1]):
+                acc = acc * r + iv_from_fraction(c, bits)
+            return acc
+
+    return _designate_from_iv((minpoly,), value, PrecisionBudget(working_bits=128))
 
 
 # -- family ----------------------------------------------------------------

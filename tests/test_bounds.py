@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from split_thue import bounds
+from split_thue.algebraic import AlgebraicNumber
 from split_thue.bounds import (
     C_RANK2_CUBIC,
     baker_constant,
     baker_lower,
     bugy_bound,
     bugy_constant,
+    compositum_degree,
     compute_n0,
     exponent_bound_B,
     field_degree,
@@ -70,6 +73,28 @@ def test_baker_lower_enforces_height_floor():
 
 def test_field_degree(fib_pow2, budget):
     assert field_degree(fib_pow2, budget) == 2
+
+
+def test_compositum_degree(budget):
+    sqrt2 = AlgebraicNumber.from_real_root([1, 0, -2], Fraction(7, 5))
+    sqrt3 = AlgebraicNumber.from_real_root([1, 0, -3], Fraction(7, 4))
+    one_plus_sqrt2 = AlgebraicNumber.from_real_root([1, -2, -1], Fraction(12, 5))
+    assert compositum_degree([sqrt2, sqrt3], budget) == 4
+    assert compositum_degree([sqrt2, one_plus_sqrt2], budget) == 2
+
+
+def test_field_degree_makes_few_resultants(fib_pow2, budget, monkeypatch):
+    # three quadratic elements join Q(alpha), each with (2-1)(2-1)+1 = 2 shifts
+    calls = []
+    arith = bounds.field_arith
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return arith(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "field_arith", counting)
+    assert field_degree(fib_pow2, budget) == 2
+    assert len(calls) <= 6
 
 
 def test_log_coeff_bound_positive(fib_pow2, fib_pow2_consts):

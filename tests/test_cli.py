@@ -136,6 +136,17 @@ def test_bits_below_minimum_is_usage_error(config_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_short_initial_terms_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "short.json"
+    p.write_text(json.dumps(dict(CONFIG, A={"recurrence": [1, -1, -1], "initial": [1]})))
+    assert cli.main(["solve", str(p)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: bad sequence spec: initial_terms must match recurrence order\n"
+    )
+
+
 def test_env_var_overrides_bits(config_path, capsys, monkeypatch):
     monkeypatch.setenv("SPLIT_THUE_BITS", "128")
     code, report = run(["solve", config_path], capsys)

@@ -43,6 +43,44 @@ def test_complex_secondary_roots():
     assert [seq.eval_exact(n) for n in range(6)] == [3, 3, 7, 27, 83, 243]
 
 
+def _recursion_terms(recurrence, initial, count):
+    terms = list(initial)
+    while len(terms) < count:
+        window = reversed(terms[-(len(recurrence) - 1):])
+        terms.append(-sum(c * t for c, t in zip(recurrence[1:], window)))
+    return terms
+
+
+def test_fibonacci_dominant_coefficient(fib_seq):
+    # a_n = c phi^n + c' psi^n with c = (5 + 3 sqrt 5)/10
+    (c,) = fib_seq.dominant_coeff.coeffs
+    assert c.min_poly == (5, -5, -1)
+    box = c.enclosure
+    # for rational x > 1/2: x <= c  iff  (10 x - 5)^2 <= 45
+    assert Fraction(1, 2) < box.lo and (10 * box.lo - 5) ** 2 <= 45 <= (10 * box.hi - 5) ** 2
+    assert box.hi - box.lo < Fraction(1, 2**60)
+
+
+@pytest.mark.parametrize(
+    "recurrence, initial, dominant",
+    [
+        ([1, -2, 0], [1, 2], 2),  # characteristic roots 2 and 0
+        # (x - 3)(x^2 + 1)^2: a repeated complex pair, order 5
+        ([1, -3, 2, -6, 1, -3], [1, 2, 3, 4, 5], 3),
+    ],
+)
+def test_explicit_formula_matches_recursion(recurrence, initial, dominant):
+    seq = RecurrentSequence.from_recurrence(recurrence, initial)
+    assert seq.dominant_root.as_fraction() == dominant
+    want = _recursion_terms(recurrence, initial, 12)
+    assert [seq.eval_exact(n) for n in range(12)] == want
+
+
+def test_initial_terms_must_match_order():
+    with pytest.raises(ValueError, match="initial_terms must match recurrence order"):
+        RecurrentSequence.from_recurrence([1, -1, -1], [1])
+
+
 def test_dominance_violation_rejected():
     # roots 2 and -2 tie in modulus
     with pytest.raises(HypothesisViolated):
