@@ -323,6 +323,10 @@ def main(argv=None) -> int:
     except PrecisionExhausted as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return EXIT_PRECISION
+    except SplitThueError as exc:
+        # e.g. RoundingAmbiguous, UndecidedComparison, InconsistentModel
+        print(f"not certified: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_PRECISION
     payload = to_canonical_json(report)
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import iv
 
@@ -56,9 +57,46 @@ def check_irreducible(coeffs):
     return True, None
 
 
+def scaled_poly(coeffs, K: int):
+    """m -> 2^(dK) f(m / 2^K) for the integer polynomial f of degree d
+    (descending coefficients), on integers."""
+    scaled = [c << (i * K) for i, c in enumerate(coeffs)]
+
+    def F(m):
+        acc = 0
+        for c in scaled:
+            acc = acc * m + c
+        return acc
+
+    return F
+
+
+def bisect_root(F, lo: int, hi: int):
+    """Shrink [lo, hi] around the sign change of F to width <= 1.
+
+    F(lo) < 0 < F(hi) or F(lo) > 0 > F(hi); an exact zero collapses the
+    bracket to that point.
+    """
+    neg_lo = F(lo) < 0
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        v = F(mid)
+        if v == 0:
+            return mid, mid
+        if (v < 0) == neg_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
 class PolyRootInterval:
     """Rational bracket [lo, hi] with a certified sign change of an integer
-    polynomial; refinable by exact bisection."""
+    polynomial; refinable by bisection on integers."""
 
     __slots__ = ("coeffs", "lo", "hi", "_sign_lo")
 
@@ -81,19 +119,32 @@ class PolyRootInterval:
         return (self.lo + self.hi) / 2
 
     def refine(self, width):
+        """Shrink the bracket to width <= ``width``, inside the old bracket.
+
+        Bisection runs on integers at scale 2^K with 2^-K <= width: the
+        endpoints are rounded inward to the grid, and when the sign there
+        puts the root in the sliver of width < 2^-K between an endpoint and
+        its grid point, that sliver is the answer.
+        """
         width = Fraction(width)
-        while self.hi - self.lo > width:
-            mid = (self.lo + self.hi) / 2
-            s = poly_eval_sign(self.coeffs, mid)
-            if s == 0:
-                # rational root: collapse to it (cannot happen for f_n, which
-                # has no rational roots once irreducible)
-                self.lo = self.hi = mid
-                return self
-            if s == self._sign_lo:
-                self.lo = mid
-            else:
-                self.hi = mid
+        if self.hi - self.lo <= width:
+            return self
+        K = (-(-width.denominator // width.numerator) - 1).bit_length()
+        F, scale = scaled_poly(self.coeffs, K), 1 << K
+        a = -(-self.lo.numerator * scale // self.lo.denominator)  # ceil(lo 2^K)
+        b = self.hi.numerator * scale // self.hi.denominator  # floor(hi 2^K)
+        s_a, s_b = _sign(F(a)), _sign(F(b))
+        if s_a == 0 or s_b == 0:
+            # rational root: collapse to it (cannot happen for f_n, which
+            # has no rational roots once irreducible)
+            self.lo = self.hi = Fraction(a if s_a == 0 else b, scale)
+        elif s_a != self._sign_lo:
+            self.hi = Fraction(a, scale)
+        elif s_b == self._sign_lo:
+            self.lo = Fraction(b, scale)
+        else:
+            lo, hi = bisect_root(F, a, b)
+            self.lo, self.hi = Fraction(lo, scale), Fraction(hi, scale)
         return self
 
     def as_iv(self, bits):
@@ -106,7 +157,12 @@ class PolyRootInterval:
 @dataclass
 class CubicRootSet:
     """Certified enclosures of the three real roots, labelled by anchors:
-    lambda1 near B_n, lambda2 near A_n, lambda3 near 1/(A_n B_n)."""
+    lambda1 near B_n, lambda2 near A_n, lambda3 near 1/(A_n B_n).
+
+    The per-n root context: every check at this n reads the intervals and
+    logarithms below, which are computed once, at the precision ``bits``
+    the brackets were refined for.
+    """
 
     n: int
     A: int
@@ -115,13 +171,14 @@ class CubicRootSet:
     lambda1: PolyRootInterval
     lambda2: PolyRootInterval
     lambda3: PolyRootInterval
-    anchor_residuals: tuple = field(default=None)
+    anchor_residuals: tuple
+    bits: int
+    ivs: tuple  # interval enclosures of lambda1, lambda2, lambda3
+    log_abs: tuple  # log|lambda_i|
+    log_abs_A: tuple  # log|lambda_i - A_n|
 
     def roots(self):
         return (self.lambda1, self.lambda2, self.lambda3)
-
-    def root(self, i):
-        return self.roots()[i - 1]
 
 
 def _bracket_around(coeffs, center, halfwidth):
@@ -158,18 +215,26 @@ def isolate_roots(fam: FamilyInstance, n: int, budget=DEFAULT_BUDGET) -> CubicRo
         raise AnchorSignFailure("anchor windows overlap; n below threshold")
 
     # widths fine enough for every downstream quantity, incl. lambda2 - A_n
-    # whose scale is 1/(A^2 (A-B)^2)
+    # whose scale is 1/(A^2 (A-B)^2); the intervals keep that accuracy
     scale_bits = 2 * (abs(A) * abs(B)).bit_length() + 8
     width = Fraction(1, 2 ** (budget.working_bits // 2 + scale_bits))
-    for r in (l1, l2, l3):
+    roots = (l1, l2, l3)
+    for r in roots:
         r.refine(width)
+    bits = budget.working_bits + scale_bits
+    with interval_bits(bits):
+        ivs = tuple(r.as_iv(bits) for r in roots)
+        log_abs = tuple(iv.log(abs(v)) for v in ivs)
+        log_abs_A = tuple(iv.log(abs(v - A)) for v in ivs)
 
     residuals = (
         abs_frac_dist(l1, Fraction(B)),
         abs_frac_dist(l2, Fraction(A)),
         abs_frac_dist(l3, Fraction(1, ab)),
     )
-    return CubicRootSet(n, A, B, coeffs, l1, l2, l3, residuals)
+    return CubicRootSet(
+        n, A, B, coeffs, l1, l2, l3, residuals, bits, ivs, log_abs, log_abs_A
+    )
 
 
 def abs_frac_dist(root: PolyRootInterval, point: Fraction):
@@ -315,9 +380,11 @@ def compute_constants(fam: FamilyInstance, n_min: int = 2, bits: int = 128) -> A
     return ApproxConstants(C=C, eps=eps, c5=c5, c6=c6, detail=detail)
 
 
+@lru_cache(maxsize=256)
 def _log_quantities(fam: FamilyInstance, n: int, bits: int):
     """Interval values of log|alpha|, log|beta|, log|c_A(n)|, log|c_B(n)|,
-    log|(c_B - c_A)(n)| (the last only in the equal-modulus case)."""
+    log|(c_B - c_A)(n)| (the last only in the equal-modulus case), computed
+    once per (family, n, precision)."""
     t = family_table(fam, bits)
     with interval_bits(bits):
         lcA = iv.log(abs(fam.A.dominant_coeff.approx_at(n, bits)))
@@ -344,15 +411,12 @@ def log_closed_forms(fam: FamilyInstance, n: int, bits: int):
     }
 
 
-def _root_log_values(rs: CubicRootSet, bits: int):
-    A = rs.A
-    with interval_bits(bits):
-        out = {}
-        for i, name in ((1, "l1"), (2, "l2"), (3, "l3")):
-            r = rs.root(i).as_iv(bits)
-            out[f"log|{name}|"] = iv.log(abs(r))
-            out[f"log|{name}-A|"] = iv.log(abs(r - A))
-        return out
+def _root_log_values(rs: CubicRootSet):
+    out = {}
+    for name, la, laA in zip(("l1", "l2", "l3"), rs.log_abs, rs.log_abs_A):
+        out[f"log|{name}|"] = la
+        out[f"log|{name}-A|"] = laA
+    return out
 
 
 def verify_log_approx(
@@ -363,7 +427,7 @@ def verify_log_approx(
     bound = consts.lterm(n, fam.d2)
     scale = Fraction(n) ** fam.d2 * consts.eps**n
     bits = budget.working_bits
-    computed = _root_log_values(rs, bits)
+    computed = _root_log_values(rs)
     closed = log_closed_forms(fam, n, bits)
     entries = []
     for name in computed:
@@ -383,9 +447,7 @@ def verify_root_diff(
     n = rs.n
     bits = budget.working_bits
     with interval_bits(bits):
-        l1 = rs.lambda1.as_iv(bits)
-        l2 = rs.lambda2.as_iv(bits)
-        l3 = rs.lambda3.as_iv(bits)
+        l1, l2, l3 = rs.ivs
         d12 = abs(l1 - l2)
         d13 = abs(l1 - l3)
         d23 = abs(l2 - l3)

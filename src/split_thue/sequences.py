@@ -21,6 +21,7 @@ from .precision import (
     PrecisionBudget,
     SplitThueError,
     certified_lt,
+    compare,
     interval_bits,
     is_iv_complex,
     iv_from_fraction,
@@ -292,13 +293,15 @@ def _dominant_index(entries):
 
 
 def _certified_modulus_less(a: AlgebraicNumber, b: AlgebraicNumber, budget=DEFAULT_BUDGET):
-    """Certified |a| < |b| (False also covers undecidable-at-budget ties)."""
+    """Certified |a| < |b|; False for a tie, which is decided exactly before
+    any refinement (False also covers undecidable-at-budget comparisons)."""
     def refine(bits):
         with interval_bits(bits):
             return abs(a.approx(bits)), abs(b.approx(bits))
 
-    with interval_bits(budget.working_bits):
-        x, y = abs(a.approx(budget.working_bits)), abs(b.approx(budget.working_bits))
+    x, y = refine(budget.working_bits)
+    if compare(x, y) is None and abs_square(a) == abs_square(b):
+        return False
     try:
         return certified_lt(x, y, refine, budget)
     except SplitThueError:
@@ -434,7 +437,10 @@ class FamilyInstance:
     def case_tag(self):
         return "equal_modulus" if self.equal_modulus else "strict"
 
+    @lru_cache(maxsize=4096)
     def terms(self, n):
+        """(A_n, B_n), each cross-checked against its explicit formula once
+        per (family, n)."""
         return self.A.eval_exact(n), self.B.eval_exact(n)
 
     def c_A(self, n):
@@ -609,7 +615,10 @@ def _equal_modulus_check(fam, n, budget):
 
 
 def abs_square(x: AlgebraicNumber):
-    return x * x
+    """|x|^2 exactly: x times its complex conjugate."""
+    if x.is_real:
+        return x * x
+    return x * AlgebraicNumber(x.min_poly, x.enclosure.conjugate(), _validate=False)
 
 
 def _certified_abs_le(x: AlgebraicNumber, bound, budget):

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .cubic import ApproxConstants, ResidualReport
+from .cubic import ApproxConstants, ResidualReport, bisect_root, cubic_coeffs, scaled_poly
 from .precision import DEFAULT_BUDGET
 from .sequences import FamilyInstance, HypothesisReport, check_hypotheses
 
@@ -36,31 +36,6 @@ def classify(x: int, y: int, A: int, B: int) -> str:
     return "nontrivial"
 
 
-def _scaled_cubic(A: int, B: int, K: int):
-    """m -> 2^(3K) f(m / 2^K) for f = X^3 - (A+B)X^2 + ABX - 1, on integers."""
-    s1, s2, s3 = (A + B) << K, (A * B) << (2 * K), 1 << (3 * K)
-    return lambda m: ((m - s1) * m + s2) * m - s3
-
-
-def _bisect(F, lo: int, hi: int):
-    """Shrink [lo, hi] around the sign change of F to width <= 1.
-
-    F(lo) < 0 < F(hi) or F(lo) > 0 > F(hi); an exact zero collapses the
-    bracket to that point.
-    """
-    neg_lo = F(lo) < 0
-    while hi - lo > 1:
-        mid = (lo + hi) >> 1
-        v = F(mid)
-        if v == 0:
-            return mid, mid
-        if (v < 0) == neg_lo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
 def root_brackets(A: int, B: int, y_max: int):
     """Exact brackets of the real parts of the roots of X^3 - (A+B)X^2 + ABX - 1.
 
@@ -79,21 +54,21 @@ def root_brackets(A: int, B: int, y_max: int):
     R = max(abs(A), abs(B)) + 2
     if disc < 0:
         # one real root rho; the complex pair has real part (A + B - rho) / 2
-        lo, hi = _bisect(_scaled_cubic(A, B, K), -R << K, R << K)
+        lo, hi = bisect_root(scaled_poly(cubic_coeffs(A, B), K), -R << K, R << K)
         s = (A + B) << K
         return K + 1, ((2 * lo, 2 * hi), (s - hi, s - lo))
     # three real roots, separated near the critical points
     # ((A+B) -+ sqrt(A^2 - AB + B^2)) / 3 once f(m1/2^K) > 0 > f(m2/2^K)
     S = A * A - A * B + B * B
     while True:
-        F = _scaled_cubic(A, B, K)
+        F = scaled_poly(cubic_coeffs(A, B), K)
         r = isqrt(S << (2 * K))
         m1 = (((A + B) << K) - r) // 3
         m2 = (((A + B) << K) + r) // 3
         if m1 < m2 and F(m1) > 0 > F(m2):
             break
         K += 8
-    return K, (_bisect(F, -R << K, m1), _bisect(F, m1, m2), _bisect(F, m2, R << K))
+    return K, (bisect_root(F, -R << K, m1), bisect_root(F, m1, m2), bisect_root(F, m2, R << K))
 
 
 def solve_bruteforce(fam, n: int, y_max: int):

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import iv
 
@@ -35,14 +36,13 @@ class RoundingAmbiguous(SplitThueError):
 KL_CONVENTION = {1: (3, 2), 2: (3, 1), 3: (2, 1)}
 
 
-def _unit_log_matrix(rs: CubicRootSet, pair, shift, bits):
-    """Rows (log|lambda_i|, log|lambda_i - shift|) for i in pair."""
-    rows = []
-    with interval_bits(bits):
-        for i in pair:
-            r = rs.root(i).as_iv(bits)
-            rows.append((iv.log(abs(r)), iv.log(abs(r - shift))))
-    return rows
+def _unit_log_matrix(rs: CubicRootSet, pair, shift):
+    """Rows (log|lambda_i|, log|lambda_i - shift|) for i in pair, from the
+    root context (shift A_n) or at its precision (any other shift)."""
+    if shift == rs.A:
+        return [(rs.log_abs[i - 1], rs.log_abs_A[i - 1]) for i in pair]
+    with interval_bits(rs.bits):
+        return [(rs.log_abs[i - 1], iv.log(abs(rs.ivs[i - 1] - shift))) for i in pair]
 
 
 def regulator(rs: CubicRootSet, pair=(1, 2), bits=None, shift=None):
@@ -50,9 +50,9 @@ def regulator(rs: CubicRootSet, pair=(1, 2), bits=None, shift=None):
     {lambda, lambda - A_n}; independent of the chosen pair of embeddings."""
     if pair[0] == pair[1]:
         raise ValueError("need two distinct embeddings")
-    bits = bits or DEFAULT_BUDGET.working_bits
+    bits = bits or rs.bits
     shift = shift if shift is not None else rs.A
-    (a, b), (c, d) = _unit_log_matrix(rs, pair, shift, bits)
+    (a, b), (c, d) = _unit_log_matrix(rs, pair, shift)
     with interval_bits(bits):
         return abs(a * d - b * c)
 
@@ -84,12 +84,9 @@ def verify_regulator_growth(
     pair_ok = True
     for n in ns:
         rs = isolate_roots(fam, n, budget)
-        # resolving lambda2 - A_n (scale 1/(A(A-B))^2) next to lambda2 (scale
-        # A) needs mantissas that grow with the coefficients
-        nbits = bits + 3 * (abs(rs.A) * abs(rs.B)).bit_length()
-        r12 = regulator(rs, (1, 2), nbits)
-        r23 = regulator(rs, (2, 3), nbits)
-        r13 = regulator(rs, (1, 3), nbits)
+        r12 = regulator(rs, (1, 2))
+        r23 = regulator(rs, (2, 3))
+        r13 = regulator(rs, (1, 3))
         widths = iv_width(r12) + iv_width(r23) + iv_width(r13)
         if abs(iv_sup(r12) - iv_inf(r23)) > 2 * widths and abs(
             iv_sup(r23) - iv_inf(r12)
@@ -145,11 +142,9 @@ def unit_decompose(
     if nf not in (1, -1):
         raise NotAUnit(f"norm form value {nf} is not a unit")
     shift = B if alt_units else A
-    bits = budget.working_bits
-    with interval_bits(bits):
-        u = [rs.root(i).as_iv(bits) * (-y) + x for i in (1, 2, 3)]
-        rows = _unit_log_matrix(rs, (1, 2), shift, bits)
-        (m11, m12), (m21, m22) = rows
+    (m11, m12), (m21, m22) = _unit_log_matrix(rs, (1, 2), shift)
+    with interval_bits(rs.bits):
+        u = [r * (-y) + x for r in rs.ivs]
         det = m11 * m22 - m12 * m21
         r1, r2 = iv.log(abs(u[0])), iv.log(abs(u[1]))
         b1_iv = (r1 * m22 - r2 * m12) / det
@@ -169,11 +164,10 @@ def unit_decompose(
         )
 
     # multiplicative re-verification against all three embeddings
-    rel_tol = Fraction(1, 2 ** (bits // 4))
+    rel_tol = Fraction(1, 2 ** (budget.working_bits // 4))
     sign = 0
-    with interval_bits(bits):
-        for i in (1, 2, 3):
-            r = rs.root(i).as_iv(bits)
+    with interval_bits(rs.bits):
+        for i, r in enumerate(rs.ivs, 1):
             t = r**b1 * (r - shift) ** b2
             q = u[i - 1] / t
             if iv_sup(abs(abs(q) - 1)) > rel_tol:
@@ -196,7 +190,7 @@ def solution_type(x: int, y: int, rs: CubicRootSet, budget=DEFAULT_BUDGET) -> in
         return 1
     bits = budget.working_bits
     with interval_bits(bits):
-        mags = [abs(rs.root(i).as_iv(bits) * (-y) + x) for i in (1, 2, 3)]
+        mags = [abs(r * (-y) + x) for r in rs.ivs]
     best = 1
     for i in (2, 3):
         verdict = compare(mags[i - 1], mags[best - 1])
@@ -211,7 +205,7 @@ def siegel_gamma(x: int, y: int, rs: CubicRootSet, j: int, budget=DEFAULT_BUDGET
     k, l = KL_CONVENTION[j]
     bits = budget.working_bits
     with interval_bits(bits):
-        lam = {i: rs.root(i).as_iv(bits) for i in (1, 2, 3)}
+        lam = dict(enumerate(rs.ivs, 1))
         uj = x - lam[j] * y
         uk = x - lam[k] * y
         if iv_inf(uk) <= 0 <= iv_sup(uk):
@@ -225,7 +219,7 @@ def siegel_residual(x: int, y: int, rs: CubicRootSet, budget=DEFAULT_BUDGET):
     """The cyclic three-term sum; an interval that must enclose zero."""
     bits = budget.working_bits
     with interval_bits(bits):
-        l1, l2, l3 = (rs.root(i).as_iv(bits) for i in (1, 2, 3))
+        l1, l2, l3 = rs.ivs
         u1, u2, u3 = (x - l * y for l in (l1, l2, l3))
         return u1 * (l2 - l3) + u3 * (l1 - l2) + u2 * (l3 - l1)
 
@@ -318,8 +312,10 @@ def xi_value(xi: LinearFormXi, fam: FamilyInstance, bits=None):
     return total
 
 
+@lru_cache(maxsize=256)
 def xi_upper_rhs(fam: FamilyInstance, consts, n: int, bits=None) -> Fraction:
-    """Right-hand side of the transformed-form upper bound.
+    """Right-hand side of the transformed-form upper bound, computed once per
+    (family, constants, n, precision).
 
     The source states the first term with c5 cubed; the derivation uses the
     *inverse* of the root-difference lower bounds, so we evaluate 4 c5^{-3}

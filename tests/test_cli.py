@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from split_thue import cli, cubic, sequences
+from split_thue import cli, cubic, sequences, units
 
 EXAMPLE_CONFIG = os.path.join(
     os.path.dirname(__file__), os.pardir, "configs", "fibonacci_pow2.json"
@@ -79,9 +79,10 @@ def test_equal_sequences_are_a_hypothesis_violation(tmp_path, capsys):
 
 
 def test_verify_runs_each_stage_once(monkeypatch, capsys):
-    calls = {"isolate_roots": [], "compute_constants": 0, "bullet": 0}
+    calls = {"isolate_roots": [], "compute_constants": 0, "bullet": 0, "eval_exact": 0}
     isolate, constants = cubic.isolate_roots, cubic.compute_constants
     bullet = sequences._bullet_check
+    eval_exact = sequences.RecurrentSequence.eval_exact
 
     def counting_isolate(fam, n, *args, **kwargs):
         calls["isolate_roots"].append(n)
@@ -95,9 +96,17 @@ def test_verify_runs_each_stage_once(monkeypatch, capsys):
         calls["bullet"] += 1
         return bullet(*args)
 
+    def counting_eval_exact(self, n):
+        calls["eval_exact"] += 1
+        return eval_exact(self, n)
+
     monkeypatch.setattr(cubic, "isolate_roots", counting_isolate)
     monkeypatch.setattr(cubic, "compute_constants", counting_constants)
     monkeypatch.setattr(sequences, "_bullet_check", counting_bullet)
+    monkeypatch.setattr(sequences.RecurrentSequence, "eval_exact", counting_eval_exact)
+    # the per-(family, n) caches count the computations they hold
+    for cached in (sequences.FamilyInstance.terms, cubic._log_quantities, units.xi_upper_rhs):
+        cached.cache_clear()
     code, report = run(["verify", EXAMPLE_CONFIG], capsys)
     assert code == cli.EXIT_OK
     in_scope = [row["n"] for row in report["per_n"] if row["in_scope"]]
@@ -105,8 +114,26 @@ def test_verify_runs_each_stage_once(monkeypatch, capsys):
     assert calls["isolate_roots"] == in_scope
     assert calls["compute_constants"] == 1
     # one hypothesis pass over n = 1..n_hi
-    assert calls["bullet"] == report["config"]["options"]["n_hi"]
+    n_hi = report["config"]["options"]["n_hi"]
+    assert calls["bullet"] == n_hi
     assert sorted({r["n"] for r in report["residuals"]}) == in_scope
+    # per-n values are computed once per n, not once per solution or stage
+    assert calls["eval_exact"] <= 2 * n_hi
+    assert cubic._log_quantities.cache_info().misses <= len(in_scope)
+    assert units.xi_upper_rhs.cache_info().misses <= len(in_scope)
+
+
+def test_uncaught_certification_error_is_one_line(config_path, capsys, monkeypatch):
+    def ambiguous(*args, **kwargs):
+        raise units.RoundingAmbiguous("recomposition mismatch at embedding 1")
+
+    monkeypatch.setattr(units, "unit_decompose", ambiguous)
+    assert cli.main(["verify", config_path]) == cli.EXIT_PRECISION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "not certified: RoundingAmbiguous: recomposition mismatch at embedding 1\n"
+    )
 
 
 def test_usage_errors(tmp_path, capsys):

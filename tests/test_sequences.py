@@ -87,6 +87,13 @@ def test_dominance_violation_rejected():
         RecurrentSequence.from_recurrence([1, 0, -4], [1, 1])
 
 
+def test_irrational_modulus_tie_rejected():
+    # x^3 - 2: the real root and the complex pair all have modulus 2^(1/3);
+    # the tie is decided exactly, before any precision escalation
+    with pytest.raises(HypothesisViolated):
+        RecurrentSequence.from_recurrence([1, 0, 0, -2], [1, 2, 3])
+
+
 def test_family_orders_roots(fib_seq, pow2_seq, budget):
     fam = FamilyInstance.build(pow2_seq, fib_seq, budget)
     # swapped input still puts the larger-modulus root on the B side

@@ -164,3 +164,16 @@ def test_verify_family_reports_nontrivial(fib_pow2, budget):
     fv = verify_family(fib_pow2, 1, 1, 10, budget)
     assert any(r.in_scope and r.nontrivial for r in fv.per_n)
     assert {(s.x, s.y) for s in fv.nontrivial_found} == {(7, 4), (-7, -4)}
+
+
+@pytest.mark.parametrize("n_lo, n_hi", [(62, 64), (95, 97)])
+def test_verify_family_large_n_at_256_bits(fib_pow2, budget, n_lo, n_hi):
+    # the per-n root context keeps the accuracy the brackets were refined
+    # for, which unit decomposition needs once A_n B_n outgrows the budget
+    assert budget.working_bits == 256
+    fv = verify_family(fib_pow2, n_lo, n_hi, 50, budget)
+    assert [rep.n for rep in fv.per_n] == list(range(n_lo, n_hi + 1))
+    for rep in fv.per_n:
+        assert rep.in_scope and not rep.nontrivial
+        assert rep.lemma_root_approx and rep.lemma_log_approx and rep.lemma_root_diff
+        assert rep.xi_bound_ok
