@@ -10,8 +10,9 @@ far beyond any n at which exact root isolation is feasible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import iv
 
@@ -62,6 +63,11 @@ def _logn_sup(n: int, bits: int) -> Fraction:
         return iv_sup(iv.log(iv.mpf(n))) if n > 1 else Fraction(0)
 
 
+# log_coeff_bound, lterm_sup and regulator_bounds are memoised per (family,
+# constants, n, precision): every bound of a probe reads them, and so do the
+# probes of the other branches at the same n.
+
+@lru_cache(maxsize=256)
 def log_coeff_bound(fam: FamilyInstance, n: int, bits: int = 128) -> Fraction:
     """Upper bound m(n) on |log| of every coefficient value at n (dominant
     coefficients and, in the equal-modulus case, their difference)."""
@@ -79,6 +85,7 @@ def _sup_clamped(x, cap_bits: int = 256) -> Fraction:
     return iv_sup(x)
 
 
+@lru_cache(maxsize=256)
 def lterm_sup(consts, d2: int, n: int, bits: int = 128) -> Fraction:
     """Rational upper bound of the decaying error envelope C n^d2 eps^n."""
     if consts.eps == 0:
@@ -92,6 +99,7 @@ def lterm_sup(consts, d2: int, n: int, bits: int = 128) -> Fraction:
         return _sup_clamped(v)
 
 
+@lru_cache(maxsize=256)
 def regulator_bounds(fam: FamilyInstance, consts, n: int, bits: int = 128):
     """Closed-form enclosure (R_low, R_up) of the regulator at n, from the
     log approximations with every coefficient log ranging over [-m, m]."""
@@ -210,13 +218,21 @@ def _times_int(el: AlgebraicNumber, k: int) -> AlgebraicNumber:
 
 
 def field_degree(fam: FamilyInstance, budget=DEFAULT_BUDGET) -> int:
-    """Degree of the compositum of the roots and coefficient values."""
+    """Degree D of Q(alpha, beta, secondary roots), the field of every root
+    and coefficient value of the family.
+
+    The coefficients add nothing to it.  The recurrence and the rational
+    initial terms determine the explicit formula uniquely, and an
+    automorphism sigma maps it to itself, so sigma maps the coefficient of
+    n^j at a root r to the one at sigma(r).  Every sigma that fixes r thus
+    fixes that coefficient, which therefore lies in Q(r):
+    `RecurrentSequence.from_recurrence` builds it as P_{g,j}(r) with P_{g,j}
+    in Q[x].  The equal-modulus difference c_B - c_A then lies in
+    Q(alpha, beta).
+    """
     elements = [fam.alpha, fam.beta]
     for seq in (fam.A, fam.B):
-        elements.extend(seq.dominant_coeff.coeffs)
-        for root, coeff in seq.secondary:
-            elements.append(root)
-            elements.extend(coeff.coeffs)
+        elements.extend(root for root, _ in seq.secondary)
     return compositum_degree(elements, budget)
 
 
@@ -421,9 +437,15 @@ def compute_n0(
         branches.append("altunit-j1")
 
     trace = []
+    xi_reports = {}  # n -> report: the xi branches share every bound
 
     def contra(n, branch):
-        rep = _branch_report(fam, consts, n, branch, D, budget)
+        if branch == "altunit-j1":
+            rep = _branch_report(fam, consts, n, branch, D, budget)
+        else:
+            if n not in xi_reports:
+                xi_reports[n] = _branch_report(fam, consts, n, branch, D, budget)
+            rep = replace(xi_reports[n], branch=branch)
         trace.append(rep)
         return rep.verdict == "contradiction"
 

@@ -62,7 +62,7 @@ def load_config(args) -> dict:
         if val is not None:
             opts[key] = val
     for key, val in opts.items():
-        if not isinstance(val, int) or val <= 0:
+        if not isinstance(val, int) or isinstance(val, bool) or val <= 0:
             raise ConfigError(f"option {key} must be a positive integer")
     if opts["working_bits"] < MIN_WORKING_BITS:
         raise ConfigError(f"option working_bits must be at least {MIN_WORKING_BITS}")

@@ -160,8 +160,8 @@ class RecurrentSequence:
         the coefficients of the P_{g,j} reads
         a_n = sum_{g,j,i} n^j p_{g,j,i} Tr_g(r^(i+n)).
         """
-        recurrence_coeffs = tuple(int(c) for c in recurrence_coeffs)
-        initial_terms = tuple(int(a) for a in initial_terms)
+        recurrence_coeffs = _integers(recurrence_coeffs, "recurrence")
+        initial_terms = _integers(initial_terms, "initial")
         order = len(recurrence_coeffs) - 1
         if order < 1:
             raise ValueError("recurrence must have positive order")
@@ -268,10 +268,8 @@ class RecurrentSequence:
     # -- internal checks ---------------------------------------------------
 
     def _check_dominance(self):
-        dom = self.dominant_root
-        for root, _ in self.secondary:
-            if not _certified_modulus_less(root, dom):
-                raise HypothesisViolated("dominant root condition fails")
+        if _dominant_index([(self.dominant_root, self.dominant_coeff), *self.secondary]):
+            raise HypothesisViolated("dominant root condition fails")
 
     def _check_explicit_consistency(self):
         for n in range(self.order):
@@ -283,29 +281,45 @@ class RecurrentSequence:
 
 
 def _dominant_index(entries):
-    """Index of the entry whose root strictly dominates in modulus."""
+    """Index of the entry whose root strictly dominates in modulus; raises
+    HypothesisViolated when no root does."""
+    less = _modulus_less([root for root, _ in entries])
     best = 0
     for i in range(1, len(entries)):
-        if _certified_modulus_less(entries[best][0], entries[i][0]):
+        if less(best, i):
             best = i
-    # best must dominate every other entry; verified again by the caller
+    if not all(less(i, best) for i in range(len(entries)) if i != best):
+        raise HypothesisViolated("dominant root condition fails")
     return best
 
 
-def _certified_modulus_less(a: AlgebraicNumber, b: AlgebraicNumber, budget=DEFAULT_BUDGET):
-    """Certified |a| < |b|; False for a tie, which is decided exactly before
-    any refinement (False also covers undecidable-at-budget comparisons)."""
-    def refine(bits):
-        with interval_bits(bits):
-            return abs(a.approx(bits)), abs(b.approx(bits))
+def _modulus_less(roots, budget=DEFAULT_BUDGET):
+    """less(i, j): certified |roots[i]| < |roots[j]|; False for a tie, which
+    is decided exactly on |root|^2 (computed at most once per root) before any
+    refinement, and False for comparisons undecidable at the budget."""
+    squares = {}
 
-    x, y = refine(budget.working_bits)
-    if compare(x, y) is None and abs_square(a) == abs_square(b):
-        return False
-    try:
-        return certified_lt(x, y, refine, budget)
-    except SplitThueError:
-        return False
+    def square(i):
+        if i not in squares:
+            squares[i] = abs_square(roots[i])
+        return squares[i]
+
+    def less(i, j):
+        a, b = roots[i], roots[j]
+
+        def refine(bits):
+            with interval_bits(bits):
+                return abs(a.approx(bits)), abs(b.approx(bits))
+
+        x, y = refine(budget.working_bits)
+        if compare(x, y) is None and square(i) == square(j):
+            return False
+        try:
+            return certified_lt(x, y, refine, budget)
+        except SplitThueError:
+            return False
+
+    return less
 
 
 def _power_sums(g, count):
@@ -418,7 +432,7 @@ class FamilyInstance:
         """Order the pair so |alpha| <= |beta| and classify the case."""
         alpha, beta = A.dominant_root, B.dominant_root
         equal = _abs_equal(alpha, beta)
-        if not equal and not _certified_modulus_less(alpha, beta, budget):
+        if not equal and not _modulus_less([alpha, beta], budget)(0, 1):
             A, B = B, A
         degrees = [A.dominant_coeff.degree, B.dominant_coeff.degree]
         degrees += [c.degree for _, c in A.secondary]
@@ -660,8 +674,8 @@ def sequence_from_json(data: dict) -> RecurrentSequence:
     rational (int, float-free string "p/q") or an object with "minpoly" and
     "enclosure".
     """
-    recurrence = [int(c) for c in data["recurrence"]]
-    initial = [int(a) for a in data["initial"]]
+    recurrence = _integers(data["recurrence"], "recurrence")
+    initial = _integers(data["initial"], "initial")
     if "roots" not in data or not data["roots"]:
         return RecurrentSequence.from_recurrence(recurrence, initial)
     entries = []
@@ -679,16 +693,28 @@ def sequence_from_json(data: dict) -> RecurrentSequence:
     )
 
 
+def _is_integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integers(values, what):
+    """The values as a tuple of ints; a float (even 2.0) or a boolean is an
+    error, never truncated."""
+    values = tuple(values)
+    for v in values:
+        if not _is_integer(v):
+            raise ValueError(f"{what} entries must be integers, got {v!r}")
+    return values
+
+
 def _parse_rational(value):
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, int):
+    if isinstance(value, str) or _is_integer(value):
         return Fraction(value)
     raise ValueError(f"rationals must be ints or 'p/q' strings, got {value!r}")
 
 
 def _algebraic_from_json(spec):
-    minpoly = [int(c) for c in spec["minpoly"]]
+    minpoly = _integers(spec["minpoly"], "minpoly")
     lo, hi = (_parse_rational(v) for v in spec["enclosure"])
     if len(minpoly) == 2:
         return AlgebraicNumber.from_rational(Fraction(-minpoly[1], minpoly[0]))

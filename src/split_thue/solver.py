@@ -178,7 +178,7 @@ def verify_family(
                 j = units.solution_type(s.x, s.y, rs, budget)
                 ue = units.unit_decompose(s.x, s.y, rs, budget)
                 xi = units.xi_form(j, fam.case_tag, n, ue.b1, ue.b2)
-                if not units.verify_xi_bound(xi, fam, consts, n).ok:
+                if not units.verify_xi_bound(xi, fam, consts, n, budget).ok:
                     xi_ok = False
         except cubic.AnchorSignFailure:
             pass

@@ -349,13 +349,17 @@ class XiBoundReport:
     flags: tuple
 
 
-def verify_xi_bound(xi: LinearFormXi, fam: FamilyInstance, consts, n: int) -> XiBoundReport:
-    """Check |xi_j| against its decaying upper bound; the bound only holds
-    for exponents that come from a genuine solution."""
+def verify_xi_bound(
+    xi: LinearFormXi, fam: FamilyInstance, consts, n: int, budget=DEFAULT_BUDGET
+) -> XiBoundReport:
+    """Check |xi_j| against its decaying upper bound at the budget's working
+    precision; the bound only holds for exponents that come from a genuine
+    solution."""
     if n != xi.n:
         raise ValueError("n mismatch")
-    value = xi_value(xi, fam)
-    rhs = xi_upper_rhs(fam, consts, n)
+    bits = budget.working_bits
+    value = xi_value(xi, fam, bits)
+    rhs = xi_upper_rhs(fam, consts, n, bits)
     sup = iv_sup(abs(value))
     flags = xi.flags + ("c5-inverted-in-upper-bound",)
     return XiBoundReport(xi.j, n, float(sup), float(rhs), sup <= rhs, flags)

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from split_thue import bounds
+from split_thue import FamilyInstance, RecurrentSequence, bounds
 from split_thue.algebraic import AlgebraicNumber
 from split_thue.bounds import (
     C_RANK2_CUBIC,
@@ -83,8 +84,29 @@ def test_compositum_degree(budget):
     assert compositum_degree([sqrt2, one_plus_sqrt2], budget) == 2
 
 
+def _roots_and_coefficients(fam):
+    """Every root and every coefficient value of the family."""
+    elements = [fam.alpha, fam.beta]
+    for seq in (fam.A, fam.B):
+        elements.extend(seq.dominant_coeff.coeffs)
+        for root, coeff in seq.secondary:
+            elements.append(root)
+            elements.extend(coeff.coeffs)
+    return elements
+
+
+def test_field_degree_equals_compositum_of_all_values(fib_pow2, pow2_seq, budget):
+    # each coefficient value lies in Q(its root), so joining the coefficients
+    # to the roots leaves the degree as it is
+    b = RecurrentSequence.from_recurrence([1, -3, 1, -3], [3, 3, 7])  # 3^n + i^n + (-i)^n
+    pow2_complex = FamilyInstance.build(pow2_seq, b, budget)
+    for fam in (fib_pow2, pow2_complex):
+        assert field_degree(fam, budget) == 2
+        assert compositum_degree(_roots_and_coefficients(fam), budget) == 2
+
+
 def test_field_degree_makes_few_resultants(fib_pow2, budget, monkeypatch):
-    # three quadratic elements join Q(alpha), each with (2-1)(2-1)+1 = 2 shifts
+    # beta = 2 is rational and psi joins Q(alpha) with (2-1)(2-1)+1 = 2 shifts
     calls = []
     arith = bounds.field_arith
 
@@ -94,7 +116,7 @@ def test_field_degree_makes_few_resultants(fib_pow2, budget, monkeypatch):
 
     monkeypatch.setattr(bounds, "field_arith", counting)
     assert field_degree(fib_pow2, budget) == 2
-    assert len(calls) <= 6
+    assert len(calls) == 2
 
 
 def test_log_coeff_bound_positive(fib_pow2, fib_pow2_consts):
@@ -192,3 +214,26 @@ def test_compute_n0_reads_the_family_table_once(fib_pow2, fib_pow2_consts, budge
     assert len(res.trace) == 152
     assert calls["envelope"] <= 12
     assert calls["height"] <= 8
+
+
+def test_compute_n0_evaluates_the_xi_branches_once_per_n(
+    fib_pow2, fib_pow2_consts, budget, monkeypatch
+):
+    # xi-j2 and xi-j3 read the same bounds: one evaluation per n serves both
+    evaluated = []
+    branch_report = bounds._branch_report
+
+    def counting(fam, consts, n, branch, D, budget):
+        evaluated.append((n, branch))
+        return branch_report(fam, consts, n, branch, D, budget)
+
+    monkeypatch.setattr(bounds, "_branch_report", counting)
+    res = compute_n0(fib_pow2, fib_pow2_consts, n_cap=10**19, budget=budget)
+    assert len(res.trace) == 152
+    j2 = [rep for rep in res.trace if rep.branch == "xi-j2"]
+    j3 = [rep for rep in res.trace if rep.branch == "xi-j3"]
+    assert len(j3) == len(j2) == 62
+    for a, b in zip(j2, j3):
+        assert replace(b, branch="xi-j2") == a and b.extras == a.extras
+    xi_ns = [n for n, branch in evaluated if branch != "altunit-j1"]
+    assert len(xi_ns) == len(set(xi_ns)) == len({rep.n for rep in j2 + j3})

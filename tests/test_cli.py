@@ -123,6 +123,19 @@ def test_verify_runs_each_stage_once(monkeypatch, capsys):
     assert units.xi_upper_rhs.cache_info().misses <= len(in_scope)
 
 
+def test_verify_checks_xi_at_the_working_precision(capsys):
+    # the xi bound reads the per-n logs at --bits, the precision the lemma
+    # checks computed them at: one computation per in-scope n
+    for cached in (cubic._log_quantities, units.xi_upper_rhs):
+        cached.cache_clear()
+    code, report = run(["verify", EXAMPLE_CONFIG, "--n-hi", "5", "--bits", "512"], capsys)
+    assert code == cli.EXIT_OK
+    in_scope = [row["n"] for row in report["per_n"] if row["in_scope"]]
+    assert in_scope == list(range(2, 6))
+    assert cubic._log_quantities.cache_info().misses == len(in_scope)
+    assert units.xi_upper_rhs.cache_info().misses == len(in_scope)
+
+
 def test_uncaught_certification_error_is_one_line(config_path, capsys, monkeypatch):
     def ambiguous(*args, **kwargs):
         raise units.RoundingAmbiguous("recomposition mismatch at embedding 1")
@@ -172,6 +185,35 @@ def test_short_initial_terms_is_usage_error(tmp_path, capsys):
     assert captured.err == (
         "error: bad sequence spec: initial_terms must match recurrence order\n"
     )
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"recurrence": [1, -1.5, -1], "initial": [1, 2]},
+         "recurrence entries must be integers, got -1.5"),
+        ({"recurrence": [1, -1, -1], "initial": [1, 2.5]},
+         "initial entries must be integers, got 2.5"),
+        ({"recurrence": [1, -1, -1], "initial": [False, 2]},
+         "initial entries must be integers, got False"),
+    ],
+)
+def test_non_integer_spec_is_usage_error(tmp_path, capsys, spec, message):
+    p = tmp_path / "float.json"
+    p.write_text(json.dumps(dict(CONFIG, A=spec)))
+    assert cli.main(["bounds", str(p)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad sequence spec: {message}\n"
+
+
+def test_boolean_option_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "bool.json"
+    p.write_text(json.dumps(dict(CONFIG, options={"n_hi": True})))
+    assert cli.main(["solve", str(p)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: option n_hi must be a positive integer\n"
 
 
 def test_env_var_overrides_bits(config_path, capsys, monkeypatch):

@@ -94,6 +94,23 @@ def test_irrational_modulus_tie_rejected():
         RecurrentSequence.from_recurrence([1, 0, 0, -2], [1, 2, 3])
 
 
+def test_modulus_tie_squares_each_root_once(monkeypatch):
+    # three roots of x^3 - 2 tie in modulus: three exact |r|^2, not one per comparison
+    from split_thue import sequences
+
+    calls = []
+    abs_square = sequences.abs_square
+
+    def counting(x):
+        calls.append(x)
+        return abs_square(x)
+
+    monkeypatch.setattr(sequences, "abs_square", counting)
+    with pytest.raises(HypothesisViolated):
+        RecurrentSequence.from_recurrence([1, 0, 0, -2], [1, 2, 3])
+    assert len(calls) <= 3
+
+
 def test_family_orders_roots(fib_seq, pow2_seq, budget):
     fam = FamilyInstance.build(pow2_seq, fib_seq, budget)
     # swapped input still puts the larger-modulus root on the B side
@@ -162,3 +179,17 @@ def test_sequence_from_json_with_roots():
 def test_sequence_from_json_bad_input():
     with pytest.raises(KeyError):
         sequence_from_json({"recurrence": [1, -2]})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"recurrence": [1, -1.5, -1], "initial": [1, 2]},
+        {"recurrence": [1, -1, -1], "initial": [1, 2.5]},
+        {"recurrence": [1, -1, -1], "initial": [1, 2.0]},
+        {"recurrence": [1, -1, -1], "initial": [True, 2]},
+    ],
+)
+def test_sequence_from_json_takes_integers_only(data):
+    with pytest.raises(ValueError, match="entries must be integers"):
+        sequence_from_json(data)
