@@ -41,10 +41,15 @@ def load_config(args) -> dict:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}, col {exc.colno}): {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
     for key in ("A", "B"):
         if key not in data:
             raise ConfigError(f"config is missing the '{key}' sequence spec")
-    opts = dict(data.get("options", {}))
+    opts = data.get("options", {})
+    if not isinstance(opts, dict):
+        raise ConfigError("options must be a JSON object")
+    opts = dict(opts)
     defaults = {"n_lo": 1, "n_hi": 10, "y_max": 100, "working_bits": 256, "n_cap": 10**7}
     for key, val in defaults.items():
         opts.setdefault(key, val)

@@ -4,6 +4,8 @@ parameters, solution classification, and the family verification pipeline."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain
 from math import isqrt
 
 from .cubic import ApproxConstants, ResidualReport, bisect_root, cubic_coeffs, scaled_poly
@@ -71,6 +73,76 @@ def root_brackets(A: int, B: int, y_max: int):
     return K, (bisect_root(F, -R << K, m1), bisect_root(F, m1, m2), bisect_root(F, m2, R << K))
 
 
+def _refine(A: int, B: int, K: int, brackets, K2: int):
+    """The root brackets at scale 2^K2 >= 2^K, bisected on integers; a
+    collapsed bracket (an exact rational root) stays collapsed."""
+    F = scaled_poly(cubic_coeffs(A, B), K2)
+    s = K2 - K
+    return [
+        (lo << s, hi << s) if lo == hi else bisect_root(F, lo << s, hi << s)
+        for lo, hi in brackets
+    ]
+
+
+def _certified_y0(A: int, B: int, K: int, real, y_max: int) -> int:
+    """min(y0, y_max) for a y0 past which x/y is a convergent of a real root.
+
+    ``real`` holds the brackets lo/2^K <= lambda <= hi/2^K of the real roots,
+    in increasing order. A solution with y > 0 has |x/y - lambda_j| <=
+    4/(y^3 P_j) for the root lambda_j nearest x/y, P_j = prod_{i != j}
+    |lambda_i - lambda_j|, so y > 8/P_j makes the distance < 1/(2 y^2) and
+    Legendre's criterion applies. Returns y_max when no y0 is certified.
+    """
+    if len(real) == 3:
+        (_, h1), (l2, h2), (l3, _) = real
+        g12, g13, g23 = l2 - h1, l3 - h1, l3 - h2
+        if g12 <= 0 or g23 <= 0:
+            return y_max
+        # P_j 4^K >= the product of the two gaps at lambda_j
+        y0 = max((8 << 2 * K) // p for p in (g12 * g13, g12 * g23, g13 * g23))
+        return min(y0, y_max)
+    # one real root rho > 0 (rho |u + iv|^2 = 1), so v^2 = 1/rho - u^2 with
+    # u = (A + B - rho)/2; P_rho = |rho - u - iv|^2 >= v^2 >= w, and once
+    # y^2 > 4/w the complex pair (|x - (u + iv) y| >= v y) cannot be nearest
+    ((lo, hi),) = real
+    if hi <= 0:
+        return y_max
+    D, S = 1 << K, (A + B) << K
+    w = Fraction(D, hi) - Fraction(max((S - lo) ** 2, (S - hi) ** 2), 4 * D * D)
+    if w <= 0:
+        return y_max
+    return min(max(8 // w, isqrt(4 // w)), y_max)
+
+
+def _convergent_denominators(lo: int, hi: int, K: int, y_max: int):
+    """Denominators q <= y_max of the convergents of the root in
+    [lo, hi] / 2^K, or None when the bracket is too wide to fix them all.
+
+    The continued fractions of both ends are expanded together. f is
+    nonzero at the ends of a bracket that has not collapsed, so the root's
+    complete quotient lies strictly between the ends' at every step, and
+    its partial quotient is at least floor(lower end) and at most
+    ceil(upper end) - 1 (an end n/0 is infinite). The walk stops once that
+    lower bound puts the next denominator past y_max, or where a collapsed
+    bracket's continued fraction ends, and gives up where the bounds differ.
+    """
+    (n1, d1), (n2, d2) = (lo, 1 << K), (hi, 1 << K)  # lower, upper end
+    exact = lo == hi
+    q0, q1 = 1, 0
+    qs = []
+    while d1:
+        a = n1 // d1
+        if a * q1 + q0 > y_max:
+            return qs
+        if not d2 or a != (n2 // d2 if exact else -(-n2 // d2) - 1):
+            return None
+        q0, q1 = q1, a * q1 + q0
+        qs.append(q1)
+        # x -> 1/(x - a) reverses the order of the ends
+        (n1, d1), (n2, d2) = (d2, n2 - a * d2), (d1, n1 - a * d1)
+    return qs
+
+
 def solve_bruteforce(fam, n: int, y_max: int):
     """All solutions with |y| <= y_max, for both signs of the right side.
 
@@ -82,7 +154,21 @@ def solve_bruteforce(fam, n: int, y_max: int):
     |x - Re(lambda_j) y| <= 1. With lo/2^K <= Re(lambda_j) <= hi/2^K this
     leaves x in [ceil(lo y / 2^K) - 1, floor(hi y / 2^K) + 1], at most three
     integers per bracket once the bracket width is <= 1/(4 y_max); each is
-    checked by one exact evaluation that covers both signs.
+    checked by one exact evaluation that covers both signs. Solutions with
+    y < 0 are the mirrors (-x, -y) of those with y > 0.
+
+    Only some y are checked. Every y <= min(y0, y_max) is; beyond y0 only
+    the denominators of the convergents of the real roots are. A solution
+    has gcd(x, y) = 1 (d^3 divides the form), and past y0 the root nearest
+    x/y satisfies |lambda_j - x/y| < 1/(2 y^2) (``_certified_y0``), so by
+    Legendre's criterion x/y is a convergent of lambda_j (Tzanakis and
+    de Weger, J. Number Theory 31, 1989). The cost per n is O(y0 +
+    log y_max) checks instead of O(y_max). The convergents come from the
+    common prefix of the continued fractions of the ends of each real
+    root's bracket, refined by bisection until it reaches past y_max. A
+    rational root (+-1, for (A, B) in {(0, 0), (2, 2), (0, -2), (-2, 0)})
+    collapses its bracket, and its continued fraction ends. When no y0 is
+    certified, every y <= y_max is checked.
 
     The brackets (``root_brackets``) are certified once per n with integers
     only: the sign of the discriminant counts the real roots; three real
@@ -98,8 +184,19 @@ def solve_bruteforce(fam, n: int, y_max: int):
     else:
         A, B = fam.terms(n)
     K, brackets = root_brackets(A, B, y_max)
+    Kr = max(K, 2 * y_max.bit_length() + 4)
+    real = _refine(A, B, K, brackets if len(brackets) == 3 else brackets[:1], Kr)
+    y0 = _certified_y0(A, B, Kr, real, y_max)
+    large = set()
+    if y0 < y_max:
+        for lo, hi in real:
+            k = Kr
+            while (qs := _convergent_denominators(lo, hi, k, y_max)) is None:
+                ((lo, hi),) = _refine(A, B, k, [(lo, hi)], 2 * k)
+                k *= 2
+            large.update(q for q in qs if q > y0)
     found = {(1, 0, 1), (-1, 0, -1)}  # y = 0: x^3 = s
-    for y in range(1, y_max + 1):
+    for y in chain(range(1, y0 + 1), large):
         Ay, By, y3 = A * y, B * y, y**3
         for lo, hi in brackets:
             for x in range(-((-lo * y) >> K) - 1, ((hi * y) >> K) + 2):

@@ -216,6 +216,24 @@ def test_boolean_option_is_usage_error(tmp_path, capsys):
     assert captured.err == "error: option n_hi must be a positive integer\n"
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (dict(CONFIG, options=[1, 2]), "options must be a JSON object"),
+        (dict(CONFIG, options=None), "options must be a JSON object"),
+        ([CONFIG], "config must be a JSON object"),
+        (3, "config must be a JSON object"),
+    ],
+)
+def test_non_object_config_is_usage_error(tmp_path, capsys, config, message):
+    p = tmp_path / "shape.json"
+    p.write_text(json.dumps(config))
+    assert cli.main(["solve", str(p)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_env_var_overrides_bits(config_path, capsys, monkeypatch):
     monkeypatch.setenv("SPLIT_THUE_BITS", "128")
     code, report = run(["solve", config_path], capsys)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import pytest
@@ -9,6 +10,9 @@ from split_thue.cubic import cubic_coeffs, isolate_roots
 from split_thue.precision import PrecisionBudget
 from split_thue.solver import (
     Solution,
+    _certified_y0,
+    _convergent_denominators,
+    _refine,
     classify,
     root_brackets,
     solve_bruteforce,
@@ -141,10 +145,98 @@ def test_solver_rejects_bad_y_max(fib_pow2):
 
 
 def test_solver_large_y(fib_pow2):
-    # a handful of exact checks per y around the root brackets
+    # every y up to the certified y0, then one neighbour check per
+    # convergent denominator of each real root
     sols = solve_bruteforce(fib_pow2, 30, 10**4)
     assert len(sols) == 8
     assert all(s.classification.startswith("trivial") for s in sols)
+
+
+def neighbour_scan(A, B, y_max):
+    """The neighbour check at every 1 <= y <= y_max, around ``root_brackets``."""
+    K, brackets = root_brackets(A, B, y_max)
+    out = {(1, 0, 1), (-1, 0, -1)}
+    for y in range(1, y_max + 1):
+        for lo, hi in brackets:
+            for x in range(-((-lo * y) >> K) - 1, ((hi * y) >> K) + 2):
+                v = x * (x - A * y) * (x - B * y) - y**3
+                if v in (1, -1):
+                    out |= {(x, y, v), (-x, -y, -v)}
+    return out
+
+
+def test_solver_matches_full_neighbour_scan(fib_pow2):
+    # past y0 only convergent denominators are checked; the scan checks all y
+    for n in range(1, 41):
+        got = {(s.x, s.y, s.sign) for s in solve_bruteforce(fib_pow2, n, 5000)}
+        assert got == neighbour_scan(*fib_pow2.terms(n), 5000), n
+    rng = random.Random(20261018)
+    for _ in range(100):
+        A, B = rng.randint(-200, 200), rng.randint(-200, 200)
+        got = {(s.x, s.y, s.sign) for s in solve_bruteforce((A, B), 0, 2000)}
+        assert got == neighbour_scan(A, B, 2000), (A, B)
+
+
+def test_certified_y0_passes_the_legendre_threshold():
+    # y > y0 must give y > 8 / P_j at every real root lambda_j and, with one
+    # real root, y > 1 / v for the complex pair u +- iv (checked at 60 digits)
+    rng = random.Random(7)
+    pairs = [(2, 4), (1, 4), (0, 0), (2, 2), (0, -2), (5, 5)]
+    pairs += [(rng.randint(-200, 200), rng.randint(-200, 200)) for _ in range(40)]
+    y_max = 10**9
+    with mpmath.workdps(60):
+        for A, B in pairs:
+            K, brackets = root_brackets(A, B, y_max)
+            real = _refine(A, B, K, brackets if len(brackets) == 3 else brackets[:1], K + 40)
+            y0 = _certified_y0(A, B, K + 40, real, y_max)
+            assert y0 < y_max, (A, B)
+            roots = mpmath.polyroots(cubic_coeffs(A, B), maxsteps=200, extraprec=200)
+            for r in roots:
+                if abs(mpmath.im(r)) < mpmath.mpf(10) ** -40:
+                    P = mpmath.fprod(abs(r - t) for t in roots if t is not r)
+                    assert y0 + 1 > 8 / P, (A, B)
+                else:
+                    assert y0 + 1 > 1 / abs(mpmath.im(r)), (A, B)
+
+
+def test_convergent_denominators_of_quadratic_irrationals():
+    # sqrt 2 = [1; 2, 2, ...] (Pell denominators) and the golden ratio
+    # (1 + sqrt 5)/2 = [1; 1, 1, ...] (Fibonacci denominators): a bracket
+    # gives the exact list or None, never a wrong list, and a fine one gives it
+    pell, fib = [1, 2], [1, 1]
+    while pell[-1] <= 10**12:
+        pell.append(2 * pell[-1] + pell[-2])
+    while fib[-1] <= 10**12:
+        fib.append(fib[-1] + fib[-2])
+    for bracket_of, want in (
+        (lambda K: isqrt(2 << 2 * K), pell),
+        (lambda K: ((1 << K) + isqrt(5 << 2 * K)) // 2, fib),
+    ):
+        for y_max in (1, 2, 5, 28, 29, 30, 1000, 10**12):
+            expected = [q for q in want if q <= y_max]
+            for K in range(1, 2 * y_max.bit_length() + 5):
+                lo = bracket_of(K)
+                got = _convergent_denominators(lo, lo + 1, K, y_max)
+                assert got in (None, expected), (K, y_max)
+            assert got == expected, y_max
+    # sqrt(m^2 - 1) = [m - 1; 1, 2m - 2, ...] lies within 2^-41 below the
+    # upper end m: that end bounds the quotient by m - 1, no refinement needed
+    m = 1 << 40
+    assert _convergent_denominators((m << 20) - 1, m << 20, 20, 1000) == [1, 1]
+    # a collapsed bracket is an exact root: 1 = [1]
+    assert _convergent_denominators(1 << 10, 1 << 10, 10, 10**6) == [1]
+
+
+def test_solver_huge_y_max(fib_pow2):
+    # a scan up to 10^50 could never finish; the convergents reach it at once
+    trivial = {"trivial-(1,0)", "trivial-(0,1)", "trivial-(A,1)", "trivial-(B,1)"}
+    sols = solve_bruteforce(fib_pow2, 1, 10**50)
+    assert len(sols) == 12
+    assert sum(s.classification in trivial for s in sols) == 8
+    nontrivial = {(s.x, s.y) for s in sols if s.classification == "nontrivial"}
+    assert nontrivial == {(7, 4), (-7, -4), (38, 273), (-38, -273)}
+    sols = solve_bruteforce(fib_pow2, 5, 10**50)
+    assert len(sols) == 8 and all(s.classification in trivial for s in sols)
 
 
 def test_verify_family(fib_pow2, fib_pow2_consts, budget):
