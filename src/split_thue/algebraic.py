@@ -21,8 +21,10 @@ from .precision import (
     PrecisionExhausted,
     SplitThueError,
     interval_bits,
+    is_iv_complex,
     iv_from_fractions,
     iv_sup,
+    iv_to_fractions,
     iv_width,
 )
 
@@ -161,6 +163,71 @@ def poly_eval_sign(coeffs, point):
     return (acc > 0) - (acc < 0)
 
 
+def scaled_poly(coeffs, K: int):
+    """m -> 2^(dK) f(m / 2^K) for the integer polynomial f of degree d
+    (descending coefficients), on integers."""
+    scaled = [c << (i * K) for i, c in enumerate(coeffs)]
+
+    def F(m):
+        acc = 0
+        for c in scaled:
+            acc = acc * m + c
+        return acc
+
+    return F
+
+
+def bisect_root(F, lo: int, hi: int):
+    """Shrink [lo, hi] around the sign change of F to width <= 1.
+
+    F(lo) < 0 < F(hi) or F(lo) > 0 > F(hi); an exact zero collapses the
+    bracket to that point.
+    """
+    neg_lo = F(lo) < 0
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        v = F(mid)
+        if v == 0:
+            return mid, mid
+        if (v < 0) == neg_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def refine_bracket(coeffs, box, width):
+    """Shrink ``box``, a RealEnclosure whose ends carry opposite nonzero
+    signs of the integer polynomial ``coeffs``, to width <= ``width``
+    inside the old box.
+
+    Bisection runs on integers at scale 2^K with 2^-K <= width: the
+    endpoints are rounded inward to the grid, and when the sign there puts
+    the root in the sliver of width < 2^-K between an endpoint and its grid
+    point, that sliver is the answer. An exact rational root on the grid
+    collapses the box to that point.
+    """
+    width = Fraction(width)
+    lo, hi = box.lo, box.hi
+    if hi - lo <= width:
+        return box
+    K = (-(-width.denominator // width.numerator) - 1).bit_length()
+    F, scale = scaled_poly(coeffs, K), 1 << K
+    a = -(-lo.numerator * scale // lo.denominator)  # ceil(lo 2^K)
+    b = hi.numerator * scale // hi.denominator  # floor(hi 2^K)
+    v_a, v_b = F(a), F(b)
+    neg_lo = poly_eval_sign(coeffs, lo) < 0
+    if v_a == 0 or v_b == 0:
+        point = Fraction(a if v_a == 0 else b, scale)
+        return RealEnclosure(point, point)
+    if (v_a < 0) != neg_lo:
+        return RealEnclosure(lo, Fraction(a, scale))
+    if (v_b < 0) == neg_lo:
+        return RealEnclosure(Fraction(b, scale), hi)
+    a, b = bisect_root(F, a, b)
+    return RealEnclosure(Fraction(a, scale), Fraction(b, scale))
+
+
 def root_separation_lower(coeffs):
     """Crude positive lower bound on the distance between distinct roots.
 
@@ -274,34 +341,16 @@ class AlgebraicNumber:
         """Tightened enclosure of the designated root, width <= ``width``."""
         width = Fraction(width)
         box = self._tight
-        if box.width() <= width:
+        if box.width() <= width or self.is_rational:
             return box
         if box.is_real:
-            box = self._refine_real(box, width)
+            # an irreducible min_poly of degree >= 2 has no rational root, so
+            # it is nonzero, with opposite signs, at the ends of an isolating box
+            box = refine_bracket(self.min_poly, box, width)
         else:
             box = self._refine_complex(box, width)
         self._tight = box
         return box
-
-    def _refine_real(self, box, width):
-        lo, hi = box.lo, box.hi
-        if self.is_rational:
-            return box
-        s_lo = poly_eval_sign(self.min_poly, lo)
-        if s_lo == 0:  # endpoint hit a root of another factor; nudge
-            lo -= (hi - lo) / 7
-            s_lo = poly_eval_sign(self.min_poly, lo)
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            s_mid = poly_eval_sign(self.min_poly, mid)
-            if s_mid == 0:
-                # irreducible deg>=2 has no rational roots; cannot happen
-                raise AssertionError("rational root of irreducible polynomial")
-            if s_mid == s_lo:
-                lo = mid
-            else:
-                hi = mid
-        return RealEnclosure(lo, hi)
 
     def _refine_complex(self, box, width):
         """Exact Newton steps certified by :func:`_newton_box` against the
@@ -579,8 +628,6 @@ def _designate_from_iv(candidate_polys, value_fn, budget=DEFAULT_BUDGET):
 
 
 def _box_intersects_iv(box, val):
-    from .precision import is_iv_complex, iv_to_fractions
-
     if is_iv_complex(val):
         re_lo, re_hi = iv_to_fractions(val.real)
         im_lo, im_hi = iv_to_fractions(val.imag)

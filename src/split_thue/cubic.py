@@ -3,19 +3,18 @@ verification of the root/log approximation bounds with explicit constants."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import iv
 
-from .algebraic import poly_eval_sign
+from .algebraic import RealEnclosure, poly_eval_sign, refine_bracket
 from .precision import (
     DEFAULT_BUDGET,
     SplitThueError,
     interval_bits,
     iv_from_fraction,
-    iv_from_fractions,
     iv_inf,
     iv_sup,
 )
@@ -31,127 +30,8 @@ class BoundViolated(SplitThueError):
     pass
 
 
-def build_fn(fam: FamilyInstance, n: int):
-    """Monic integer cubic X^3 - (A+B)X^2 + ABX - 1 for the given n."""
-    A, B = fam.terms(n)
-    return cubic_coeffs(A, B)
-
-
 def cubic_coeffs(A: int, B: int):
     return (1, -(A + B), A * B, -1)
-
-
-def check_irreducible(coeffs):
-    """Rational-root test for a monic integer cubic with constant term -1.
-
-    Returns (irreducible, witness); the witness records A*B = A + B (the
-    failing identity) when a rational root exists.
-    """
-    if len(coeffs) != 4 or coeffs[0] != 1 or coeffs[3] != -1:
-        raise ValueError("expected monic integer cubic with constant -1")
-    at_one = sum(coeffs)
-    at_minus_one = -coeffs[0] + coeffs[1] - coeffs[2] + coeffs[3]
-    if at_one == 0 or at_minus_one == 0:
-        # at_one == 0 means AB = A + B; at_minus_one == 0 means AB + A + B + 2 = 0
-        return False, {"f(1)": at_one, "f(-1)": at_minus_one}
-    return True, None
-
-
-def scaled_poly(coeffs, K: int):
-    """m -> 2^(dK) f(m / 2^K) for the integer polynomial f of degree d
-    (descending coefficients), on integers."""
-    scaled = [c << (i * K) for i, c in enumerate(coeffs)]
-
-    def F(m):
-        acc = 0
-        for c in scaled:
-            acc = acc * m + c
-        return acc
-
-    return F
-
-
-def bisect_root(F, lo: int, hi: int):
-    """Shrink [lo, hi] around the sign change of F to width <= 1.
-
-    F(lo) < 0 < F(hi) or F(lo) > 0 > F(hi); an exact zero collapses the
-    bracket to that point.
-    """
-    neg_lo = F(lo) < 0
-    while hi - lo > 1:
-        mid = (lo + hi) >> 1
-        v = F(mid)
-        if v == 0:
-            return mid, mid
-        if (v < 0) == neg_lo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
-def _sign(v):
-    return (v > 0) - (v < 0)
-
-
-class PolyRootInterval:
-    """Rational bracket [lo, hi] with a certified sign change of an integer
-    polynomial; refinable by bisection on integers."""
-
-    __slots__ = ("coeffs", "lo", "hi", "_sign_lo")
-
-    def __init__(self, coeffs, lo, hi):
-        self.coeffs = tuple(int(c) for c in coeffs)
-        self.lo = Fraction(lo)
-        self.hi = Fraction(hi)
-        s_lo = poly_eval_sign(self.coeffs, self.lo)
-        s_hi = poly_eval_sign(self.coeffs, self.hi)
-        if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
-            raise AnchorSignFailure(
-                f"no certified sign change on [{float(lo)}, {float(hi)}]"
-            )
-        self._sign_lo = s_lo
-
-    def width(self):
-        return self.hi - self.lo
-
-    def mid(self):
-        return (self.lo + self.hi) / 2
-
-    def refine(self, width):
-        """Shrink the bracket to width <= ``width``, inside the old bracket.
-
-        Bisection runs on integers at scale 2^K with 2^-K <= width: the
-        endpoints are rounded inward to the grid, and when the sign there
-        puts the root in the sliver of width < 2^-K between an endpoint and
-        its grid point, that sliver is the answer.
-        """
-        width = Fraction(width)
-        if self.hi - self.lo <= width:
-            return self
-        K = (-(-width.denominator // width.numerator) - 1).bit_length()
-        F, scale = scaled_poly(self.coeffs, K), 1 << K
-        a = -(-self.lo.numerator * scale // self.lo.denominator)  # ceil(lo 2^K)
-        b = self.hi.numerator * scale // self.hi.denominator  # floor(hi 2^K)
-        s_a, s_b = _sign(F(a)), _sign(F(b))
-        if s_a == 0 or s_b == 0:
-            # rational root: collapse to it (cannot happen for f_n, which
-            # has no rational roots once irreducible)
-            self.lo = self.hi = Fraction(a if s_a == 0 else b, scale)
-        elif s_a != self._sign_lo:
-            self.hi = Fraction(a, scale)
-        elif s_b == self._sign_lo:
-            self.lo = Fraction(b, scale)
-        else:
-            lo, hi = bisect_root(F, a, b)
-            self.lo, self.hi = Fraction(lo, scale), Fraction(hi, scale)
-        return self
-
-    def as_iv(self, bits):
-        return iv_from_fractions(self.lo, self.hi, bits)
-
-    def overlaps(self, other):
-        return self.lo <= other.hi and other.lo <= self.hi
 
 
 @dataclass
@@ -168,9 +48,9 @@ class CubicRootSet:
     A: int
     B: int
     coeffs: tuple
-    lambda1: PolyRootInterval
-    lambda2: PolyRootInterval
-    lambda3: PolyRootInterval
+    lambda1: RealEnclosure
+    lambda2: RealEnclosure
+    lambda3: RealEnclosure
     anchor_residuals: tuple
     bits: int
     ivs: tuple  # interval enclosures of lambda1, lambda2, lambda3
@@ -182,17 +62,21 @@ class CubicRootSet:
 
 
 def _bracket_around(coeffs, center, halfwidth):
-    """Bracket a sign change within [center - w, center + w]."""
+    """A certified sign change of f within [center - w, center + w], as a
+    RealEnclosure with f nonzero, of opposite signs, at its ends.
+
+    f is nonzero at each anchor once A, B != 0 and AB != A + B: f(A) =
+    f(B) = -1, and a rational root of f is +-1, which 1/(AB) is only for
+    A, B in {1, -1}, where f(+-1) != 0.
+    """
     lo, hi = center - halfwidth, center + halfwidth
     s_lo = poly_eval_sign(coeffs, lo)
     s_mid = poly_eval_sign(coeffs, center)
     s_hi = poly_eval_sign(coeffs, hi)
-    if s_mid == 0:
-        return PolyRootInterval(coeffs, center - halfwidth / 2, center + halfwidth / 2)
     if s_lo != 0 and s_lo != s_mid:
-        return PolyRootInterval(coeffs, lo, center)
+        return RealEnclosure(lo, center)
     if s_hi != 0 and s_hi != s_mid:
-        return PolyRootInterval(coeffs, center, hi)
+        return RealEnclosure(center, hi)
     raise AnchorSignFailure(
         f"no sign change in anchor window around {float(center):.6g}"
     )
@@ -211,16 +95,15 @@ def isolate_roots(fam: FamilyInstance, n: int, budget=DEFAULT_BUDGET) -> CubicRo
     l3 = _bracket_around(coeffs, Fraction(1, ab), Fraction(1, ab * ab))
 
     pairs = [(l1, l2), (l1, l3), (l2, l3)]
-    if any(a.overlaps(b) for a, b in pairs):
+    if any(a.intersects(b) for a, b in pairs):
         raise AnchorSignFailure("anchor windows overlap; n below threshold")
 
     # widths fine enough for every downstream quantity, incl. lambda2 - A_n
     # whose scale is 1/(A^2 (A-B)^2); the intervals keep that accuracy
     scale_bits = 2 * (abs(A) * abs(B)).bit_length() + 8
     width = Fraction(1, 2 ** (budget.working_bits // 2 + scale_bits))
-    roots = (l1, l2, l3)
-    for r in roots:
-        r.refine(width)
+    roots = tuple(refine_bracket(coeffs, r, width) for r in (l1, l2, l3))
+    l1, l2, l3 = roots
     bits = budget.working_bits + scale_bits
     with interval_bits(bits):
         ivs = tuple(r.as_iv(bits) for r in roots)
@@ -237,7 +120,7 @@ def isolate_roots(fam: FamilyInstance, n: int, budget=DEFAULT_BUDGET) -> CubicRo
     )
 
 
-def abs_frac_dist(root: PolyRootInterval, point: Fraction):
+def abs_frac_dist(root: RealEnclosure, point: Fraction):
     """Upper bound on |root - point| from the bracket."""
     return max(abs(root.lo - point), abs(root.hi - point))
 
@@ -300,7 +183,6 @@ class ApproxConstants:
     eps: Fraction  # certified upper bound, strictly < 1
     c5: Fraction
     c6: Fraction
-    detail: dict = field(default_factory=dict, hash=False, compare=False)
 
     def __post_init__(self):
         if not (0 <= self.eps < 1):
@@ -312,36 +194,41 @@ class ApproxConstants:
         return self.C * Fraction(n) ** d2 * self.eps**n
 
 
-def _ratio_upper(num, den, bits=128):
+# compute_constants bounds the coefficients for n >= _N_MIN, at _CONST_BITS
+_N_MIN = 2
+_CONST_BITS = 128
+
+
+def _ratio_upper(num, den):
     """Rational upper bound on |num/den| for algebraic numbers."""
-    with interval_bits(bits):
-        q = abs(num.approx(bits)) / abs(den.approx(bits))
+    with interval_bits(_CONST_BITS):
+        q = abs(num.approx(_CONST_BITS)) / abs(den.approx(_CONST_BITS))
         return iv_sup(q)
 
 
-def compute_constants(fam: FamilyInstance, n_min: int = 2, bits: int = 128) -> ApproxConstants:
+def compute_constants(fam: FamilyInstance) -> ApproxConstants:
     """Effective constants: the shared decay ratio eps, the log-residual
     constant C, and root-difference constants c5 <= c6."""
     alpha, beta = fam.alpha, fam.beta
     ratios = []
     for root, _ in fam.B.secondary:
-        ratios.append(("beta_i/beta", _ratio_upper(root, beta, bits)))
+        ratios.append(_ratio_upper(root, beta))
     for root, _ in fam.A.secondary:
-        ratios.append(("alpha_i/beta", _ratio_upper(root, beta, bits)))
-        ratios.append(("alpha_i/alpha", _ratio_upper(root, alpha, bits)))
+        ratios.append(_ratio_upper(root, beta))
+        ratios.append(_ratio_upper(root, alpha))
     if not fam.equal_modulus:
-        ratios.append(("alpha/beta", _ratio_upper(alpha, beta, bits)))
-    eps = max((r for _, r in ratios), default=Fraction(0))
+        ratios.append(_ratio_upper(alpha, beta))
+    eps = max(ratios, default=Fraction(0))
     if eps >= 1:
         raise SplitThueError("decay ratio not below 1: dominance violated")
 
     cA, cB = fam.A.dominant_coeff, fam.B.dominant_coeff
-    U_cA = cA.abs_coeff_sum_upper(bits)
-    U_cB = cB.abs_coeff_sum_upper(bits)
-    U_cA_sec = [c.abs_coeff_sum_upper(bits) for _, c in fam.A.secondary]
-    U_cB_sec = [c.abs_coeff_sum_upper(bits) for _, c in fam.B.secondary]
-    L_cA = cA.abs_lower_inf(n_min, bits)
-    L_cB = cB.abs_lower_inf(n_min, bits)
+    U_cA = cA.abs_coeff_sum_upper(_CONST_BITS)
+    U_cB = cB.abs_coeff_sum_upper(_CONST_BITS)
+    U_cA_sec = [c.abs_coeff_sum_upper(_CONST_BITS) for _, c in fam.A.secondary]
+    U_cB_sec = [c.abs_coeff_sum_upper(_CONST_BITS) for _, c in fam.B.secondary]
+    L_cA = cA.abs_lower_inf(_N_MIN, _CONST_BITS)
+    L_cB = cB.abs_lower_inf(_N_MIN, _CONST_BITS)
 
     c1 = max(U_cB_sec, default=Fraction(0)) / L_cB
     c2 = max(U_cA_sec, default=Fraction(0)) / L_cA
@@ -350,12 +237,9 @@ def compute_constants(fam: FamilyInstance, n_min: int = 2, bits: int = 128) -> A
         diff_poly = coeff_poly_sub(cB, cA)
         if all(c.is_zero for c in diff_poly.coeffs):
             raise HypothesisViolated("c_B - c_A vanishes identically (A = B)")
-        L_diff = diff_poly.abs_lower_inf(n_min, bits)
-        U_diff = diff_poly.abs_coeff_sum_upper(bits)
+        L_diff = diff_poly.abs_lower_inf(_N_MIN, _CONST_BITS)
         c4 = max([U_cA] + U_cA_sec + U_cB_sec) / L_diff
     else:
-        L_diff = None
-        U_diff = None
         c4 = Fraction(0)
 
     m_A, m_B = len(fam.A.secondary), len(fam.B.secondary)
@@ -367,17 +251,7 @@ def compute_constants(fam: FamilyInstance, n_min: int = 2, bits: int = 128) -> A
     if fam.equal_modulus:
         lows.append(L_diff)
     c5 = min(lows) / 4
-
-    detail = {
-        "ratios": [(name, float(r)) for name, r in ratios],
-        "c1": float(c1), "c2": float(c2), "c3": float(c3), "c4": float(c4),
-        "U_cA": float(U_cA), "U_cB": float(U_cB),
-        "L_cA": float(L_cA), "L_cB": float(L_cB),
-        "L_diff": float(L_diff) if L_diff is not None else None,
-        "U_diff": float(U_diff) if U_diff is not None else None,
-        "n_min": n_min,
-    }
-    return ApproxConstants(C=C, eps=eps, c5=c5, c6=c6, detail=detail)
+    return ApproxConstants(C=C, eps=eps, c5=c5, c6=c6)
 
 
 @lru_cache(maxsize=256)

@@ -96,11 +96,6 @@ def iv_inf(x):
     return _raw_to_fraction(x._mpi_[0])
 
 
-def iv_mid(x):
-    lo, hi = x._mpi_
-    return (_raw_to_fraction(lo) + _raw_to_fraction(hi)) / 2
-
-
 def contains_zero(x):
     return iv_inf(x) <= 0 <= iv_sup(x)
 
@@ -135,30 +130,6 @@ def certified_lt(x, y, refine=None, budget=DEFAULT_BUDGET):
     raise UndecidedComparison("interval comparison undecided after refinement budget")
 
 
-def certified_sign(x, refine=None, budget=DEFAULT_BUDGET):
-    """Certified sign (-1, 0 is never certified, +1) of an interval value."""
-    def check(v):
-        if iv_inf(v) > 0:
-            return 1
-        if iv_sup(v) < 0:
-            return -1
-        return None
-
-    sign = check(x)
-    if sign is not None:
-        return sign
-    if refine is None:
-        raise UndecidedComparison("interval sign undecided, no refiner given")
-    bits = budget.working_bits
-    for _ in range(budget.max_refinements):
-        bits *= 2
-        x = refine(bits)
-        sign = check(x)
-        if sign is not None:
-            return sign
-    raise UndecidedComparison("interval sign undecided after refinement budget")
-
-
 def _raw_to_fraction(raw):
     sign, man, exp, _ = raw
     man = int(man)
@@ -169,16 +140,6 @@ def _raw_to_fraction(raw):
     if exp >= 0:
         return Fraction(man * (1 << exp))
     return Fraction(man, 1 << -exp)
-
-
-def mpf_to_fraction(x):
-    """Exact Fraction of a finite mpf or degenerate interval endpoint."""
-    if hasattr(x, "_mpi_"):
-        lo, hi = x._mpi_
-        if lo != hi:
-            raise ValueError("interval endpoint is not degenerate")
-        return _raw_to_fraction(lo)
-    return _raw_to_fraction(x._mpf_)
 
 
 def iv_to_fractions(x):

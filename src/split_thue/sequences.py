@@ -709,12 +709,19 @@ def _integers(values, what):
 
 def _parse_rational(value):
     if isinstance(value, str) or _is_integer(value):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise ValueError(f"rationals must be ints or 'p/q' strings, got {value!r}")
 
 
 def _algebraic_from_json(spec):
     minpoly = _integers(spec["minpoly"], "minpoly")
+    while minpoly and minpoly[0] == 0:
+        minpoly = minpoly[1:]
+    if len(minpoly) < 2:
+        raise ValueError(f"minpoly must have degree >= 1, got {spec['minpoly']!r}")
     lo, hi = (_parse_rational(v) for v in spec["enclosure"])
     if len(minpoly) == 2:
         return AlgebraicNumber.from_rational(Fraction(-minpoly[1], minpoly[0]))

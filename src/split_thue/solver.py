@@ -8,7 +8,9 @@ from fractions import Fraction
 from itertools import chain
 from math import isqrt
 
-from .cubic import ApproxConstants, ResidualReport, bisect_root, cubic_coeffs, scaled_poly
+from . import cubic, units
+from .algebraic import bisect_root, scaled_poly
+from .cubic import ApproxConstants, ResidualReport, cubic_coeffs
 from .precision import DEFAULT_BUDGET
 from .sequences import FamilyInstance, HypothesisReport, check_hypotheses
 
@@ -245,8 +247,6 @@ def verify_family(
     """Hypothesis check + brute force + classification for each n in range,
     with per-n lemma summaries and log residuals where the roots are
     certifiable."""
-    from . import cubic, units
-
     if n_lo > n_hi:
         raise ValueError("empty n range")
     consts = cubic.compute_constants(fam)

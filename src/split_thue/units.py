@@ -10,7 +10,7 @@ from functools import lru_cache
 
 from mpmath import iv
 
-from .cubic import CubicRootSet, _log_quantities
+from .cubic import CubicRootSet, _log_quantities, isolate_roots
 from .precision import (
     DEFAULT_BUDGET,
     SplitThueError,
@@ -71,8 +71,6 @@ def verify_regulator_growth(
 ) -> RegulatorGrowthReport:
     """R(n)/n^2 against its closed-form limit; also cross-checks that the
     regulator does not depend on which embedding pair is used."""
-    from .cubic import isolate_roots
-
     bits = budget.working_bits
     ns = sorted({n_lo + round(i * (n_hi - n_lo) / (samples - 1)) for i in range(samples)})
     t = family_table(fam, bits)

@@ -6,8 +6,10 @@ import pytest
 from split_thue.algebraic import (
     AlgebraicNumber,
     DivisionByZero,
+    RealEnclosure,
     field_arith,
     poly_eval_sign,
+    refine_bracket,
 )
 from split_thue.precision import iv_inf, iv_sup
 
@@ -24,6 +26,51 @@ def test_poly_eval_sign():
     assert poly_eval_sign((1, 0, -2), Fraction(1)) == -1
     assert poly_eval_sign((1, 0, -2), Fraction(2)) == 1
     assert poly_eval_sign((1, -3), Fraction(3)) == 0
+
+
+def test_refine_bracket_bisects_exactly():
+    r = refine_bracket((1, 0, -2), RealEnclosure(Fraction(1), Fraction(2)), Fraction(1, 2**80))
+    assert r.width() <= Fraction(1, 2**80)
+    # endpoints stay exact rationals bracketing sqrt(2)
+    assert r.lo**2 < 2 < r.hi**2
+
+
+def test_refine_bracket_refines_non_dyadic_bracket():
+    # the smallest root of X^3 - 11X^2 + 24X - 1, near 1/24
+    coeffs = (1, -11, 24, -1)
+    lo, hi = Fraction(1, 30), Fraction(1, 20)
+    r = refine_bracket(coeffs, RealEnclosure(lo, hi), Fraction(1, 2**300))
+    assert r.width() <= Fraction(1, 2**300)
+    assert lo <= r.lo < r.hi <= hi
+    assert poly_eval_sign(coeffs, r.lo) == -1 and poly_eval_sign(coeffs, r.hi) == 1
+    # a bracket whose endpoint lies within 2^-400 of the root: the root is in
+    # the sliver between that endpoint and the nearest grid point, which is
+    # the answer as it stands
+    fine = refine_bracket(coeffs, RealEnclosure(lo, hi), Fraction(1, 2**400))
+    near_lo = fine.lo - Fraction(1, 3 * 2**401)
+    near_hi = fine.hi + Fraction(1, 3 * 2**401)
+    r = refine_bracket(coeffs, RealEnclosure(near_lo, hi), Fraction(1, 2**300))
+    assert r.lo == near_lo and r.width() <= Fraction(1, 2**300)
+    assert poly_eval_sign(coeffs, r.hi) == 1
+    r = refine_bracket(coeffs, RealEnclosure(lo, near_hi), Fraction(1, 2**300))
+    assert r.hi == near_hi and r.width() <= Fraction(1, 2**300)
+    assert poly_eval_sign(coeffs, r.lo) == -1
+
+
+def test_real_root_refines_to_nested_sign_changes():
+    # the cubic's sympy box, refined through ever smaller widths by the
+    # shared integer-grid refiner
+    x = AlgebraicNumber.from_real_root([1, -11, 24, -1], Fraction(1, 24))
+    assert x.degree == 3
+    box = x.enclosure
+    for k in (10, 50, 100, 200, 300, 600):
+        width = Fraction(1, 2**k)
+        tight = x.refined(width)
+        assert tight.width() <= width
+        assert box.lo <= tight.lo < tight.hi <= box.hi
+        signs = poly_eval_sign(x.min_poly, tight.lo), poly_eval_sign(x.min_poly, tight.hi)
+        assert sorted(signs) == [-1, 1]
+        box = tight
 
 
 def test_rational_round_trip():

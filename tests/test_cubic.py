@@ -3,13 +3,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from split_thue.algebraic import poly_eval_sign
 from split_thue.cubic import (
     AnchorSignFailure,
-    PolyRootInterval,
-    build_fn,
-    check_irreducible,
-    compute_constants,
+    _bracket_around,
     cubic_coeffs,
     isolate_roots,
     verify_log_approx,
@@ -22,52 +18,9 @@ def test_cubic_coeffs():
     assert cubic_coeffs(3, 8) == (1, -11, 24, -1)
 
 
-def test_build_fn(fib_pow2):
-    assert build_fn(fib_pow2, 2) == (1, -11, 24, -1)
-
-
-def test_check_irreducible():
-    ok, witness = check_irreducible((1, -11, 24, -1))
-    assert ok and witness is None
-    # A = 2, B = 2 gives AB = A + B, i.e. f(1) = 0
-    ok, witness = check_irreducible(cubic_coeffs(2, 2))
-    assert not ok and witness["f(1)"] == 0
-
-
-def test_poly_root_interval_bisects_exactly():
-    r = PolyRootInterval((1, 0, -2), Fraction(1), Fraction(2))
-    r.refine(Fraction(1, 2**80))
-    assert r.width() <= Fraction(1, 2**80)
-    # endpoints stay exact rationals bracketing sqrt(2)
-    assert r.lo**2 < 2 < r.hi**2
-
-
-def test_poly_root_interval_refines_non_dyadic_bracket():
-    # the smallest root of f_2 = X^3 - 11X^2 + 24X - 1, near 1/24
-    coeffs = cubic_coeffs(3, 8)
-    lo, hi = Fraction(1, 30), Fraction(1, 20)
-    r = PolyRootInterval(coeffs, lo, hi)
-    r.refine(Fraction(1, 2**300))
-    assert r.width() <= Fraction(1, 2**300)
-    assert lo <= r.lo < r.hi <= hi
-    assert poly_eval_sign(coeffs, r.lo) == -1 and poly_eval_sign(coeffs, r.hi) == 1
-    # a bracket whose endpoint lies within 2^-400 of the root: the root is in
-    # the sliver between that endpoint and the nearest grid point, which is
-    # the answer as it stands
-    fine = PolyRootInterval(coeffs, lo, hi).refine(Fraction(1, 2**400))
-    near_lo = fine.lo - Fraction(1, 3 * 2**401)
-    near_hi = fine.hi + Fraction(1, 3 * 2**401)
-    r = PolyRootInterval(coeffs, near_lo, hi).refine(Fraction(1, 2**300))
-    assert r.lo == near_lo and r.width() <= Fraction(1, 2**300)
-    assert poly_eval_sign(coeffs, r.hi) == 1
-    r = PolyRootInterval(coeffs, lo, near_hi).refine(Fraction(1, 2**300))
-    assert r.hi == near_hi and r.width() <= Fraction(1, 2**300)
-    assert poly_eval_sign(coeffs, r.lo) == -1
-
-
-def test_poly_root_interval_rejects_no_sign_change():
+def test_bracket_around_rejects_no_sign_change():
     with pytest.raises(AnchorSignFailure):
-        PolyRootInterval((1, 0, -2), Fraction(2), Fraction(3))
+        _bracket_around((1, 0, -2), Fraction(5, 2), Fraction(1, 2))
 
 
 def test_isolate_roots_disjoint_and_ordered(fib_pow2, budget):

@@ -7,18 +7,15 @@ from split_thue.precision import (
     PrecisionBudget,
     UndecidedComparison,
     certified_lt,
-    certified_sign,
     compare,
     contains_zero,
     interval_bits,
     iv_from_fraction,
     iv_from_fractions,
     iv_inf,
-    iv_mid,
     iv_sup,
     iv_to_fractions,
     iv_width,
-    mpf_to_fraction,
 )
 
 
@@ -50,7 +47,6 @@ def test_iv_from_fraction_dyadic_is_exact():
     x = iv_from_fraction(q, 64)
     assert iv_inf(x) == iv_sup(x) == q
     assert iv_width(x) == 0
-    assert iv_mid(x) == q
 
 
 def test_iv_from_fraction_does_not_reround_at_53_bits():
@@ -71,7 +67,6 @@ def test_endpoint_extraction_round_trip():
     lo, hi = iv_to_fractions(x)
     assert lo <= Fraction(-3, 7) and hi >= Fraction(2, 7)
     assert contains_zero(x)
-    assert mpf_to_fraction(iv.mpf(3)) == 3
 
 
 def test_compare_three_valued():
@@ -100,13 +95,3 @@ def test_certified_lt_undecided_raises():
     a = iv_from_fraction(Fraction(1, 3), 64)
     with pytest.raises(UndecidedComparison):
         certified_lt(a, a, None)
-
-
-def test_certified_sign():
-    def refine_pos(bits):
-        return iv_from_fraction(Fraction(1, 2**300), bits)
-
-    assert certified_sign(refine_pos(64), refine_pos, PrecisionBudget(working_bits=64)) == 1
-    assert certified_sign(iv_from_fraction(Fraction(-2), 64)) == -1
-    with pytest.raises(UndecidedComparison):
-        certified_sign(iv_from_fraction(0, 64), None)
