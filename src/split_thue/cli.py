@@ -329,7 +329,7 @@ def main(argv=None) -> int:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return EXIT_PRECISION
     except SplitThueError as exc:
-        # e.g. RoundingAmbiguous, UndecidedComparison, InconsistentModel
+        # e.g. NotAUnit, UndecidedComparison, InconsistentModel
         print(f"not certified: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECISION
     payload = to_canonical_json(report)

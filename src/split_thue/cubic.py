@@ -236,7 +236,7 @@ def compute_constants(fam: FamilyInstance) -> ApproxConstants:
     if fam.equal_modulus:
         diff_poly = coeff_poly_sub(cB, cA)
         if all(c.is_zero for c in diff_poly.coeffs):
-            raise HypothesisViolated("c_B - c_A vanishes identically (A = B)")
+            raise HypothesisViolated("c_B - c_A vanishes identically (equal dominant coefficients)")
         L_diff = diff_poly.abs_lower_inf(_N_MIN, _CONST_BITS)
         c4 = max([U_cA] + U_cA_sec + U_cB_sec) / L_diff
     else:

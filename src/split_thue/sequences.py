@@ -431,6 +431,8 @@ class FamilyInstance:
     def build(cls, A, B, budget=DEFAULT_BUDGET):
         """Order the pair so |alpha| <= |beta| and classify the case."""
         alpha, beta = A.dominant_root, B.dominant_root
+        if alpha.is_zero or beta.is_zero:
+            raise HypothesisViolated("dominant root must be nonzero")
         equal = _abs_equal(alpha, beta)
         if not equal and not _modulus_less([alpha, beta], budget)(0, 1):
             A, B = B, A

@@ -273,7 +273,7 @@ def verify_family(
                 if s.y == 0 and abs(s.x) == 1 and s.x < 0:
                     continue  # same orbit as (1,0)
                 j = units.solution_type(s.x, s.y, rs, budget)
-                ue = units.unit_decompose(s.x, s.y, rs, budget)
+                ue = units.unit_decompose(s.x, s.y, rs)
                 xi = units.xi_form(j, fam.case_tag, n, ue.b1, ue.b2)
                 if not units.verify_xi_bound(xi, fam, consts, n, budget).ok:
                     xi_ok = False

@@ -4,55 +4,46 @@ coefficient tables."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import mpmath
 from mpmath import iv
 
 from .cubic import CubicRootSet, _log_quantities, isolate_roots
 from .precision import (
     DEFAULT_BUDGET,
+    PrecisionExhausted,
     SplitThueError,
     compare,
     interval_bits,
     iv_from_fraction,
     iv_inf,
     iv_sup,
+    iv_to_fractions,
     iv_width,
 )
 from .sequences import FamilyInstance, family_table
 
 
 class NotAUnit(SplitThueError):
-    """The pair (x, y) does not satisfy the norm-form equation."""
-
-
-class RoundingAmbiguous(SplitThueError):
-    """The solved exponents are too far from integers to accept."""
+    """x - lambda y is not +- a product of powers of the units lambda and
+    lambda - A_n."""
 
 
 # fixed (k, l) companion indices for each solution type j
 KL_CONVENTION = {1: (3, 2), 2: (3, 1), 3: (2, 1)}
 
 
-def _unit_log_matrix(rs: CubicRootSet, pair, shift):
-    """Rows (log|lambda_i|, log|lambda_i - shift|) for i in pair, from the
-    root context (shift A_n) or at its precision (any other shift)."""
-    if shift == rs.A:
-        return [(rs.log_abs[i - 1], rs.log_abs_A[i - 1]) for i in pair]
-    with interval_bits(rs.bits):
-        return [(rs.log_abs[i - 1], iv.log(abs(rs.ivs[i - 1] - shift))) for i in pair]
-
-
-def regulator(rs: CubicRootSet, pair=(1, 2), bits=None, shift=None):
+def regulator(rs: CubicRootSet, pair=(1, 2), bits=None):
     """|det| of the 2x2 log-embedding matrix of the fundamental units
     {lambda, lambda - A_n}; independent of the chosen pair of embeddings."""
     if pair[0] == pair[1]:
         raise ValueError("need two distinct embeddings")
     bits = bits or rs.bits
-    shift = shift if shift is not None else rs.A
-    (a, b), (c, d) = _unit_log_matrix(rs, pair, shift)
+    (a, b), (c, d) = ((rs.log_abs[i - 1], rs.log_abs_A[i - 1]) for i in pair)
     with interval_bits(bits):
         return abs(a * d - b * c)
 
@@ -113,73 +104,83 @@ class UnitExponents:
     b1: int
     b2: int
     sign: int
-    residual: float
-    alt_units: bool = False
 
     def __post_init__(self):
         if self.sign not in (-1, 1):
             raise ValueError("sign must be +-1")
-        if not self.residual < 0.5:
-            raise ValueError("residual must be < 1/2")
 
 
 def norm_form(x, y, A, B):
     return x * (x - A * y) * (x - B * y) - y**3
 
 
-def unit_decompose(
-    x: int, y: int, rs: CubicRootSet, budget=DEFAULT_BUDGET, alt_units=False
-) -> UnitExponents:
-    """Integer exponents (b1, b2) and sign with x - lambda_i y =
-    sign * lambda_i^b1 (lambda_i - A_n)^b2 across all embeddings.
+def ring_mul(u, v, A: int, B: int):
+    """u v in Z[lambda] = Z[X]/(f_n), f_n = X^3 - (A+B) X^2 + AB X - 1, for
+    elements given as ascending integer triples c0 + c1 X + c2 X^2."""
+    p, q = A + B, A * B
+    a0, a1, a2 = u
+    b0, b1, b2 = v
+    # X^4 = p X^3 - q X^2 + X and X^3 = p X^2 - q X + 1 fold c4, then c3
+    c4 = a2 * b2
+    c3 = a1 * b2 + a2 * b1 + p * c4
+    return (
+        a0 * b0 + c3,
+        a0 * b1 + a1 * b0 + c4 - q * c3,
+        a0 * b2 + a1 * b1 + a2 * b0 - q * c4 + p * c3,
+    )
 
-    With ``alt_units`` the second fundamental unit is lambda_i - B_n instead.
+
+def unit_product(b1: int, b2: int, A: int, B: int):
+    """lambda^b1 (lambda - A)^b2 in Z[lambda], by square-and-multiply.
+
+    lambda (lambda - A)(lambda - B) = 1 gives the inverses
+    lambda^-1 = lambda^2 - (A+B) lambda + AB and (lambda - A)^-1 =
+    lambda^2 - B lambda.
+    """
+    out = (1, 0, 0)
+    for unit, inverse, e in (
+        ((0, 1, 0), (A * B, -(A + B), 1), b1),
+        ((-A, 1, 0), (0, -B, 1), b2),
+    ):
+        if e < 0:
+            unit, e = inverse, -e
+        while e:
+            if e & 1:
+                out = ring_mul(out, unit, A, B)
+            e >>= 1
+            if e:
+                unit = ring_mul(unit, unit, A, B)
+    return out
+
+
+def unit_decompose(x: int, y: int, rs: CubicRootSet) -> UnitExponents:
+    """Integer exponents (b1, b2) and sign with x - lambda y =
+    sign * lambda^b1 (lambda - A_n)^b2, an identity in Z[lambda].
+
+    f_n is squarefree, so the identity holds at all three embeddings. The
+    exponents lie in the enclosures solved from log|x - lambda_i y| at the
+    root context's precision; every integer pair in them is tried exactly.
+    The norm form is the norm of x - lambda y, and lambda and lambda - A_n
+    have norm 1, so the sign is the norm form's value.
     """
     A, B = rs.A, rs.B
     nf = norm_form(x, y, A, B)
     if nf not in (1, -1):
         raise NotAUnit(f"norm form value {nf} is not a unit")
-    shift = B if alt_units else A
-    (m11, m12), (m21, m22) = _unit_log_matrix(rs, (1, 2), shift)
+    (m11, m21), (m12, m22) = rs.log_abs[:2], rs.log_abs_A[:2]
     with interval_bits(rs.bits):
-        u = [r * (-y) + x for r in rs.ivs]
+        r1, r2 = (iv.log(abs(r * (-y) + x)) for r in rs.ivs[:2])
         det = m11 * m22 - m12 * m21
-        r1, r2 = iv.log(abs(u[0])), iv.log(abs(u[1]))
         b1_iv = (r1 * m22 - r2 * m12) / det
         b2_iv = (m11 * r2 - m21 * r1) / det
-
-    def mid(v):
-        return (iv_inf(v) + iv_sup(v)) / 2
-
-    b1 = round(mid(b1_iv))
-    b2 = round(mid(b2_iv))
-    residual = max(abs(mid(b1_iv) - b1), abs(mid(b2_iv) - b2))
-    residual += float(iv_width(b1_iv) + iv_width(b2_iv))
-    if residual >= 0.25:
-        raise RoundingAmbiguous(
-            f"solved exponents ({float(mid(b1_iv)):.4f}, {float(mid(b2_iv)):.4f})"
-            " too far from integers"
-        )
-
-    # multiplicative re-verification against all three embeddings
-    rel_tol = Fraction(1, 2 ** (budget.working_bits // 4))
-    sign = 0
-    with interval_bits(rs.bits):
-        for i, r in enumerate(rs.ivs, 1):
-            t = r**b1 * (r - shift) ** b2
-            q = u[i - 1] / t
-            if iv_sup(abs(abs(q) - 1)) > rel_tol:
-                raise RoundingAmbiguous(
-                    f"recomposition mismatch at embedding {i}"
-                )
-            s = 1 if iv_inf(q) > 0 else (-1 if iv_sup(q) < 0 else 0)
-            if s == 0:
-                raise RoundingAmbiguous("sign of recomposition quotient undecided")
-            if sign == 0:
-                sign = s
-            elif sign != s:
-                raise RoundingAmbiguous("inconsistent sign across embeddings")
-    return UnitExponents(b1, b2, sign, residual, alt_units)
+    if not all(mpmath.isfinite(e) for v in (b1_iv, b2_iv) for e in (v.a, v.b)):
+        raise PrecisionExhausted(f"unit exponents of ({x}, {y}) unbounded at {rs.bits} bits")
+    (lo1, hi1), (lo2, hi2) = iv_to_fractions(b1_iv), iv_to_fractions(b2_iv)
+    for b1 in range(math.ceil(lo1), math.floor(hi1) + 1):
+        for b2 in range(math.ceil(lo2), math.floor(hi2) + 1):
+            if unit_product(b1, b2, A, B) == (nf * x, -nf * y, 0):
+                return UnitExponents(b1, b2, nf)
+    raise NotAUnit(f"x - lambda y is not +- lambda^b1 (lambda - A)^b2 at (x, y) = ({x}, {y})")
 
 
 def solution_type(x: int, y: int, rs: CubicRootSet, budget=DEFAULT_BUDGET) -> int:
@@ -236,16 +237,6 @@ class LinearFormXi:
     b2: int
     terms: tuple  # of (label, integer coefficient)
     flags: tuple = ()
-
-    def coefficient(self, label):
-        for lab, c in self.terms:
-            if lab == label:
-                return c
-        raise KeyError(label)
-
-    @property
-    def nonzero_terms(self):
-        return tuple((lab, c) for lab, c in self.terms if c != 0)
 
 
 def xi_form(j: int, case_tag: str, n: int, b1: int, b2: int) -> LinearFormXi:

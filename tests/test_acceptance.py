@@ -169,26 +169,29 @@ def test_criterion_04_regulator_growth(fib_pow2, budget):
 
 # -- 5: unit decomposition ---------------------------------------------------
 
-def test_criterion_05_unit_decomposition(fib_pow2, budget):
-    worst = 0.0
-    for n in range(5, 26):
-        rs = isolate_roots(fib_pow2, n, budget)
-        A, B = rs.A, rs.B
-        expected = {
-            (1, 0): (0, 0),
-            (0, 1): (1, 0),
-            (A, 1): (0, 1),
-            (B, 1): (-1, -1),
-        }
-        for (x, y), b in expected.items():
-            for sx, sy in ((x, y), (-x, -y)):
-                ue = unit_decompose(sx, sy, rs, budget)
-                assert (ue.b1, ue.b2) == b, f"n={n}, ({sx},{sy}): got ({ue.b1},{ue.b2})"
-                worst = max(worst, ue.residual)
+def test_criterion_05_unit_decomposition(fib_pow2, pow2_equal_modulus, budget):
+    checked = 0
+    for fam in (fib_pow2, pow2_equal_modulus):
+        for n in range(5, 26):
+            rs = isolate_roots(fam, n, budget)
+            A, B = rs.A, rs.B
+            expected = {
+                (1, 0): (0, 0, 1),
+                (0, 1): (1, 0, -1),
+                (A, 1): (0, 1, -1),
+                (B, 1): (-1, -1, -1),
+            }
+            for (x, y), (b1, b2, sign) in expected.items():
+                for sx, sy, s in ((x, y, sign), (-x, -y, -sign)):
+                    ue = unit_decompose(sx, sy, rs)
+                    got = (ue.b1, ue.b2, ue.sign)
+                    assert got == (b1, b2, s), f"{fam.case_tag}, n={n}, ({sx},{sy}): got {got}"
+                    checked += 1
     outcome(
-        "criterion-05 unit decomposition (n=5..25)",
-        worst < 1e-6,
-        f"exact exponents for all eight trivial solutions; max rounding residual {worst:.1e}",
+        "criterion-05 unit decomposition (strict and equal-modulus, n=5..25)",
+        checked == 2 * 21 * 8,
+        f"exact exponents and signs for all eight trivial solutions; "
+        f"{checked} identities in Z[lambda]",
     )
 
 

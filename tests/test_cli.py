@@ -8,6 +8,9 @@ from split_thue import cli, cubic, sequences, units
 EXAMPLE_CONFIG = os.path.join(
     os.path.dirname(__file__), os.pardir, "configs", "fibonacci_pow2.json"
 )
+EQUAL_MODULUS_CONFIG = os.path.join(
+    os.path.dirname(__file__), os.pardir, "configs", "pow2_equal_modulus.json"
+)
 
 CONFIG = {
     "name": "fibonacci-pow2",
@@ -66,16 +69,45 @@ def test_bounds_finite_n0(config_path, capsys):
     assert report["n0"] == 59362923407947902848
 
 
-def test_equal_sequences_are_a_hypothesis_violation(tmp_path, capsys):
-    # A = B makes c_B - c_A vanish identically, so no constant c5 exists
-    p = tmp_path / "equal.json"
-    p.write_text(json.dumps(dict(CONFIG, A=CONFIG["B"])))
+def test_equal_modulus_n0(capsys):
+    code, report = run(
+        ["bounds", EQUAL_MODULUS_CONFIG, "--n-cap", str(10**40)], capsys
+    )
+    assert code == cli.EXIT_OK
+    assert report["case"] == "equal_modulus"
+    n0 = 10395187911310732708
+    assert report["n0"] == n0
+    assert report["branch_thresholds"] == {"xi-j1": n0, "xi-j2": n0, "xi-j3": n0}
+
+
+def _assert_hypothesis_violation(path, capsys, message):
     for command in ("verify", "bounds"):
-        assert cli.main([command, str(p)]) == cli.EXIT_HYPOTHESIS
+        assert cli.main([command, str(path)]) == cli.EXIT_HYPOTHESIS
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("hypothesis violated: ")
-        assert captured.err.count("\n") == 1
+        assert captured.err == f"hypothesis violated: {message}\n"
+
+
+def test_equal_sequences_are_a_hypothesis_violation(tmp_path, capsys):
+    # c_B - c_A vanishes identically, so no constant c5 exists: for A = B,
+    # and for A = 2^n, B = 2^n + 1, whose dominant terms agree
+    message = "c_B - c_A vanishes identically (equal dominant coefficients)"
+    for name, A, B in (
+        ("equal", CONFIG["B"], CONFIG["B"]),
+        ("plus-one", {"recurrence": [1, -2], "initial": [1]},
+         {"recurrence": [1, -3, 2], "initial": [2, 3]}),
+    ):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(dict(CONFIG, A=A, B=B)))
+        _assert_hypothesis_violation(p, capsys, message)
+
+
+def test_zero_dominant_root_is_a_hypothesis_violation(tmp_path, capsys):
+    # A = 5, 0, 0, ...: the dominant root alpha = 0 has no logarithm
+    p = tmp_path / "zero.json"
+    zero = {"recurrence": [1, 0], "initial": [5]}
+    p.write_text(json.dumps(dict(CONFIG, A=zero, B={"recurrence": [1, -3], "initial": [1]})))
+    _assert_hypothesis_violation(p, capsys, "dominant root must be nonzero")
 
 
 def test_verify_runs_each_stage_once(monkeypatch, capsys):
@@ -137,15 +169,16 @@ def test_verify_checks_xi_at_the_working_precision(capsys):
 
 
 def test_uncaught_certification_error_is_one_line(config_path, capsys, monkeypatch):
-    def ambiguous(*args, **kwargs):
-        raise units.RoundingAmbiguous("recomposition mismatch at embedding 1")
+    def not_a_unit(*args, **kwargs):
+        raise units.NotAUnit("x - lambda y is not +- lambda^b1 (lambda - A)^b2 at (x, y) = (7, 4)")
 
-    monkeypatch.setattr(units, "unit_decompose", ambiguous)
+    monkeypatch.setattr(units, "unit_decompose", not_a_unit)
     assert cli.main(["verify", config_path]) == cli.EXIT_PRECISION
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "not certified: RoundingAmbiguous: recomposition mismatch at embedding 1\n"
+        "not certified: NotAUnit: x - lambda y is not +- lambda^b1 (lambda - A)^b2"
+        " at (x, y) = (7, 4)\n"
     )
 
 

@@ -1,20 +1,30 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from mpmath import iv
 
 from split_thue.cubic import isolate_roots
-from split_thue.precision import contains_zero, iv_inf, iv_sup, iv_width
+from split_thue.precision import (
+    PrecisionExhausted,
+    contains_zero,
+    interval_bits,
+    iv_inf,
+    iv_sup,
+    iv_width,
+)
 from split_thue.units import (
     KL_CONVENTION,
     NotAUnit,
-    RoundingAmbiguous,
     norm_form,
     regulator,
+    ring_mul,
     siegel_gamma,
     siegel_residual,
     solution_type,
     unit_decompose,
+    unit_product,
     verify_regulator_growth,
     verify_xi_bound,
     xi_form,
@@ -65,26 +75,87 @@ def test_norm_form_on_trivial_solutions(fib_pow2):
     assert norm_form(B, 1, A, B) == -1
 
 
-def test_unit_decompose_trivial_solutions(fib_pow2, rs20):
-    A, B = rs20.A, rs20.B
-    expected = {
-        (1, 0): (0, 0, 1),
-        (0, 1): (1, 0, -1),
-        (A, 1): (0, 1, -1),
-        (B, 1): (-1, -1, -1),
-    }
+def test_unit_decompose_trivial_solutions(rs20, pow2_equal_modulus, budget):
+    for rs in (rs20, isolate_roots(pow2_equal_modulus, 20, budget)):
+        A, B = rs.A, rs.B
+        expected = {
+            (1, 0): (0, 0, 1),
+            (0, 1): (1, 0, -1),
+            (A, 1): (0, 1, -1),
+            (B, 1): (-1, -1, -1),
+        }
+        for (x, y), (b1, b2, sign) in expected.items():
+            ue = unit_decompose(x, y, rs)
+            assert (ue.b1, ue.b2, ue.sign) == (b1, b2, sign)
+            # the verdict is the identity x - lambda y = sign lambda^b1 (lambda - A)^b2
+            assert unit_product(b1, b2, A, B) == (sign * x, -sign * y, 0)
+            # mirror solution flips only the sign
+            um = unit_decompose(-x, -y, rs)
+            assert (um.b1, um.b2, um.sign) == (b1, b2, -sign)
+
+
+def test_unit_decompose_nontrivial_solutions(fib_pow2, budget):
+    rs = isolate_roots(fib_pow2, 1, budget)
+    expected = {(7, 4): (0, 3, -1), (38, 273): (6, -2, -1)}
     for (x, y), (b1, b2, sign) in expected.items():
-        ue = unit_decompose(x, y, rs20)
+        ue = unit_decompose(x, y, rs)
         assert (ue.b1, ue.b2, ue.sign) == (b1, b2, sign)
-        assert ue.residual < 1e-6
-        # mirror solution flips only the sign
-        um = unit_decompose(-x, -y, rs20)
+        um = unit_decompose(-x, -y, rs)
         assert (um.b1, um.b2, um.sign) == (b1, b2, -sign)
 
 
-def test_unit_decompose_alt_units(rs20):
-    ue = unit_decompose(1, 0, rs20, alt_units=True)
-    assert (ue.b1, ue.b2) == (0, 0) and ue.alt_units
+def test_unit_inverses(fib_pow2):
+    for n in (1, 7, 40):
+        A, B = fib_pow2.terms(n)
+        for b in ((1, 0), (0, 1), (3, -5)):
+            u = unit_product(*b, A, B)
+            u_inv = unit_product(-b[0], -b[1], A, B)
+            assert ring_mul(u, u_inv, A, B) == (1, 0, 0)
+
+
+def test_unit_products_agree_with_interval_products(rs20):
+    """lambda^b1 (lambda - A)^b2 as a triple in Z[lambda], evaluated at each
+    embedding, meets the interval product there."""
+    A, B = rs20.A, rs20.B
+    products = {}
+    with interval_bits(rs20.bits):
+        for b1 in range(-6, 7):
+            for b2 in range(-6, 7):
+                c0, c1, c2 = products[b1, b2] = unit_product(b1, b2, A, B)
+                for r in rs20.ivs:
+                    exact = c0 + c1 * r + c2 * r * r
+                    direct = r**b1 * (r - A) ** b2
+                    assert iv_inf(exact) <= iv_sup(direct)
+                    assert iv_inf(direct) <= iv_sup(exact)
+    # lambda and lambda - A are multiplicatively independent
+    assert len(set(products.values())) == len(products)
+
+
+@pytest.mark.parametrize(
+    "perturb",
+    [lambda v: -v, lambda v: v + 1],
+    ids=["inverted-second-unit", "shifted-log"],
+)
+def test_unit_decompose_refuses_wrong_logs(rs20, perturb):
+    """With wrong logs the exponent enclosures miss the true exponents (the
+    inverted unit puts them around the integer pair (b1, -b2)); the exact
+    check then finds no match, and no exponents are returned."""
+    bad = dataclasses.replace(rs20, log_abs_A=tuple(perturb(v) for v in rs20.log_abs_A))
+    A, B = rs20.A, rs20.B
+    # (1, 0) and (0, 1) have b2 = 0, so their enclosures do not read log_abs_A
+    for x, y in ((A, 1), (B, 1)):
+        for sx, sy in ((x, y), (-x, -y)):
+            with pytest.raises(NotAUnit):
+                unit_decompose(sx, sy, bad)
+
+
+def test_unit_decompose_unbounded_enclosure(rs20):
+    # a root interval wide enough to hold B makes log|B - lambda_1| unbounded
+    with interval_bits(rs20.bits):
+        wide = iv.mpf([rs20.B - 1, rs20.B + 1])
+    coarse = dataclasses.replace(rs20, ivs=(wide,) + rs20.ivs[1:])
+    with pytest.raises(PrecisionExhausted):
+        unit_decompose(rs20.B, 1, coarse)
 
 
 def test_unit_decompose_rejects_non_unit(rs20):
@@ -148,7 +219,7 @@ def test_xi_bound_on_trivial_solutions(fib_pow2, fib_pow2_consts, budget):
         A, B = rs.A, rs.B
         for x, y in ((1, 0), (0, 1), (A, 1), (B, 1)):
             j = solution_type(x, y, rs, budget)
-            ue = unit_decompose(x, y, rs, budget)
+            ue = unit_decompose(x, y, rs)
             xi = xi_form(j, fib_pow2.case_tag, n, ue.b1, ue.b2)
             rep = verify_xi_bound(xi, fib_pow2, fib_pow2_consts, n)
             assert rep.ok, (n, x, y, rep.value, rep.bound)
@@ -158,7 +229,7 @@ def test_xi_value_matches_computed_form(fib_pow2, rs20, fib_pow2_consts, budget)
     """The tabulated linear form must agree with the directly computed
     log-combination on a solution's exponents."""
     A = rs20.A
-    ue = unit_decompose(A, 1, rs20, budget)
+    ue = unit_decompose(A, 1, rs20)
     xi = xi_form(2, fib_pow2.case_tag, 20, ue.b1, ue.b2)
     val = xi_value(xi, fib_pow2)
     assert iv_sup(abs(val)) < Fraction(1, 10**3)
