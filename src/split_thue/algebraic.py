@@ -20,9 +20,11 @@ from .precision import (
     DEFAULT_BUDGET,
     PrecisionExhausted,
     SplitThueError,
+    UndecidedComparison,
     interval_bits,
     is_iv_complex,
     iv_from_fractions,
+    iv_inf,
     iv_sup,
     iv_to_fractions,
     iv_width,
@@ -113,11 +115,6 @@ def _normalize_coeffs(coeffs):
     if coeffs[0] < 0:
         coeffs = [-c for c in coeffs]
     return tuple(coeffs)
-
-
-@lru_cache(maxsize=4096)
-def _is_irreducible(coeffs):
-    return sp.Poly(list(coeffs), _X).is_irreducible
 
 
 def _sympy_rational_to_fraction(r):
@@ -248,13 +245,8 @@ class AlgebraicNumber:
 
     __slots__ = ("min_poly", "enclosure", "_tight")
 
-    def __init__(self, min_poly, enclosure, _validate=True):
+    def __init__(self, min_poly, enclosure):
         coeffs = _normalize_coeffs(min_poly)
-        if _validate:
-            if len(coeffs) >= 3 and not _is_irreducible(coeffs):
-                raise ValueError("min_poly must be irreducible over Q")
-            if len(coeffs) == 1:
-                raise ValueError("min_poly must have a root")
         object.__setattr__(self, "min_poly", coeffs)
         object.__setattr__(self, "enclosure", enclosure)
         object.__setattr__(self, "_tight", enclosure)
@@ -270,22 +262,7 @@ class AlgebraicNumber:
     @classmethod
     def from_rational(cls, value):
         value = Fraction(value)
-        return cls(
-            (value.denominator, -value.numerator),
-            RealEnclosure(value, value),
-            _validate=False,
-        )
-
-    @classmethod
-    def from_real_root(cls, coeffs, near):
-        """Designate the real root of ``coeffs`` closest to ``near``."""
-        coeffs = _normalize_coeffs(coeffs)
-        boxes = [b for b in _isolate_all(coeffs, 32) if b.is_real]
-        if not boxes:
-            raise ValueError("polynomial has no real root")
-        near = Fraction(near)
-        best = min(boxes, key=lambda b: abs(b.mid() - near))
-        return cls(coeffs, best, _validate=False) if _is_irreducible(coeffs) else _factor_pick(coeffs, best)
+        return cls((value.denominator, -value.numerator), RealEnclosure(value, value))
 
     # -- basic structure ---------------------------------------------------
 
@@ -442,7 +419,7 @@ class AlgebraicNumber:
             nbox = RealEnclosure(-box.hi, -box.lo)
         else:
             nbox = ComplexEnclosure(-box.re_hi, -box.re_lo, -box.im_hi, -box.im_lo)
-        return AlgebraicNumber(coeffs, nbox, _validate=False)
+        return AlgebraicNumber(coeffs, nbox)
 
     def inverse(self):
         if self.is_zero:
@@ -477,6 +454,53 @@ def _coerce(value):
     if isinstance(value, AlgebraicNumber):
         return value
     return AlgebraicNumber.from_rational(value)
+
+
+def abs_square(x: AlgebraicNumber):
+    """|x|^2 exactly: x times its complex conjugate, computed once per
+    (minimal polynomial, isolating box)."""
+    return _abs_square(x.min_poly, x.enclosure)
+
+
+@lru_cache(maxsize=1024)
+def _abs_square(min_poly, enclosure):
+    x = AlgebraicNumber(min_poly, enclosure)
+    if x.is_real:
+        return x * x
+    return x * AlgebraicNumber(min_poly, enclosure.conjugate())
+
+
+def abs_compare(x, y, budget=DEFAULT_BUDGET):
+    """Certified sign of |x| - |y| (-1, 0 or 1) for algebraic numbers or
+    rationals.
+
+    Two rationals compare exactly.  When the moduli's intervals overlap at
+    the working precision, a tie is decided exactly: x = y or x = -y for
+    real x and y, |x|^2 = |y|^2 otherwise.  Past that the moduli are
+    refined at doubling precision; UndecidedComparison is raised after
+    ``budget.max_refinements`` doublings.
+    """
+    x, y = _coerce(x), _coerce(y)
+    if x.is_rational and y.is_rational:
+        a, b = abs(x.as_fraction()), abs(y.as_fraction())
+        return (a > b) - (a < b)
+    bits = budget.working_bits
+    for step in range(budget.max_refinements + 1):
+        with interval_bits(bits):
+            a, b = abs(x.approx(bits)), abs(y.approx(bits))
+        if iv_sup(a) < iv_inf(b):
+            return -1
+        if iv_inf(a) > iv_sup(b):
+            return 1
+        if step == 0:
+            if x.is_real and y.is_real:
+                tie = x == y or x == -y
+            else:
+                tie = abs_square(x) == abs_square(y)
+            if tie:
+                return 0
+        bits *= 2
+    raise UndecidedComparison("interval comparison undecided after refinement budget")
 
 
 def _log_plus(mag):
@@ -524,20 +548,6 @@ def _newton_box(coeffs, start, others, target):
         re = Fraction(round((re - (fr * dr + fi * di) / norm) * unit), unit)
         im = Fraction(round((im - (fi * dr - fr * di) / norm) * unit), unit)
     return None
-
-
-def _factor_pick(coeffs, box):
-    """Pick the irreducible factor of a reducible polynomial owning ``box``."""
-    poly = sp.Poly(list(coeffs), _X)
-    _, factors = poly.factor_list()
-    for fac, _mult in factors:
-        fc = _normalize_coeffs(fac.all_coeffs())
-        if len(fc) < 2:
-            continue
-        for b in _isolate_all(fc, 32):
-            if b.intersects(box):
-                return AlgebraicNumber(fc, b, _validate=False)
-    raise ValueError("no factor root in the given box")
 
 
 # -- exact field arithmetic ------------------------------------------------
@@ -620,7 +630,7 @@ def _designate_from_iv(candidate_polys, value_fn, budget=DEFAULT_BUDGET):
                     hits.append((fc, box))
         if len(hits) == 1:
             fc, box = hits[0]
-            return AlgebraicNumber(fc, box, _validate=False)
+            return AlgebraicNumber(fc, box)
         if not hits:
             raise SplitThueError("no candidate root matches interval value")
         bits *= 2

@@ -214,7 +214,7 @@ def _times_int(el: AlgebraicNumber, k: int) -> AlgebraicNumber:
         box = RealEnclosure(k * box.lo, k * box.hi)
     else:
         box = ComplexEnclosure(k * box.re_lo, k * box.re_hi, k * box.im_lo, k * box.im_hi)
-    return AlgebraicNumber(coeffs, box, _validate=False)
+    return AlgebraicNumber(coeffs, box)
 
 
 def field_degree(fam: FamilyInstance, budget=DEFAULT_BUDGET) -> int:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -79,17 +78,15 @@ def load_config(args) -> dict:
 
 
 def build_family(config, args):
+    """The family and the precision budget of a loaded config; ``args`` is
+    unused, since ``load_config`` has already folded the flags in."""
     try:
         A = sequence_from_json(config["A"])
         B = sequence_from_json(config["B"])
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad sequence spec: {exc}") from exc
     budget = PrecisionBudget(working_bits=config["options"]["working_bits"])
-    fam = FamilyInstance.build(A, B, budget)
-    override = getattr(args, "case_override", None)
-    if override:
-        fam = dataclasses.replace(fam, equal_modulus=(override == "equal"))
-    return fam, budget
+    return FamilyInstance.build(A, B, budget), budget
 
 
 def _num(x):
@@ -140,7 +137,7 @@ def cmd_verify(config, args):
     per_n = []
     residuals = []
     any_out_of_scope = False
-    lemma_fail_beyond = False
+    check_fail_beyond = False
     code = EXIT_OK
     for rep in fv.per_n:
         row = {
@@ -166,11 +163,11 @@ def cmd_verify(config, args):
     threshold = hyp.first_n_all_pass
     for rep in fv.per_n:
         if threshold is not None and rep.n >= threshold and rep.in_scope:
-            if rep.lemma_log_approx is False or rep.lemma_root_diff is False:
-                lemma_fail_beyond = True
+            if False in (rep.lemma_log_approx, rep.lemma_root_diff, rep.xi_bound_ok):
+                check_fail_beyond = True
     if fv.nontrivial_found:
         code = EXIT_NONTRIVIAL
-    elif lemma_fail_beyond:
+    elif check_fail_beyond:
         code = EXIT_BOUND
     elif any_out_of_scope and threshold is None:
         code = EXIT_HYPOTHESIS
@@ -300,10 +297,6 @@ def make_parser():
         p.add_argument("--json-out", dest="json_out")
         p.add_argument("--md-out", dest="md_out")
         p.add_argument("--csv-out", dest="csv_out")
-        p.add_argument(
-            "--case-override", dest="case_override", choices=("strict", "equal"),
-            help="force the modulus-comparison case split (for testing)",
-        )
     return parser
 
 

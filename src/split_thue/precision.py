@@ -109,27 +109,6 @@ def compare(x, y):
     return None
 
 
-def certified_lt(x, y, refine=None, budget=DEFAULT_BUDGET):
-    """Decide x < y, optionally re-evaluating at higher precision via ``refine``.
-
-    ``refine(bits)`` must return a fresh pair of intervals for (x, y).
-    Raises UndecidedComparison if the budget is exhausted without a decision.
-    """
-    verdict = compare(x, y)
-    if verdict is not None:
-        return verdict
-    if refine is None:
-        raise UndecidedComparison("interval comparison undecided, no refiner given")
-    bits = budget.working_bits
-    for _ in range(budget.max_refinements):
-        bits *= 2
-        x, y = refine(bits)
-        verdict = compare(x, y)
-        if verdict is not None:
-            return verdict
-    raise UndecidedComparison("interval comparison undecided after refinement budget")
-
-
 def _raw_to_fraction(raw):
     sign, man, exp, _ = raw
     man = int(man)

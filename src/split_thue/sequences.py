@@ -15,13 +15,17 @@ from functools import cached_property, lru_cache
 import sympy as sp
 from mpmath import iv
 
-from .algebraic import AlgebraicNumber, _designate_from_iv, _isolate_all, _normalize_coeffs
+from .algebraic import (
+    AlgebraicNumber,
+    _designate_from_iv,
+    _isolate_all,
+    _normalize_coeffs,
+    abs_compare,
+)
 from .precision import (
     DEFAULT_BUDGET,
     PrecisionBudget,
     SplitThueError,
-    certified_lt,
-    compare,
     interval_bits,
     is_iv_complex,
     iv_from_fraction,
@@ -190,10 +194,10 @@ class RecurrentSequence:
             polys = [[next(solution) for _ in range(m)] for _ in range(mult)]
             for box in _isolate_all(g, 64):
                 # designate on a copy, so the root's own enclosure is refined
-                # only by the formula checks, as for a root read from JSON
-                probe = AlgebraicNumber(g, box, _validate=False)
+                # only by the formula checks
+                probe = AlgebraicNumber(g, box)
                 coeffs = tuple(_value_at_root(g, sums, P, probe) for P in polys)
-                root = AlgebraicNumber(g, box, _validate=False)
+                root = AlgebraicNumber(g, box)
                 entries.append((root, CoefficientPolynomial(coeffs)))
 
         dom_idx = _dominant_index(entries)
@@ -283,43 +287,14 @@ class RecurrentSequence:
 def _dominant_index(entries):
     """Index of the entry whose root strictly dominates in modulus; raises
     HypothesisViolated when no root does."""
-    less = _modulus_less([root for root, _ in entries])
+    roots = [root for root, _ in entries]
     best = 0
-    for i in range(1, len(entries)):
-        if less(best, i):
+    for i in range(1, len(roots)):
+        if abs_compare(roots[best], roots[i]) < 0:
             best = i
-    if not all(less(i, best) for i in range(len(entries)) if i != best):
+    if any(abs_compare(roots[i], roots[best]) >= 0 for i in range(len(roots)) if i != best):
         raise HypothesisViolated("dominant root condition fails")
     return best
-
-
-def _modulus_less(roots, budget=DEFAULT_BUDGET):
-    """less(i, j): certified |roots[i]| < |roots[j]|; False for a tie, which
-    is decided exactly on |root|^2 (computed at most once per root) before any
-    refinement, and False for comparisons undecidable at the budget."""
-    squares = {}
-
-    def square(i):
-        if i not in squares:
-            squares[i] = abs_square(roots[i])
-        return squares[i]
-
-    def less(i, j):
-        a, b = roots[i], roots[j]
-
-        def refine(bits):
-            with interval_bits(bits):
-                return abs(a.approx(bits)), abs(b.approx(bits))
-
-        x, y = refine(budget.working_bits)
-        if compare(x, y) is None and square(i) == square(j):
-            return False
-        try:
-            return certified_lt(x, y, refine, budget)
-        except SplitThueError:
-            return False
-
-    return less
 
 
 def _power_sums(g, count):
@@ -433,13 +408,15 @@ class FamilyInstance:
         alpha, beta = A.dominant_root, B.dominant_root
         if alpha.is_zero or beta.is_zero:
             raise HypothesisViolated("dominant root must be nonzero")
-        equal = _abs_equal(alpha, beta)
-        if not equal and not _modulus_less([alpha, beta], budget)(0, 1):
+        if any(all(c.is_zero for c in seq.dominant_coeff.coeffs) for seq in (A, B)):
+            raise HypothesisViolated("dominant coefficient must be nonzero")
+        order = abs_compare(alpha, beta, budget)
+        if order > 0:
             A, B = B, A
         degrees = [A.dominant_coeff.degree, B.dominant_coeff.degree]
         degrees += [c.degree for _, c in A.secondary]
         degrees += [c.degree for _, c in B.secondary]
-        return cls(A, B, min(degrees), max(degrees), equal)
+        return cls(A, B, min(degrees), max(degrees), order == 0)
 
     @property
     def alpha(self):
@@ -464,11 +441,6 @@ class FamilyInstance:
 
     def c_B(self, n):
         return self.B.dominant_coeff.value_at(n)
-
-
-def _abs_equal(x: AlgebraicNumber, y: AlgebraicNumber):
-    """Exact |x| = |y| for real algebraic numbers: x = y or x = -y."""
-    return x == y or x == -y
 
 
 @dataclass(frozen=True)
@@ -556,8 +528,7 @@ class HypothesisReport:
 
 def check_hypotheses(fam: FamilyInstance, n_probe: int, budget=DEFAULT_BUDGET) -> HypothesisReport:
     """Check the family's sign-regime conditions for n = 1..n_probe."""
-    beta = fam.beta
-    if not _certified_modulus_greater_than_one(beta, budget):
+    if abs_compare(fam.beta, 1, budget) <= 0:
         raise HypothesisViolated("|beta| must exceed 1")
 
     failures = []
@@ -604,95 +575,45 @@ def _equal_modulus_check(fam, n, budget):
     cB = fam.c_B(n)
     cA = fam.c_A(n)
     diff = cB - cA
-    one = AlgebraicNumber.from_rational(1)
-    if _abs_equal(cB, cA):
+    if abs_compare(cB, cA, budget) == 0:
         return False, f"|c_B(n)| = |c_A(n)| at n={n}", None
-    if _abs_equal(cB, one):
-        if diff.is_zero or _abs_equal(diff, one):
+    cB_order = abs_compare(cB, 1, budget)
+    if cB_order == 0:
+        if diff.is_zero or abs_compare(diff, 1, budget) == 0:
             return False, f"|c_B-c_A| in {{0,1}} at n={n}", None
         return True, None, "unit-modulus"
-    cB_gt_1 = not _certified_abs_le(cB, 1, budget)
-    if cB_gt_1:
-        # need |c_B - c_A| > 1/|c_B|, i.e. (|c_B-c_A| |c_B|)^2 > 1
-        prod = abs_square(diff * cB)
-        if prod == one:
+    if cB_order > 0:
+        # need |c_B - c_A| > 1/|c_B|, i.e. |(c_B - c_A) c_B| > 1
+        order = abs_compare(diff * cB, 1, budget)
+        if order == 0:
             return False, f"|c_B - c_A| = 1/|c_B| at n={n}", None
-        if _certified_gt_one(prod, budget):
+        if order > 0:
             return True, None, "large-cB"
         return False, f"|c_B - c_A| <= 1/|c_B| at n={n}", None
     # 0 < |c_B| < 1 case: need 0 < |c_B - c_A| < 1
     if diff.is_zero:
         return False, f"c_B = c_A at n={n}", None
-    if _abs_equal(diff, one):
+    order = abs_compare(diff, 1, budget)
+    if order == 0:
         return False, f"|c_B - c_A| = 1 at n={n}", None
-    if _certified_abs_le(diff, 1, budget):
+    if order < 0:
         return True, None, "small-cB"
     return False, f"|c_B - c_A| > 1 at n={n}", None
-
-
-def abs_square(x: AlgebraicNumber):
-    """|x|^2 exactly: x times its complex conjugate."""
-    if x.is_real:
-        return x * x
-    return x * AlgebraicNumber(x.min_poly, x.enclosure.conjugate(), _validate=False)
-
-
-def _certified_abs_le(x: AlgebraicNumber, bound, budget):
-    """Certified |x| < bound (call only after excluding equality exactly)."""
-    def refine(bits):
-        with interval_bits(bits):
-            return abs(x.approx(bits)), iv_from_fraction(Fraction(bound), bits)
-
-    a, b = refine(budget.working_bits)
-    return certified_lt(a, b, refine, budget)
-
-
-def _certified_gt_one(x: AlgebraicNumber, budget):
-    def refine(bits):
-        with interval_bits(bits):
-            return iv_from_fraction(1, bits), abs(x.approx(bits))
-
-    a, b = refine(budget.working_bits)
-    return certified_lt(a, b, refine, budget)
-
-
-def _certified_modulus_greater_than_one(x: AlgebraicNumber, budget):
-    if x == AlgebraicNumber.from_rational(1) or x == AlgebraicNumber.from_rational(-1):
-        return False
-    return _certified_gt_one(x, budget)
 
 
 # -- JSON interface --------------------------------------------------------
 
 
 def sequence_from_json(data: dict) -> RecurrentSequence:
-    """Build a sequence from the documented JSON schema.
+    """Build a sequence from the documented JSON schema
 
-    { "recurrence": [int...], "initial": [int...],
-      optional "roots": [ { "minpoly": [int...], "enclosure": [lo, hi],
-                            "coeff_poly": [literal...] } ... ] }
+    { "recurrence": [int...], "initial": [int...] }
 
-    The first root entry is the dominant one.  An algebraic literal is a
-    rational (int, float-free string "p/q") or an object with "minpoly" and
-    "enclosure".
+    which fixes the explicit formula (``RecurrentSequence.from_recurrence``).
     """
-    recurrence = _integers(data["recurrence"], "recurrence")
-    initial = _integers(data["initial"], "initial")
-    if "roots" not in data or not data["roots"]:
-        return RecurrentSequence.from_recurrence(recurrence, initial)
-    entries = []
-    for spec in data["roots"]:
-        root = _algebraic_from_json(spec)
-        coeffs = tuple(_literal_from_json(lit) for lit in spec.get("coeff_poly", [1]))
-        entries.append((root, CoefficientPolynomial(coeffs)))
-    dominant_root, dominant_coeff = entries[0]
-    return RecurrentSequence(
-        dominant_root,
-        dominant_coeff,
-        tuple(entries[1:]),
-        tuple(recurrence),
-        tuple(initial),
-    )
+    if "roots" in data:
+        raise ValueError("'roots' is not supported: recurrence and initial fix the explicit formula")
+    return RecurrentSequence.from_recurrence(data["recurrence"], data["initial"])
 
 
 def _is_integer(value):
@@ -707,30 +628,3 @@ def _integers(values, what):
         if not _is_integer(v):
             raise ValueError(f"{what} entries must be integers, got {v!r}")
     return values
-
-
-def _parse_rational(value):
-    if isinstance(value, str) or _is_integer(value):
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
-    raise ValueError(f"rationals must be ints or 'p/q' strings, got {value!r}")
-
-
-def _algebraic_from_json(spec):
-    minpoly = _integers(spec["minpoly"], "minpoly")
-    while minpoly and minpoly[0] == 0:
-        minpoly = minpoly[1:]
-    if len(minpoly) < 2:
-        raise ValueError(f"minpoly must have degree >= 1, got {spec['minpoly']!r}")
-    lo, hi = (_parse_rational(v) for v in spec["enclosure"])
-    if len(minpoly) == 2:
-        return AlgebraicNumber.from_rational(Fraction(-minpoly[1], minpoly[0]))
-    return AlgebraicNumber.from_real_root(minpoly, (lo + hi) / 2)
-
-
-def _literal_from_json(lit):
-    if isinstance(lit, dict):
-        return _algebraic_from_json(lit)
-    return AlgebraicNumber.from_rational(_parse_rational(lit))

@@ -270,8 +270,8 @@ def verify_family(
             rd = cubic.verify_root_diff(rs, fam, consts, budget).all_pass
             xi_ok = True
             for s in sols:
-                if s.y == 0 and abs(s.x) == 1 and s.x < 0:
-                    continue  # same orbit as (1,0)
+                if s.y == 0:
+                    continue  # (+-1, 0): every |x - lambda_j y| is 1, so no type
                 j = units.solution_type(s.x, s.y, rs, budget)
                 ue = units.unit_decompose(s.x, s.y, rs)
                 xi = units.xi_form(j, fam.case_tag, n, ue.b1, ue.b2)

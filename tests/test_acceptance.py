@@ -16,7 +16,7 @@ import mpmath
 import pytest
 
 from split_thue import cli
-from split_thue.algebraic import AlgebraicNumber
+from split_thue.algebraic import AlgebraicNumber, RealEnclosure
 from split_thue.bounds import (
     C_RANK2_CUBIC,
     _branch_report,
@@ -273,7 +273,7 @@ def test_criterion_09_heights(budget):
         ("h(1/2)", AlgebraicNumber.from_rational(Fraction(1, 2)), log2),
         (
             "h(phi)",
-            AlgebraicNumber.from_real_root([1, -1, -1], Fraction(8, 5)),
+            AlgebraicNumber([1, -1, -1], RealEnclosure(Fraction(3, 2), Fraction(2))),
             logphi_half,
         ),
     ]

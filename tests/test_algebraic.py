@@ -7,19 +7,21 @@ from split_thue.algebraic import (
     AlgebraicNumber,
     DivisionByZero,
     RealEnclosure,
+    _isolate_all,
+    abs_compare,
     field_arith,
     poly_eval_sign,
     refine_bracket,
 )
-from split_thue.precision import iv_inf, iv_sup
+from split_thue.precision import PrecisionBudget, UndecidedComparison, iv_inf, iv_sup
 
 
 def sqrt2():
-    return AlgebraicNumber.from_real_root([1, 0, -2], Fraction(3, 2))
+    return AlgebraicNumber([1, 0, -2], RealEnclosure(Fraction(1), Fraction(3, 2)))
 
 
 def golden():
-    return AlgebraicNumber.from_real_root([1, -1, -1], Fraction(8, 5))
+    return AlgebraicNumber([1, -1, -1], RealEnclosure(Fraction(3, 2), Fraction(2)))
 
 
 def test_poly_eval_sign():
@@ -58,9 +60,9 @@ def test_refine_bracket_refines_non_dyadic_bracket():
 
 
 def test_real_root_refines_to_nested_sign_changes():
-    # the cubic's sympy box, refined through ever smaller widths by the
-    # shared integer-grid refiner
-    x = AlgebraicNumber.from_real_root([1, -11, 24, -1], Fraction(1, 24))
+    # an isolating box of the cubic's smallest root, refined through ever
+    # smaller widths by the shared integer-grid refiner
+    x = AlgebraicNumber([1, -11, 24, -1], RealEnclosure(Fraction(1, 30), Fraction(1, 20)))
     assert x.degree == 3
     box = x.enclosure
     for k in (10, 50, 100, 200, 300, 600):
@@ -93,7 +95,7 @@ def test_real_root_enclosure_refines():
 
 def test_equality_distinguishes_conjugates():
     plus = sqrt2()
-    minus = AlgebraicNumber.from_real_root([1, 0, -2], Fraction(-3, 2))
+    minus = AlgebraicNumber([1, 0, -2], RealEnclosure(Fraction(-3, 2), Fraction(-1)))
     assert plus == plus
     assert plus != minus
     assert plus == -minus
@@ -166,3 +168,48 @@ def test_log_abs():
     target = _oracle(lambda: mpmath.log((1 + mpmath.sqrt(5)) / 2))
     la = golden().log_abs()
     assert iv_inf(la) - Fraction(1, 10**25) <= target <= iv_sup(la) + Fraction(1, 10**25)
+
+
+def _near_sqrt2():
+    """sqrt(2) and a rational above it by less than 2^-400."""
+    r = sqrt2()
+    return r, r.refined(Fraction(1, 2**400)).hi
+
+
+def test_abs_compare_refines():
+    # moduli that overlap at 64 bits and separate under refinement
+    r, q = _near_sqrt2()
+    assert iv_sup(r.approx(64)) >= q
+    budget = PrecisionBudget(working_bits=64)
+    assert abs_compare(r, q, budget) == -1
+    assert abs_compare(-q, -r, budget) == 1
+
+
+def test_abs_compare_undecided_raises():
+    r, q = _near_sqrt2()
+    with pytest.raises(UndecidedComparison):
+        abs_compare(r, q, PrecisionBudget(working_bits=64, max_refinements=2))
+
+
+def test_abs_compare_real_tie():
+    r = sqrt2()
+    assert abs_compare(r, r) == 0
+    assert abs_compare(r, -r) == 0
+    assert abs_compare(golden(), r) == 1
+    assert abs_compare(r, golden()) == -1
+
+
+def test_abs_compare_complex_tie():
+    # the real root of x^3 - 2 and its complex pair all have modulus 2^(1/3)
+    real, *pair = (AlgebraicNumber((1, 0, 0, -2), box) for box in _isolate_all((1, 0, 0, -2), 64))
+    assert real.is_real and not any(c.is_real for c in pair)
+    assert abs_compare(real, pair[0]) == 0
+    assert abs_compare(pair[0], pair[1]) == 0
+    assert abs_compare(pair[1], 1) == 1
+    assert abs_compare(Fraction(5, 4), pair[0]) == -1
+
+
+def test_abs_compare_rationals():
+    assert abs_compare(Fraction(-3, 2), Fraction(3, 2)) == 0
+    assert abs_compare(-2, 1) == 1
+    assert abs_compare(Fraction(1, 3), AlgebraicNumber.from_rational(Fraction(-1, 2))) == -1

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from split_thue import FamilyInstance, RecurrentSequence, bounds
-from split_thue.algebraic import AlgebraicNumber
+from split_thue.algebraic import AlgebraicNumber, RealEnclosure
 from split_thue.bounds import (
     C_RANK2_CUBIC,
     baker_constant,
@@ -77,9 +77,9 @@ def test_field_degree(fib_pow2, budget):
 
 
 def test_compositum_degree(budget):
-    sqrt2 = AlgebraicNumber.from_real_root([1, 0, -2], Fraction(7, 5))
-    sqrt3 = AlgebraicNumber.from_real_root([1, 0, -3], Fraction(7, 4))
-    one_plus_sqrt2 = AlgebraicNumber.from_real_root([1, -2, -1], Fraction(12, 5))
+    sqrt2 = AlgebraicNumber([1, 0, -2], RealEnclosure(Fraction(1), Fraction(3, 2)))
+    sqrt3 = AlgebraicNumber([1, 0, -3], RealEnclosure(Fraction(3, 2), Fraction(2)))
+    one_plus_sqrt2 = AlgebraicNumber([1, -2, -1], RealEnclosure(Fraction(2), Fraction(3)))
     assert compositum_degree([sqrt2, sqrt3], budget) == 4
     assert compositum_degree([sqrt2, one_plus_sqrt2], budget) == 2
 

@@ -1,5 +1,6 @@
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -102,6 +103,22 @@ def test_equal_sequences_are_a_hypothesis_violation(tmp_path, capsys):
         _assert_hypothesis_violation(p, capsys, message)
 
 
+@pytest.mark.parametrize(
+    "zero",
+    [
+        {"recurrence": [1, -2], "initial": [0]},  # A_n = 0
+        {"recurrence": [1, -3, 2], "initial": [1, 1]},  # A_n = 1: the root 2 has coefficient 0
+    ],
+)
+def test_zero_dominant_coefficient_is_a_hypothesis_violation(tmp_path, capsys, zero):
+    p = tmp_path / "zero.json"
+    p.write_text(json.dumps(dict(CONFIG, A=zero, B=CONFIG["A"])))
+    message = "dominant coefficient must be nonzero"
+    _assert_hypothesis_violation(p, capsys, message)
+    assert cli.main(["solve", str(p)]) == cli.EXIT_HYPOTHESIS
+    assert capsys.readouterr().err == f"hypothesis violated: {message}\n"
+
+
 def test_zero_dominant_root_is_a_hypothesis_violation(tmp_path, capsys):
     # A = 5, 0, 0, ...: the dominant root alpha = 0 has no logarithm
     p = tmp_path / "zero.json"
@@ -166,6 +183,28 @@ def test_verify_checks_xi_at_the_working_precision(capsys):
     assert in_scope == list(range(2, 6))
     assert cubic._log_quantities.cache_info().misses == len(in_scope)
     assert units.xi_upper_rhs.cache_info().misses == len(in_scope)
+
+
+def test_equal_modulus_verify_checks_xi_off_y_zero(capsys):
+    # the y = 0 solutions have no type, so the xi bound is not checked there
+    code, report = run(
+        ["verify", EQUAL_MODULUS_CONFIG, "--n-lo", "2", "--n-hi", "40", "--y-max", "50",
+         "--bits", "512"],
+        capsys,
+    )
+    assert code == cli.EXIT_OK
+    assert len(report["per_n"]) == 39
+    assert all(row["xi_bound_ok"] is True for row in report["per_n"])
+
+
+def test_xi_bound_failure_exits_bound(config_path, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        return SimpleNamespace(ok=False)
+
+    monkeypatch.setattr(units, "verify_xi_bound", failing)
+    code, report = run(["verify", config_path], capsys)
+    assert code == cli.EXIT_BOUND
+    assert all(row["xi_bound_ok"] is False for row in report["per_n"])
 
 
 def test_uncaught_certification_error_is_one_line(config_path, capsys, monkeypatch):
@@ -240,21 +279,17 @@ def test_non_integer_spec_is_usage_error(tmp_path, capsys, spec, message):
     assert captured.err == f"error: bad sequence spec: {message}\n"
 
 
-@pytest.mark.parametrize(
-    "root, message",
-    [
-        ({"minpoly": [3], "enclosure": [1, 2]}, "minpoly must have degree >= 1, got [3]"),
-        ({"minpoly": [0, 0], "enclosure": [1, 2]}, "minpoly must have degree >= 1, got [0, 0]"),
-        ({"minpoly": [1, -1, -1], "enclosure": ["1/0", 3]}, "zero denominator in '1/0'"),
-    ],
-)
-def test_malformed_root_spec_is_usage_error(tmp_path, capsys, root, message):
+def test_roots_key_is_usage_error(tmp_path, capsys):
     p = tmp_path / "root.json"
+    root = {"minpoly": [1, -1, -1], "enclosure": ["8/5", "13/8"]}
     p.write_text(json.dumps(dict(CONFIG, A=dict(CONFIG["A"], roots=[root]))))
     assert cli.main(["solve", str(p)]) == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: bad sequence spec: {message}\n"
+    assert captured.err == (
+        "error: bad sequence spec: 'roots' is not supported: recurrence and initial"
+        " fix the explicit formula\n"
+    )
 
 
 def test_boolean_option_is_usage_error(tmp_path, capsys):
@@ -328,9 +363,3 @@ def test_deterministic_json(config_path, tmp_path, capsys):
         outs.append(p.read_bytes())
     capsys.readouterr()
     assert outs[0] == outs[1]
-
-
-def test_case_override_flag(config_path, capsys):
-    code, report = run(["bounds", config_path, "--n-cap", "100", "--case-override", "strict"], capsys)
-    assert code in (cli.EXIT_OK, cli.EXIT_BOUND)
-    assert report["case"] == "strict"

@@ -5,8 +5,6 @@ from mpmath import iv
 
 from split_thue.precision import (
     PrecisionBudget,
-    UndecidedComparison,
-    certified_lt,
     compare,
     contains_zero,
     interval_bits,
@@ -77,21 +75,3 @@ def test_compare_three_valued():
     assert compare(a, b) is True
     assert compare(b, a) is False
     assert compare(a, c) is None
-
-
-def test_certified_lt_refines():
-    # initially overlapping intervals that separate under refinement
-    x, y = Fraction(1, 3), Fraction(1, 3) + Fraction(1, 2**300)
-
-    def refine(bits):
-        return iv_from_fraction(x, bits), iv_from_fraction(y, bits)
-
-    a, b = refine(64)
-    assert compare(a, b) is None
-    assert certified_lt(a, b, refine, PrecisionBudget(working_bits=64)) is True
-
-
-def test_certified_lt_undecided_raises():
-    a = iv_from_fraction(Fraction(1, 3), 64)
-    with pytest.raises(UndecidedComparison):
-        certified_lt(a, a, None)

@@ -94,21 +94,14 @@ def test_irrational_modulus_tie_rejected():
         RecurrentSequence.from_recurrence([1, 0, 0, -2], [1, 2, 3])
 
 
-def test_modulus_tie_squares_each_root_once(monkeypatch):
+def test_modulus_tie_squares_each_root_once():
     # three roots of x^3 - 2 tie in modulus: three exact |r|^2, not one per comparison
-    from split_thue import sequences
+    from split_thue import algebraic
 
-    calls = []
-    abs_square = sequences.abs_square
-
-    def counting(x):
-        calls.append(x)
-        return abs_square(x)
-
-    monkeypatch.setattr(sequences, "abs_square", counting)
+    algebraic._abs_square.cache_clear()
     with pytest.raises(HypothesisViolated):
         RecurrentSequence.from_recurrence([1, 0, 0, -2], [1, 2, 3])
-    assert len(calls) <= 3
+    assert algebraic._abs_square.cache_info().misses == 3
 
 
 def test_family_orders_roots(fib_seq, pow2_seq, budget):
@@ -126,16 +119,12 @@ def test_family_terms_and_coeffs(fib_pow2):
     assert fib_pow2.c_B(7).as_fraction() == 2
 
 
-def test_check_hypotheses(fib_pow2, budget):
-    rep = check_hypotheses(fib_pow2, 12, budget)
+@pytest.mark.parametrize("n_probe", [3, 12])
+def test_check_hypotheses(fib_pow2, budget, n_probe):
+    rep = check_hypotheses(fib_pow2, n_probe, budget)
     assert rep.passed
     assert rep.first_n_all_pass == 1
     assert rep.bullet == "positive"
-    assert rep.failures == ()
-
-
-def test_check_hypotheses_at(fib_pow2, budget):
-    rep = check_hypotheses(fib_pow2, 3, budget)
     assert rep.failures == ()
 
 
@@ -153,27 +142,6 @@ def test_hypotheses_fail_outside_bullets(budget):
 def test_sequence_from_json_plain():
     seq = sequence_from_json({"recurrence": [1, -1, -1], "initial": [1, 2]})
     assert seq.eval_exact(6) == 21
-
-
-def test_sequence_from_json_with_roots():
-    data = {
-        "recurrence": [1, -1, -1],
-        "initial": [1, 2],
-        "roots": [
-            {
-                "minpoly": [1, -1, -1],
-                "enclosure": ["8/5", "13/8"],
-                "coeff_poly": [{"minpoly": [5, -5, -1], "enclosure": ["1", "3/2"]}],
-            },
-            {
-                "minpoly": [1, -1, -1],
-                "enclosure": ["-13/8", "-1/2"],
-                "coeff_poly": [{"minpoly": [5, -5, -1], "enclosure": ["-1/2", "0"]}],
-            },
-        ],
-    }
-    seq = sequence_from_json(data)
-    assert [seq.eval_exact(n) for n in range(8)] == [1, 2, 3, 5, 8, 13, 21, 34]
 
 
 def test_sequence_from_json_bad_input():
