@@ -292,6 +292,28 @@ def test_roots_key_is_usage_error(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "root, parse_error",
+    [
+        ({"minpoly": [3], "enclosure": [1, 2]}, "minpoly must have degree >= 1, got [3]"),
+        ({"minpoly": [0, 0], "enclosure": [1, 2]}, "minpoly must have degree >= 1, got [0, 0]"),
+        ({"minpoly": [1, -1, -1], "enclosure": ["1/0", 3]}, "zero denominator in '1/0'"),
+    ],
+)
+def test_malformed_root_spec_is_usage_error(tmp_path, capsys, root, parse_error):
+    # A malformed root is refused for its 'roots' key, before anything parses it.
+    p = tmp_path / "root.json"
+    p.write_text(json.dumps(dict(CONFIG, A=dict(CONFIG["A"], roots=[root]))))
+    assert cli.main(["solve", str(p)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert parse_error not in captured.err
+    assert captured.err == (
+        "error: bad sequence spec: 'roots' is not supported: recurrence and initial"
+        " fix the explicit formula\n"
+    )
+
+
 def test_boolean_option_is_usage_error(tmp_path, capsys):
     p = tmp_path / "bool.json"
     p.write_text(json.dumps(dict(CONFIG, options={"n_hi": True})))
