@@ -1,9 +1,12 @@
 """Certified arithmetic on real and complex algebraic numbers.
 
 An algebraic number is stored as its primitive integer minimal polynomial
-together with a rational-endpoint box isolating exactly one root.  Root
-isolation and exact polynomial algebra are delegated to sympy; numerical
-enclosures use mpmath intervals (:mod:`split_thue.precision`).
+together with a rational-endpoint box isolating exactly one root.  The exact
+polynomial kernel is here too: root isolation certified on exact Newton
+squares, composed sums and products from power sums, and factoring over the
+integers by root subsets.  Numerical enclosures use mpmath intervals
+(:mod:`split_thue.precision`); mpmath's own root finder only supplies
+approximations, which are certified exactly.
 """
 
 from __future__ import annotations
@@ -12,15 +15,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
-import sympy as sp
+import mpmath
 from mpmath import iv
+from mpmath.libmp import NoConvergence
 
 from .precision import (
     DEFAULT_BUDGET,
+    MAX_BITS,
     PrecisionExhausted,
     SplitThueError,
     UndecidedComparison,
+    _raw_to_fraction,
     interval_bits,
     is_iv_complex,
     iv_from_fractions,
@@ -29,8 +36,6 @@ from .precision import (
     iv_to_fractions,
     iv_width,
 )
-
-_X = sp.Symbol("x")
 
 
 class ZeroArgument(SplitThueError):
@@ -117,35 +122,76 @@ def _normalize_coeffs(coeffs):
     return tuple(coeffs)
 
 
-def _sympy_rational_to_fraction(r):
-    r = sp.Rational(r)
-    return Fraction(int(r.p), int(r.q))
+@lru_cache(maxsize=1024)
+def _coarse_boxes(coeffs):
+    """Pairwise-disjoint boxes, each isolating one root of the squarefree
+    integer polynomial ``coeffs`` (degree >= 2), in the order of
+    :func:`_isolate_all`.
+
+    mpmath's approximations are rounded to the grid 2^-K, the upper
+    half-plane ones mirrored into exact conjugate pairs, and each centre z
+    gets the square of half-width R >= d |f/f'(z)|, which holds a root (see
+    :func:`_newton_box`).  When the d squares are pairwise disjoint each
+    holds exactly one root, and one centred on the real axis holds a real
+    root, since it also holds that root's conjugate.  K, and with it the
+    precision and the iterations allowed to mpmath, doubles until the
+    certificate holds.
+    """
+    d = len(coeffs) - 1
+    K = 32
+    while K <= MAX_BITS:
+        unit = 1 << K
+        try:
+            with mpmath.workprec(K + 16):
+                approx = mpmath.polyroots(coeffs, maxsteps=2 * K + 10 * d, extraprec=K)
+        except NoConvergence:
+            approx = []
+        grid = [
+            tuple(Fraction(round(_raw_to_fraction(x._mpf_) * unit), unit) for x in (z.real, z.imag))
+            for z in approx
+        ]
+        centres = sorted(p for p in grid if p[1] == 0) + sorted(p for p in grid if p[1] > 0)
+        squares = []
+        for re, im in centres:
+            step = _newton_step(coeffs, re, im, unit)
+            if step is None:
+                break
+            R = step[0]
+            square = ComplexEnclosure(re - R, re + R, im - R, im + R)
+            squares += [square] if im == 0 else [square.conjugate(), square]
+        if len(squares) == d and not any(a.intersects(b) for a, b in combinations(squares, 2)):
+            return tuple(RealEnclosure(s.re_lo, s.re_hi) if s.im_lo < 0 < s.im_hi else s for s in squares)
+        K *= 2
+    raise PrecisionExhausted("root isolation did not separate the roots")
 
 
 @lru_cache(maxsize=1024)
 def _isolate_all(coeffs, eps_bits):
-    """All roots of an integer polynomial as exact isolating boxes.
+    """All roots of a squarefree integer polynomial as pairwise-disjoint
+    exact boxes of width <= 2^-eps_bits.
 
-    Returns a tuple of RealEnclosure / ComplexEnclosure, real roots first,
-    complex roots in conjugate pairs, pairwise disjoint.
+    Real roots come first, ascending, as RealEnclosures; then the complex
+    roots by real part, each conjugate pair with the negative imaginary
+    part first.  A degree-1 polynomial gives its exact root.  The coarse
+    boxes of :func:`_coarse_boxes` are refined by :func:`refine_bracket`
+    (real roots) or :func:`_newton_box` (complex roots, whose conjugates
+    are mirrored).
     """
-    poly = sp.Poly(list(coeffs), _X)
-    eps = sp.Rational(1, 2**eps_bits)
-    real_iv, complex_iv = poly.intervals(all=True, eps=eps)
+    if len(coeffs) == 2:
+        root = Fraction(-coeffs[1], coeffs[0])
+        return (RealEnclosure(root, root),)
+    coarse = _coarse_boxes(coeffs)
+    target = Fraction(1, 1 << eps_bits)
     out = []
-    for (a, b), _mult in real_iv:
-        out.append(RealEnclosure(_sympy_rational_to_fraction(a), _sympy_rational_to_fraction(b)))
-    for (c1, c2), _mult in complex_iv:
-        re1, im1 = c1.as_real_imag()
-        re2, im2 = c2.as_real_imag()
-        out.append(
-            ComplexEnclosure(
-                _sympy_rational_to_fraction(sp.Min(re1, re2)),
-                _sympy_rational_to_fraction(sp.Max(re1, re2)),
-                _sympy_rational_to_fraction(sp.Min(im1, im2)),
-                _sympy_rational_to_fraction(sp.Max(im1, im2)),
-            )
-        )
+    for i, box in enumerate(coarse):
+        if box.is_real:
+            out.append(refine_bracket(coeffs, box, target))
+        elif box.im_lo > 0:
+            others = coarse[:i] + coarse[i + 1:]
+            square = _newton_box(coeffs, box, others, target)
+            if square is None:
+                raise PrecisionExhausted("Newton refinement of a complex root failed")
+            out += [square.conjugate(), square]
     return tuple(out)
 
 
@@ -334,7 +380,7 @@ class AlgebraicNumber:
         other roots' isolating boxes, which are refined when they fail."""
         target = Fraction(width)
         eps_bits = 64
-        while eps_bits <= 2**16:
+        while eps_bits <= MAX_BITS:
             boxes = _isolate_all(self.min_poly, eps_bits)
             hits = [b for b in boxes if b.intersects(box)]
             if len(hits) == 1:
@@ -380,7 +426,7 @@ class AlgebraicNumber:
         lead = self.min_poly[0]
         target = budget.target_width()
         bits = budget.working_bits
-        for _ in range(budget.max_refinements):
+        while bits <= budget.max_bits:
             with interval_bits(bits):
                 boxes = _isolate_all(self.min_poly, bits)
                 total = iv.log(iv_from_fractions(lead, lead, bits))
@@ -399,7 +445,7 @@ class AlgebraicNumber:
             raise ZeroArgument("log_abs of zero")
         target = budget.target_width()
         bits = budget.working_bits
-        for _ in range(budget.max_refinements):
+        while bits <= budget.max_bits:
             with interval_bits(bits):
                 result = iv.log(abs(self.approx(bits)))
                 if iv_width(result) <= target:
@@ -477,30 +523,33 @@ def abs_compare(x, y, budget=DEFAULT_BUDGET):
     Two rationals compare exactly.  When the moduli's intervals overlap at
     the working precision, a tie is decided exactly: x = y or x = -y for
     real x and y, |x|^2 = |y|^2 otherwise.  Past that the moduli are
-    refined at doubling precision; UndecidedComparison is raised after
-    ``budget.max_refinements`` doublings.
+    refined at doubling precision; UndecidedComparison is raised past
+    ``budget.max_bits``.
     """
     x, y = _coerce(x), _coerce(y)
     if x.is_rational and y.is_rational:
         a, b = abs(x.as_fraction()), abs(y.as_fraction())
         return (a > b) - (a < b)
     bits = budget.working_bits
-    for step in range(budget.max_refinements + 1):
+    while bits <= budget.max_bits:
         with interval_bits(bits):
             a, b = abs(x.approx(bits)), abs(y.approx(bits))
         if iv_sup(a) < iv_inf(b):
             return -1
         if iv_inf(a) > iv_sup(b):
             return 1
-        if step == 0:
-            if x.is_real and y.is_real:
-                tie = x == y or x == -y
-            else:
-                tie = abs_square(x) == abs_square(y)
-            if tie:
-                return 0
+        if bits == budget.working_bits and _moduli_tie(x, y):
+            return 0
         bits *= 2
-    raise UndecidedComparison("interval comparison undecided after refinement budget")
+    raise UndecidedComparison(f"interval comparison undecided at {budget.max_bits} bits")
+
+
+def _moduli_tie(x, y):
+    """|x| = |y|, decided exactly: x = y or x = -y for real x and y,
+    |x|^2 = |y|^2 otherwise."""
+    if x.is_real and y.is_real:
+        return x == y or x == -y
+    return abs_square(x) == abs_square(y)
 
 
 def _log_plus(mag):
@@ -514,6 +563,26 @@ def _log_plus(mag):
     return iv_from_fractions(0, iv_sup(hi))
 
 
+def _newton_step(coeffs, re, im, unit):
+    """At z = re + i im: a half-width R >= d |f/f'(z)| rounded up to a
+    multiple of 1/unit, and the Newton iterate z - f/f'(z) rounded to that
+    grid, as (R, re', im'); None when f'(z) = 0.  All arithmetic is exact.
+    """
+    d = len(coeffs) - 1
+    fr = fi = dr = di = Fraction(0)
+    for c in coeffs:  # Horner for f and f' at re + i im
+        dr, di = dr * re - di * im + fr, dr * im + di * re + fi
+        fr, fi = fr * re - fi * im + c, fr * im + fi * re
+    norm = dr * dr + di * di
+    if norm == 0:
+        return None
+    R = Fraction(math.isqrt(d * d * (fr * fr + fi * fi) * unit * unit // norm) + 1, unit)
+    # z - f/f' with f/f' = f conj(f') / |f'|^2
+    re = Fraction(round((re - (fr * dr + fi * di) / norm) * unit), unit)
+    im = Fraction(round((im - (fi * dr - fr * di) / norm) * unit), unit)
+    return R, re, im
+
+
 def _newton_box(coeffs, start, others, target):
     """A square of width <= ``target`` holding the root of ``coeffs`` that
     lies in ``start``, or None if Newton's method from the centre of
@@ -522,61 +591,242 @@ def _newton_box(coeffs, start, others, target):
 
     Since f'/f(z) = sum_k 1/(z - z_k), some root lies within d |f(z)/f'(z)|
     of any z (d = degree).  When the square around z of that half-width
-    meets none of ``others``, that root is the one in ``start``.  All
-    arithmetic is exact; the iterates are rounded to multiples of 2^-K.
+    meets none of ``others``, that root is the one in ``start``.  The
+    iterates are rounded to multiples of 2^-K.
     """
-    d = len(coeffs) - 1
     K = target.denominator.bit_length() - target.numerator.bit_length() + 16
     unit = 2**K
     re = (start.re_lo + start.re_hi) / 2
     im = (start.im_lo + start.im_hi) / 2
     for _ in range(2 * K.bit_length() + 8):
-        fr = fi = dr = di = Fraction(0)
-        for c in coeffs:  # Horner for f and f' at re + i im
-            dr, di = dr * re - di * im + fr, dr * im + di * re + fi
-            fr, fi = fr * re - fi * im + c, fr * im + fi * re
-        norm = dr * dr + di * di
-        if norm == 0:
+        step = _newton_step(coeffs, re, im, unit)
+        if step is None:
             return None
-        # half-width R >= d |f/f'|, rounded up to a multiple of 2^-K
-        R = Fraction(math.isqrt(d * d * (fr * fr + fi * fi) * unit * unit // norm) + 1, unit)
+        R, next_re, next_im = step
         if 2 * R <= target:
             square = ComplexEnclosure(re - R, re + R, im - R, im + R)
             if not any(square.intersects(b) for b in others):
                 return square
-        # z - f/f' with f/f' = f conj(f') / |f'|^2
-        re = Fraction(round((re - (fr * dr + fi * di) / norm) * unit), unit)
-        im = Fraction(round((im - (fi * dr - fr * di) / norm) * unit), unit)
+        re, im = next_re, next_im
     return None
 
 
-# -- exact field arithmetic ------------------------------------------------
+# -- exact polynomial kernel -----------------------------------------------
+#
+# Polynomials are lists of descending coefficients (ints or Fractions); the
+# zero polynomial is [].
 
 
-_Y = sp.Symbol("y")
+def _trim(f):
+    f = list(f)
+    while f and f[0] == 0:
+        f.pop(0)
+    return f
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_divmod(a, b):
+    """Quotient and remainder over Q (b has a nonzero leading coefficient)."""
+    a, q = list(a), []
+    while len(a) >= len(b):
+        c = Fraction(a[0]) / b[0]
+        q.append(c)
+        a = [x - c * y for x, y in zip(a[1:], b[1:])] + a[len(b):]
+    return q, _trim(a)
+
+
+def _derivative(f):
+    d = len(f) - 1
+    return [c * (d - i) for i, c in enumerate(f[:-1])]
+
+
+def _poly_gcd(a, b):
+    """The monic gcd over Q of two polynomials, not both zero."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return [Fraction(c) / a[0] for c in a]
+
+
+def _primitive(f):
+    """The primitive integer polynomial, with a positive leading coefficient,
+    among the rational multiples of f."""
+    scale = math.lcm(*(Fraction(c).denominator for c in f))
+    return _normalize_coeffs([c * scale for c in f])
+
+
+def _squarefree_part(f):
+    return _primitive(_poly_divmod(f, _poly_gcd(f, _derivative(f)))[0])
+
+
+def _power_sums(g, count):
+    """Power sums p_0..p_{count-1} of the roots of g, by Newton's
+    identities."""
+    m = len(g) - 1
+    a = [Fraction(c, g[0]) for c in g]
+    sums = [Fraction(m)]
+    for k in range(1, count):
+        s = -sum(a[i] * sums[k - i] for i in range(1, min(k, m + 1)))
+        if k <= m:
+            s -= k * a[k]
+        sums.append(s)
+    return sums
+
+
+def _from_power_sums(sums):
+    """The monic polynomial of degree m whose roots have the power sums
+    ``sums`` = p_0..p_m, by Newton's identities."""
+    e = [Fraction(1)]
+    for k in range(1, len(sums)):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * sums[i] for i in range(1, k + 1)) / k)
+    return [(-1) ** k * c for k, c in enumerate(e)]
+
+
+def factor_list(coeffs):
+    """The irreducible factors of an integer polynomial of positive degree
+    with their multiplicities, as (factor, multiplicity) pairs; each factor
+    is primitive with a positive leading coefficient.  They are ordered by
+    degree, then multiplicity, then coefficients.
+
+    Yun's algorithm splits f into squarefree parts g_1, g_2, ... with
+    f = lc * prod g_i^i, and :func:`_factor_squarefree` splits each part.
+    """
+    f = [Fraction(c) for c in coeffs]
+    a = _poly_gcd(f, _derivative(f))
+    b, c = _poly_divmod(f, a)[0], _poly_divmod(_derivative(f), a)[0]
+    factors, mult = [], 1
+    while len(b) > 1:
+        d = [x - y for x, y in zip(c, _derivative(b))]
+        a = _poly_gcd(b, d)
+        if len(a) > 1:
+            factors += [(g, mult) for g in _factor_squarefree(_primitive(a))]
+        b, c = _poly_divmod(b, a)[0], _poly_divmod(d, a)[0]
+        mult += 1
+    return sorted(factors, key=lambda gm: (len(gm[0]), gm[1], gm[0]))
+
+
+def _factor_squarefree(f):
+    """The irreducible factors of a squarefree primitive integer polynomial.
+
+    Sets S of roots closed under conjugation are tried by increasing size.
+    A factor g of f has lc(g) | lc(f), so lc(f) prod_{r in S} (x - r) is an
+    integer polynomial when S is the root set of a factor.  S is rejected
+    when an enclosure of that polynomial's x^(|S|-1) coefficient,
+    -lc(f) e_1(S), or of any other coefficient holds no integer; otherwise
+    the coefficients are rounded to the one integer each enclosure holds,
+    and S is accepted when the primitive part divides f.  The first S
+    accepted is irreducible, since every smaller one was rejected.  Root
+    enclosures are refined until each coefficient's holds at most one
+    integer.
+    """
+    d = len(f) - 1
+    bound = 2 + max(abs(c) for c in f) // f[0]  # > |root| (Cauchy)
+    bits = 32 + f[0].bit_length() + d * (bound.bit_length() + 1)
+    while bits <= MAX_BITS:
+        factors = _split_by_roots(f, _isolate_all(f, bits), bits)
+        if factors is not None:
+            return factors
+        bits *= 2
+    raise PrecisionExhausted("factoring needs more than the precision cap")
+
+
+def _split_by_roots(f, boxes, bits):
+    """The subset search of :func:`_factor_squarefree` on the isolating
+    ``boxes`` of the roots of f, or None when an enclosure is too wide."""
+    atoms, i = [], 0  # real roots alone, conjugate pairs together
+    while i < len(boxes):
+        size = 1 if boxes[i].is_real else 2
+        atoms.append(boxes[i:i + size])
+        i += size
+    factors, size = [], 1
+    while 2 * size < len(f):
+        for subset in _subsets(atoms, size):
+            g = _round_factor(f, [b for atom in subset for b in atom], bits)
+            if g is None:
+                return None
+            if not g:
+                continue
+            quotient, remainder = _poly_divmod(f, g)
+            if not remainder:
+                factors.append(g)
+                f = tuple(int(c) for c in quotient)
+                atoms = [a for a in atoms if a not in subset]
+                break
+        else:
+            size += 1
+    return factors + [f]
+
+
+def _subsets(atoms, size):
+    """The subsets of ``atoms`` holding ``size`` roots in all."""
+    for count in range(1, size + 1):
+        for subset in combinations(atoms, count):
+            if sum(map(len, subset)) == size:
+                yield subset
+
+
+def _round_factor(f, roots, bits):
+    """lc(f) prod (x - r) over the boxes ``roots``, rounded to integers and
+    made primitive: () when some coefficient's enclosure holds no integer,
+    None when one holds more than one."""
+    lc = f[0]
+    lo = lc * sum(b.lo if b.is_real else b.re_lo for b in roots)
+    hi = lc * sum(b.hi if b.is_real else b.re_hi for b in roots)
+    if math.floor(hi) < math.ceil(lo):
+        return ()
+    with interval_bits(bits + 32):
+        prod = [iv.mpf(lc)]
+        for b in roots:
+            z = b.as_iv(bits + 32)
+            if b.is_real:
+                prod = _poly_mul(prod, [1, -z])
+            elif b.im_lo > 0:
+                prod = _poly_mul(prod, [1, -2 * z.real, z.real**2 + z.imag**2])
+    out = []
+    for c in prod:
+        lo, hi = iv_to_fractions(c)
+        lo, hi = math.ceil(lo), math.floor(hi)
+        if lo > hi:
+            return ()
+        if lo < hi:
+            return None
+        out.append(lo)
+    return _normalize_coeffs(out)
+
+
+def _composed_poly(a_coeffs, b_coeffs, op):
+    """The monic polynomial whose roots are all sums (op "add") or products
+    (op "mul") of a root of ``a_coeffs`` and a root of ``b_coeffs``, with
+    multiplicity: a resultant, up to a constant.
+
+    Its power sums are p_k(a + b) = sum_i C(k, i) p_i(a) p_{k-i}(b) and
+    p_k(a b) = p_k(a) p_k(b) (Bostan, Flajolet, Salvy and Schost, J.
+    Symbolic Comput. 41, 2006), and Newton's identities turn them into
+    coefficients.
+    """
+    N = (len(a_coeffs) - 1) * (len(b_coeffs) - 1)
+    pa, pb = _power_sums(a_coeffs, N + 1), _power_sums(b_coeffs, N + 1)
+    if op == "add":
+        sums = [sum(math.comb(k, i) * pa[i] * pb[k - i] for i in range(k + 1)) for k in range(N + 1)]
+    elif op == "mul":
+        sums = [p * q for p, q in zip(pa, pb)]
+    else:
+        raise ValueError(op)
+    return _from_power_sums(sums)
 
 
 @lru_cache(maxsize=4096)
 def _resultant_poly(a_coeffs, b_coeffs, op):
-    """Integer polynomial annihilating a `op` b via resultants."""
-    fa = sum(c * _Y ** (len(a_coeffs) - 1 - i) for i, c in enumerate(a_coeffs))
-    db = len(b_coeffs) - 1
-    if op == "add":
-        fb = sum(c * (_X - _Y) ** (db - i) for i, c in enumerate(b_coeffs))
-    elif op == "mul":
-        # homogenized: sum b_i X^(db-i) Y^i annihilates X = a*b at Y = a
-        fb = sum(c * _X ** (db - i) * _Y**i for i, c in enumerate(b_coeffs))
-    else:
-        raise ValueError(op)
-    res = sp.resultant(fa, fb, _Y)
-    poly = sp.Poly(res, _X)
-    _, factors = poly.factor_list()
-    out = []
-    for fac, _mult in factors:
-        fc = _normalize_coeffs(fac.all_coeffs())
-        if len(fc) >= 2:
-            out.append(fc)
-    return tuple(out)
+    """The irreducible factors of :func:`_composed_poly`, which annihilate
+    a `op` b."""
+    return tuple(_factor_squarefree(_squarefree_part(_composed_poly(a_coeffs, b_coeffs, op))))
 
 
 def field_arith(a, b, op, budget=DEFAULT_BUDGET):
@@ -621,7 +871,7 @@ def field_arith(a, b, op, budget=DEFAULT_BUDGET):
 def _designate_from_iv(candidate_polys, value_fn, budget=DEFAULT_BUDGET):
     """Select the unique (factor, root) pair compatible with an interval value."""
     bits = budget.working_bits
-    for _ in range(budget.max_refinements):
+    while bits <= budget.max_bits:
         val = value_fn(bits)
         hits = []
         for fc in candidate_polys:

@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import bounds, cubic, solver
-from .precision import MIN_WORKING_BITS, PrecisionBudget, PrecisionExhausted, SplitThueError
+from .precision import MAX_BITS, MIN_WORKING_BITS, PrecisionBudget, PrecisionExhausted, SplitThueError
 from .sequences import FamilyInstance, HypothesisViolated, check_hypotheses, sequence_from_json
 
 EXIT_OK = 0
@@ -70,6 +70,8 @@ def load_config(args) -> dict:
             raise ConfigError(f"option {key} must be a positive integer")
     if opts["working_bits"] < MIN_WORKING_BITS:
         raise ConfigError(f"option working_bits must be at least {MIN_WORKING_BITS}")
+    if opts["working_bits"] > MAX_BITS:
+        raise ConfigError(f"option working_bits must be at most {MAX_BITS}")
     if opts["n_lo"] > opts["n_hi"]:
         raise ConfigError("n_lo must not exceed n_hi")
     data["options"] = opts

@@ -29,18 +29,22 @@ class UndecidedComparison(SplitThueError):
 
 
 MIN_WORKING_BITS = 64
+MAX_BITS = 1 << 14
 
 
 @dataclass(frozen=True)
 class PrecisionBudget:
+    """Working precision, and the cap on the precision that refinement may
+    double up to before it gives up."""
+
     working_bits: int = 256
-    max_refinements: int = 20
+    max_bits: int = MAX_BITS
 
     def __post_init__(self):
         if self.working_bits < MIN_WORKING_BITS:
             raise ValueError(f"working_bits must be >= {MIN_WORKING_BITS}")
-        if self.max_refinements < 1:
-            raise ValueError("max_refinements must be >= 1")
+        if self.max_bits < self.working_bits:
+            raise ValueError("max_bits must be >= working_bits")
 
     def target_width(self):
         """Half-precision width bound used by enclosure contracts."""

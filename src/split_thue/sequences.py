@@ -12,15 +12,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-import sympy as sp
 from mpmath import iv
 
 from .algebraic import (
     AlgebraicNumber,
     _designate_from_iv,
+    _from_power_sums,
     _isolate_all,
-    _normalize_coeffs,
+    _poly_divmod,
+    _poly_mul,
+    _power_sums,
+    _squarefree_part,
     abs_compare,
+    factor_list,
 )
 from .precision import (
     DEFAULT_BUDGET,
@@ -33,9 +37,6 @@ from .precision import (
     iv_sup,
     iv_width,
 )
-
-_X = sp.Symbol("x")
-
 
 class InconsistentModel(SplitThueError):
     """Recursion and explicit formula disagree on a term."""
@@ -157,11 +158,12 @@ class RecurrentSequence:
         """Factor the characteristic polynomial and solve for the explicit
         formula's coefficient polynomials.
 
-        sympy only factors and isolates roots; the rest is exact rational
-        linear algebra.  The initial terms are rational, so the coefficient
-        of n^j at every root r of an irreducible factor g is P_{g,j}(r) for
-        one P_{g,j} in Q[x] of degree < deg g.  Row n of the linear system in
-        the coefficients of the P_{g,j} reads
+        The factoring (:func:`split_thue.algebraic.factor_list`) and the
+        root isolation are certified; the rest is exact rational linear
+        algebra.  The initial terms are rational, so the coefficient of n^j
+        at every root r of an irreducible factor g is P_{g,j}(r) for one
+        P_{g,j} in Q[x] of degree < deg g.  Row n of the linear system in the
+        coefficients of the P_{g,j} reads
         a_n = sum_{g,j,i} n^j p_{g,j,i} Tr_g(r^(i+n)).
         """
         recurrence_coeffs = _integers(recurrence_coeffs, "recurrence")
@@ -174,8 +176,7 @@ class RecurrentSequence:
         if recurrence_coeffs[0] != 1:
             raise ValueError("characteristic polynomial must be monic")
         factors = []  # (g, multiplicity, power sums of g's roots)
-        for fac, mult in sp.Poly(list(recurrence_coeffs), _X).factor_list()[1]:
-            g = _normalize_coeffs(fac.all_coeffs())
+        for g, mult in factor_list(recurrence_coeffs):
             factors.append((g, mult, _power_sums(g, 2 * order)))
         unknowns = [
             (k, j, i)
@@ -297,20 +298,6 @@ def _dominant_index(entries):
     return best
 
 
-def _power_sums(g, count):
-    """Power sums p_0..p_{count-1} of the roots of g (descending integer
-    coefficients), by Newton's identities."""
-    m = len(g) - 1
-    a = [Fraction(c, g[0]) for c in g]
-    sums = [Fraction(m)]
-    for k in range(1, count):
-        s = -sum(a[i] * sums[k - i] for i in range(1, min(k, m + 1)))
-        if k <= m:
-            s -= k * a[k]
-        sums.append(s)
-    return sums
-
-
 def _solve_rational(rows, rhs):
     """Solve the square system rows . x = rhs exactly (Gauss-Jordan)."""
     size = len(rows)
@@ -325,27 +312,6 @@ def _solve_rational(rows, rhs):
                 f = m[r][col] / m[col][col]
                 m[r] = [a - f * b for a, b in zip(m[r], m[col])]
     return [m[i][size] / m[i][i] for i in range(size)]
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_divmod(a, b):
-    """Quotient and remainder of polynomials as descending coefficient lists
-    (b has a nonzero leading coefficient; the zero polynomial is [])."""
-    a, q = list(a), []
-    while len(a) >= len(b):
-        c = a[0] / b[0]
-        q.append(c)
-        a = [x - c * y for x, y in zip(a[1:], b[1:])] + a[len(b):]
-    while a and a[0] == 0:
-        a.pop(0)
-    return q, a
 
 
 def _value_at_root(g, sums, P, root):
@@ -367,18 +333,7 @@ def _value_at_root(g, sums, P, root):
     for _ in range(m):
         power = _poly_divmod(_poly_mul(power, P_desc), g)[1]
         traces.append(sum(c * sums[i] for i, c in enumerate(reversed(power))))
-    # Newton's identities: elementary symmetric functions of the conjugates
-    e = [Fraction(1)]
-    for k in range(1, m + 1):
-        e.append(sum((-1) ** (i - 1) * e[k - i] * traces[i - 1] for i in range(1, k + 1)) / k)
-    charpoly = [(-1) ** k * c for k, c in enumerate(e)]
-    deriv = [c * (m - k) for k, c in enumerate(charpoly[:-1])]
-    a, b = charpoly, deriv
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    minpoly = _poly_divmod(charpoly, a)[0]
-    scale = math.lcm(*(c.denominator for c in minpoly))
-    minpoly = _normalize_coeffs([c * scale for c in minpoly])
+    minpoly = _squarefree_part(_from_power_sums([m] + traces))
 
     def value(bits):
         with interval_bits(bits):

@@ -12,11 +12,13 @@ from functools import lru_cache
 import mpmath
 from mpmath import iv
 
+from .algebraic import refine_bracket
 from .cubic import CubicRootSet, _log_quantities, isolate_roots
 from .precision import (
     DEFAULT_BUDGET,
     PrecisionExhausted,
     SplitThueError,
+    UndecidedComparison,
     compare,
     interval_bits,
     iv_from_fraction,
@@ -184,19 +186,51 @@ def unit_decompose(x: int, y: int, rs: CubicRootSet) -> UnitExponents:
 
 
 def solution_type(x: int, y: int, rs: CubicRootSet, budget=DEFAULT_BUDGET) -> int:
-    """Index j minimizing |x - lambda_j y|; ties resolved to the smallest j."""
+    """Index j minimizing |x - lambda_j y|.
+
+    There are no ties for y != 0: |x - lambda_i y| = |x - lambda_j y| would
+    make x/y the midpoint of lambda_i and lambda_j, but f_n is irreducible,
+    so lambda_i + lambda_j = A_n + B_n - lambda_k is irrational.  Overlapping
+    intervals are settled on the exact brackets, refined at doubling
+    precision up to ``budget.max_bits``.
+    """
     if y == 0:
         return 1
-    bits = budget.working_bits
-    with interval_bits(bits):
+    with interval_bits(budget.working_bits):
         mags = [abs(r * (-y) + x) for r in rs.ivs]
     best = 1
     for i in (2, 3):
         verdict = compare(mags[i - 1], mags[best - 1])
-        if verdict is True:
+        if verdict is None:
+            verdict = _closer(x, y, rs, i, best, budget)
+        if verdict:
             best = i
-        # undecided counts as a tie and keeps the smaller index
     return best
+
+
+def _closer(x, y, rs, i, j, budget):
+    """|x - lambda_i y| < |x - lambda_j y|, decided exactly on the brackets
+    of lambda_i and lambda_j."""
+    bits = budget.working_bits
+    while bits <= budget.max_bits:
+        width = Fraction(1, 1 << bits)
+        (lo_i, hi_i), (lo_j, hi_j) = (
+            _abs_range(x, y, refine_bracket(rs.coeffs, rs.roots()[k - 1], width)) for k in (i, j)
+        )
+        if hi_i < lo_j:
+            return True
+        if lo_i > hi_j:
+            return False
+        bits *= 2
+    raise UndecidedComparison(f"|x - lambda_j y| undecided at {budget.max_bits} bits")
+
+
+def _abs_range(x, y, box):
+    """Exact bounds on |x - lambda y| for lambda in ``box``."""
+    ends = sorted((x - box.lo * y, x - box.hi * y))
+    if ends[0] <= 0 <= ends[1]:
+        return Fraction(0), max(-ends[0], ends[1])
+    return min(map(abs, ends)), max(map(abs, ends))
 
 
 def siegel_gamma(x: int, y: int, rs: CubicRootSet, j: int, budget=DEFAULT_BUDGET):

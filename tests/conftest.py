@@ -1,6 +1,6 @@
 import pytest
 
-from split_thue import FamilyInstance, PrecisionBudget, RecurrentSequence
+from split_thue import FamilyInstance, PrecisionBudget, RecurrentSequence, algebraic
 from split_thue.cubic import compute_constants
 
 
@@ -36,3 +36,11 @@ def pow2_equal_modulus(pow2_seq, budget):
     # A_n = 2^{n+1}, B_n = 3 * 2^{n+1} + 1: |alpha| = |beta| = 2
     B = RecurrentSequence.from_recurrence([1, -3, 2], [7, 13])
     return FamilyInstance.build(pow2_seq, B, budget)
+
+
+@pytest.fixture
+def cold_kernel():
+    """Empty the polynomial kernel's caches, so that a timed test pays for
+    its own root isolation and factoring."""
+    for cached in (algebraic._coarse_boxes, algebraic._isolate_all, algebraic._resultant_poly, algebraic._abs_square):
+        cached.cache_clear()

@@ -1,8 +1,10 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
+from split_thue import algebraic
 from split_thue.algebraic import (
     AlgebraicNumber,
     DivisionByZero,
@@ -188,7 +190,18 @@ def test_abs_compare_refines():
 def test_abs_compare_undecided_raises():
     r, q = _near_sqrt2()
     with pytest.raises(UndecidedComparison):
-        abs_compare(r, q, PrecisionBudget(working_bits=64, max_refinements=2))
+        abs_compare(r, q, PrecisionBudget(working_bits=64, max_bits=256))
+
+
+def test_undecidable_comparison_stops_at_the_bit_cap(monkeypatch):
+    # without the exact tie test |sqrt 2| and |-sqrt 2| never separate; the
+    # default budget doubles from 256 to 2^14 bits and gives up
+    monkeypatch.setattr(algebraic, "_moduli_tie", lambda x, y: False)
+    r = sqrt2()
+    start = time.perf_counter()
+    with pytest.raises(UndecidedComparison, match="16384 bits"):
+        abs_compare(r, -r)
+    assert time.perf_counter() - start < 30
 
 
 def test_abs_compare_real_tie():

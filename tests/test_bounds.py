@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -103,6 +104,16 @@ def test_field_degree_equals_compositum_of_all_values(fib_pow2, pow2_seq, budget
     for fam in (fib_pow2, pow2_complex):
         assert field_degree(fam, budget) == 2
         assert compositum_degree(_roots_and_coefficients(fam), budget) == 2
+
+
+def test_field_degree_with_irrational_alpha_and_complex_pair(fib_seq, budget, cold_kernel):
+    # Q(sqrt 5, i): joining -i runs four shifts, each a degree-8 composed
+    # sum with complex roots to isolate; about 0.3 s
+    b = RecurrentSequence.from_recurrence([1, -3, 1, -3], [3, 3, 7])  # 3^n + i^n + (-i)^n
+    fam = FamilyInstance.build(fib_seq, b, budget)
+    start = time.perf_counter()
+    assert field_degree(fam, budget) == 4
+    assert time.perf_counter() - start < 3
 
 
 def test_field_degree_makes_few_resultants(fib_pow2, budget, monkeypatch):

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -248,6 +250,14 @@ def test_bits_below_minimum_is_usage_error(config_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_bits_above_cap_is_usage_error(config_path, capsys):
+    # refinement doubles up to 2^14 bits, so a larger working precision is refused
+    assert cli.main(["solve", config_path, "--bits", str(2**14 + 1)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: option working_bits must be at most 16384\n"
+
+
 def test_short_initial_terms_is_usage_error(tmp_path, capsys):
     p = tmp_path / "short.json"
     p.write_text(json.dumps(dict(CONFIG, A={"recurrence": [1, -1, -1], "initial": [1]})))
@@ -385,3 +395,23 @@ def test_deterministic_json(config_path, tmp_path, capsys):
         outs.append(p.read_bytes())
     capsys.readouterr()
     assert outs[0] == outs[1]
+
+
+def test_commands_run_without_sympy():
+    # sympy is a test-only oracle: no command imports it
+    script = f"""
+import contextlib, io, sys
+from split_thue import cli
+config = {EXAMPLE_CONFIG!r}
+for argv in (
+    ["solve", config, "--n-lo", "2", "--n-hi", "4", "--y-max", "1000"],
+    ["verify", config, "--n-lo", "2", "--n-hi", "6", "--y-max", "50", "--bits", "512"],
+    ["bounds", config, "--n-cap", "10000000000000000000"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+sys.exit("sympy" in sys.modules)
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 0

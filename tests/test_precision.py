@@ -21,7 +21,8 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         PrecisionBudget(working_bits=32)
     with pytest.raises(ValueError):
-        PrecisionBudget(max_refinements=0)
+        PrecisionBudget(working_bits=512, max_bits=256)
+    assert PrecisionBudget().max_bits == 1 << 14
     assert PrecisionBudget(working_bits=128).target_width() == Fraction(1, 2**64)
 
 

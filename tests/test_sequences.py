@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,16 @@ def test_explicit_formula_matches_recursion(recurrence, initial, dominant):
     assert seq.dominant_root.as_fraction() == dominant
     want = _recursion_terms(recurrence, initial, 12)
     assert [seq.eval_exact(n) for n in range(12)] == want
+
+
+def test_repeated_complex_pair_builds_fast(cold_kernel):
+    # (x - 3)(x^2 + 1)^2: a repeated factor and three complex isolations
+    # (x^2 + 1 and the minimal polynomials of its coefficients); about 0.02 s
+    start = time.perf_counter()
+    seq = RecurrentSequence.from_recurrence([1, -3, 2, -6, 1, -3], [1, 2, 3, 4, 5])
+    assert time.perf_counter() - start < 0.25
+    assert seq.dominant_root.as_fraction() == 3
+    assert [root.min_poly for root, _ in seq.secondary] == [(1, 0, 1)] * 2
 
 
 def test_initial_terms_must_match_order():

@@ -171,6 +171,20 @@ def test_solution_type(fib_pow2, rs20):
     assert solution_type(0, 1, rs20) == 3
 
 
+def test_solution_type_decides_overlapping_intervals(rs20):
+    # intervals far too wide to compare: the exact brackets decide, and an
+    # overlap never reads as a tie
+    with interval_bits(rs20.bits):
+        wide = tuple(r + iv.mpf([-10**6, 10**6]) for r in rs20.ivs)
+    coarse = dataclasses.replace(rs20, ivs=wide)
+    A, B = rs20.A, rs20.B
+    assert [solution_type(x, 1, coarse) for x in (B, A, 0)] == [1, 2, 3]
+    rng = random.Random(3)
+    for _ in range(20):
+        x, y = rng.randint(-10**12, 10**12), rng.randint(1, 10**6)
+        assert solution_type(x, y, coarse) == solution_type(x, y, rs20)
+
+
 def test_siegel_gamma_small_for_solution(rs20):
     A = rs20.A
     gamma, lam = siegel_gamma(A, 1, rs20, 2)
