@@ -37,10 +37,8 @@ from .cubic import (
 from .units import (
     UnitExponents,
     regulator,
-    siegel_residual,
     solution_type,
     unit_decompose,
-    verify_regulator_growth,
     verify_xi_bound,
     xi_form,
 )
@@ -85,13 +83,11 @@ __all__ = [
     "regulator",
     "regulator_bounds",
     "sequence_from_json",
-    "siegel_residual",
     "solution_type",
     "solve_bruteforce",
     "unit_decompose",
     "verify_family",
     "verify_log_approx",
-    "verify_regulator_growth",
     "verify_root_approx",
     "verify_root_diff",
     "verify_xi_bound",

@@ -38,10 +38,6 @@ from .precision import (
 )
 
 
-class ZeroArgument(SplitThueError):
-    """An operation received a zero argument it cannot handle."""
-
-
 class DivisionByZero(SplitThueError):
     pass
 
@@ -60,9 +56,6 @@ class RealEnclosure:
 
     def mid(self):
         return (self.lo + self.hi) / 2
-
-    def contains(self, value):
-        return self.lo <= value <= self.hi
 
     def intersects(self, other):
         if isinstance(other, ComplexEnclosure):
@@ -394,9 +387,6 @@ class AlgebraicNumber:
             eps_bits *= 2
         raise PrecisionExhausted("complex enclosure refinement failed")
 
-    def intersects(self, other):
-        return self._tight.intersects(other._tight)
-
     def approx(self, bits):
         """mpmath interval (iv.mpf or iv.mpc) of width about 2^-bits (relative)."""
         if self.is_rational:
@@ -411,14 +401,6 @@ class AlgebraicNumber:
             return self._tight.as_iv(bits + 8)
 
     # -- number-theoretic operations ---------------------------------------
-
-    def conjugates(self, budget=DEFAULT_BUDGET):
-        """Disjoint enclosures of all roots of min_poly, complex in pairs."""
-        eps_bits = budget.working_bits // 2
-        boxes = _isolate_all(self.min_poly, eps_bits)
-        if len(boxes) != self.degree:
-            raise PrecisionExhausted("root isolation returned wrong count")
-        return list(boxes)
 
     def height(self, budget=DEFAULT_BUDGET):
         """Enclosure of the absolute logarithmic height."""
@@ -439,20 +421,6 @@ class AlgebraicNumber:
             bits *= 2
         raise PrecisionExhausted("height enclosure did not converge")
 
-    def log_abs(self, budget=DEFAULT_BUDGET):
-        """Enclosure of log|x|; raises ZeroArgument on x = 0."""
-        if self.is_zero:
-            raise ZeroArgument("log_abs of zero")
-        target = budget.target_width()
-        bits = budget.working_bits
-        while bits <= budget.max_bits:
-            with interval_bits(bits):
-                result = iv.log(abs(self.approx(bits)))
-                if iv_width(result) <= target:
-                    return result
-            bits *= 2
-        raise PrecisionExhausted("log_abs enclosure did not converge")
-
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self):
@@ -466,13 +434,6 @@ class AlgebraicNumber:
         else:
             nbox = ComplexEnclosure(-box.re_hi, -box.re_lo, -box.im_hi, -box.im_lo)
         return AlgebraicNumber(coeffs, nbox)
-
-    def inverse(self):
-        if self.is_zero:
-            raise DivisionByZero("inverse of zero")
-        if self.is_rational:
-            return AlgebraicNumber.from_rational(1 / self.as_fraction())
-        return field_arith(AlgebraicNumber.from_rational(1), self, "div")
 
     def __add__(self, other):
         return field_arith(self, _coerce(other), "add")

@@ -10,7 +10,7 @@ far beyond any n at which exact root isolation is feasible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -27,10 +27,6 @@ from .precision import (
     iv_sup,
 )
 from .sequences import FamilyInstance, family_table
-
-
-class NoCrossing(SplitThueError):
-    """No contradiction point was found below the configured cap."""
 
 
 # -- solution-size upper bound (unit rank 2, cubic form) -------------------
@@ -320,38 +316,6 @@ def log_logy_lower_altunit(fam: FamilyInstance, consts, n: int, bits: int = 128)
         return iv_inf(log_lower)
 
 
-def logy_lower_eq8(fam: FamilyInstance, consts, n: int, D: int, bits: int = 128) -> Fraction:
-    """Linear-in-n lower bound on log|y| from applying the logarithm lower
-    bound directly to the untransformed form (heights linear in n)."""
-    m = log_coeff_bound(fam, n, bits)
-    e = lterm_sup(consts, fam.d2, n, bits)
-    r_low, r_up = regulator_bounds(fam, consts, n, bits)
-    if r_low <= 0:
-        return Fraction(0)
-    t = family_table(fam, bits)
-    la, lb = t.log_alpha, t.log_beta
-    with interval_bits(bits):
-        # heights of the three unit/root-quotient arguments: each is a ratio
-        # of numbers of log-magnitude <= n(la+lb) + 2m; degree <= 3D field
-        h_arg = (Fraction(2, 3) * (iv_sup(n * (la + lb)) + 2 * m) + 1)
-        S = iv_inf(n * (2 * la + lb)) - 3 * abs(
-            iv_sup(iv.log(iv_from_fraction(max(consts.c5, Fraction(1, 10**6)), bits)))
-        ) - 2
-        entry = iv_sup(n * (la + lb)) + 2 * m + e
-        maxdiff = iv_sup(n * lb) + m + e
-    if S <= 0:
-        return Fraction(0)
-    K = baker_constant(3, 3 * D)
-    with interval_bits(bits):
-        log6D = iv_sup(iv.log(iv.mpf(6 * 3 * D)))
-    denom = K * log6D * h_arg**3
-    log_B_min = S / denom  # Baker forces log B >= this
-    with interval_bits(bits):
-        B_min = iv_inf(iv.exp(iv_from_fraction(log_B_min, bits)))
-    lower = r_low * (B_min - 3) / (2 * entry) - maxdiff
-    return max(Fraction(0), lower)
-
-
 # -- the crossing search ---------------------------------------------------
 
 # The doubling search starts at N_START; a threshold must also contradict on
@@ -370,11 +334,9 @@ class BoundReport:
     branch: str
     R_upper: float
     logy_upper: float
-    heights: tuple
     baker_lower_exponent: Fraction | None
     xi_upper_log: Fraction
     verdict: str
-    extras: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         lower = self.baker_lower_exponent
@@ -395,31 +357,27 @@ class N0Result:
 def _branch_report(fam, consts, n, branch, D, budget, bits=160) -> BoundReport:
     r_low, r_up = regulator_bounds(fam, consts, n, bits)
     ly = logy_upper(fam, consts, n, bits)
-    heights, extras = (), {}
     if branch == "altunit-j1":
         # log-domain comparison: chain lower bound vs upper bound
         lower = log_logy_lower_altunit(fam, consts, n, bits)
         with interval_bits(bits):
             upper = iv_sup(iv.log(iv_from_fraction(ly.value, bits)))
     else:
-        heights = xi_heights(fam, n, D, budget)
         upper = xi_upper_log(fam, consts, n, bits)
         if r_low <= 0:
-            lower, extras = None, {"note": "regulator lower bound not yet positive"}
+            lower = None
         else:
+            heights = xi_heights(fam, n, D, budget)
             B_exp = exponent_bound_B(fam, consts, n, ly.value, r_low, bits)
             with interval_bits(bits):
                 log_B = iv_sup(iv.log(iv_from_fraction(B_exp, bits)))
             lower = baker_lower([h for _, h in heights], D, log_B, bits=bits)
-            extras = {"B": float(B_exp), "D": D}
     contra = lower is not None and lower > upper
     return BoundReport(
         n=n, branch=branch, R_upper=float(r_up), logy_upper=float(ly.value),
-        heights=tuple((lab, float(h)) for lab, h in heights),
         baker_lower_exponent=lower,
         xi_upper_log=upper,
         verdict="contradiction" if contra else "no-contradiction",
-        extras=extras,
     )
 
 

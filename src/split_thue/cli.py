@@ -7,7 +7,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from . import bounds, cubic, solver
@@ -52,12 +51,6 @@ def load_config(args) -> dict:
     defaults = {"n_lo": 1, "n_hi": 10, "y_max": 100, "working_bits": 256, "n_cap": 10**7}
     for key, val in defaults.items():
         opts.setdefault(key, val)
-    env_bits = os.environ.get("SPLIT_THUE_BITS")
-    if env_bits:
-        try:
-            opts["working_bits"] = int(env_bits)
-        except ValueError as exc:
-            raise ConfigError("SPLIT_THUE_BITS must be an integer") from exc
     for flag, key in (
         ("n_lo", "n_lo"), ("n_hi", "n_hi"), ("y_max", "y_max"),
         ("bits", "working_bits"), ("n_cap", "n_cap"),

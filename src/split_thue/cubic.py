@@ -26,10 +26,6 @@ class AnchorSignFailure(SplitThueError):
     parameter is below the family's validity threshold."""
 
 
-class BoundViolated(SplitThueError):
-    pass
-
-
 def cubic_coeffs(A: int, B: int):
     return (1, -(A + B), A * B, -1)
 
@@ -51,7 +47,6 @@ class CubicRootSet:
     lambda1: RealEnclosure
     lambda2: RealEnclosure
     lambda3: RealEnclosure
-    anchor_residuals: tuple
     bits: int
     ivs: tuple  # interval enclosures of lambda1, lambda2, lambda3
     log_abs: tuple  # log|lambda_i|
@@ -109,15 +104,7 @@ def isolate_roots(fam: FamilyInstance, n: int, budget=DEFAULT_BUDGET) -> CubicRo
         ivs = tuple(r.as_iv(bits) for r in roots)
         log_abs = tuple(iv.log(abs(v)) for v in ivs)
         log_abs_A = tuple(iv.log(abs(v - A)) for v in ivs)
-
-    residuals = (
-        abs_frac_dist(l1, Fraction(B)),
-        abs_frac_dist(l2, Fraction(A)),
-        abs_frac_dist(l3, Fraction(1, ab)),
-    )
-    return CubicRootSet(
-        n, A, B, coeffs, l1, l2, l3, residuals, bits, ivs, log_abs, log_abs_A
-    )
+    return CubicRootSet(n, A, B, coeffs, l1, l2, l3, bits, ivs, log_abs, log_abs_A)
 
 
 def abs_frac_dist(root: RealEnclosure, point: Fraction):
@@ -145,12 +132,6 @@ class ResidualReport:
     @property
     def all_pass(self):
         return all(e.ok for e in self.entries)
-
-    def entry(self, name):
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
 
 
 def verify_root_approx(rs: CubicRootSet, fam: FamilyInstance) -> ResidualReport:

@@ -100,10 +100,6 @@ def iv_inf(x):
     return _raw_to_fraction(x._mpi_[0])
 
 
-def contains_zero(x):
-    return iv_inf(x) <= 0 <= iv_sup(x)
-
-
 def compare(x, y):
     """Three-valued interval comparison: True (x < y), False (x > y) or None."""
     if iv_sup(x) < iv_inf(y):

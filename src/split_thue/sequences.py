@@ -33,6 +33,7 @@ from .precision import (
     interval_bits,
     is_iv_complex,
     iv_from_fraction,
+    iv_from_fractions,
     iv_inf,
     iv_sup,
     iv_width,
@@ -91,8 +92,11 @@ class CoefficientPolynomial:
     def abs_lower_inf(self, n_min=2, bits=128):
         """Certified positive lower bound on inf_{n >= n_min} |c(n)|.
 
-        Beyond the point where the leading term dominates, |c(n)| increases;
-        the finite prefix is checked term by term.
+        Beyond the point n_star where the leading term dominates, |c(n)|
+        increases.  The prefix [n_min, n_star] is searched by bisection: a
+        range is dropped once its enclosure of |c| is no smaller than the
+        best value found at a single n, so a monotone prefix costs
+        O(log n_star) evaluations, not n_star.
         """
         g = self.degree
         with interval_bits(bits):
@@ -105,19 +109,25 @@ class CoefficientPolynomial:
             if g == 0:
                 return iv_inf(lead)
             # |c(n)| >= n^(g-1) (|lead| n - rest), increasing for n > rest/|lead|
-            n_star = max(n_min, 1 + math.ceil(2 * float(iv_sup(rest)) / float(iv_inf(lead))))
-            best = None
-            for n in range(n_min, n_star + 1):
-                val = abs(self.approx_at(n, bits))
-                lo = iv_inf(val)
+            L, R = iv_inf(lead), iv_sup(rest)
+            n_star = max(n_min, 1 + math.ceil(2 * R / L))
+
+            def at(n):
+                lo = iv_inf(abs(self.approx_at(n, bits)))
                 if lo <= 0:
-                    raise SplitThueError(
-                        f"coefficient polynomial not separated from 0 at n={n}"
-                    )
-                best = lo if best is None else min(best, lo)
-            tail = iv_inf(lead) * n_star - iv_sup(rest)
-            tail_lo = Fraction(n_star) ** (g - 1) * tail
-            return min(best, tail_lo)
+                    raise SplitThueError(f"coefficient polynomial not separated from 0 at n={n}")
+                return lo
+
+            best = at(n_min)
+            ranges = [(n_min, n_star)]
+            while ranges:
+                lo, hi = ranges.pop()
+                if lo == hi:
+                    best = min(best, at(lo))
+                elif iv_inf(abs(self.approx_at(iv_from_fractions(lo, hi, bits), bits))) < best:
+                    mid = (lo + hi) // 2
+                    ranges += [(mid + 1, hi), (lo, mid)]
+            return min(best, Fraction(n_star) ** (g - 1) * (L * n_star - R))
 
 
 def coeff_poly_sub(a: CoefficientPolynomial, b: CoefficientPolynomial):
@@ -402,20 +412,17 @@ class FamilyInstance:
 class FamilyTable:
     """What the bound chain needs of a family that does not depend on n, at
     one precision: log|alpha| and log|beta| (intervals), the envelopes
-    U >= sum of |coefficients| (dominant and secondary) and
-    L <= inf_{n >= 2} |c(n)| of the coefficient polynomials, and the
-    n-independent part of the coefficient log bound m(n)."""
+    U_A >= sum of |coefficients| of A (dominant and secondary) and
+    L_B <= inf_{n >= 2} |c_B(n)| that the alternative-unit chain reads, and
+    the n-independent part of the coefficient log bound m(n), over the
+    envelopes U and L of every coefficient polynomial."""
 
     fam: FamilyInstance
     bits: int
     log_alpha: object
     log_beta: object
     U_A: Fraction
-    U_B: Fraction
-    L_A: Fraction
     L_B: Fraction
-    U_diff: Fraction | None  # of c_B - c_A, equal-modulus case only
-    L_diff: Fraction | None
     log_coeff_neg: Fraction  # max |log L| over the lower envelopes
     log_coeff_pos: Fraction  # max log U over the upper envelopes
 
@@ -450,22 +457,19 @@ def family_table(fam: FamilyInstance, bits: int) -> FamilyTable:
         return sum(rest, seq.dominant_coeff.abs_coeff_sum_upper(bits))
 
     cA, cB = fam.A.dominant_coeff, fam.B.dominant_coeff
-    U_A, U_B = upper(fam.A), upper(fam.B)
-    L_A, L_B = cA.abs_lower_inf(2, bits), cB.abs_lower_inf(2, bits)
-    U_diff = L_diff = None
+    U_A, L_B = upper(fam.A), cB.abs_lower_inf(2, bits)
+    ups = [U_A, upper(fam.B)]
+    lows = [cA.abs_lower_inf(2, bits), L_B]
     if fam.equal_modulus:
         diff = coeff_poly_sub(cB, cA)
-        U_diff, L_diff = diff.abs_coeff_sum_upper(bits), diff.abs_lower_inf(2, bits)
-    lows = [L for L in (L_A, L_B, L_diff) if L is not None]
-    ups = [U for U in (U_A, U_B, U_diff) if U is not None]
+        ups.append(diff.abs_coeff_sum_upper(bits))
+        lows.append(diff.abs_lower_inf(2, bits))
     with interval_bits(bits):
         neg = max(abs(iv_inf(iv.log(iv_from_fraction(lo, bits)))) for lo in lows)
         pos = max(iv_sup(iv.log(iv_from_fraction(up, bits))) for up in ups)
         log_alpha = iv.log(abs(fam.alpha.approx(bits)))
         log_beta = iv.log(abs(fam.beta.approx(bits)))
-    return FamilyTable(
-        fam, bits, log_alpha, log_beta, U_A, U_B, L_A, L_B, U_diff, L_diff, neg, pos
-    )
+    return FamilyTable(fam, bits, log_alpha, log_beta, U_A, L_B, neg, pos)
 
 
 # -- hypothesis checking ---------------------------------------------------
@@ -473,7 +477,6 @@ def family_table(fam: FamilyInstance, bits: int) -> FamilyTable:
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    case: str
     passed: bool
     first_n_all_pass: int | None
     bullet: str | None  # which sign regime holds from first_n on
@@ -508,7 +511,6 @@ def check_hypotheses(fam: FamilyInstance, n_probe: int, budget=DEFAULT_BUDGET) -
         first = i + 1
     passed = first is not None
     return HypothesisReport(
-        case=fam.case_tag,
         passed=passed,
         first_n_all_pass=first,
         bullet=bullet_seen if passed else None,

@@ -229,9 +229,6 @@ class PerNReport:
 
 @dataclass(frozen=True)
 class FamilyVerification:
-    n_lo: int
-    n_hi: int
-    y_max: int
     per_n: tuple
     constants: ApproxConstants  # the lemmas were checked with these
     hypotheses: HypothesisReport  # for n = 1..n_hi; in_scope comes from it
@@ -282,4 +279,4 @@ def verify_family(
         reports.append(
             PerNReport(n, True, (), sols, nontrivial, ra, la, rd, xi_ok, resid)
         )
-    return FamilyVerification(n_lo, n_hi, y_max, tuple(reports), consts, hyp)
+    return FamilyVerification(tuple(reports), consts, hyp)

@@ -13,7 +13,7 @@ import mpmath
 from mpmath import iv
 
 from .algebraic import refine_bracket
-from .cubic import CubicRootSet, _log_quantities, isolate_roots
+from .cubic import CubicRootSet, _log_quantities
 from .precision import (
     DEFAULT_BUDGET,
     PrecisionExhausted,
@@ -25,9 +25,8 @@ from .precision import (
     iv_inf,
     iv_sup,
     iv_to_fractions,
-    iv_width,
 )
-from .sequences import FamilyInstance, family_table
+from .sequences import FamilyInstance
 
 
 class NotAUnit(SplitThueError):
@@ -48,57 +47,6 @@ def regulator(rs: CubicRootSet, pair=(1, 2), bits=None):
     (a, b), (c, d) = ((rs.log_abs[i - 1], rs.log_abs_A[i - 1]) for i in pair)
     with interval_bits(bits):
         return abs(a * d - b * c)
-
-
-@dataclass(frozen=True)
-class RegulatorGrowthReport:
-    samples: tuple  # (n, R midpoint float)
-    limit: float  # log|beta| (2 log|alpha| + log|beta|)
-    rel_dev_at_top: float
-    pair_independent: bool
-    passed: bool
-
-
-def verify_regulator_growth(
-    fam: FamilyInstance, n_lo: int, n_hi: int, tol_fit=0.1, samples=9, budget=DEFAULT_BUDGET
-) -> RegulatorGrowthReport:
-    """R(n)/n^2 against its closed-form limit; also cross-checks that the
-    regulator does not depend on which embedding pair is used."""
-    bits = budget.working_bits
-    ns = sorted({n_lo + round(i * (n_hi - n_lo) / (samples - 1)) for i in range(samples)})
-    t = family_table(fam, bits)
-    with interval_bits(bits):
-        limit = t.log_beta * (2 * t.log_alpha + t.log_beta)
-    limit_mid = float((iv_inf(limit) + iv_sup(limit)) / 2)
-
-    vals = []
-    pair_ok = True
-    for n in ns:
-        rs = isolate_roots(fam, n, budget)
-        r12 = regulator(rs, (1, 2))
-        r23 = regulator(rs, (2, 3))
-        r13 = regulator(rs, (1, 3))
-        widths = iv_width(r12) + iv_width(r23) + iv_width(r13)
-        if abs(iv_sup(r12) - iv_inf(r23)) > 2 * widths and abs(
-            iv_sup(r23) - iv_inf(r12)
-        ) > 2 * widths:
-            pair_ok = False
-        if abs(iv_sup(r12) - iv_inf(r13)) > 2 * widths and abs(
-            iv_sup(r13) - iv_inf(r12)
-        ) > 2 * widths:
-            pair_ok = False
-        mid = float((iv_inf(r12) + iv_sup(r12)) / 2)
-        vals.append((n, mid))
-
-    top_n, top_r = vals[-1]
-    rel_dev = abs(top_r / top_n**2 - limit_mid) / abs(limit_mid)
-    return RegulatorGrowthReport(
-        samples=tuple(vals),
-        limit=limit_mid,
-        rel_dev_at_top=rel_dev,
-        pair_independent=pair_ok,
-        passed=(rel_dev <= tol_fit and pair_ok),
-    )
 
 
 @dataclass(frozen=True)
@@ -246,15 +194,6 @@ def siegel_gamma(x: int, y: int, rs: CubicRootSet, j: int, budget=DEFAULT_BUDGET
         gamma = (uj / uk) * ((lam[l] - lam[k]) / (lam[j] - lam[l]))
         lam_form = iv.log(abs(1 + gamma))
     return gamma, lam_form
-
-
-def siegel_residual(x: int, y: int, rs: CubicRootSet, budget=DEFAULT_BUDGET):
-    """The cyclic three-term sum; an interval that must enclose zero."""
-    bits = budget.working_bits
-    with interval_bits(bits):
-        l1, l2, l3 = rs.ivs
-        u1, u2, u3 = (x - l * y for l in (l1, l2, l3))
-        return u1 * (l2 - l3) + u3 * (l1 - l2) + u2 * (l3 - l1)
 
 
 # -- transformed linear form xi_j ------------------------------------------

@@ -124,16 +124,13 @@ def test_field_arith_resultant_identities():
 
 def test_inverse_and_division_by_zero():
     r = sqrt2()
-    inv = r.inverse()
-    assert field_arith(r, inv, "mul").as_fraction() == 1
+    inv = AlgebraicNumber.from_rational(1) / r
+    assert (r * inv).as_fraction() == 1
+    assert (inv * 2) == r
     with pytest.raises(DivisionByZero):
-        AlgebraicNumber.from_rational(0).inverse()
-
-
-def test_conjugates_of_quadratic():
-    r = sqrt2()
-    conj = r.conjugates()
-    assert len(conj) == 2
+        r / AlgebraicNumber.from_rational(0)
+    with pytest.raises(DivisionByZero):
+        r / 0
 
 
 def _oracle(expr_dps_50):
@@ -162,14 +159,6 @@ def test_height_of_golden_ratio():
     h = golden().height()
     mid = (iv_inf(h) + iv_sup(h)) / 2
     assert abs(mid - target) < Fraction(1, 10**25)
-
-
-def test_log_abs():
-    import mpmath
-
-    target = _oracle(lambda: mpmath.log((1 + mpmath.sqrt(5)) / 2))
-    la = golden().log_abs()
-    assert iv_inf(la) - Fraction(1, 10**25) <= target <= iv_sup(la) + Fraction(1, 10**25)
 
 
 def _near_sqrt2():

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -240,14 +242,11 @@ def test_option_validation(config_path, capsys):
     capsys.readouterr()
 
 
-def test_bits_below_minimum_is_usage_error(config_path, capsys, monkeypatch):
+def test_bits_below_minimum_is_usage_error(config_path, capsys):
     assert cli.main(["solve", config_path, "--bits", "10"]) == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: option working_bits must be at least 64\n"
-    monkeypatch.setenv("SPLIT_THUE_BITS", "32")
-    assert cli.main(["solve", config_path]) == cli.EXIT_USAGE
-    capsys.readouterr()
 
 
 def test_bits_above_cap_is_usage_error(config_path, capsys):
@@ -351,13 +350,79 @@ def test_non_object_config_is_usage_error(tmp_path, capsys, config, message):
     assert captured.err == f"error: {message}\n"
 
 
-def test_env_var_overrides_bits(config_path, capsys, monkeypatch):
-    monkeypatch.setenv("SPLIT_THUE_BITS", "128")
-    code, report = run(["solve", config_path], capsys)
-    assert code == cli.EXIT_OK
-    assert report["config"]["options"]["working_bits"] == 128
-    monkeypatch.setenv("SPLIT_THUE_BITS", "not-a-number")
-    assert cli.main(["solve", config_path]) == cli.EXIT_USAGE
+# sha256 of the canonical reports (stdout, then --md-out and --csv-out for
+# verify) and the exit code of each command: a refactor must leave every
+# byte of them unchanged
+PINNED_REPORTS = {
+    "solve-fib-pow2": (
+        ["solve", EXAMPLE_CONFIG, "--n-lo", "2", "--n-hi", "12", "--y-max", str(10**30)],
+        cli.EXIT_OK,
+        ("bbb7c254efbbbab1fd06d31537f906b508ea87813e83aa93a104b090bf56c213",),
+    ),
+    "verify-fib-pow2": (
+        ["verify", EXAMPLE_CONFIG, "--n-lo", "2", "--n-hi", "60", "--y-max", "50", "--bits", "512"],
+        cli.EXIT_OK,
+        (
+            "1b57e2a6a9b974a8c0162a7ea75f89e64157edb360178e05355ce22733437d13",
+            "e1e174f2f30bbbb30fa0769ba41f513b240b270cdc8ae3760ac9695682e64053",
+            "1300ffca69479eb03259dd913e6cfc0613d10a1132906ad01e59edff08520a65",
+        ),
+    ),
+    "bounds-fib-pow2-cap-1e19": (
+        ["bounds", EXAMPLE_CONFIG, "--n-cap", str(10**19)],
+        cli.EXIT_BOUND,
+        ("ded6c7984bc3b66632a71be7de9b143512980781130bf2d60902f0629e3fd34d",),
+    ),
+    "bounds-fib-pow2-cap-1e25": (
+        ["bounds", EXAMPLE_CONFIG, "--n-cap", str(10**25)],
+        cli.EXIT_OK,
+        ("48aa5d58f7962d81c6dd6c2e0f940120cdc9671e2e420fa2ce8387e6ea352d80",),
+    ),
+    "verify-equal-modulus": (
+        ["verify", EQUAL_MODULUS_CONFIG, "--n-lo", "2", "--n-hi", "40", "--y-max", "50", "--bits", "512"],
+        cli.EXIT_OK,
+        (
+            "0616d90ad292df158374353edf77602294b41d9e3849b9a32b29fd5c5a5f3560",
+            "1ac7d3c4599bf24c0a03fcc1521b1e013b46c6e4674063d6a5a5378e708734ab",
+            "519f3417e00e9b79b1868053010e3736d4da0c733392fde533d96d11bc6be918",
+        ),
+    ),
+    "bounds-equal-modulus-cap-1e40": (
+        ["bounds", EQUAL_MODULUS_CONFIG, "--n-cap", str(10**40)],
+        cli.EXIT_OK,
+        ("728f6450af5f218477657cda3be57818621b00266951cebb837584f61e064998",),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_canonical_reports_are_pinned(name, tmp_path, capsys):
+    argv, want_code, want_hashes = PINNED_REPORTS[name]
+    files = []
+    if argv[0] == "verify":
+        files = [tmp_path / "report.md", tmp_path / "residuals.csv"]
+        argv = argv + ["--md-out", str(files[0]), "--csv-out", str(files[1])]
+    code = cli.main(argv)
+    outputs = [capsys.readouterr().out.encode()] + [f.read_bytes() for f in files]
+    assert code == want_code
+    assert tuple(hashlib.sha256(b).hexdigest() for b in outputs) == want_hashes
+
+
+# A_n = (10^12 + n/2) 2^n has a dominant coefficient of degree 1 whose
+# leading term takes over only near n = 4 * 10^12
+STEEP_COEFFICIENT = {
+    "A": {"recurrence": [1, -4, 4], "initial": [10**12, 2 * 10**12 + 1]},
+    "B": {"recurrence": [1, -3], "initial": [1]},
+}
+
+
+@pytest.mark.parametrize("command, want", [("verify", cli.EXIT_HYPOTHESIS), ("bounds", cli.EXIT_BOUND)])
+def test_steep_coefficient_family_is_decided_quickly(tmp_path, capsys, command, want):
+    p = tmp_path / "steep.json"
+    p.write_text(json.dumps(STEEP_COEFFICIENT))
+    start = time.perf_counter()
+    assert cli.main([command, str(p), "--n-hi", "3"]) == want
+    assert time.perf_counter() - start < 10
     capsys.readouterr()
 
 

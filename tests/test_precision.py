@@ -6,7 +6,6 @@ from mpmath import iv
 from split_thue.precision import (
     PrecisionBudget,
     compare,
-    contains_zero,
     interval_bits,
     iv_from_fraction,
     iv_from_fractions,
@@ -65,7 +64,6 @@ def test_endpoint_extraction_round_trip():
         x = iv_from_fractions(Fraction(-3, 7), Fraction(2, 7), 128)
     lo, hi = iv_to_fractions(x)
     assert lo <= Fraction(-3, 7) and hi >= Fraction(2, 7)
-    assert contains_zero(x)
 
 
 def test_compare_three_valued():

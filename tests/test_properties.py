@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from split_thue.algebraic import AlgebraicNumber, poly_eval_sign
 from split_thue.precision import (
-    contains_zero,
     iv_from_fraction,
     iv_inf,
     iv_sup,
@@ -62,39 +61,3 @@ def test_solver_matches_naive_oracle(A, B, y_max):
     got = {(s.x, s.y, s.sign) for s in solve_bruteforce((A, B), 0, y_max)}
     assert got == naive_solutions(A, B, 0, y_max)
 
-
-@given(st.integers(-1000, 1000), st.integers(-1000, 1000), st.integers(5, 15))
-@settings(max_examples=30, deadline=None)
-def test_siegel_identity_cyclic_sum_vanishes(x, y, n):
-    from split_thue.cubic import isolate_roots
-    from split_thue.units import siegel_residual
-    from split_thue.sequences import FamilyInstance, RecurrentSequence
-    from split_thue.precision import PrecisionBudget
-
-    budget = PrecisionBudget(working_bits=128)
-    fam = _family(budget)
-    rs = _roots(fam, n, budget)
-    res = siegel_residual(x, y, rs, budget)
-    assert contains_zero(res)
-
-
-_CACHE = {}
-
-
-def _family(budget):
-    from split_thue.sequences import FamilyInstance, RecurrentSequence
-
-    if "fam" not in _CACHE:
-        a = RecurrentSequence.from_recurrence([1, -1, -1], [1, 2])
-        b = RecurrentSequence.from_recurrence([1, -2], [2])
-        _CACHE["fam"] = FamilyInstance.build(a, b, budget)
-    return _CACHE["fam"]
-
-
-def _roots(fam, n, budget):
-    from split_thue.cubic import isolate_roots
-
-    key = ("rs", n)
-    if key not in _CACHE:
-        _CACHE[key] = isolate_roots(fam, n, budget)
-    return _CACHE[key]

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from split_thue.precision import PrecisionBudget, iv_inf, iv_sup
+from split_thue.algebraic import AlgebraicNumber
+from split_thue.precision import PrecisionBudget, SplitThueError, iv_inf, iv_sup
 from split_thue.sequences import (
+    CoefficientPolynomial,
     FamilyInstance,
     HypothesisViolated,
     RecurrentSequence,
@@ -36,6 +38,31 @@ def test_repeated_root_coefficient_polynomial():
     seq = RecurrentSequence.from_recurrence([1, -6, 9], [0, 3])
     assert [seq.eval_exact(n) for n in range(5)] == [0, 3, 18, 81, 324]
     assert seq.dominant_coeff.degree == 1
+
+
+def test_steep_dominant_coefficient_lower_bound():
+    # a_n = (10^12 + n/2) 2^n: the leading term of c(n) = 10^12 + n/2 takes
+    # over only near n = 4 * 10^12, and the prefix must not be scanned
+    seq = RecurrentSequence.from_recurrence([1, -4, 4], [10**12, 2 * 10**12 + 1])
+    start = time.perf_counter()
+    low = seq.dominant_coeff.abs_lower_inf(2, 128)
+    assert time.perf_counter() - start < 2
+    assert 10**12 < low <= 10**12 + 1
+
+
+def _rational_poly(*coeffs):
+    return CoefficientPolynomial(tuple(AlgebraicNumber.from_rational(c) for c in coeffs))
+
+
+def test_abs_lower_inf_finds_an_interior_minimum():
+    # (n - 500.5)^2 is smallest, 1/4, at n = 500 and 501, far inside [2, n_star]
+    low = _rational_poly(Fraction(1002001, 4), -1001, 1).abs_lower_inf(2, 128)
+    assert Fraction(1, 4) - Fraction(1, 2**100) < low <= Fraction(1, 4)
+
+
+def test_abs_lower_inf_rejects_an_integer_zero():
+    with pytest.raises(SplitThueError, match="n=7"):
+        _rational_poly(-7, 1).abs_lower_inf(2, 128)
 
 
 def test_complex_secondary_roots():

@@ -8,7 +8,6 @@ from mpmath import iv
 from split_thue.cubic import isolate_roots
 from split_thue.precision import (
     PrecisionExhausted,
-    contains_zero,
     interval_bits,
     iv_inf,
     iv_sup,
@@ -21,11 +20,9 @@ from split_thue.units import (
     regulator,
     ring_mul,
     siegel_gamma,
-    siegel_residual,
     solution_type,
     unit_decompose,
     unit_product,
-    verify_regulator_growth,
     verify_xi_bound,
     xi_form,
     xi_value,
@@ -56,15 +53,6 @@ def test_regulator_pair_independence(rs20, budget):
 def test_regulator_rejects_degenerate_pair(rs20):
     with pytest.raises(ValueError):
         regulator(rs20, (2, 2))
-
-
-def test_regulator_growth(fib_pow2, budget):
-    rep = verify_regulator_growth(fib_pow2, 30, 80, tol_fit=0.1, samples=5, budget=budget)
-    assert rep.passed
-    assert rep.pair_independent
-    assert abs(rep.limit - 1.1476) < 0.01
-    # R(n)/n^2 should already be close at n = 80
-    assert rep.rel_dev_at_top < 0.05
 
 
 def test_norm_form_on_trivial_solutions(fib_pow2):
@@ -190,16 +178,6 @@ def test_siegel_gamma_small_for_solution(rs20):
     gamma, lam = siegel_gamma(A, 1, rs20, 2)
     assert iv_sup(abs(gamma)) < Fraction(1, 10**10)
     assert iv_sup(abs(lam)) < Fraction(1, 10**10)
-
-
-def test_siegel_residual_encloses_zero(rs20):
-    rng = random.Random(7)
-    for _ in range(25):
-        x = rng.randint(-1000, 1000)
-        y = rng.randint(-1000, 1000)
-        res = siegel_residual(x, y, rs20)
-        assert contains_zero(res)
-        assert iv_width(res) < Fraction(1, 2**60)
 
 
 def test_xi_form_vanishing_coefficients_on_trivial_solutions():
