@@ -214,34 +214,66 @@ def scaled_poly(coeffs, K: int):
 
 
 def bisect_root(F, lo: int, hi: int):
-    """Shrink [lo, hi] around the sign change of F to width <= 1.
+    """Shrink the isolating bracket [lo, hi] of a root of F to width <= 1.
 
-    F(lo) < 0 < F(hi) or F(lo) > 0 > F(hi); an exact zero collapses the
-    bracket to that point.
+    The bracket must isolate: F(lo) and F(hi) nonzero and of opposite
+    signs, and exactly one simple root of F in between.  Every caller's
+    bracket does: the real boxes of :func:`_isolate_all`, the three
+    disjoint anchor windows of ``cubic.isolate_roots`` (one sign change
+    each of a cubic with three real roots), and the critical-point split
+    of ``solver.root_brackets`` or its only real root.  Then the root is a
+    grid point m, returned as (m, m), or lies in exactly one cell
+    (m, m + 1), returned as it is: the same answer bisection gives.
+
+    Quadratic interval refinement (Abbott 2006; Kerber and Sagraloff 2011)
+    finds it in O(log log w) steps for a bracket of width w once the secant
+    is accurate, where bisection takes log2 w.  Each step
+    guesses the root by the secant through the ends and tests the cell of
+    width s = max(1, w // N) holding the guess, then the neighbour cell the
+    signs point to.  A hit leaves a bracket of width <= s and squares N; a
+    miss sets N to max(4, isqrt(N)) and bisects once.
     """
-    neg_lo = F(lo) < 0
+    f_lo, f_hi = F(lo), F(hi)
+
+    def cut(x):
+        """Keep the side of x that holds the sign change."""
+        nonlocal lo, hi, f_lo, f_hi
+        if lo < x < hi:
+            v = F(x)
+            if v == 0:
+                lo = hi = x
+            elif (v < 0) == (f_lo < 0):
+                lo, f_lo = x, v
+            else:
+                hi, f_hi = x, v
+
+    N = 4
     while hi - lo > 1:
-        mid = (lo + hi) >> 1
-        v = F(mid)
-        if v == 0:
-            return mid, mid
-        if (v < 0) == neg_lo:
-            lo = mid
+        w = hi - lo
+        step = max(1, w // N)
+        x0 = lo + f_lo * w // (f_lo - f_hi) // step * step
+        cut(x0)
+        cut(x0 + step)
+        if hi - lo > step:
+            cut(x0 - step if hi <= x0 else x0 + 2 * step)
+        if hi - lo <= step:
+            N *= N
         else:
-            hi = mid
+            N = max(4, math.isqrt(N))
+            cut((lo + hi) >> 1)
     return lo, hi
 
 
 def refine_bracket(coeffs, box, width):
-    """Shrink ``box``, a RealEnclosure whose ends carry opposite nonzero
-    signs of the integer polynomial ``coeffs``, to width <= ``width``
-    inside the old box.
+    """Shrink ``box``, a RealEnclosure isolating one simple root of the
+    integer polynomial ``coeffs`` (opposite nonzero signs at its ends, no
+    other root inside), to width <= ``width`` inside the old box.
 
-    Bisection runs on integers at scale 2^K with 2^-K <= width: the
-    endpoints are rounded inward to the grid, and when the sign there puts
-    the root in the sliver of width < 2^-K between an endpoint and its grid
-    point, that sliver is the answer. An exact rational root on the grid
-    collapses the box to that point.
+    :func:`bisect_root` refines on integers at scale 2^K with 2^-K <=
+    width: the endpoints are rounded inward to the grid, and when the sign
+    there puts the root in the sliver of width < 2^-K between an endpoint
+    and its grid point, that sliver is the answer.  An exact rational root
+    on the grid collapses the box to that point.
     """
     width = Fraction(width)
     lo, hi = box.lo, box.hi

@@ -76,8 +76,9 @@ def root_brackets(A: int, B: int, y_max: int):
 
 
 def _refine(A: int, B: int, K: int, brackets, K2: int):
-    """The root brackets at scale 2^K2 >= 2^K, bisected on integers; a
-    collapsed bracket (an exact rational root) stays collapsed."""
+    """The root brackets at scale 2^K2 >= 2^K, refined on integers by
+    ``bisect_root``; a collapsed bracket (an exact rational root) stays
+    collapsed."""
     F = scaled_poly(cubic_coeffs(A, B), K2)
     s = K2 - K
     return [
@@ -167,7 +168,7 @@ def solve_bruteforce(fam, n: int, y_max: int):
     de Weger, J. Number Theory 31, 1989). The cost per n is O(y0 +
     log y_max) checks instead of O(y_max). The convergents come from the
     common prefix of the continued fractions of the ends of each real
-    root's bracket, refined by bisection until it reaches past y_max. A
+    root's bracket, refined on a finer grid until it reaches past y_max. A
     rational root (+-1, for (A, B) in {(0, 0), (2, 2), (0, -2), (-2, 0)})
     collapses its bracket, and its continued fraction ends. When no y0 is
     certified, every y <= y_max is checked.
@@ -176,7 +177,7 @@ def solve_bruteforce(fam, n: int, y_max: int):
     only: the sign of the discriminant counts the real roots; three real
     roots are separated at dyadic points near the critical points (found
     with ``isqrt``, refined until f changes sign there) and each piece is
-    bisected; for one real root rho the complex pair has real part
+    refined to one grid cell; for one real root rho the complex pair has real part
     (A + B - rho) / 2.
     """
     if y_max < 1:

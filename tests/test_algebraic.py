@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from split_thue import algebraic
 from split_thue.algebraic import (
@@ -10,10 +11,14 @@ from split_thue.algebraic import (
     DivisionByZero,
     RealEnclosure,
     _isolate_all,
+    _poly_mul,
+    _squarefree_part,
     abs_compare,
+    bisect_root,
     field_arith,
     poly_eval_sign,
     refine_bracket,
+    scaled_poly,
 )
 from split_thue.precision import PrecisionBudget, UndecidedComparison, iv_inf, iv_sup
 
@@ -59,6 +64,71 @@ def test_refine_bracket_refines_non_dyadic_bracket():
     r = refine_bracket(coeffs, RealEnclosure(lo, near_hi), Fraction(1, 2**300))
     assert r.hi == near_hi and r.width() <= Fraction(1, 2**300)
     assert poly_eval_sign(coeffs, r.lo) == -1
+
+
+def plain_bisection(F, lo, hi):
+    """One bit per evaluation: the reference answer for ``bisect_root``."""
+    neg_lo = F(lo) < 0
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        v = F(mid)
+        if v == 0:
+            return mid, mid
+        if (v < 0) == neg_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+@given(
+    st.lists(st.integers(-30, 30), min_size=2, max_size=5).filter(lambda c: c[0] != 0),
+    st.one_of(st.none(), st.tuples(st.integers(-300, 300), st.integers(0, 8))),
+    st.integers(1, 2048),
+)
+@example([1, 0, -2], (3, 1), 64)  # x^2 - 2 times 2x - 3: the root 3/2 is on the grid
+@settings(max_examples=80, deadline=None)
+def test_bisect_root_matches_bisection(coeffs, dyadic, K):
+    # an integer polynomial of degree 1..4, times 2^j x - m when a dyadic
+    # root m / 2^j is drawn; every real root is bracketed at scale 2^K
+    if dyadic is not None:
+        m, j = dyadic
+        coeffs = _poly_mul(coeffs, [1 << j, -m])
+    f = _squarefree_part(coeffs)
+    if len(f) < 3:
+        return
+    F, scale = scaled_poly(f, K), 1 << K
+    for box in _isolate_all(f, 4):
+        if not box.is_real:
+            continue
+        # inward to the grid: still isolating when F changes sign at the ends
+        lo = -(-box.lo.numerator * scale // box.lo.denominator)
+        hi = box.hi.numerator * scale // box.hi.denominator
+        if lo >= hi or F(lo) == 0 or F(hi) == 0 or (F(lo) < 0) == (F(hi) < 0):
+            continue
+        got = bisect_root(F, lo, hi)
+        assert got == plain_bisection(F, lo, hi)
+        if dyadic is not None and K >= dyadic[1] and lo < (dyadic[0] << (K - dyadic[1])) < hi:
+            assert got == (dyadic[0] << (K - dyadic[1]),) * 2
+
+
+def test_refining_sqrt2_to_16384_bits_takes_few_evaluations(monkeypatch):
+    calls = []
+
+    def counting_scaled_poly(coeffs, K):
+        F = scaled_poly(coeffs, K)
+
+        def counted(m):
+            calls.append(m)
+            return F(m)
+
+        return counted
+
+    monkeypatch.setattr(algebraic, "scaled_poly", counting_scaled_poly)
+    enc = sqrt2().approx(16384)
+    assert iv_sup(enc) - iv_inf(enc) < Fraction(1, 2**16380)
+    # bisection takes one evaluation per bit, 16387 here
+    assert 0 < len(calls) <= 64
 
 
 def test_real_root_refines_to_nested_sign_changes():
