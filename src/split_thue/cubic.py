@@ -256,14 +256,15 @@ def log_closed_forms(fam: FamilyInstance, n: int, bits: int):
     """The six closed forms for log|lambda_i| and log|lambda_i - A_n|."""
     la, lb, lcA, lcB, ldiff = _log_quantities(fam, n, bits)
     cross = ldiff if fam.equal_modulus else lcB
-    return {
-        "log|l1|": n * lb + lcB,
-        "log|l1-A|": n * lb + cross,
-        "log|l2|": n * la + lcA,
-        "log|l2-A|": -n * (la + lb) - lcA - cross,
-        "log|l3|": -n * (la + lb) - lcA - lcB,
-        "log|l3-A|": n * la + lcA,
-    }
+    with interval_bits(bits):
+        return {
+            "log|l1|": n * lb + lcB,
+            "log|l1-A|": n * lb + cross,
+            "log|l2|": n * la + lcA,
+            "log|l2-A|": -n * (la + lb) - lcA - cross,
+            "log|l3|": -n * (la + lb) - lcA - lcB,
+            "log|l3-A|": n * la + lcA,
+        }
 
 
 def _root_log_values(rs: CubicRootSet):

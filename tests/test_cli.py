@@ -6,6 +6,7 @@ import sys
 import time
 from types import SimpleNamespace
 
+import mpmath
 import pytest
 
 from split_thue import cli, cubic, sequences, units
@@ -363,9 +364,9 @@ PINNED_REPORTS = {
         ["verify", EXAMPLE_CONFIG, "--n-lo", "2", "--n-hi", "60", "--y-max", "50", "--bits", "512"],
         cli.EXIT_OK,
         (
-            "1b57e2a6a9b974a8c0162a7ea75f89e64157edb360178e05355ce22733437d13",
+            "eaf6a51ef4d2312474a5c4c4f430261f05c8f40d5d62bf31f9a71312f1c033f9",
             "e1e174f2f30bbbb30fa0769ba41f513b240b270cdc8ae3760ac9695682e64053",
-            "1300ffca69479eb03259dd913e6cfc0613d10a1132906ad01e59edff08520a65",
+            "63ee65201f15cb4694a935e4a2caf0a76bef17242f483b06abef7fa97958e9f1",
         ),
     ),
     "bounds-fib-pow2-cap-1e19": (
@@ -382,9 +383,9 @@ PINNED_REPORTS = {
         ["verify", EQUAL_MODULUS_CONFIG, "--n-lo", "2", "--n-hi", "40", "--y-max", "50", "--bits", "512"],
         cli.EXIT_OK,
         (
-            "0616d90ad292df158374353edf77602294b41d9e3849b9a32b29fd5c5a5f3560",
+            "35cc29a2e941d6b62a2cabfd35e2c68c687db823ce364f7847c4aad4c4190183",
             "1ac7d3c4599bf24c0a03fcc1521b1e013b46c6e4674063d6a5a5378e708734ab",
-            "519f3417e00e9b79b1868053010e3736d4da0c733392fde533d96d11bc6be918",
+            "39f62457f011e6ed2bb8fb4bed578fc7a292f162945b947c39ed7e1b33c415d4",
         ),
     ),
     "bounds-equal-modulus-cap-1e40": (
@@ -406,6 +407,23 @@ def test_canonical_reports_are_pinned(name, tmp_path, capsys):
     outputs = [capsys.readouterr().out.encode()] + [f.read_bytes() for f in files]
     assert code == want_code
     assert tuple(hashlib.sha256(b).hexdigest() for b in outputs) == want_hashes
+
+
+@pytest.mark.parametrize(
+    "config, n_hi",
+    [(EXAMPLE_CONFIG, "30"), (EQUAL_MODULUS_CONFIG, "20")],
+)
+def test_reports_do_not_depend_on_the_global_interval_precision(monkeypatch, capsys, config, n_hi):
+    # every interval step runs at the command's own precision, so mpmath's
+    # global iv.prec (53 by default) leaves no trace in the report
+    argv = ["verify", config, "--n-lo", "2", "--n-hi", n_hi, "--bits", "512"]
+    reports = []
+    for prec in (53, 20):
+        monkeypatch.setattr(mpmath.iv, "prec", prec)
+        code = cli.main(argv)
+        reports.append((code, capsys.readouterr().out))
+    assert reports[0][0] == cli.EXIT_OK
+    assert reports[1] == reports[0]
 
 
 # A_n = (10^12 + n/2) 2^n has a dominant coefficient of degree 1 whose
