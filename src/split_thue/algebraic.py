@@ -227,11 +227,11 @@ def bisect_root(F, lo: int, hi: int):
 
     Quadratic interval refinement (Abbott 2006; Kerber and Sagraloff 2011)
     finds it in O(log log w) steps for a bracket of width w once the secant
-    is accurate, where bisection takes log2 w.  Each step
-    guesses the root by the secant through the ends and tests the cell of
-    width s = max(1, w // N) holding the guess, then the neighbour cell the
-    signs point to.  A hit leaves a bracket of width <= s and squares N; a
-    miss sets N to max(4, isqrt(N)) and bisects once.
+    is accurate, where bisection takes log2 w.  Each step guesses the root
+    by the secant through the ends and tests the cell of width
+    s = max(1, w // N) holding the guess, then the neighbour cell the signs
+    point to.  A hit leaves a bracket of width <= s and squares N; a miss
+    sets N to max(4, isqrt(N)) and bisects once.
     """
     f_lo, f_hi = F(lo), F(hi)
 

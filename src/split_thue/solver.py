@@ -177,8 +177,8 @@ def solve_bruteforce(fam, n: int, y_max: int):
     only: the sign of the discriminant counts the real roots; three real
     roots are separated at dyadic points near the critical points (found
     with ``isqrt``, refined until f changes sign there) and each piece is
-    refined to one grid cell; for one real root rho the complex pair has real part
-    (A + B - rho) / 2.
+    refined to one grid cell; for one real root rho the complex pair has
+    real part (A + B - rho) / 2.
     """
     if y_max < 1:
         raise ValueError("y_max must be >= 1")
