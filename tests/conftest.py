@@ -40,7 +40,13 @@ def pow2_equal_modulus(pow2_seq, budget):
 
 @pytest.fixture
 def cold_kernel():
-    """Empty the polynomial kernel's caches, so that a timed test pays for
-    its own root isolation and factoring."""
-    for cached in (algebraic._coarse_boxes, algebraic._isolate_all, algebraic._resultant_poly, algebraic._abs_square):
+    """Empty the polynomial kernel's caches, so that a timed or counted test
+    pays for its own root isolation, refinement and factoring."""
+    for cached in (
+        algebraic._coarse_boxes,
+        algebraic._isolate_all,
+        algebraic._refined,
+        algebraic._resultant_poly,
+        algebraic._abs_square,
+    ):
         cached.cache_clear()

@@ -112,23 +112,46 @@ def test_bisect_root_matches_bisection(coeffs, dyadic, K):
             assert got == (dyadic[0] << (K - dyadic[1]),) * 2
 
 
-def test_refining_sqrt2_to_16384_bits_takes_few_evaluations(monkeypatch):
+def count_evaluations(monkeypatch):
+    """Record every point at which a polynomial from ``scaled_poly`` is
+    evaluated, as (coefficients, K, point)."""
     calls = []
 
     def counting_scaled_poly(coeffs, K):
         F = scaled_poly(coeffs, K)
 
         def counted(m):
-            calls.append(m)
+            calls.append((coeffs, K, m))
             return F(m)
 
         return counted
 
     monkeypatch.setattr(algebraic, "scaled_poly", counting_scaled_poly)
+    return calls
+
+
+def test_refining_sqrt2_to_16384_bits_takes_few_evaluations(monkeypatch, cold_kernel):
+    calls = count_evaluations(monkeypatch)
     enc = sqrt2().approx(16384)
     assert iv_sup(enc) - iv_inf(enc) < Fraction(1, 2**16380)
     # bisection takes one evaluation per bit, 16387 here
     assert 0 < len(calls) <= 64
+
+
+@pytest.mark.parametrize(
+    "coeffs, lo, hi",
+    [
+        ((1, 0, -2), Fraction(1), Fraction(3, 2)),
+        ((1, -11, 24, -1), Fraction(1, 30), Fraction(1, 20)),
+        ((1, -1, -1), Fraction(3, 2), Fraction(2)),
+    ],
+)
+def test_refine_bracket_evaluates_each_point_once(monkeypatch, coeffs, lo, hi):
+    calls = count_evaluations(monkeypatch)
+    for k in (10, 64, 300, 2000):
+        box = refine_bracket(coeffs, RealEnclosure(lo, hi), Fraction(1, 2**k))
+        assert box.width() <= Fraction(1, 2**k)
+    assert calls and len(set(calls)) == len(calls)
 
 
 def test_real_root_refines_to_nested_sign_changes():
@@ -190,6 +213,11 @@ def test_field_arith_resultant_identities():
     assert p.is_rational and p.as_fraction() == 2
     q = field_arith(a, a, "div")
     assert q.is_rational and q.as_fraction() == 1
+
+
+def test_rational_divided_by_algebraic():
+    assert 1 / sqrt2() == AlgebraicNumber.from_rational(1) / sqrt2()
+    assert Fraction(1, 2) / sqrt2() == sqrt2() / 4
 
 
 def test_inverse_and_division_by_zero():

@@ -133,10 +133,10 @@ def test_zero_dominant_root_is_a_hypothesis_violation(tmp_path, capsys):
 
 
 def test_verify_runs_each_stage_once(monkeypatch, capsys):
-    calls = {"isolate_roots": [], "compute_constants": 0, "bullet": 0, "eval_exact": 0}
+    calls = {"isolate_roots": [], "compute_constants": 0, "bullet": 0, "explicit_iv": 0}
     isolate, constants = cubic.isolate_roots, cubic.compute_constants
     bullet = sequences._bullet_check
-    eval_exact = sequences.RecurrentSequence.eval_exact
+    explicit_iv, build = sequences.RecurrentSequence.explicit_iv, sequences.FamilyInstance.build
 
     def counting_isolate(fam, n, *args, **kwargs):
         calls["isolate_roots"].append(n)
@@ -150,14 +150,19 @@ def test_verify_runs_each_stage_once(monkeypatch, capsys):
         calls["bullet"] += 1
         return bullet(*args)
 
-    def counting_eval_exact(self, n):
-        calls["eval_exact"] += 1
-        return eval_exact(self, n)
+    def counting_explicit_iv(self, *args, **kwargs):
+        calls["explicit_iv"] += 1
+        return explicit_iv(self, *args, **kwargs)
+
+    def recording_build(*args, **kwargs):
+        calls["explicit_iv_at_build"] = calls["explicit_iv"]
+        return build(*args, **kwargs)
 
     monkeypatch.setattr(cubic, "isolate_roots", counting_isolate)
     monkeypatch.setattr(cubic, "compute_constants", counting_constants)
     monkeypatch.setattr(sequences, "_bullet_check", counting_bullet)
-    monkeypatch.setattr(sequences.RecurrentSequence, "eval_exact", counting_eval_exact)
+    monkeypatch.setattr(sequences.RecurrentSequence, "explicit_iv", counting_explicit_iv)
+    monkeypatch.setattr(sequences.FamilyInstance, "build", recording_build)
     # the per-(family, n) caches count the computations they hold
     for cached in (sequences.FamilyInstance.terms, cubic._log_quantities, units.xi_upper_rhs):
         cached.cache_clear()
@@ -171,8 +176,11 @@ def test_verify_runs_each_stage_once(monkeypatch, capsys):
     n_hi = report["config"]["options"]["n_hi"]
     assert calls["bullet"] == n_hi
     assert sorted({r["n"] for r in report["residuals"]}) == in_scope
+    # the explicit formula is checked at the initial terms while the
+    # sequences are built, and never evaluated after that
+    assert calls["explicit_iv_at_build"] > 0
+    assert calls["explicit_iv"] == calls["explicit_iv_at_build"]
     # per-n values are computed once per n, not once per solution or stage
-    assert calls["eval_exact"] <= 2 * n_hi
     assert cubic._log_quantities.cache_info().misses <= len(in_scope)
     assert units.xi_upper_rhs.cache_info().misses <= len(in_scope)
 

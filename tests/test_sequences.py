@@ -1,28 +1,42 @@
+import dataclasses
 import time
 from fractions import Fraction
 
 import pytest
+from mpmath.ctx_iv import ivmpf
 
 from split_thue.algebraic import AlgebraicNumber
-from split_thue.precision import PrecisionBudget, SplitThueError, iv_inf, iv_sup
+from split_thue.cubic import compute_constants
+from split_thue.precision import PrecisionBudget, SplitThueError, iv_inf, iv_sup, iv_to_fractions
 from split_thue.sequences import (
     CoefficientPolynomial,
     FamilyInstance,
     HypothesisViolated,
+    InconsistentModel,
     RecurrentSequence,
     check_hypotheses,
+    family_table,
     sequence_from_json,
 )
 
 
+def checked_terms(seq, count):
+    """The terms n < count by the recursion, each held by the explicit
+    formula's enclosure."""
+    terms = [seq.eval_recursion(n) for n in range(count)]
+    for n, value in enumerate(terms):
+        enc = seq.explicit_iv(n)
+        assert iv_inf(enc) <= value <= iv_sup(enc)
+    return terms
+
+
 def test_recursion_matches_explicit(fib_seq):
     want = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
-    got = [fib_seq.eval_exact(n) for n in range(10)]
-    assert got == want
+    assert checked_terms(fib_seq, 10) == want
 
 
 def test_power_sequence(pow2_seq):
-    assert [pow2_seq.eval_exact(n) for n in range(6)] == [2, 4, 8, 16, 32, 64]
+    assert checked_terms(pow2_seq, 6) == [2, 4, 8, 16, 32, 64]
     assert pow2_seq.dominant_root.as_fraction() == 2
 
 
@@ -36,7 +50,7 @@ def test_dominant_root_of_fibonacci(fib_seq):
 def test_repeated_root_coefficient_polynomial():
     # a_n = n 3^n has characteristic polynomial (x - 3)^2
     seq = RecurrentSequence.from_recurrence([1, -6, 9], [0, 3])
-    assert [seq.eval_exact(n) for n in range(5)] == [0, 3, 18, 81, 324]
+    assert checked_terms(seq, 5) == [0, 3, 18, 81, 324]
     assert seq.dominant_coeff.degree == 1
 
 
@@ -68,7 +82,7 @@ def test_abs_lower_inf_rejects_an_integer_zero():
 def test_complex_secondary_roots():
     # a_n = 3^n + 2 cos(pi n / 2): characteristic roots 3, i, -i
     seq = RecurrentSequence.from_recurrence([1, -3, 1, -3], [3, 3, 7])
-    assert [seq.eval_exact(n) for n in range(6)] == [3, 3, 7, 27, 83, 243]
+    assert checked_terms(seq, 6) == [3, 3, 7, 27, 83, 243]
 
 
 def _recursion_terms(recurrence, initial, count):
@@ -89,6 +103,45 @@ def test_fibonacci_dominant_coefficient(fib_seq):
     assert box.hi - box.lo < Fraction(1, 2**60)
 
 
+def test_wrong_conjugate_coefficient_is_inconsistent(fib_seq):
+    # a_n = c phi^n + c' psi^n; with c and its conjugate c' swapped the
+    # formula gives c + c' = 1 at n = 0 but c' phi + c psi = -1 at n = 1
+    ((psi, c_psi),) = fib_seq.secondary
+    with pytest.raises(InconsistentModel, match="initial term 1"):
+        dataclasses.replace(fib_seq, dominant_coeff=c_psi, secondary=((psi, fib_seq.dominant_coeff),))
+
+
+def _plain(value):
+    """A real interval as its exact endpoints, anything else as it is."""
+    return iv_to_fractions(value) if isinstance(value, ivmpf) else value
+
+
+def test_derived_values_do_not_depend_on_earlier_refinement():
+    # a fresh fib-pow2 family: refining its numbers further must not change
+    # what is computed from them afterwards
+    fam = FamilyInstance.build(
+        RecurrentSequence.from_recurrence([1, -1, -1], [1, 2]),
+        RecurrentSequence.from_recurrence([1, -2], [2]),
+        PrecisionBudget(working_bits=256),
+    )
+    numbers = []
+    for seq in (fam.A, fam.B):
+        for root, coeff in [(seq.dominant_root, seq.dominant_coeff), *seq.secondary]:
+            numbers += [root, *coeff.coeffs]
+
+    def derived():
+        constants = compute_constants(fam)
+        family_table.cache_clear()
+        table = family_table(fam, 160)
+        fields = {f.name: _plain(getattr(table, f.name)) for f in dataclasses.fields(table)}
+        return constants, fields, table.heights, _plain(fam.alpha.approx(256))
+
+    before = derived()
+    for x in numbers:
+        x.approx(4000)
+    assert derived() == before
+
+
 @pytest.mark.parametrize(
     "recurrence, initial, dominant",
     [
@@ -101,7 +154,7 @@ def test_explicit_formula_matches_recursion(recurrence, initial, dominant):
     seq = RecurrentSequence.from_recurrence(recurrence, initial)
     assert seq.dominant_root.as_fraction() == dominant
     want = _recursion_terms(recurrence, initial, 12)
-    assert [seq.eval_exact(n) for n in range(12)] == want
+    assert checked_terms(seq, 12) == want
 
 
 def test_repeated_complex_pair_builds_fast(cold_kernel):
@@ -179,7 +232,7 @@ def test_hypotheses_fail_outside_bullets(budget):
 
 def test_sequence_from_json_plain():
     seq = sequence_from_json({"recurrence": [1, -1, -1], "initial": [1, 2]})
-    assert seq.eval_exact(6) == 21
+    assert checked_terms(seq, 7)[6] == 21
 
 
 def test_sequence_from_json_bad_input():
