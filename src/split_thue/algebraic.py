@@ -415,7 +415,7 @@ class AlgebraicNumber:
                 total = iv.log(iv_from_fractions(lead, lead, bits))
                 for box in boxes:
                     mag = abs(box.as_iv(bits))
-                    total += _log_plus(mag)
+                    total += _log_plus(mag, bits)
                 result = total / d
                 if iv_width(result) <= target:
                     return result
@@ -549,15 +549,15 @@ def _moduli_tie(x, y):
     return abs_square(x) == abs_square(y)
 
 
-def _log_plus(mag):
-    """Interval of log max(|.|, 1) from an interval of |.|."""
+def _log_plus(mag, bits):
+    """Interval of log max(|.|, 1) from an interval of |.|, at ``bits``."""
     one = iv.mpf(1)
     if mag.b <= one.a:
         return iv.mpf(0)
     if mag.a >= one.b:
         return iv.log(mag)
     hi = iv.log(iv.mpf([1, mag.b]))
-    return iv_from_fractions(0, iv_sup(hi))
+    return iv_from_fractions(0, iv_sup(hi), bits)
 
 
 def _newton_step(coeffs, re, im, unit):

@@ -2,7 +2,8 @@
 
 All certified real arithmetic in this package goes through mpmath's interval
 context ``mpmath.iv``.  Its precision is a global knob, so every routine that
-computes with intervals wraps its work in :func:`interval_bits`.
+computes with intervals wraps its work in :func:`interval_bits`, or calls
+``mpmath.libmp.libmpi`` with the precision of each step as an argument.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import iv
-from mpmath.libmp import from_rational, round_ceiling, round_floor
+from mpmath.libmp import from_int, from_rational, mpf_gt, mpf_lt, round_ceiling, round_floor
+from mpmath.libmp.libmpi import mpi_abs, mpi_mul, mpi_sub
 
 
 class SplitThueError(Exception):
@@ -65,26 +67,36 @@ def interval_bits(bits):
         iv.prec = old
 
 
-def iv_from_fraction(value, bits=None):
+def iv_from_fraction(value, bits):
     """Interval with directed-rounded endpoints enclosing an exact rational."""
     return iv_from_fractions(value, value, bits)
 
 
-def iv_from_fractions(lo, hi, bits=None):
-    """Interval [lo, hi] with rational endpoints, rounded outward.
+def iv_from_fractions(lo, hi, bits):
+    """Interval [lo, hi] with rational endpoints, rounded outward to ``bits``.
 
     The conversion must not pass through ``mpmath.mpf(...)``, which re-rounds
     at the global (often 53-bit) context; ``make_mpf`` keeps the directed
     endpoints exact.
     """
-    prec = bits if bits is not None else iv.prec
     lo = Fraction(lo)
     hi = Fraction(hi)
     if lo > hi:
         raise ValueError("empty interval")
-    a = mpmath.mp.make_mpf(from_rational(lo.numerator, lo.denominator, prec, round_floor))
-    b = mpmath.mp.make_mpf(from_rational(hi.numerator, hi.denominator, prec, round_ceiling))
+    a = mpmath.mp.make_mpf(from_rational(lo.numerator, lo.denominator, bits, round_floor))
+    b = mpmath.mp.make_mpf(from_rational(hi.numerator, hi.denominator, bits, round_ceiling))
     return iv.mpf([a, b])
+
+
+def iv_abs_affine_exact(x, y, r):
+    """The interval {|x - y t| : t in r} for integers x and y.
+
+    libmpi at precision 0 does not round, so the endpoints are exact: the
+    cancellation in x - y t for x/y near t costs no bits, and the global
+    ``iv.prec`` is never read.
+    """
+    fx, fy = from_int(x), from_int(y)
+    return iv.make_mpf(mpi_abs(mpi_sub((fx, fx), mpi_mul((fy, fy), r._mpi_))))
 
 
 def iv_width(x):
@@ -101,10 +113,12 @@ def iv_inf(x):
 
 
 def compare(x, y):
-    """Three-valued interval comparison: True (x < y), False (x > y) or None."""
-    if iv_sup(x) < iv_inf(y):
+    """Three-valued interval comparison: True (x < y), False (x > y) or None,
+    decided exactly on the endpoints."""
+    (x_lo, x_hi), (y_lo, y_hi) = x._mpi_, y._mpi_
+    if mpf_lt(x_hi, y_lo):
         return True
-    if iv_inf(x) > iv_sup(y):
+    if mpf_gt(x_lo, y_hi):
         return False
     return None
 

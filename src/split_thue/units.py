@@ -9,18 +9,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
 from mpmath import iv
+from mpmath.libmp.libmpi import mpi_div, mpi_log, mpi_mul, mpi_sub
 
 from .algebraic import refine_bracket
 from .cubic import CubicRootSet, _log_quantities
 from .precision import (
     DEFAULT_BUDGET,
+    MIN_WORKING_BITS,
     PrecisionExhausted,
     SplitThueError,
     UndecidedComparison,
     compare,
     interval_bits,
+    iv_abs_affine_exact,
     iv_from_fraction,
     iv_inf,
     iv_sup,
@@ -108,24 +110,28 @@ def unit_decompose(x: int, y: int, rs: CubicRootSet) -> UnitExponents:
     sign * lambda^b1 (lambda - A_n)^b2, an identity in Z[lambda].
 
     f_n is squarefree, so the identity holds at all three embeddings. The
-    exponents lie in the enclosures solved from log|x - lambda_i y| at the
-    root context's precision; every integer pair in them is tried exactly.
-    The norm form is the norm of x - lambda y, and lambda and lambda - A_n
-    have norm 1, so the sign is the norm form's value.
+    exponents lie in the enclosures solved from log|x - lambda_i y|, the log
+    of an exact interval, at MIN_WORKING_BITS; every integer pair in them is
+    tried exactly. The norm form is the norm of x - lambda y, and lambda and
+    lambda - A_n have norm 1, so the sign is the norm form's value.
     """
     A, B = rs.A, rs.B
     nf = norm_form(x, y, A, B)
     if nf not in (1, -1):
         raise NotAUnit(f"norm form value {nf} is not a unit")
-    (m11, m21), (m12, m22) = rs.log_abs[:2], rs.log_abs_A[:2]
-    with interval_bits(rs.bits):
-        r1, r2 = (iv.log(abs(r * (-y) + x)) for r in rs.ivs[:2])
-        det = m11 * m22 - m12 * m21
-        b1_iv = (r1 * m22 - r2 * m12) / det
-        b2_iv = (m11 * r2 - m21 * r1) / det
-    if not all(mpmath.isfinite(e) for v in (b1_iv, b2_iv) for e in (v.a, v.b)):
-        raise PrecisionExhausted(f"unit exponents of ({x}, {y}) unbounded at {rs.bits} bits")
-    (lo1, hi1), (lo2, hi2) = iv_to_fractions(b1_iv), iv_to_fractions(b2_iv)
+    # the exact forms lose no bits to the cancellation in x - lambda_i y, so
+    # 64 bits leave the enclosures of the integers b1, b2 narrow; libmpi is
+    # given the precision of each step and never reads the global iv.prec
+    p = MIN_WORKING_BITS
+    r1, r2 = (mpi_log(iv_abs_affine_exact(x, y, r)._mpi_, p) for r in rs.ivs[:2])
+    (m11, m21), (m12, m22) = ((v._mpi_ for v in logs[:2]) for logs in (rs.log_abs, rs.log_abs_A))
+    det = mpi_sub(mpi_mul(m11, m22, p), mpi_mul(m12, m21, p), p)
+    b1_iv = mpi_div(mpi_sub(mpi_mul(r1, m22, p), mpi_mul(r2, m12, p), p), det, p)
+    b2_iv = mpi_div(mpi_sub(mpi_mul(m11, r2, p), mpi_mul(m21, r1, p), p), det, p)
+    try:
+        (lo1, hi1), (lo2, hi2) = (iv_to_fractions(iv.make_mpf(b)) for b in (b1_iv, b2_iv))
+    except ValueError:
+        raise PrecisionExhausted(f"unit exponents of ({x}, {y}) unbounded") from None
     for b1 in range(math.ceil(lo1), math.floor(hi1) + 1):
         for b2 in range(math.ceil(lo2), math.floor(hi2) + 1):
             if unit_product(b1, b2, A, B) == (nf * x, -nf * y, 0):
@@ -138,14 +144,15 @@ def solution_type(x: int, y: int, rs: CubicRootSet, budget=DEFAULT_BUDGET) -> in
 
     There are no ties for y != 0: |x - lambda_i y| = |x - lambda_j y| would
     make x/y the midpoint of lambda_i and lambda_j, but f_n is irreducible,
-    so lambda_i + lambda_j = A_n + B_n - lambda_k is irrational.  Overlapping
-    intervals are settled on the exact brackets, refined at doubling
-    precision up to ``budget.max_bits``.
+    so lambda_i + lambda_j = A_n + B_n - lambda_k is irrational.  The
+    magnitudes are compared as exact intervals over the root context's
+    enclosures; overlapping ones are settled on the exact brackets, refined
+    at doubling precision from ``budget.working_bits`` up to
+    ``budget.max_bits``.
     """
     if y == 0:
         return 1
-    with interval_bits(budget.working_bits):
-        mags = [abs(r * (-y) + x) for r in rs.ivs]
+    mags = [iv_abs_affine_exact(x, y, r) for r in rs.ivs]
     best = 1
     for i in (2, 3):
         verdict = compare(mags[i - 1], mags[best - 1])
@@ -276,8 +283,9 @@ def xi_value(xi: LinearFormXi, fam: FamilyInstance, bits=None):
 
 @lru_cache(maxsize=256)
 def xi_upper_rhs(fam: FamilyInstance, consts, n: int, bits=None) -> Fraction:
-    """Right-hand side of the transformed-form upper bound, computed once per
-    (family, constants, n, precision).
+    """Certified lower bound on the right-hand side of the transformed-form
+    upper bound, computed once per (family, constants, n, precision): a
+    |xi_j| at most this value is at most the bound itself.
 
     The source states the first term with c5 cubed; the derivation uses the
     *inverse* of the root-difference lower bounds, so we evaluate 4 c5^{-3}
@@ -298,7 +306,7 @@ def xi_upper_rhs(fam: FamilyInstance, consts, n: int, bits=None) -> Fraction:
             * b_abs ** (-n)
         )
         t2 = 6 * C * iv.mpf(n) ** fam.d2 * eps**n
-        return iv_sup(t1 + t2)
+        return iv_inf(t1 + t2)
 
 
 @dataclass(frozen=True)
@@ -315,7 +323,8 @@ def verify_xi_bound(
     xi: LinearFormXi, fam: FamilyInstance, consts, n: int, budget=DEFAULT_BUDGET
 ) -> XiBoundReport:
     """Check |xi_j| against its decaying upper bound at the budget's working
-    precision; the bound only holds for exponents that come from a genuine
+    precision: the upper end of |xi_j| must not exceed the lower end of the
+    bound. The bound only holds for exponents that come from a genuine
     solution."""
     if n != xi.n:
         raise ValueError("n mismatch")

@@ -422,16 +422,33 @@ def test_canonical_reports_are_pinned(name, tmp_path, capsys):
     [(EXAMPLE_CONFIG, "30"), (EQUAL_MODULUS_CONFIG, "20")],
 )
 def test_reports_do_not_depend_on_the_global_interval_precision(monkeypatch, capsys, config, n_hi):
+    argv = ["verify", config, "--n-lo", "2", "--n-hi", n_hi, "--bits", "512"]
+    assert_independent_of_global_precision(argv, cli.EXIT_OK, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["solve", EXAMPLE_CONFIG, "--n-lo", "2", "--n-hi", "12"], cli.EXIT_OK),
+        (["bounds", EXAMPLE_CONFIG, "--n-cap", str(10**19)], cli.EXIT_BOUND),
+    ],
+    ids=["solve", "bounds"],
+)
+def test_solve_and_bounds_do_not_depend_on_the_global_interval_precision(monkeypatch, capsys, argv, want):
+    assert_independent_of_global_precision(argv, want, monkeypatch, capsys)
+
+
+def assert_independent_of_global_precision(argv, want, monkeypatch, capsys):
     # every interval step runs at the command's own precision, so mpmath's
     # global iv.prec (53 by default) leaves no trace in the report
-    argv = ["verify", config, "--n-lo", "2", "--n-hi", n_hi, "--bits", "512"]
     reports = []
-    for prec in (53, 20):
+    for prec in (53, 20, 300):
         monkeypatch.setattr(mpmath.iv, "prec", prec)
         code = cli.main(argv)
         reports.append((code, capsys.readouterr().out))
-    assert reports[0][0] == cli.EXIT_OK
+    assert reports[0][0] == want
     assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
 
 
 # A_n = (10^12 + n/2) 2^n has a dominant coefficient of degree 1 whose

@@ -7,6 +7,7 @@ from split_thue.precision import (
     PrecisionBudget,
     compare,
     interval_bits,
+    iv_abs_affine_exact,
     iv_from_fraction,
     iv_from_fractions,
     iv_inf,
@@ -74,3 +75,19 @@ def test_compare_three_valued():
     assert compare(a, b) is True
     assert compare(b, a) is False
     assert compare(a, c) is None
+
+
+def test_iv_abs_affine_exact_has_exact_endpoints(monkeypatch):
+    # x - y t cancels 400 bits of x for t near x / y; the endpoints are
+    # still |x - y lo| and |x - y hi| exactly, whatever the global iv.prec
+    x, y = 2**400 + 1, 3
+    lo, hi = Fraction(x, y) - Fraction(1, 2**500), Fraction(x, y) + Fraction(1, 2**501)
+    r = iv_from_fractions(lo, hi, 1024)
+    rlo, rhi = iv_to_fractions(r)
+    want = (Fraction(0), max(abs(x - y * rlo), abs(x - y * rhi)))
+    for prec in (20, 53, 300):
+        monkeypatch.setattr(iv, "prec", prec)
+        assert iv_to_fractions(iv_abs_affine_exact(x, y, r)) == want
+    r = iv_from_fractions(lo + Fraction(1, 2**499), hi + Fraction(1, 2**499), 1024)
+    rlo, rhi = iv_to_fractions(r)
+    assert iv_to_fractions(iv_abs_affine_exact(x, y, r)) == (y * rlo - x, y * rhi - x)

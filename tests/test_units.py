@@ -25,6 +25,7 @@ from split_thue.units import (
     unit_product,
     verify_xi_bound,
     xi_form,
+    xi_upper_rhs,
     xi_value,
 )
 
@@ -84,12 +85,37 @@ def test_unit_decompose_trivial_solutions(rs20, pow2_equal_modulus, budget):
 
 def test_unit_decompose_nontrivial_solutions(fib_pow2, budget):
     rs = isolate_roots(fib_pow2, 1, budget)
-    expected = {(7, 4): (0, 3, -1), (38, 273): (6, -2, -1)}
-    for (x, y), (b1, b2, sign) in expected.items():
+    expected = {(7, 4): (2, 0, 3, -1), (38, 273): (3, 6, -2, -1)}
+    for (x, y), (j, b1, b2, sign) in expected.items():
         ue = unit_decompose(x, y, rs)
         assert (ue.b1, ue.b2, ue.sign) == (b1, b2, sign)
         um = unit_decompose(-x, -y, rs)
         assert (um.b1, um.b2, um.sign) == (b1, b2, -sign)
+        assert solution_type(x, y, rs, budget) == solution_type(-x, -y, rs, budget) == j
+
+
+@pytest.mark.parametrize("family", ["fib_pow2", "pow2_equal_modulus"])
+def test_trivial_solutions_over_many_n(request, budget, family):
+    """Type and exponents of every trivial solution with y != 0, at each n
+    from 2 to 120: (0, 1) has type 3 and x - lambda y = -lambda, (A, 1) type
+    2 and -(lambda - A), (B, 1) type 1 and -lambda^-1 (lambda - A)^-1."""
+    fam = request.getfixturevalue(family)
+    for n in range(2, 121):
+        rs = isolate_roots(fam, n, budget)
+        expected = {(0, 1): (3, 1, 0), (rs.A, 1): (2, 0, 1), (rs.B, 1): (1, -1, -1)}
+        for (x, y), want in expected.items():
+            for sign in (1, -1):
+                ue = unit_decompose(sign * x, sign * y, rs)
+                j = solution_type(sign * x, sign * y, rs, budget)
+                assert (j, ue.b1, ue.b2, ue.sign) == want + (-sign,), (n, x, y, sign)
+
+
+def test_unit_decompose_deepest_cancellation(fib_pow2, budget):
+    # B - lambda_1 is about 1/(B (B - A)): the form cancels all of B's bits
+    # (n = 60 is among the n above)
+    rs = isolate_roots(fib_pow2, 300, budget)
+    ue = unit_decompose(rs.B, 1, rs)
+    assert (ue.b1, ue.b2, ue.sign) == (-1, -1, -1)
 
 
 def test_unit_inverses(fib_pow2):
@@ -215,6 +241,15 @@ def test_xi_bound_on_trivial_solutions(fib_pow2, fib_pow2_consts, budget):
             xi = xi_form(j, fib_pow2.case_tag, n, ue.b1, ue.b2)
             rep = verify_xi_bound(xi, fib_pow2, fib_pow2_consts, n)
             assert rep.ok, (n, x, y, rep.value, rep.bound)
+
+
+def test_xi_upper_rhs_is_a_lower_end(fib_pow2, fib_pow2_consts):
+    # a pass compares sup|xi| with a lower bound on the right-hand side: at
+    # a coarse precision its wider enclosure puts that bound lower
+    for n in (15, 60, 150):
+        coarse = xi_upper_rhs(fib_pow2, fib_pow2_consts, n, 64)
+        fine = xi_upper_rhs(fib_pow2, fib_pow2_consts, n, 512)
+        assert 0 < coarse <= fine
 
 
 def test_xi_value_matches_computed_form(fib_pow2, rs20, fib_pow2_consts, budget):
