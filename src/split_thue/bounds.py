@@ -26,7 +26,8 @@ from .precision import (
     iv_inf,
     iv_sup,
 )
-from .sequences import FamilyInstance, family_table
+from .cubic import compute_constants
+from .sequences import FamilyInstance, dominant_logs
 
 
 # -- solution-size upper bound (unit rank 2, cubic form) -------------------
@@ -51,7 +52,11 @@ def bugy_bound(R_upper: Fraction, logH_upper: Fraction, bits: int = 192) -> Frac
     )
 
 
-# -- closed forms over the family table ------------------------------------
+# -- closed forms over the family constants --------------------------------
+
+# the precision of every probe of compute_n0, whatever the working precision
+CHAIN_BITS = 160
+
 
 def _logn_sup(n: int, bits: int) -> Fraction:
     """Rational upper bound on log n (0 for n = 1)."""
@@ -64,20 +69,22 @@ def _logn_sup(n: int, bits: int) -> Fraction:
 # probes of the other branches at the same n.
 
 @lru_cache(maxsize=256)
-def log_coeff_bound(fam: FamilyInstance, n: int, bits: int = 128) -> Fraction:
+def log_coeff_bound(fam: FamilyInstance, consts, n: int, bits: int = 128) -> Fraction:
     """Upper bound m(n) on |log| of every coefficient value at n (dominant
     coefficients and, in the equal-modulus case, their difference)."""
-    t = family_table(fam, bits)
-    return max(t.log_coeff_neg, t.log_coeff_pos + fam.d2 * _logn_sup(n, bits))
+    return max(consts.log_coeff_neg, consts.log_coeff_pos + fam.d2 * _logn_sup(n, bits))
 
 
-def _sup_clamped(x, cap_bits: int = 256) -> Fraction:
-    """Upper endpoint as a Fraction, rounded up to 2^-cap_bits when the value
-    is even tinier (an exact conversion would need astronomically long
+_CLAMP_BITS = 256
+
+
+def _sup_clamped(x) -> Fraction:
+    """Upper endpoint as a Fraction, rounded up to 2^-_CLAMP_BITS when the
+    value is even tinier (an exact conversion would need astronomically long
     denominators)."""
     sign, man, exp, bc = x._mpi_[1]
-    if man != 0 and exp + bc < -cap_bits:
-        return Fraction(1, 2**cap_bits) if not sign else Fraction(0)
+    if man != 0 and exp + bc < -_CLAMP_BITS:
+        return Fraction(1, 2**_CLAMP_BITS) if not sign else Fraction(0)
     return iv_sup(x)
 
 
@@ -99,10 +106,9 @@ def lterm_sup(consts, d2: int, n: int, bits: int = 128) -> Fraction:
 def regulator_bounds(fam: FamilyInstance, consts, n: int, bits: int = 128):
     """Closed-form enclosure (R_low, R_up) of the regulator at n, from the
     log approximations with every coefficient log ranging over [-m, m]."""
-    m = log_coeff_bound(fam, n, bits)
+    m = log_coeff_bound(fam, consts, n, bits)
     e = lterm_sup(consts, fam.d2, n, bits)
-    t = family_table(fam, bits)
-    la, lb = t.log_alpha, t.log_beta
+    _, _, la, lb = dominant_logs(fam, bits)
     with interval_bits(bits):
         u1 = iv_from_fractions(-(m + e), m + e, bits)
         u2 = iv_from_fractions(-(2 * m + e), 2 * m + e, bits)
@@ -117,11 +123,11 @@ def regulator_bounds(fam: FamilyInstance, consts, n: int, bits: int = 128):
 
 def logH_upper(fam: FamilyInstance, consts, n: int, bits: int = 128) -> Fraction:
     """Upper bound on log of the largest form coefficient, |A_n B_n|."""
-    m = log_coeff_bound(fam, n, bits)
+    m = log_coeff_bound(fam, consts, n, bits)
     e = lterm_sup(consts, fam.d2, n, bits)
-    t = family_table(fam, bits)
+    _, _, la, lb = dominant_logs(fam, bits)
     with interval_bits(bits):
-        val = iv_sup(n * (t.log_alpha + t.log_beta)) + 2 * (m + 1) + e
+        val = iv_sup(n * (la + lb)) + 2 * (m + 1) + e
     return max(val, Fraction(2))  # H >= 3 floor
 
 
@@ -143,13 +149,13 @@ def baker_constant(t: int, D: int) -> int:
     return 18 * math.factorial(t + 1) * t ** (t + 1) * (32 * D) ** (t + 2)
 
 
-def baker_lower(heights, D: int, log_B: Fraction, t: int = None, bits: int = 128) -> Fraction:
-    """Lower bound on the log of a nonzero linear form in t logarithms:
-    -18 (t+1)! t^(t+1) (32D)^(t+2) log(2tD) h_1 ... h_t log B."""
+def baker_lower(heights, D: int, log_B: Fraction, bits: int = 128) -> Fraction:
+    """Lower bound on the log of a nonzero linear form in t logarithms, one
+    per height: -18 (t+1)! t^(t+1) (32D)^(t+2) log(2tD) h_1 ... h_t log B."""
     heights = [Fraction(h) for h in heights]
-    t = t if t is not None else len(heights)
-    if t < 1 or len(heights) != t:
-        raise ValueError("need one height per logarithm")
+    t = len(heights)
+    if t < 1:
+        raise ValueError("need at least one logarithm")
     floor = Fraction(16, 100) / D
     for h in heights:
         if h < floor:
@@ -234,15 +240,20 @@ def field_degree(fam: FamilyInstance, budget=DEFAULT_BUDGET) -> int:
 
 def xi_heights(fam: FamilyInstance, n: int, D: int, budget=DEFAULT_BUDGET):
     """Per-argument height bounds (with Baker floors) for the transformed
-    form's logarithms at parameter n."""
-    bits = budget.working_bits
-    t = family_table(fam, bits)
-    m = log_coeff_bound(fam, n, bits)
+    form's logarithms at parameter n, from the family's constants at the
+    chain's precision, so the same for every ``budget``."""
+    return _xi_heights(fam, compute_constants(fam), n, D)
+
+
+def _xi_heights(fam: FamilyInstance, consts, n: int, D: int):
+    bits = CHAIN_BITS
+    m = log_coeff_bound(fam, consts, n, bits)
     logn = _logn_sup(n, bits)
     floor = Fraction(16, 100) / D
-    h_alpha, h_beta, coeff_heights = t.heights
+    h_alpha, h_beta, coeff_heights = consts.heights
+    _, _, la, lb = dominant_logs(fam, bits)
     with interval_bits(bits):
-        la_abs, lb_abs = iv_sup(abs(t.log_alpha)), iv_sup(abs(t.log_beta))
+        la_abs, lb_abs = iv_sup(abs(la)), iv_sup(abs(lb))
     out = [("alpha", max(h_alpha, la_abs / D, floor))]
     if not fam.equal_modulus:
         out.append(("beta", max(h_beta, lb_abs / D, floor)))
@@ -256,10 +267,9 @@ def exponent_bound_B(fam: FamilyInstance, consts, n: int, logy: Fraction, R_low:
     to cover the transformed form's table coefficients."""
     if R_low <= 0:
         raise ValueError("need a positive regulator lower bound")
-    m = log_coeff_bound(fam, n, bits)
+    m = log_coeff_bound(fam, consts, n, bits)
     e = lterm_sup(consts, fam.d2, n, bits)
-    t = family_table(fam, bits)
-    la, lb = t.log_alpha, t.log_beta
+    _, _, la, lb = dominant_logs(fam, bits)
     with interval_bits(bits):
         entry = iv_sup(n * (la + lb)) + 2 * m + e  # largest |log| matrix entry
         maxdiff = iv_sup(n * lb) + m + e  # largest log root difference
@@ -270,8 +280,7 @@ def exponent_bound_B(fam: FamilyInstance, consts, n: int, logy: Fraction, R_low:
 def xi_upper_log(fam: FamilyInstance, consts, n: int, bits: int = 128) -> Fraction:
     """log of the right-hand side of the transformed-form upper bound,
     evaluated in closed form (safe at astronomically large n)."""
-    t = family_table(fam, bits)
-    la, lb = t.log_alpha, t.log_beta
+    _, _, la, lb = dominant_logs(fam, bits)
     with interval_bits(bits):
         log_c5 = iv.log(iv_from_fraction(consts.c5, bits))
         logn = iv.log(iv.mpf(n))
@@ -296,14 +305,14 @@ def log_logy_lower_altunit(fam: FamilyInstance, consts, n: int, bits: int = 128)
     r_low, _ = regulator_bounds(fam, consts, n, bits)
     if r_low <= 2:
         return None
-    t = family_table(fam, bits)
+    _, _, la, lb = dominant_logs(fam, bits)
     with interval_bits(bits):
         logn = iv.log(iv.mpf(n))
         log_q = (
-            iv.log(iv_from_fraction(2 * t.U_A, bits))
+            iv.log(iv_from_fraction(2 * consts.U_A, bits))
             + fam.d2 * logn
-            + n * (t.log_alpha - t.log_beta)
-            - iv.log(iv_from_fraction(t.L_B, bits))
+            + n * (la - lb)
+            - iv.log(iv_from_fraction(consts.L_B, bits))
         )
         log_quarter = iv.log(iv_from_fraction(Fraction(1, 4), bits))
         if iv_sup(log_q) >= iv_inf(log_quarter):
@@ -354,7 +363,8 @@ class N0Result:
     trace: tuple
 
 
-def _branch_report(fam, consts, n, branch, D, budget, bits=160) -> BoundReport:
+def _branch_report(fam, consts, n, branch, D) -> BoundReport:
+    bits = CHAIN_BITS
     r_low, r_up = regulator_bounds(fam, consts, n, bits)
     ly = logy_upper(fam, consts, n, bits)
     if branch == "altunit-j1":
@@ -367,7 +377,7 @@ def _branch_report(fam, consts, n, branch, D, budget, bits=160) -> BoundReport:
         if r_low <= 0:
             lower = None
         else:
-            heights = xi_heights(fam, n, D, budget)
+            heights = _xi_heights(fam, consts, n, D)
             B_exp = exponent_bound_B(fam, consts, n, ly.value, r_low, bits)
             with interval_bits(bits):
                 log_B = iv_sup(iv.log(iv_from_fraction(B_exp, bits)))
@@ -399,10 +409,10 @@ def compute_n0(
 
     def contra(n, branch):
         if branch == "altunit-j1":
-            rep = _branch_report(fam, consts, n, branch, D, budget)
+            rep = _branch_report(fam, consts, n, branch, D)
         else:
             if n not in xi_reports:
-                xi_reports[n] = _branch_report(fam, consts, n, branch, D, budget)
+                xi_reports[n] = _branch_report(fam, consts, n, branch, D)
             rep = replace(xi_reports[n], branch=branch)
         trace.append(rep)
         return rep.verdict == "contradiction"

@@ -12,13 +12,14 @@ from mpmath import iv
 from .algebraic import RealEnclosure, poly_eval_sign, refine_bracket
 from .precision import (
     DEFAULT_BUDGET,
+    PrecisionBudget,
     SplitThueError,
     interval_bits,
     iv_from_fraction,
     iv_inf,
     iv_sup,
 )
-from .sequences import FamilyInstance, HypothesisViolated, coeff_poly_sub, family_table
+from .sequences import FamilyInstance, dominant_logs
 
 
 class AnchorSignFailure(SplitThueError):
@@ -160,16 +161,31 @@ def verify_root_approx(rs: CubicRootSet, fam: FamilyInstance) -> ResidualReport:
 
 @dataclass(frozen=True)
 class ApproxConstants:
+    """Everything about a family that does not depend on n, built once per
+    family by ``compute_constants``: C, eps and c5 <= c6 of the approximation
+    lemmas, and what the bound chain reads of the coefficient envelopes
+    U >= sum of |coefficients| and L <= inf_{n >= 2} |c(n)|."""
+
     C: Fraction
     eps: Fraction  # certified upper bound, strictly < 1
     c5: Fraction
     c6: Fraction
+    U_A: Fraction  # U over every coefficient of A, dominant and secondary
+    L_B: Fraction  # L of c_B
+    log_coeff_neg: Fraction  # max |log L| over the lower envelopes
+    log_coeff_pos: Fraction  # max log U over the upper envelopes
+    heights: tuple  # (h(alpha), h(beta), ((label, base, slope), ...))
 
     def __post_init__(self):
         if not (0 <= self.eps < 1):
             raise SplitThueError("eps must lie in [0, 1)")
         if self.c5 > self.c6:
             raise SplitThueError("c5 must not exceed c6")
+
+    def __hash__(self):
+        # a cheap key for the per-n caches: equal constants agree on C and
+        # eps, and hashing every Fraction field costs more than a lookup saves
+        return hash((self.C, self.eps))
 
     def lterm(self, n: int, d2: int) -> Fraction:
         return self.C * Fraction(n) ** d2 * self.eps**n
@@ -187,9 +203,31 @@ def _ratio_upper(num, den):
         return iv_sup(q)
 
 
+def _heights(fam: FamilyInstance):
+    """(h(alpha), h(beta), ((label, base, slope), ...)): rational upper
+    bounds with h(c(n)) <= base + slope log n for c_A, c_B (and c_B - c_A in
+    the equal-modulus case), from h(c(n)) <= sum_j (h(a_j) + j log n)
+    + log(#terms)."""
+    budget = PrecisionBudget(working_bits=_CONST_BITS)
+    polys = [("cA", fam.A.dominant_coeff), ("cB", fam.B.dominant_coeff)]
+    if fam.equal_modulus:
+        polys.append(("cB-cA", fam.coeff_diff))
+    coeffs = []
+    for label, poly in polys:
+        with interval_bits(_CONST_BITS):
+            log_terms = iv_sup(iv.log(iv.mpf(poly.degree + 1)))
+        base = sum((iv_sup(a.height(budget)) for a in poly.coeffs), log_terms)
+        coeffs.append((label, base, sum(range(len(poly.coeffs)))))
+    h_alpha = iv_sup(fam.alpha.height(budget))
+    h_beta = iv_sup(fam.beta.height(budget))
+    return h_alpha, h_beta, tuple(coeffs)
+
+
+@lru_cache(maxsize=64)
 def compute_constants(fam: FamilyInstance) -> ApproxConstants:
-    """Effective constants: the shared decay ratio eps, the log-residual
-    constant C, and root-difference constants c5 <= c6."""
+    """The family's constants, once per family: the shared decay ratio eps,
+    the log-residual constant C, root-difference constants c5 <= c6, and
+    from the same envelopes the values the bound chain reads."""
     alpha, beta = fam.alpha, fam.beta
     ratios = []
     for root, _ in fam.B.secondary:
@@ -210,29 +248,33 @@ def compute_constants(fam: FamilyInstance) -> ApproxConstants:
     U_cB_sec = [c.abs_coeff_sum_upper(_CONST_BITS) for _, c in fam.B.secondary]
     L_cA = cA.abs_lower_inf(_N_MIN, _CONST_BITS)
     L_cB = cB.abs_lower_inf(_N_MIN, _CONST_BITS)
+    ups = [U_cA + sum(U_cA_sec, Fraction(0)), U_cB + sum(U_cB_sec, Fraction(0))]
+    lows = [L_cA, L_cB]
 
+    U_max = max([U_cA] + U_cA_sec + U_cB_sec)
     c1 = max(U_cB_sec, default=Fraction(0)) / L_cB
     c2 = max(U_cA_sec, default=Fraction(0)) / L_cA
-    c3 = max([U_cA] + U_cA_sec + U_cB_sec) / L_cB
+    c3 = U_max / L_cB
     if fam.equal_modulus:
-        diff_poly = coeff_poly_sub(cB, cA)
-        if all(c.is_zero for c in diff_poly.coeffs):
-            raise HypothesisViolated("c_B - c_A vanishes identically (equal dominant coefficients)")
-        L_diff = diff_poly.abs_lower_inf(_N_MIN, _CONST_BITS)
-        c4 = max([U_cA] + U_cA_sec + U_cB_sec) / L_diff
+        diff = fam.coeff_diff
+        L_diff = diff.abs_lower_inf(_N_MIN, _CONST_BITS)
+        c4 = U_max / L_diff
+        ups.append(diff.abs_coeff_sum_upper(_CONST_BITS))
+        lows.append(L_diff)
     else:
         c4 = Fraction(0)
 
     m_A, m_B = len(fam.A.secondary), len(fam.B.secondary)
     C = 5 * max(c1, c2, c3, c4) * (m_B + m_A + 1)
-
-    U_all = U_cB + sum(U_cB_sec, Fraction(0)) + U_cA + sum(U_cA_sec, Fraction(0)) + 1
-    c6 = 2 * U_all
-    lows = [L_cA, L_cB]
-    if fam.equal_modulus:
-        lows.append(L_diff)
+    c6 = 2 * (ups[0] + ups[1] + 1)
     c5 = min(lows) / 4
-    return ApproxConstants(C=C, eps=eps, c5=c5, c6=c6)
+    with interval_bits(_CONST_BITS):
+        neg = max(abs(iv_inf(iv.log(iv_from_fraction(lo, _CONST_BITS)))) for lo in lows)
+        pos = max(iv_sup(iv.log(iv_from_fraction(up, _CONST_BITS))) for up in ups)
+    return ApproxConstants(
+        C=C, eps=eps, c5=c5, c6=c6, U_A=ups[0], L_B=L_cB,
+        log_coeff_neg=neg, log_coeff_pos=pos, heights=_heights(fam),
+    )
 
 
 @lru_cache(maxsize=256)
@@ -240,16 +282,12 @@ def _log_quantities(fam: FamilyInstance, n: int, bits: int):
     """Interval values of log|alpha|, log|beta|, log|c_A(n)|, log|c_B(n)|,
     log|(c_B - c_A)(n)| (the last only in the equal-modulus case), computed
     once per (family, n, precision)."""
-    t = family_table(fam, bits)
+    _, _, la, lb = dominant_logs(fam, bits)
     with interval_bits(bits):
         lcA = iv.log(abs(fam.A.dominant_coeff.approx_at(n, bits)))
         lcB = iv.log(abs(fam.B.dominant_coeff.approx_at(n, bits)))
-        if fam.equal_modulus:
-            diff = coeff_poly_sub(fam.B.dominant_coeff, fam.A.dominant_coeff)
-            ldiff = iv.log(abs(diff.approx_at(n, bits)))
-        else:
-            ldiff = None
-    return t.log_alpha, t.log_beta, lcA, lcB, ldiff
+        ldiff = iv.log(abs(fam.coeff_diff.approx_at(n, bits))) if fam.equal_modulus else None
+    return la, lb, lcA, lcB, ldiff
 
 
 def log_closed_forms(fam: FamilyInstance, n: int, bits: int):
@@ -302,13 +340,12 @@ def verify_root_diff(
     """The six two-sided root-difference bounds."""
     n = rs.n
     bits = budget.working_bits
+    a_abs, b_abs, _, _ = dominant_logs(fam, bits)
     with interval_bits(bits):
         l1, l2, l3 = rs.ivs
         d12 = abs(l1 - l2)
         d13 = abs(l1 - l3)
         d23 = abs(l2 - l3)
-        a_abs = abs(fam.alpha.approx(bits))
-        b_abs = abs(fam.beta.approx(bits))
         an = a_abs**n
         bn = b_abs**n
         c5 = iv_from_fraction(consts.c5, bits)

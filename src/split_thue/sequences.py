@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import zip_longest
 
 from mpmath import iv
 
@@ -129,18 +130,6 @@ class CoefficientPolynomial:
                     mid = (lo + hi) // 2
                     ranges += [(mid + 1, hi), (lo, mid)]
             return min(best, Fraction(n_star) ** (g - 1) * (L * n_star - R))
-
-
-def coeff_poly_sub(a: CoefficientPolynomial, b: CoefficientPolynomial):
-    """Coefficient-wise difference a - b."""
-    la, lb = len(a.coeffs), len(b.coeffs)
-    zero = AlgebraicNumber.from_rational(0)
-    out = []
-    for j in range(max(la, lb)):
-        ca = a.coeffs[j] if j < la else zero
-        cb = b.coeffs[j] if j < lb else zero
-        out.append(ca - cb)
-    return CoefficientPolynomial(tuple(out))
 
 
 @dataclass(frozen=True)
@@ -386,69 +375,27 @@ class FamilyInstance:
     def c_B(self, n):
         return self.B.dominant_coeff.value_at(n)
 
-
-@dataclass(frozen=True)
-class FamilyTable:
-    """What the bound chain needs of a family that does not depend on n, at
-    one precision: log|alpha| and log|beta| (intervals), the envelopes
-    U_A >= sum of |coefficients| of A (dominant and secondary) and
-    L_B <= inf_{n >= 2} |c_B(n)| that the alternative-unit chain reads, and
-    the n-independent part of the coefficient log bound m(n), over the
-    envelopes U and L of every coefficient polynomial."""
-
-    fam: FamilyInstance
-    bits: int
-    log_alpha: object
-    log_beta: object
-    U_A: Fraction
-    L_B: Fraction
-    log_coeff_neg: Fraction  # max |log L| over the lower envelopes
-    log_coeff_pos: Fraction  # max log U over the upper envelopes
-
     @cached_property
-    def heights(self):
-        """(h(alpha), h(beta), ((label, base, slope), ...)): rational upper
-        bounds with h(c(n)) <= base + slope log n for c_A, c_B (and c_B - c_A
-        in the equal-modulus case), from h(c(n)) <= sum_j (h(a_j) + j log n)
-        + log(#terms)."""
-        budget = PrecisionBudget(working_bits=self.bits)
-        cA, cB = self.fam.A.dominant_coeff, self.fam.B.dominant_coeff
-        polys = [("cA", cA), ("cB", cB)]
-        if self.fam.equal_modulus:
-            polys.append(("cB-cA", coeff_poly_sub(cB, cA)))
-        coeffs = []
-        for label, poly in polys:
-            with interval_bits(self.bits):
-                log_terms = iv_sup(iv.log(iv.mpf(poly.degree + 1)))
-            base = sum((iv_sup(a.height(budget)) for a in poly.coeffs), log_terms)
-            coeffs.append((label, base, sum(range(len(poly.coeffs)))))
-        h_alpha = iv_sup(self.fam.alpha.height(budget))
-        h_beta = iv_sup(self.fam.beta.height(budget))
-        return h_alpha, h_beta, tuple(coeffs)
+    def coeff_diff(self):
+        """The coefficient polynomial c_B - c_A, built once per family; it
+        must not vanish identically (it is read in the equal-modulus case)."""
+        zero = AlgebraicNumber.from_rational(0)
+        a, b = self.A.dominant_coeff.coeffs, self.B.dominant_coeff.coeffs
+        diff = tuple(cB - cA for cA, cB in zip_longest(a, b, fillvalue=zero))
+        if all(c.is_zero for c in diff):
+            raise HypothesisViolated("c_B - c_A vanishes identically (equal dominant coefficients)")
+        return CoefficientPolynomial(diff)
 
 
 @lru_cache(maxsize=64)
-def family_table(fam: FamilyInstance, bits: int) -> FamilyTable:
-    """The table of ``fam`` at ``bits``, built once per (family, precision);
-    the one place that encloses log|alpha| and log|beta|."""
-    def upper(seq):
-        rest = (c.abs_coeff_sum_upper(bits) for _, c in seq.secondary)
-        return sum(rest, seq.dominant_coeff.abs_coeff_sum_upper(bits))
-
-    cA, cB = fam.A.dominant_coeff, fam.B.dominant_coeff
-    U_A, L_B = upper(fam.A), cB.abs_lower_inf(2, bits)
-    ups = [U_A, upper(fam.B)]
-    lows = [cA.abs_lower_inf(2, bits), L_B]
-    if fam.equal_modulus:
-        diff = coeff_poly_sub(cB, cA)
-        ups.append(diff.abs_coeff_sum_upper(bits))
-        lows.append(diff.abs_lower_inf(2, bits))
+def dominant_logs(fam: FamilyInstance, bits: int):
+    """(|alpha|, |beta|, log|alpha|, log|beta|) as intervals at ``bits``,
+    once per (family, precision): the family's only precision-dependent
+    values, and the one place that encloses them."""
     with interval_bits(bits):
-        neg = max(abs(iv_inf(iv.log(iv_from_fraction(lo, bits)))) for lo in lows)
-        pos = max(iv_sup(iv.log(iv_from_fraction(up, bits))) for up in ups)
-        log_alpha = iv.log(abs(fam.alpha.approx(bits)))
-        log_beta = iv.log(abs(fam.beta.approx(bits)))
-    return FamilyTable(fam, bits, log_alpha, log_beta, U_A, L_B, neg, pos)
+        a_abs = abs(fam.alpha.approx(bits))
+        b_abs = abs(fam.beta.approx(bits))
+        return a_abs, b_abs, iv.log(a_abs), iv.log(b_abs)
 
 
 # -- hypothesis checking ---------------------------------------------------

@@ -28,7 +28,7 @@ from .precision import (
     iv_sup,
     iv_to_fractions,
 )
-from .sequences import FamilyInstance
+from .sequences import FamilyInstance, dominant_logs
 
 
 class NotAUnit(SplitThueError):
@@ -259,9 +259,8 @@ def xi_form(j: int, case_tag: str, n: int, b1: int, b2: int) -> LinearFormXi:
     return LinearFormXi(j, case_tag, n, b1, b2, tuple(zip(XI_LABELS, coeffs)), tuple(flags))
 
 
-def xi_value(xi: LinearFormXi, fam: FamilyInstance, bits=None):
-    """Interval value of the linear form."""
-    bits = bits or DEFAULT_BUDGET.working_bits
+def xi_value(xi: LinearFormXi, fam: FamilyInstance, bits: int):
+    """Interval value of the linear form at ``bits``."""
     la, lb, lcA, lcB, ldiff = _log_quantities(fam, xi.n, bits)
     logs = {
         "log|alpha|": la,
@@ -282,7 +281,7 @@ def xi_value(xi: LinearFormXi, fam: FamilyInstance, bits=None):
 
 
 @lru_cache(maxsize=256)
-def xi_upper_rhs(fam: FamilyInstance, consts, n: int, bits=None) -> Fraction:
+def xi_upper_rhs(fam: FamilyInstance, consts, n: int, bits: int) -> Fraction:
     """Certified lower bound on the right-hand side of the transformed-form
     upper bound, computed once per (family, constants, n, precision): a
     |xi_j| at most this value is at most the bound itself.
@@ -291,10 +290,8 @@ def xi_upper_rhs(fam: FamilyInstance, consts, n: int, bits=None) -> Fraction:
     *inverse* of the root-difference lower bounds, so we evaluate 4 c5^{-3}
     and flag the discrepancy in reports.
     """
-    bits = bits or DEFAULT_BUDGET.working_bits
+    a_abs, b_abs, _, _ = dominant_logs(fam, bits)
     with interval_bits(bits):
-        a_abs = abs(fam.alpha.approx(bits))
-        b_abs = abs(fam.beta.approx(bits))
         c5 = iv_from_fraction(consts.c5, bits)
         C = iv_from_fraction(consts.C, bits)
         eps = iv_from_fraction(consts.eps, bits)

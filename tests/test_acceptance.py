@@ -254,11 +254,11 @@ def test_criterion_08_effective_n0(fib_pow2, fib_pow2_consts, budget):
     window_ok = True
     for n in list(range(n0, n0 + 11)):
         for branch in ("xi-j2", "xi-j3", "altunit-j1"):
-            r = _branch_report(fib_pow2, fib_pow2_consts, n, branch, D, budget)
+            r = _branch_report(fib_pow2, fib_pow2_consts, n, branch, D)
             if r.verdict != "contradiction":
                 window_ok = False
     # ... and the largest branch threshold really is the first crossing point
-    below = _branch_report(fib_pow2, fib_pow2_consts, n0 - 1, "xi-j2", budget=budget, D=D)
+    below = _branch_report(fib_pow2, fib_pow2_consts, n0 - 1, "xi-j2", D=D)
     strict_ok = below.verdict == "no-contradiction"
     outcome(
         "criterion-08 effective n0",

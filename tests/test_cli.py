@@ -86,6 +86,23 @@ def test_equal_modulus_n0(capsys):
     assert report["branch_thresholds"] == {"xi-j1": n0, "xi-j2": n0, "xi-j3": n0}
 
 
+@pytest.mark.parametrize(
+    "config, cap",
+    [(EXAMPLE_CONFIG, 10**25), (EQUAL_MODULUS_CONFIG, 10**40)],
+    ids=["fib-pow2", "equal-modulus"],
+)
+def test_bounds_does_not_depend_on_the_working_precision(capsys, config, cap):
+    # the chain and the family constants run at fixed precisions, so --bits
+    # changes only the config echo
+    reports = []
+    for bits in ("64", "256"):
+        code, report = run(["bounds", config, "--n-cap", str(cap), "--bits", bits], capsys)
+        assert code == cli.EXIT_OK
+        del report["config"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def _assert_hypothesis_violation(path, capsys, message):
     for command in ("verify", "bounds"):
         assert cli.main([command, str(path)]) == cli.EXIT_HYPOTHESIS

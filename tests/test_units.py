@@ -258,5 +258,5 @@ def test_xi_value_matches_computed_form(fib_pow2, rs20, fib_pow2_consts, budget)
     A = rs20.A
     ue = unit_decompose(A, 1, rs20)
     xi = xi_form(2, fib_pow2.case_tag, 20, ue.b1, ue.b2)
-    val = xi_value(xi, fib_pow2)
+    val = xi_value(xi, fib_pow2, budget.working_bits)
     assert iv_sup(abs(val)) < Fraction(1, 10**3)
