@@ -4,14 +4,16 @@ An algebraic number is stored as its primitive integer minimal polynomial
 together with a rational-endpoint box isolating exactly one root.  The exact
 polynomial kernel is here too: root isolation certified on exact Newton
 squares, composed sums and products from power sums, and factoring over the
-integers by root subsets.  Numerical enclosures use mpmath intervals
-(:mod:`split_thue.precision`); mpmath's own root finder only supplies
-approximations, which are certified exactly.
+integers by root subsets.  Real enclosures are :class:`Interval` values with
+their own precision; arithmetic with complex boxes uses mpmath's ``iv``
+context inside :func:`interval_bits` (:mod:`split_thue.precision`).  mpmath's
+own root finder only supplies approximations, which are certified exactly.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -19,22 +21,19 @@ from itertools import combinations
 
 import mpmath
 from mpmath import iv
-from mpmath.libmp import NoConvergence
+from mpmath.libmp import NoConvergence, mpci_abs
 
 from .precision import (
     DEFAULT_BUDGET,
     MAX_BITS,
+    Interval,
     PrecisionExhausted,
     SplitThueError,
     UndecidedComparison,
     _raw_to_fraction,
     interval_bits,
     is_iv_complex,
-    iv_from_fractions,
-    iv_inf,
-    iv_sup,
     iv_to_fractions,
-    iv_width,
 )
 
 
@@ -63,7 +62,7 @@ class RealEnclosure:
         return self.lo <= other.hi and other.lo <= self.hi
 
     def as_iv(self, bits):
-        return iv_from_fractions(self.lo, self.hi, bits)
+        return Interval.between(self.lo, self.hi, bits)
 
 
 @dataclass(frozen=True)
@@ -94,8 +93,8 @@ class ComplexEnclosure:
         return ComplexEnclosure(self.re_lo, self.re_hi, -self.im_hi, -self.im_lo)
 
     def as_iv(self, bits):
-        re = iv_from_fractions(self.re_lo, self.re_hi, bits)
-        im = iv_from_fractions(self.im_lo, self.im_hi, bits)
+        re = Interval.between(self.re_lo, self.re_hi, bits)
+        im = Interval.between(self.im_lo, self.im_hi, bits)
         return iv.mpc(re, im)
 
 
@@ -390,16 +389,21 @@ class AlgebraicNumber:
         return _refined(self.min_poly, self.enclosure, Fraction(width))
 
     def approx(self, bits):
-        """mpmath interval (iv.mpf or iv.mpc) of width about 2^-bits (relative)."""
+        """Enclosure of relative width about 2^-bits, with endpoints rounded
+        outward at bits + 8: an Interval whose operations round to ``bits``
+        for a real number, an mpmath ``iv.mpc`` for a complex one."""
         if self.is_rational:
-            with interval_bits(bits + 8):
-                return iv_from_fractions(self.as_fraction(), self.as_fraction(), bits + 8)
+            return Interval.of(self.as_fraction(), bits + 8).at(bits)
         box = self.enclosure
         scale = max(
             abs(box.mid() if box.is_real else box.re_lo + box.re_hi), Fraction(1)
         )
-        with interval_bits(bits + 8):
-            return self.refined(scale * Fraction(1, 2**bits)).as_iv(bits + 8)
+        tight = self.refined(scale * Fraction(1, 2**bits)).as_iv(bits + 8)
+        return tight.at(bits) if box.is_real else tight
+
+    def approx_abs(self, bits):
+        """Interval enclosure of |x| whose operations round to ``bits``."""
+        return _abs_interval(self.approx(bits), bits)
 
     # -- number-theoretic operations ---------------------------------------
 
@@ -410,15 +414,12 @@ class AlgebraicNumber:
         target = budget.target_width()
         bits = budget.working_bits
         while bits <= budget.max_bits:
-            with interval_bits(bits):
-                boxes = _isolate_all(self.min_poly, bits)
-                total = iv.log(iv_from_fractions(lead, lead, bits))
-                for box in boxes:
-                    mag = abs(box.as_iv(bits))
-                    total += _log_plus(mag, bits)
-                result = total / d
-                if iv_width(result) <= target:
-                    return result
+            total = Interval.of(lead, bits).log()
+            for box in _isolate_all(self.min_poly, bits):
+                total += _log_plus(_abs_interval(box.as_iv(bits), bits))
+            result = total / d
+            if result.sup - result.inf <= target:
+                return result
             bits *= 2
         raise PrecisionExhausted("height enclosure did not converge")
 
@@ -529,11 +530,10 @@ def abs_compare(x, y, budget=DEFAULT_BUDGET):
         return (a > b) - (a < b)
     bits = budget.working_bits
     while bits <= budget.max_bits:
-        with interval_bits(bits):
-            a, b = abs(x.approx(bits)), abs(y.approx(bits))
-        if iv_sup(a) < iv_inf(b):
+        a, b = x.approx_abs(bits), y.approx_abs(bits)
+        if a.sup < b.inf:
             return -1
-        if iv_inf(a) > iv_sup(b):
+        if a.inf > b.sup:
             return 1
         if bits == budget.working_bits and _moduli_tie(x, y):
             return 0
@@ -549,15 +549,19 @@ def _moduli_tie(x, y):
     return abs_square(x) == abs_square(y)
 
 
-def _log_plus(mag, bits):
-    """Interval of log max(|.|, 1) from an interval of |.|, at ``bits``."""
-    one = iv.mpf(1)
-    if mag.b <= one.a:
-        return iv.mpf(0)
-    if mag.a >= one.b:
-        return iv.log(mag)
-    hi = iv.log(iv.mpf([1, mag.b]))
-    return iv_from_fractions(0, iv_sup(hi), bits)
+def _abs_interval(value, bits):
+    """|value| as an Interval at ``bits``, for an Interval at ``bits`` or an
+    ``iv.mpc``."""
+    if is_iv_complex(value):
+        return Interval(mpci_abs(value._mpci_, bits), bits)
+    return abs(value)
+
+
+def _log_plus(mag):
+    """Interval of log max(|.|, 1) from an Interval of |.|."""
+    if mag.sup <= 1:
+        return Interval.of(0, mag.prec)
+    return Interval.between(max(mag.inf, 1), mag.sup, mag.prec).log()
 
 
 def _newton_step(coeffs, re, im, unit):
@@ -781,7 +785,7 @@ def _round_factor(f, roots, bits):
     with interval_bits(bits + 32):
         prod = [iv.mpf(lc)]
         for b in roots:
-            z = b.as_iv(bits + 32)
+            z = iv.mpf(b.as_iv(bits + 32))
             if b.is_real:
                 prod = _poly_mul(prod, [1, -z])
             elif b.im_lo > 0:
@@ -843,7 +847,7 @@ def field_arith(a, b, op, budget=DEFAULT_BUDGET):
             return field_arith(a, AlgebraicNumber.from_rational(1 / b.as_fraction()), "mul", budget)
         inv_coeffs = _normalize_coeffs(tuple(reversed(b.min_poly)))
         b_inv = _designate_from_iv(
-            (inv_coeffs,), lambda bits: 1 / b.approx(bits), budget
+            (inv_coeffs,), lambda bits: _evaluate(operator.truediv, bits, 1, b.approx(bits)), budget
         )
         return field_arith(a, b_inv, "mul", budget)
 
@@ -856,13 +860,20 @@ def field_arith(a, b, op, budget=DEFAULT_BUDGET):
         return AlgebraicNumber.from_rational(0)
 
     candidates = _resultant_poly(a.min_poly, b.min_poly, op)
+    f = operator.add if op == "add" else operator.mul
+    return _designate_from_iv(
+        candidates, lambda bits: _evaluate(f, bits, a.approx(bits), b.approx(bits)), budget
+    )
 
-    def value(bits):
-        with interval_bits(bits):
-            av, bv = a.approx(bits), b.approx(bits)
-            return av + bv if op == "add" else av * bv
 
-    return _designate_from_iv(candidates, value, budget)
+def _evaluate(f, bits, *args):
+    """f of approximations at ``bits``: real Intervals compute at their own
+    precision, and with a complex box among ``args``, f computes with
+    mpmath's ``iv`` at ``bits``."""
+    if not any(map(is_iv_complex, args)):
+        return f(*args)
+    with interval_bits(bits):
+        return f(*map(iv.mpf, args))
 
 
 def _designate_from_iv(candidate_polys, value_fn, budget=DEFAULT_BUDGET):

@@ -14,18 +14,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath import iv
-
 from .algebraic import AlgebraicNumber, ComplexEnclosure, RealEnclosure, field_arith
-from .precision import (
-    DEFAULT_BUDGET,
-    SplitThueError,
-    interval_bits,
-    iv_from_fraction,
-    iv_from_fractions,
-    iv_inf,
-    iv_sup,
-)
+from .precision import DEFAULT_BUDGET, Interval, SplitThueError
 from .cubic import compute_constants
 from .sequences import FamilyInstance, dominant_logs
 
@@ -40,13 +30,12 @@ def bugy_constant(r: int = 2, N: int = 3) -> int:
 C_RANK2_CUBIC = bugy_constant(2, 3)  # == 3**94
 
 
-def bugy_bound(R_upper: Fraction, logH_upper: Fraction, bits: int = 192) -> Fraction:
+def bugy_bound(R_upper: Fraction, logH_upper: Fraction, bits: int) -> Fraction:
     """Upper bound C * R * max(log R, 1) * (R + log(H e)) on
     max(log|x|, log|y|); the right-hand side m = +-1 makes B = e."""
     if R_upper <= 0:
         raise ValueError("regulator bound must be positive")
-    with interval_bits(bits):
-        log_R = iv_sup(iv.log(iv_from_fraction(R_upper, bits)))
+    log_R = _log(R_upper, bits).sup
     return C_RANK2_CUBIC * R_upper * max(log_R, Fraction(1)) * (
         R_upper + logH_upper + 1
     )
@@ -58,10 +47,9 @@ def bugy_bound(R_upper: Fraction, logH_upper: Fraction, bits: int = 192) -> Frac
 CHAIN_BITS = 160
 
 
-def _logn_sup(n: int, bits: int) -> Fraction:
-    """Rational upper bound on log n (0 for n = 1)."""
-    with interval_bits(bits):
-        return iv_sup(iv.log(iv.mpf(n))) if n > 1 else Fraction(0)
+def _log(x, bits: int) -> Interval:
+    """Enclosure of log x for a positive int or Fraction x."""
+    return Interval.of(x, bits).log()
 
 
 # log_coeff_bound, lterm_sup and regulator_bounds are memoised per (family,
@@ -69,10 +57,10 @@ def _logn_sup(n: int, bits: int) -> Fraction:
 # probes of the other branches at the same n.
 
 @lru_cache(maxsize=256)
-def log_coeff_bound(fam: FamilyInstance, consts, n: int, bits: int = 128) -> Fraction:
+def log_coeff_bound(fam: FamilyInstance, consts, n: int, bits: int) -> Fraction:
     """Upper bound m(n) on |log| of every coefficient value at n (dominant
     coefficients and, in the equal-modulus case, their difference)."""
-    return max(consts.log_coeff_neg, consts.log_coeff_pos + fam.d2 * _logn_sup(n, bits))
+    return max(consts.log_coeff_neg, consts.log_coeff_pos + fam.d2 * _log(n, bits).sup)
 
 
 _CLAMP_BITS = 256
@@ -85,49 +73,41 @@ def _sup_clamped(x) -> Fraction:
     sign, man, exp, bc = x._mpi_[1]
     if man != 0 and exp + bc < -_CLAMP_BITS:
         return Fraction(1, 2**_CLAMP_BITS) if not sign else Fraction(0)
-    return iv_sup(x)
+    return x.sup
 
 
 @lru_cache(maxsize=256)
-def lterm_sup(consts, d2: int, n: int, bits: int = 128) -> Fraction:
+def lterm_sup(consts, d2: int, n: int, bits: int) -> Fraction:
     """Rational upper bound of the decaying error envelope C n^d2 eps^n."""
     if consts.eps == 0:
         return Fraction(0)
-    with interval_bits(bits):
-        v = (
-            iv_from_fraction(consts.C, bits)
-            * iv.mpf(n) ** d2
-            * iv_from_fraction(consts.eps, bits) ** n
-        )
-        return _sup_clamped(v)
+    v = Interval.of(consts.C, bits) * Interval.of(n, bits) ** d2 * Interval.of(consts.eps, bits) ** n
+    return _sup_clamped(v)
 
 
 @lru_cache(maxsize=256)
-def regulator_bounds(fam: FamilyInstance, consts, n: int, bits: int = 128):
+def regulator_bounds(fam: FamilyInstance, consts, n: int, bits: int):
     """Closed-form enclosure (R_low, R_up) of the regulator at n, from the
     log approximations with every coefficient log ranging over [-m, m]."""
     m = log_coeff_bound(fam, consts, n, bits)
     e = lterm_sup(consts, fam.d2, n, bits)
     _, _, la, lb = dominant_logs(fam, bits)
-    with interval_bits(bits):
-        u1 = iv_from_fractions(-(m + e), m + e, bits)
-        u2 = iv_from_fractions(-(2 * m + e), 2 * m + e, bits)
-        x1 = n * lb + u1  # log|l1|
-        y1 = n * lb + u1  # log|l1 - A|
-        x2 = n * la + u1  # log|l2|
-        y2 = -n * (la + lb) - u2  # log|l2 - A|
-        det = abs(x1 * y2 - x2 * y1)
-    lo, up = iv_inf(det), iv_sup(det)
-    return max(Fraction(0), lo), up
+    u1 = Interval.between(-(m + e), m + e, bits)
+    u2 = Interval.between(-(2 * m + e), 2 * m + e, bits)
+    x1 = n * lb + u1  # log|l1|
+    y1 = n * lb + u1  # log|l1 - A|
+    x2 = n * la + u1  # log|l2|
+    y2 = -n * (la + lb) - u2  # log|l2 - A|
+    det = abs(x1 * y2 - x2 * y1)
+    return max(Fraction(0), det.inf), det.sup
 
 
-def logH_upper(fam: FamilyInstance, consts, n: int, bits: int = 128) -> Fraction:
+def logH_upper(fam: FamilyInstance, consts, n: int, bits: int) -> Fraction:
     """Upper bound on log of the largest form coefficient, |A_n B_n|."""
     m = log_coeff_bound(fam, consts, n, bits)
     e = lterm_sup(consts, fam.d2, n, bits)
     _, _, la, lb = dominant_logs(fam, bits)
-    with interval_bits(bits):
-        val = iv_sup(n * (la + lb)) + 2 * (m + 1) + e
+    val = (n * (la + lb)).sup + 2 * (m + 1) + e
     return max(val, Fraction(2))  # H >= 3 floor
 
 
@@ -136,7 +116,7 @@ class LogyUpper:
     value: Fraction
 
 
-def logy_upper(fam: FamilyInstance, consts, n: int, bits: int = 128) -> LogyUpper:
+def logy_upper(fam: FamilyInstance, consts, n: int, bits: int) -> LogyUpper:
     """Explicit upper bound on log|y| for any solution at parameter n."""
     r_low, r_up = regulator_bounds(fam, consts, n, bits)
     return LogyUpper(bugy_bound(r_up, logH_upper(fam, consts, n, bits), bits))
@@ -149,7 +129,7 @@ def baker_constant(t: int, D: int) -> int:
     return 18 * math.factorial(t + 1) * t ** (t + 1) * (32 * D) ** (t + 2)
 
 
-def baker_lower(heights, D: int, log_B: Fraction, bits: int = 128) -> Fraction:
+def baker_lower(heights, D: int, log_B: Fraction, bits: int) -> Fraction:
     """Lower bound on the log of a nonzero linear form in t logarithms, one
     per height: -18 (t+1)! t^(t+1) (32D)^(t+2) log(2tD) h_1 ... h_t log B."""
     heights = [Fraction(h) for h in heights]
@@ -161,8 +141,7 @@ def baker_lower(heights, D: int, log_B: Fraction, bits: int = 128) -> Fraction:
         if h < floor:
             raise SplitThueError(f"height {h} below its floor {floor}")
     K = baker_constant(t, D)
-    with interval_bits(bits):
-        log2tD = iv_sup(iv.log(iv.mpf(2 * t * D)))
+    log2tD = _log(2 * t * D, bits).sup
     prod = Fraction(1)
     for h in heights:
         prod *= h
@@ -248,12 +227,11 @@ def xi_heights(fam: FamilyInstance, n: int, D: int, budget=DEFAULT_BUDGET):
 def _xi_heights(fam: FamilyInstance, consts, n: int, D: int):
     bits = CHAIN_BITS
     m = log_coeff_bound(fam, consts, n, bits)
-    logn = _logn_sup(n, bits)
+    logn = _log(n, bits).sup
     floor = Fraction(16, 100) / D
     h_alpha, h_beta, coeff_heights = consts.heights
     _, _, la, lb = dominant_logs(fam, bits)
-    with interval_bits(bits):
-        la_abs, lb_abs = iv_sup(abs(la)), iv_sup(abs(lb))
+    la_abs, lb_abs = abs(la).sup, abs(lb).sup
     out = [("alpha", max(h_alpha, la_abs / D, floor))]
     if not fam.equal_modulus:
         out.append(("beta", max(h_beta, lb_abs / D, floor)))
@@ -262,7 +240,7 @@ def _xi_heights(fam: FamilyInstance, consts, n: int, D: int):
     return out
 
 
-def exponent_bound_B(fam: FamilyInstance, consts, n: int, logy: Fraction, R_low: Fraction, bits: int = 128) -> Fraction:
+def exponent_bound_B(fam: FamilyInstance, consts, n: int, logy: Fraction, R_low: Fraction, bits: int) -> Fraction:
     """Upper bound on max(|b1|, |b2|) from the inverted log system, times n
     to cover the transformed form's table coefficients."""
     if R_low <= 0:
@@ -270,30 +248,25 @@ def exponent_bound_B(fam: FamilyInstance, consts, n: int, logy: Fraction, R_low:
     m = log_coeff_bound(fam, consts, n, bits)
     e = lterm_sup(consts, fam.d2, n, bits)
     _, _, la, lb = dominant_logs(fam, bits)
-    with interval_bits(bits):
-        entry = iv_sup(n * (la + lb)) + 2 * m + e  # largest |log| matrix entry
-        maxdiff = iv_sup(n * lb) + m + e  # largest log root difference
+    entry = (n * (la + lb)).sup + 2 * m + e  # largest |log| matrix entry
+    maxdiff = (n * lb).sup + m + e  # largest log root difference
     b_bound = (2 * entry) * (logy + maxdiff) / R_low + 1
     return 4 * n * (b_bound + 1)
 
 
-def xi_upper_log(fam: FamilyInstance, consts, n: int, bits: int = 128) -> Fraction:
+def xi_upper_log(fam: FamilyInstance, consts, n: int, bits: int) -> Fraction:
     """log of the right-hand side of the transformed-form upper bound,
     evaluated in closed form (safe at astronomically large n)."""
     _, _, la, lb = dominant_logs(fam, bits)
-    with interval_bits(bits):
-        log_c5 = iv.log(iv_from_fraction(consts.c5, bits))
-        logn = iv.log(iv.mpf(n))
-        t1 = iv.log(iv.mpf(4)) - 3 * log_c5 - fam.d1 * logn - n * (2 * la + lb)
-        if consts.eps == 0:
-            return iv_sup(t1)
-        log_eps = iv.log(iv_from_fraction(consts.eps, bits))
-        t2 = iv.log(iv_from_fraction(6 * consts.C, bits)) + fam.d2 * logn + n * log_eps
-        log2 = iv.log(iv.mpf(2))
-        return max(iv_sup(t1), iv_sup(t2)) + iv_sup(log2)
+    logn = _log(n, bits)
+    t1 = _log(4, bits) - 3 * _log(consts.c5, bits) - fam.d1 * logn - n * (2 * la + lb)
+    if consts.eps == 0:
+        return t1.sup
+    t2 = _log(6 * consts.C, bits) + fam.d2 * logn + n * _log(consts.eps, bits)
+    return max(t1.sup, t2.sup) + _log(2, bits).sup
 
 
-def log_logy_lower_altunit(fam: FamilyInstance, consts, n: int, bits: int = 128):
+def log_logy_lower_altunit(fam: FamilyInstance, consts, n: int, bits: int):
     """log of the alternative-unit lower bound, computed entirely in the log domain.
 
     The direct evaluation clamps the decay factor q at 2^-256, which
@@ -306,23 +279,10 @@ def log_logy_lower_altunit(fam: FamilyInstance, consts, n: int, bits: int = 128)
     if r_low <= 2:
         return None
     _, _, la, lb = dominant_logs(fam, bits)
-    with interval_bits(bits):
-        logn = iv.log(iv.mpf(n))
-        log_q = (
-            iv.log(iv_from_fraction(2 * consts.U_A, bits))
-            + fam.d2 * logn
-            + n * (la - lb)
-            - iv.log(iv_from_fraction(consts.L_B, bits))
-        )
-        log_quarter = iv.log(iv_from_fraction(Fraction(1, 4), bits))
-        if iv_sup(log_q) >= iv_inf(log_quarter):
-            return None
-        log_lower = (
-            iv.log(iv_from_fraction(r_low - 2, bits))
-            - iv.log(iv.mpf(4))
-            - log_q
-        )
-        return iv_inf(log_lower)
+    log_q = _log(2 * consts.U_A, bits) + fam.d2 * _log(n, bits) + n * (la - lb) - _log(consts.L_B, bits)
+    if log_q.sup >= _log(Fraction(1, 4), bits).inf:
+        return None
+    return (_log(r_low - 2, bits) - _log(4, bits) - log_q).inf
 
 
 # -- the crossing search ---------------------------------------------------
@@ -370,8 +330,7 @@ def _branch_report(fam, consts, n, branch, D) -> BoundReport:
     if branch == "altunit-j1":
         # log-domain comparison: chain lower bound vs upper bound
         lower = log_logy_lower_altunit(fam, consts, n, bits)
-        with interval_bits(bits):
-            upper = iv_sup(iv.log(iv_from_fraction(ly.value, bits)))
+        upper = _log(ly.value, bits).sup
     else:
         upper = xi_upper_log(fam, consts, n, bits)
         if r_low <= 0:
@@ -379,9 +338,7 @@ def _branch_report(fam, consts, n, branch, D) -> BoundReport:
         else:
             heights = _xi_heights(fam, consts, n, D)
             B_exp = exponent_bound_B(fam, consts, n, ly.value, r_low, bits)
-            with interval_bits(bits):
-                log_B = iv_sup(iv.log(iv_from_fraction(B_exp, bits)))
-            lower = baker_lower([h for _, h in heights], D, log_B, bits=bits)
+            lower = baker_lower([h for _, h in heights], D, _log(B_exp, bits).sup, bits)
     contra = lower is not None and lower > upper
     return BoundReport(
         n=n, branch=branch, R_upper=float(r_up), logy_upper=float(ly.value),

@@ -7,18 +7,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath import iv
-
 from .algebraic import RealEnclosure, poly_eval_sign, refine_bracket
-from .precision import (
-    DEFAULT_BUDGET,
-    PrecisionBudget,
-    SplitThueError,
-    interval_bits,
-    iv_from_fraction,
-    iv_inf,
-    iv_sup,
-)
+from .precision import DEFAULT_BUDGET, Interval, PrecisionBudget, SplitThueError
 from .sequences import FamilyInstance, dominant_logs
 
 
@@ -31,7 +21,7 @@ def cubic_coeffs(A: int, B: int):
     return (1, -(A + B), A * B, -1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CubicRootSet:
     """Certified enclosures of the three real roots, labelled by anchors:
     lambda1 near B_n, lambda2 near A_n, lambda3 near 1/(A_n B_n).
@@ -49,7 +39,7 @@ class CubicRootSet:
     lambda2: RealEnclosure
     lambda3: RealEnclosure
     bits: int
-    ivs: tuple  # interval enclosures of lambda1, lambda2, lambda3
+    ivs: tuple  # Intervals at ``bits`` enclosing lambda1, lambda2, lambda3
     log_abs: tuple  # log|lambda_i|
     log_abs_A: tuple  # log|lambda_i - A_n|
 
@@ -101,10 +91,9 @@ def isolate_roots(fam: FamilyInstance, n: int, budget=DEFAULT_BUDGET) -> CubicRo
     roots = tuple(refine_bracket(coeffs, r, width) for r in (l1, l2, l3))
     l1, l2, l3 = roots
     bits = budget.working_bits + scale_bits
-    with interval_bits(bits):
-        ivs = tuple(r.as_iv(bits) for r in roots)
-        log_abs = tuple(iv.log(abs(v)) for v in ivs)
-        log_abs_A = tuple(iv.log(abs(v - A)) for v in ivs)
+    ivs = tuple(r.as_iv(bits) for r in roots)
+    log_abs = tuple(abs(v).log() for v in ivs)
+    log_abs_A = tuple(abs(v - A).log() for v in ivs)
     return CubicRootSet(n, A, B, coeffs, l1, l2, l3, bits, ivs, log_abs, log_abs_A)
 
 
@@ -198,9 +187,7 @@ _CONST_BITS = 128
 
 def _ratio_upper(num, den):
     """Rational upper bound on |num/den| for algebraic numbers."""
-    with interval_bits(_CONST_BITS):
-        q = abs(num.approx(_CONST_BITS)) / abs(den.approx(_CONST_BITS))
-        return iv_sup(q)
+    return (num.approx_abs(_CONST_BITS) / den.approx_abs(_CONST_BITS)).sup
 
 
 def _heights(fam: FamilyInstance):
@@ -214,12 +201,11 @@ def _heights(fam: FamilyInstance):
         polys.append(("cB-cA", fam.coeff_diff))
     coeffs = []
     for label, poly in polys:
-        with interval_bits(_CONST_BITS):
-            log_terms = iv_sup(iv.log(iv.mpf(poly.degree + 1)))
-        base = sum((iv_sup(a.height(budget)) for a in poly.coeffs), log_terms)
+        log_terms = Interval.of(poly.degree + 1, _CONST_BITS).log().sup
+        base = sum((a.height(budget).sup for a in poly.coeffs), log_terms)
         coeffs.append((label, base, sum(range(len(poly.coeffs)))))
-    h_alpha = iv_sup(fam.alpha.height(budget))
-    h_beta = iv_sup(fam.beta.height(budget))
+    h_alpha = fam.alpha.height(budget).sup
+    h_beta = fam.beta.height(budget).sup
     return h_alpha, h_beta, tuple(coeffs)
 
 
@@ -268,9 +254,8 @@ def compute_constants(fam: FamilyInstance) -> ApproxConstants:
     C = 5 * max(c1, c2, c3, c4) * (m_B + m_A + 1)
     c6 = 2 * (ups[0] + ups[1] + 1)
     c5 = min(lows) / 4
-    with interval_bits(_CONST_BITS):
-        neg = max(abs(iv_inf(iv.log(iv_from_fraction(lo, _CONST_BITS)))) for lo in lows)
-        pos = max(iv_sup(iv.log(iv_from_fraction(up, _CONST_BITS))) for up in ups)
+    neg = max(abs(Interval.of(lo, _CONST_BITS).log().inf) for lo in lows)
+    pos = max(Interval.of(up, _CONST_BITS).log().sup for up in ups)
     return ApproxConstants(
         C=C, eps=eps, c5=c5, c6=c6, U_A=ups[0], L_B=L_cB,
         log_coeff_neg=neg, log_coeff_pos=pos, heights=_heights(fam),
@@ -283,10 +268,9 @@ def _log_quantities(fam: FamilyInstance, n: int, bits: int):
     log|(c_B - c_A)(n)| (the last only in the equal-modulus case), computed
     once per (family, n, precision)."""
     _, _, la, lb = dominant_logs(fam, bits)
-    with interval_bits(bits):
-        lcA = iv.log(abs(fam.A.dominant_coeff.approx_at(n, bits)))
-        lcB = iv.log(abs(fam.B.dominant_coeff.approx_at(n, bits)))
-        ldiff = iv.log(abs(fam.coeff_diff.approx_at(n, bits))) if fam.equal_modulus else None
+    lcA = abs(fam.A.dominant_coeff.approx_at(n, bits)).log()
+    lcB = abs(fam.B.dominant_coeff.approx_at(n, bits)).log()
+    ldiff = abs(fam.coeff_diff.approx_at(n, bits)).log() if fam.equal_modulus else None
     return la, lb, lcA, lcB, ldiff
 
 
@@ -294,15 +278,14 @@ def log_closed_forms(fam: FamilyInstance, n: int, bits: int):
     """The six closed forms for log|lambda_i| and log|lambda_i - A_n|."""
     la, lb, lcA, lcB, ldiff = _log_quantities(fam, n, bits)
     cross = ldiff if fam.equal_modulus else lcB
-    with interval_bits(bits):
-        return {
-            "log|l1|": n * lb + lcB,
-            "log|l1-A|": n * lb + cross,
-            "log|l2|": n * la + lcA,
-            "log|l2-A|": -n * (la + lb) - lcA - cross,
-            "log|l3|": -n * (la + lb) - lcA - lcB,
-            "log|l3-A|": n * la + lcA,
-        }
+    return {
+        "log|l1|": n * lb + lcB,
+        "log|l1-A|": n * lb + cross,
+        "log|l2|": n * la + lcA,
+        "log|l2-A|": -n * (la + lb) - lcA - cross,
+        "log|l3|": -n * (la + lb) - lcA - lcB,
+        "log|l3-A|": n * la + lcA,
+    }
 
 
 def _root_log_values(rs: CubicRootSet):
@@ -325,9 +308,7 @@ def verify_log_approx(
     closed = log_closed_forms(fam, n, bits)
     entries = []
     for name in computed:
-        with interval_bits(bits):
-            resid = abs(computed[name] - closed[name])
-        sup = iv_sup(resid)
+        sup = abs(computed[name].at(bits) - closed[name]).sup
         ok = sup <= bound
         ratio = float(sup / scale) if scale > 0 else None
         entries.append(ResidualEntry(name, float(sup), float(bound), ok, ratio))
@@ -341,24 +322,23 @@ def verify_root_diff(
     n = rs.n
     bits = budget.working_bits
     a_abs, b_abs, _, _ = dominant_logs(fam, bits)
-    with interval_bits(bits):
-        l1, l2, l3 = rs.ivs
-        d12 = abs(l1 - l2)
-        d13 = abs(l1 - l3)
-        d23 = abs(l2 - l3)
-        an = a_abs**n
-        bn = b_abs**n
-        c5 = iv_from_fraction(consts.c5, bits)
-        c6 = iv_from_fraction(consts.c6, bits)
-        nd1 = iv.mpf(n) ** fam.d1
-        nd2 = iv.mpf(n) ** fam.d2
-        checks = [
-            ("c5 b^n <= |l1-l2|", iv_sup(c5 * bn) <= iv_inf(d12)),
-            ("|l1-l2| <= c6 n^d2 b^n", iv_sup(d12) <= iv_inf(c6 * nd2 * bn)),
-            ("c5 n^d1 b^n <= |l1-l3|", iv_sup(c5 * nd1 * bn) <= iv_inf(d13)),
-            ("|l1-l3| <= c6 n^d2 b^n", iv_sup(d13) <= iv_inf(c6 * nd2 * bn)),
-            ("c5 n^d1 a^n <= |l2-l3|", iv_sup(c5 * nd1 * an) <= iv_inf(d23)),
-            ("|l2-l3| <= c6 n^d2 a^n", iv_sup(d23) <= iv_inf(c6 * nd2 * an)),
-        ]
+    l1, l2, l3 = (v.at(bits) for v in rs.ivs)
+    d12 = abs(l1 - l2)
+    d13 = abs(l1 - l3)
+    d23 = abs(l2 - l3)
+    an = a_abs**n
+    bn = b_abs**n
+    c5 = Interval.of(consts.c5, bits)
+    c6 = Interval.of(consts.c6, bits)
+    nd1 = Interval.of(n, bits) ** fam.d1
+    nd2 = Interval.of(n, bits) ** fam.d2
+    checks = [
+        ("c5 b^n <= |l1-l2|", (c5 * bn).sup <= d12.inf),
+        ("|l1-l2| <= c6 n^d2 b^n", d12.sup <= (c6 * nd2 * bn).inf),
+        ("c5 n^d1 b^n <= |l1-l3|", (c5 * nd1 * bn).sup <= d13.inf),
+        ("|l1-l3| <= c6 n^d2 b^n", d13.sup <= (c6 * nd2 * bn).inf),
+        ("c5 n^d1 a^n <= |l2-l3|", (c5 * nd1 * an).sup <= d23.inf),
+        ("|l2-l3| <= c6 n^d2 a^n", d23.sup <= (c6 * nd2 * an).inf),
+    ]
     entries = tuple(ResidualEntry(name, 0.0, 0.0, ok) for name, ok in checks)
     return ResidualReport(n, entries)

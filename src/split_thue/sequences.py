@@ -30,15 +30,11 @@ from .algebraic import (
 )
 from .precision import (
     DEFAULT_BUDGET,
+    Interval,
     PrecisionBudget,
     SplitThueError,
     interval_bits,
-    is_iv_complex,
     iv_from_fraction,
-    iv_from_fractions,
-    iv_inf,
-    iv_sup,
-    iv_width,
 )
 
 class InconsistentModel(SplitThueError):
@@ -77,19 +73,19 @@ class CoefficientPolynomial:
         return acc
 
     def approx_at(self, n, bits):
-        """Interval value of c(n); iv context must already be set."""
-        acc = iv.mpf(0)
+        """Interval value of c(n) at ``bits`` for real coefficients, where n
+        is an int or an Interval at ``bits``."""
+        acc = Interval.of(0, bits)
         for c in reversed(self.coeffs):
             acc = acc * n + c.approx(bits)
         return acc
 
     def abs_coeff_sum_upper(self, bits=64):
         """Rational upper bound on sum of |coefficients|."""
-        with interval_bits(bits):
-            total = iv.mpf(0)
-            for c in self.coeffs:
-                total += abs(c.approx(bits))
-            return iv_sup(total)
+        total = Interval.of(0, bits)
+        for c in self.coeffs:
+            total += c.approx_abs(bits)
+        return total.sup
 
     def abs_lower_inf(self, n_min=2, bits=128):
         """Certified positive lower bound on inf_{n >= n_min} |c(n)|.
@@ -101,35 +97,34 @@ class CoefficientPolynomial:
         O(log n_star) evaluations, not n_star.
         """
         g = self.degree
-        with interval_bits(bits):
-            lead = abs(self.coeffs[g].approx(bits))
-            if iv_inf(lead) <= 0:
-                raise SplitThueError("leading coefficient not separated from 0")
-            rest = iv.mpf(0)
-            for c in self.coeffs[:g]:
-                rest += abs(c.approx(bits))
-            if g == 0:
-                return iv_inf(lead)
-            # |c(n)| >= n^(g-1) (|lead| n - rest), increasing for n > rest/|lead|
-            L, R = iv_inf(lead), iv_sup(rest)
-            n_star = max(n_min, 1 + math.ceil(2 * R / L))
+        L = self.coeffs[g].approx_abs(bits).inf
+        if L <= 0:
+            raise SplitThueError("leading coefficient not separated from 0")
+        if g == 0:
+            return L
+        rest = Interval.of(0, bits)
+        for c in self.coeffs[:g]:
+            rest += c.approx_abs(bits)
+        # |c(n)| >= n^(g-1) (|lead| n - rest), increasing for n > rest/|lead|
+        R = rest.sup
+        n_star = max(n_min, 1 + math.ceil(2 * R / L))
 
-            def at(n):
-                lo = iv_inf(abs(self.approx_at(n, bits)))
-                if lo <= 0:
-                    raise SplitThueError(f"coefficient polynomial not separated from 0 at n={n}")
-                return lo
+        def at(n):
+            lo = abs(self.approx_at(n, bits)).inf
+            if lo <= 0:
+                raise SplitThueError(f"coefficient polynomial not separated from 0 at n={n}")
+            return lo
 
-            best = at(n_min)
-            ranges = [(n_min, n_star)]
-            while ranges:
-                lo, hi = ranges.pop()
-                if lo == hi:
-                    best = min(best, at(lo))
-                elif iv_inf(abs(self.approx_at(iv_from_fractions(lo, hi, bits), bits))) < best:
-                    mid = (lo + hi) // 2
-                    ranges += [(mid + 1, hi), (lo, mid)]
-            return min(best, Fraction(n_star) ** (g - 1) * (L * n_star - R))
+        best = at(n_min)
+        ranges = [(n_min, n_star)]
+        while ranges:
+            lo, hi = ranges.pop()
+            if lo == hi:
+                best = min(best, at(lo))
+            elif abs(self.approx_at(Interval.between(lo, hi, bits), bits)).inf < best:
+                mid = (lo + hi) // 2
+                ranges += [(mid + 1, hi), (lo, mid)]
+        return min(best, Fraction(n_star) ** (g - 1) * (L * n_star - R))
 
 
 @dataclass(frozen=True)
@@ -216,24 +211,23 @@ class RecurrentSequence:
 
     def explicit_iv(self, n, bits=None):
         """Interval value of the explicit formula at n (real part; the
-        imaginary part of the conjugate-pair sum is checked to straddle 0)."""
+        imaginary part of the conjugate-pair sum is checked to straddle 0),
+        computed with mpmath's complex ``iv`` boxes."""
         if bits is None:
             bits = self._formula_bits(n)
         with interval_bits(bits):
             total = iv.mpf(0)
             imag = iv.mpf(0)
             for root, coeff in [(self.dominant_root, self.dominant_coeff)] + list(self.secondary):
-                rv = root.approx(bits)
-                cv = coeff.approx_at(n, bits)
-                term = cv * rv**n
-                if is_iv_complex(term):
-                    total += term.real
-                    imag += term.imag
-                else:
-                    total += term
-            if not (iv_inf(imag) <= 0 <= iv_sup(imag)):
+                cv = iv.mpf(0)
+                for c in reversed(coeff.coeffs):
+                    cv = cv * n + iv.mpf(c.approx(bits))
+                term = cv * iv.mpf(root.approx(bits)) ** n
+                total += term.real
+                imag += term.imag
+            if 0 not in imag:
                 raise InconsistentModel("imaginary part of explicit formula off zero")
-            return total
+        return Interval(total._mpi_, bits)
 
     def _formula_bits(self, n):
         mag = 1.0
@@ -253,11 +247,11 @@ class RecurrentSequence:
         term."""
         for n, value in enumerate(self.initial_terms):
             enc = self.explicit_iv(n)
-            if iv_width(enc) >= Fraction(1, 2):
+            if enc.sup - enc.inf >= Fraction(1, 2):
                 enc = self.explicit_iv(n, bits=2 * self._formula_bits(n))
-                if iv_width(enc) >= Fraction(1, 2):
+                if enc.sup - enc.inf >= Fraction(1, 2):
                     raise InconsistentModel("explicit formula enclosure too wide")
-            if not (iv_inf(enc) <= value <= iv_sup(enc)):
+            if not (enc.inf <= value <= enc.sup):
                 raise InconsistentModel(
                     f"explicit formula does not reproduce initial term {n}"
                 )
@@ -315,7 +309,7 @@ def _value_at_root(g, sums, P, root):
 
     def value(bits):
         with interval_bits(bits):
-            r = root.approx(bits)
+            r = iv.mpf(root.approx(bits))
             acc = iv_from_fraction(P[-1], bits)
             for c in reversed(P[:-1]):
                 acc = acc * r + iv_from_fraction(c, bits)
@@ -392,10 +386,9 @@ def dominant_logs(fam: FamilyInstance, bits: int):
     """(|alpha|, |beta|, log|alpha|, log|beta|) as intervals at ``bits``,
     once per (family, precision): the family's only precision-dependent
     values, and the one place that encloses them."""
-    with interval_bits(bits):
-        a_abs = abs(fam.alpha.approx(bits))
-        b_abs = abs(fam.beta.approx(bits))
-        return a_abs, b_abs, iv.log(a_abs), iv.log(b_abs)
+    a_abs = abs(fam.alpha.approx(bits))
+    b_abs = abs(fam.beta.approx(bits))
+    return a_abs, b_abs, a_abs.log(), b_abs.log()
 
 
 # -- hypothesis checking ---------------------------------------------------

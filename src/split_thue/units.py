@@ -9,24 +9,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath import iv
-from mpmath.libmp.libmpi import mpi_div, mpi_log, mpi_mul, mpi_sub
-
 from .algebraic import refine_bracket
 from .cubic import CubicRootSet, _log_quantities
 from .precision import (
     DEFAULT_BUDGET,
     MIN_WORKING_BITS,
+    Interval,
     PrecisionExhausted,
     SplitThueError,
     UndecidedComparison,
     compare,
-    interval_bits,
-    iv_abs_affine_exact,
-    iv_from_fraction,
-    iv_inf,
-    iv_sup,
-    iv_to_fractions,
 )
 from .sequences import FamilyInstance, dominant_logs
 
@@ -46,9 +38,8 @@ def regulator(rs: CubicRootSet, pair=(1, 2), bits=None):
     if pair[0] == pair[1]:
         raise ValueError("need two distinct embeddings")
     bits = bits or rs.bits
-    (a, b), (c, d) = ((rs.log_abs[i - 1], rs.log_abs_A[i - 1]) for i in pair)
-    with interval_bits(bits):
-        return abs(a * d - b * c)
+    (a, b), (c, d) = ((rs.log_abs[i - 1].at(bits), rs.log_abs_A[i - 1].at(bits)) for i in pair)
+    return abs(a * d - b * c)
 
 
 @dataclass(frozen=True)
@@ -119,17 +110,16 @@ def unit_decompose(x: int, y: int, rs: CubicRootSet) -> UnitExponents:
     nf = norm_form(x, y, A, B)
     if nf not in (1, -1):
         raise NotAUnit(f"norm form value {nf} is not a unit")
-    # the exact forms lose no bits to the cancellation in x - lambda_i y, so
-    # 64 bits leave the enclosures of the integers b1, b2 narrow; libmpi is
-    # given the precision of each step and never reads the global iv.prec
+    # at precision 0, x - y lambda_i is exact and loses no bits to its
+    # cancellation, so 64 bits leave the enclosures of b1, b2 narrow
     p = MIN_WORKING_BITS
-    r1, r2 = (mpi_log(iv_abs_affine_exact(x, y, r)._mpi_, p) for r in rs.ivs[:2])
-    (m11, m21), (m12, m22) = ((v._mpi_ for v in logs[:2]) for logs in (rs.log_abs, rs.log_abs_A))
-    det = mpi_sub(mpi_mul(m11, m22, p), mpi_mul(m12, m21, p), p)
-    b1_iv = mpi_div(mpi_sub(mpi_mul(r1, m22, p), mpi_mul(r2, m12, p), p), det, p)
-    b2_iv = mpi_div(mpi_sub(mpi_mul(m11, r2, p), mpi_mul(m21, r1, p), p), det, p)
+    r1, r2 = (abs(x - y * r.at(0)).at(p).log() for r in rs.ivs[:2])
+    (m11, m21), (m12, m22) = ((v.at(p) for v in logs[:2]) for logs in (rs.log_abs, rs.log_abs_A))
+    det = m11 * m22 - m12 * m21
+    b1_iv = (r1 * m22 - r2 * m12) / det
+    b2_iv = (m11 * r2 - m21 * r1) / det
     try:
-        (lo1, hi1), (lo2, hi2) = (iv_to_fractions(iv.make_mpf(b)) for b in (b1_iv, b2_iv))
+        (lo1, hi1), (lo2, hi2) = ((b.inf, b.sup) for b in (b1_iv, b2_iv))
     except ValueError:
         raise PrecisionExhausted(f"unit exponents of ({x}, {y}) unbounded") from None
     for b1 in range(math.ceil(lo1), math.floor(hi1) + 1):
@@ -152,7 +142,7 @@ def solution_type(x: int, y: int, rs: CubicRootSet, budget=DEFAULT_BUDGET) -> in
     """
     if y == 0:
         return 1
-    mags = [iv_abs_affine_exact(x, y, r) for r in rs.ivs]
+    mags = [abs(x - y * r.at(0)) for r in rs.ivs]
     best = 1
     for i in (2, 3):
         verdict = compare(mags[i - 1], mags[best - 1])
@@ -192,15 +182,13 @@ def siegel_gamma(x: int, y: int, rs: CubicRootSet, j: int, budget=DEFAULT_BUDGET
     """gamma from Siegel's identity for type j, and Lambda = log|1 + gamma|."""
     k, l = KL_CONVENTION[j]
     bits = budget.working_bits
-    with interval_bits(bits):
-        lam = dict(enumerate(rs.ivs, 1))
-        uj = x - lam[j] * y
-        uk = x - lam[k] * y
-        if iv_inf(uk) <= 0 <= iv_sup(uk):
-            raise ZeroDivisionError("x - lambda_k y encloses zero")
-        gamma = (uj / uk) * ((lam[l] - lam[k]) / (lam[j] - lam[l]))
-        lam_form = iv.log(abs(1 + gamma))
-    return gamma, lam_form
+    lam = {i: r.at(bits) for i, r in enumerate(rs.ivs, 1)}
+    uj = x - lam[j] * y
+    uk = x - lam[k] * y
+    if uk.inf <= 0 <= uk.sup:
+        raise ZeroDivisionError("x - lambda_k y encloses zero")
+    gamma = (uj / uk) * ((lam[l] - lam[k]) / (lam[j] - lam[l]))
+    return gamma, abs(1 + gamma).log()
 
 
 # -- transformed linear form xi_j ------------------------------------------
@@ -269,14 +257,13 @@ def xi_value(xi: LinearFormXi, fam: FamilyInstance, bits: int):
         "log|cB|": lcB,
         "log|cB-cA|": ldiff,
     }
-    with interval_bits(bits):
-        total = iv.mpf(0)
-        for label, coeff in xi.terms:
-            if coeff == 0:
-                continue
-            if logs[label] is None:
-                raise SplitThueError(f"{label} term in a strict-case form")
-            total += coeff * logs[label]
+    total = Interval.of(0, bits)
+    for label, coeff in xi.terms:
+        if coeff == 0:
+            continue
+        if logs[label] is None:
+            raise SplitThueError(f"{label} term in a strict-case form")
+        total += coeff * logs[label]
     return total
 
 
@@ -291,19 +278,12 @@ def xi_upper_rhs(fam: FamilyInstance, consts, n: int, bits: int) -> Fraction:
     and flag the discrepancy in reports.
     """
     a_abs, b_abs, _, _ = dominant_logs(fam, bits)
-    with interval_bits(bits):
-        c5 = iv_from_fraction(consts.c5, bits)
-        C = iv_from_fraction(consts.C, bits)
-        eps = iv_from_fraction(consts.eps, bits)
-        t1 = (
-            4
-            / c5**3
-            * iv.mpf(n) ** (-fam.d1)
-            * a_abs ** (-2 * n)
-            * b_abs ** (-n)
-        )
-        t2 = 6 * C * iv.mpf(n) ** fam.d2 * eps**n
-        return iv_inf(t1 + t2)
+    c5 = Interval.of(consts.c5, bits)
+    C = Interval.of(consts.C, bits)
+    eps = Interval.of(consts.eps, bits)
+    t1 = 4 / c5**3 * Interval.of(n, bits) ** (-fam.d1) * a_abs ** (-2 * n) * b_abs ** (-n)
+    t2 = 6 * C * Interval.of(n, bits) ** fam.d2 * eps**n
+    return (t1 + t2).inf
 
 
 @dataclass(frozen=True)
@@ -328,6 +308,6 @@ def verify_xi_bound(
     bits = budget.working_bits
     value = xi_value(xi, fam, bits)
     rhs = xi_upper_rhs(fam, consts, n, bits)
-    sup = iv_sup(abs(value))
+    sup = abs(value).sup
     flags = xi.flags + ("c5-inverted-in-upper-bound",)
     return XiBoundReport(xi.j, n, float(sup), float(rhs), sup <= rhs, flags)

@@ -17,6 +17,7 @@ import pytest
 from split_thue import cli
 from split_thue.algebraic import AlgebraicNumber, RealEnclosure
 from split_thue.bounds import (
+    CHAIN_BITS,
     C_RANK2_CUBIC,
     _branch_report,
     baker_lower,
@@ -26,7 +27,6 @@ from split_thue.bounds import (
     regulator_bounds,
 )
 from split_thue.cubic import isolate_roots, verify_log_approx, verify_root_approx
-from split_thue.precision import iv_inf, iv_sup
 from split_thue.solver import solve_bruteforce
 from split_thue.units import regulator, siegel_gamma, solution_type, unit_decompose
 
@@ -161,9 +161,9 @@ def test_criterion_04_regulator_growth(fib_pow2, fib_pow2_consts, budget):
     for n in probes:
         rs = isolate_roots(fib_pow2, n, budget)
         r12, r23, r13 = (regulator(rs, pair) for pair in ((1, 2), (2, 3), (1, 3)))
-        r_low, r_up = regulator_bounds(fib_pow2, fib_pow2_consts, n)
-        assert 0 < r_low <= iv_inf(r12) and iv_sup(r12) <= r_up, f"n={n}: closed form misses R"
-        assert max(map(iv_inf, (r12, r23, r13))) <= min(map(iv_sup, (r12, r23, r13))), (
+        r_low, r_up = regulator_bounds(fib_pow2, fib_pow2_consts, n, CHAIN_BITS)
+        assert 0 < r_low <= r12.inf and r12.sup <= r_up, f"n={n}: closed form misses R"
+        assert max(r.inf for r in (r12, r23, r13)) <= min(r.sup for r in (r12, r23, r13)), (
             f"n={n}: regulator depends on the embedding pair"
         )
     outcome(
@@ -214,7 +214,7 @@ def test_criterion_06_siegel_identity(fib_pow2, budget):
         lams = []
         for x, y in ((0, 1), (rs.A, 1), (rs.B, 1)):
             _, lam = siegel_gamma(x, y, rs, solution_type(x, y, rs, budget), budget)
-            lams.append(iv_sup(abs(lam)))
+            lams.append(abs(lam).sup)
         sups.append(max(lams))
     ok = all(s < Fraction(1, 10**6) for s in sups) and sups == sorted(sups, reverse=True)
     outcome(
@@ -228,9 +228,9 @@ def test_criterion_06_siegel_identity(fib_pow2, budget):
 
 def test_criterion_07_bound_micro_instances():
     exact_const = C_RANK2_CUBIC == 3**94
-    exact_bugy = bugy_bound(Fraction(1), Fraction(0)) == 2 * 3**94
+    exact_bugy = bugy_bound(Fraction(1), Fraction(0), CHAIN_BITS) == 2 * 3**94
     # t = 1, D = 1, h = 1, B = e: -18 * 2! * 1 * 32^3 * log 2
-    val = float(baker_lower([Fraction(1)], 1, Fraction(1)))
+    val = float(baker_lower([Fraction(1)], 1, Fraction(1), CHAIN_BITS))
     expected = -1179648 * math.log(2)
     baker_ok = abs(val - expected) < 1e-12 * abs(expected)
     outcome(
@@ -290,7 +290,7 @@ def test_criterion_09_heights(budget):
     worst = Fraction(0)
     for name, num, target in cases:
         h = num.height(budget)
-        mid = (iv_inf(h) + iv_sup(h)) / 2
+        mid = (h.inf + h.sup) / 2
         dev = abs(mid - target)
         worst = max(worst, dev)
         assert dev < tol, f"{name} off by {float(dev):.2e}"

@@ -2,6 +2,7 @@ import math
 import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -20,7 +21,7 @@ from split_thue.algebraic import (
     refine_bracket,
     scaled_poly,
 )
-from split_thue.precision import PrecisionBudget, UndecidedComparison, iv_inf, iv_sup
+from split_thue.precision import PrecisionBudget, UndecidedComparison
 
 
 def sqrt2():
@@ -133,7 +134,7 @@ def count_evaluations(monkeypatch):
 def test_refining_sqrt2_to_16384_bits_takes_few_evaluations(monkeypatch, cold_kernel):
     calls = count_evaluations(monkeypatch)
     enc = sqrt2().approx(16384)
-    assert iv_sup(enc) - iv_inf(enc) < Fraction(1, 2**16380)
+    assert enc.sup - enc.inf < Fraction(1, 2**16380)
     # bisection takes one evaluation per bit, 16387 here
     assert 0 < len(calls) <= 64
 
@@ -181,7 +182,7 @@ def test_real_root_enclosure_refines():
     r = sqrt2()
     assert r.degree == 2
     enc = r.approx(128)
-    lo, hi = iv_inf(enc), iv_sup(enc)
+    lo, hi = enc.inf, enc.sup
     truncated = Fraction(141421356237309504880168872420969807, 10**35)
     slack = Fraction(1, 10**34)
     assert lo - slack <= truncated <= hi + slack
@@ -231,6 +232,20 @@ def test_inverse_and_division_by_zero():
         r / 0
 
 
+def test_reciprocal_is_computed_at_the_requested_precision(monkeypatch):
+    # 1 / (10^18 +- sqrt 2) differ in their 59th bit: a reciprocal rounded
+    # at the global iv.prec instead of the budget's precision cannot tell
+    # them apart at 20 or 53 bits
+    f = (1, -2 * 10**18, 10**36 - 2)
+    b = AlgebraicNumber(f, RealEnclosure(Fraction(10**18 + 1), Fraction(10**18 + 2)))
+    for prec in (20, 53, 300):
+        monkeypatch.setattr(mpmath.iv, "prec", prec)
+        inv = 1 / b
+        assert inv.min_poly == (10**36 - 2, -2 * 10**18, 1)
+        box = inv.enclosure
+        assert Fraction(1, 10**18 + 2) <= box.lo < box.hi <= Fraction(1, 10**18 + 1)
+
+
 def _oracle(expr_dps_50):
     """High-precision reference value as an exact Fraction."""
     import mpmath
@@ -245,7 +260,7 @@ def test_height_of_rationals():
     log2 = _oracle(lambda: mpmath.log(2))
     for value in (2, Fraction(1, 2)):
         h = AlgebraicNumber.from_rational(value).height()
-        mid = (iv_inf(h) + iv_sup(h)) / 2
+        mid = (h.inf + h.sup) / 2
         assert abs(mid - log2) < Fraction(1, 10**25)
 
 
@@ -255,7 +270,7 @@ def test_height_of_golden_ratio():
 
     target = _oracle(lambda: mpmath.log((1 + mpmath.sqrt(5)) / 2) / 2)
     h = golden().height()
-    mid = (iv_inf(h) + iv_sup(h)) / 2
+    mid = (h.inf + h.sup) / 2
     assert abs(mid - target) < Fraction(1, 10**25)
 
 
@@ -268,7 +283,7 @@ def _near_sqrt2():
 def test_abs_compare_refines():
     # moduli that overlap at 64 bits and separate under refinement
     r, q = _near_sqrt2()
-    assert iv_sup(r.approx(64)) >= q
+    assert r.approx(64).sup >= q
     budget = PrecisionBudget(working_bits=64)
     assert abs_compare(r, q, budget) == -1
     assert abs_compare(-q, -r, budget) == 1

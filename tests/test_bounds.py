@@ -8,6 +8,7 @@ import pytest
 from split_thue import FamilyInstance, RecurrentSequence, bounds
 from split_thue.algebraic import AlgebraicNumber, RealEnclosure
 from split_thue.bounds import (
+    CHAIN_BITS,
     C_RANK2_CUBIC,
     baker_constant,
     baker_lower,
@@ -30,7 +31,6 @@ from split_thue.algebraic import AlgebraicNumber
 from split_thue.cubic import isolate_roots
 from split_thue.precision import SplitThueError
 from split_thue.units import regulator
-from split_thue.precision import iv_inf, iv_sup
 
 
 def test_bugy_constant_rank2_cubic_exact():
@@ -41,16 +41,16 @@ def test_bugy_constant_rank2_cubic_exact():
 
 def test_bugy_bound_micro_instance():
     # R = 1, log H = 0: bound is exactly C * 1 * 1 * (1 + 0 + 1) = 2 * 3^94
-    val = bugy_bound(Fraction(1), Fraction(0))
+    val = bugy_bound(Fraction(1), Fraction(0), CHAIN_BITS)
     assert val == 2 * 3**94
 
 
 def test_bugy_bound_monotone():
-    a = bugy_bound(Fraction(10), Fraction(5))
-    b = bugy_bound(Fraction(20), Fraction(5))
+    a = bugy_bound(Fraction(10), Fraction(5), CHAIN_BITS)
+    b = bugy_bound(Fraction(20), Fraction(5), CHAIN_BITS)
     assert b > a
     with pytest.raises(ValueError):
-        bugy_bound(Fraction(0), Fraction(1))
+        bugy_bound(Fraction(0), Fraction(1), CHAIN_BITS)
 
 
 def test_baker_constant_micro_instance():
@@ -60,16 +60,16 @@ def test_baker_constant_micro_instance():
 
 def test_baker_lower_micro_instance():
     # t=1, D=1, h=1, B=e (log B = 1): -K log(2) * 1 * 1
-    val = baker_lower([Fraction(1)], 1, Fraction(1))
+    val = baker_lower([Fraction(1)], 1, Fraction(1), CHAIN_BITS)
     expected = -1179648 * math.log(2)
     assert abs(float(val) - expected) < 1e-9 * abs(expected)
 
 
 def test_baker_lower_enforces_height_floor():
     with pytest.raises(SplitThueError):
-        baker_lower([Fraction(1, 100)], 1, Fraction(1))
+        baker_lower([Fraction(1, 100)], 1, Fraction(1), CHAIN_BITS)
     with pytest.raises(ValueError):
-        baker_lower([], 1, Fraction(1))
+        baker_lower([], 1, Fraction(1), CHAIN_BITS)
 
 
 def test_field_degree(fib_pow2, budget):
@@ -130,7 +130,7 @@ def test_field_degree_makes_few_resultants(fib_pow2, budget, monkeypatch):
 
 
 def test_log_coeff_bound_positive(fib_pow2, fib_pow2_consts):
-    m = log_coeff_bound(fib_pow2, fib_pow2_consts, 10)
+    m = log_coeff_bound(fib_pow2, fib_pow2_consts, 10, CHAIN_BITS)
     assert m > 0
 
 
@@ -138,16 +138,16 @@ def test_regulator_bounds_bracket_true_regulator(fib_pow2, fib_pow2_consts, budg
     """Closed-form regulator enclosure must contain the regulator computed
     from certified root isolation."""
     for n in (20, 40):
-        lo, up = regulator_bounds(fib_pow2, fib_pow2_consts, n)
+        lo, up = regulator_bounds(fib_pow2, fib_pow2_consts, n, CHAIN_BITS)
         rs = isolate_roots(fib_pow2, n, budget)
         r = regulator(rs, (1, 2), budget.working_bits)
-        assert lo <= iv_inf(r) and iv_sup(r) <= up
+        assert lo <= r.inf and r.sup <= up
         assert lo > 0
 
 
 def test_logy_upper_scales_like_n4(fib_pow2, fib_pow2_consts):
-    u1 = logy_upper(fib_pow2, fib_pow2_consts, 100)
-    u2 = logy_upper(fib_pow2, fib_pow2_consts, 200)
+    u1 = logy_upper(fib_pow2, fib_pow2_consts, 100, CHAIN_BITS)
+    u2 = logy_upper(fib_pow2, fib_pow2_consts, 200, CHAIN_BITS)
     ratio = float(u2.value / u1.value)
     assert 8 < ratio < 32  # between n^3 and n^5 growth
 
@@ -161,25 +161,25 @@ def test_xi_heights_strict_case(fib_pow2, budget):
 
 
 def test_exponent_bound_B_positive(fib_pow2, fib_pow2_consts):
-    lo, _ = regulator_bounds(fib_pow2, fib_pow2_consts, 50)
-    ly = logy_upper(fib_pow2, fib_pow2_consts, 50)
-    bound = exponent_bound_B(fib_pow2, fib_pow2_consts, 50, ly.value, lo)
+    lo, _ = regulator_bounds(fib_pow2, fib_pow2_consts, 50, CHAIN_BITS)
+    ly = logy_upper(fib_pow2, fib_pow2_consts, 50, CHAIN_BITS)
+    bound = exponent_bound_B(fib_pow2, fib_pow2_consts, 50, ly.value, lo, CHAIN_BITS)
     assert bound > 0
     with pytest.raises(ValueError):
-        exponent_bound_B(fib_pow2, fib_pow2_consts, 50, ly.value, Fraction(0))
+        exponent_bound_B(fib_pow2, fib_pow2_consts, 50, ly.value, Fraction(0), CHAIN_BITS)
 
 
 def test_xi_upper_log_decreases(fib_pow2, fib_pow2_consts):
-    v100 = xi_upper_log(fib_pow2, fib_pow2_consts, 100)
-    v200 = xi_upper_log(fib_pow2, fib_pow2_consts, 200)
+    v100 = xi_upper_log(fib_pow2, fib_pow2_consts, 100, CHAIN_BITS)
+    v200 = xi_upper_log(fib_pow2, fib_pow2_consts, 200, CHAIN_BITS)
     assert v200 < v100 < 0
 
 
 def test_logy_lower_altunit(fib_pow2, fib_pow2_consts):
     # vacuous at small n, then exponentially growing
-    assert log_logy_lower_altunit(fib_pow2, fib_pow2_consts, 5) is None
-    v600 = log_logy_lower_altunit(fib_pow2, fib_pow2_consts, 600)
-    v700 = log_logy_lower_altunit(fib_pow2, fib_pow2_consts, 700)
+    assert log_logy_lower_altunit(fib_pow2, fib_pow2_consts, 5, CHAIN_BITS) is None
+    v600 = log_logy_lower_altunit(fib_pow2, fib_pow2_consts, 600, CHAIN_BITS)
+    v700 = log_logy_lower_altunit(fib_pow2, fib_pow2_consts, 700, CHAIN_BITS)
     assert 0 < v600 < v700
 
 

@@ -1,20 +1,61 @@
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from mpmath import iv
 
+from split_thue import algebraic, bounds, cubic, sequences, solver, units
 from split_thue.precision import (
+    Interval,
     PrecisionBudget,
     compare,
     interval_bits,
-    iv_abs_affine_exact,
     iv_from_fraction,
-    iv_from_fractions,
-    iv_inf,
     iv_sup,
     iv_to_fractions,
-    iv_width,
 )
+
+
+def _clear_memos():
+    for module in (algebraic, sequences, cubic, units, bounds):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    sequences.FamilyInstance.terms.cache_clear()
+
+
+def test_per_n_path_never_sets_the_global_precision(monkeypatch, fib_pow2, fib_pow2_consts):
+    """Past the family build and its constants, every check at a given n
+    computes with Intervals of explicit precision: setting mpmath's global
+    iv.prec anywhere on that path fails the test."""
+    fam, consts = fib_pow2, fib_pow2_consts
+    budget = PrecisionBudget(working_bits=512)
+    D = bounds.field_degree(fam, budget)
+    probes = {(r.n, r.branch): r for r in bounds.compute_n0(fam, consts, 10**19, budget).trace}
+
+    def forbidden(ctx, value):
+        raise AssertionError(f"iv.prec set to {value}")
+
+    ctx_type = type(mpmath.iv)
+    monkeypatch.setattr(ctx_type, "prec", property(ctx_type.prec.fget, forbidden))
+    _clear_memos()
+    with pytest.raises(AssertionError, match="iv.prec set"):
+        mpmath.iv.prec = 20
+    for n in range(2, 13):
+        rs = cubic.isolate_roots(fam, n, budget)
+        assert cubic.verify_root_approx(rs, fam).all_pass
+        assert cubic.verify_log_approx(rs, fam, consts, budget).all_pass
+        assert cubic.verify_root_diff(rs, fam, consts, budget).all_pass
+        for s in solver.solve_bruteforce(fam, n, 50):
+            if s.y == 0:
+                continue
+            j = units.solution_type(s.x, s.y, rs, budget)
+            ue = units.unit_decompose(s.x, s.y, rs)
+            xi = units.xi_form(j, fam.case_tag, n, ue.b1, ue.b2)
+            assert units.verify_xi_bound(xi, fam, consts, n, budget).ok
+    for (n, branch), traced in probes.items():
+        assert bounds._branch_report(fam, consts, n, branch, D) == traced
 
 
 def test_budget_validation():
@@ -37,57 +78,119 @@ def test_iv_from_fraction_encloses_exactly():
     q = Fraction(1, 3)
     for bits in (64, 128, 256):
         x = iv_from_fraction(q, bits)
-        assert iv_inf(x) <= q <= iv_sup(x)
-        assert iv_width(x) <= Fraction(1, 2 ** (bits - 4))
+        lo, hi = iv_to_fractions(x)
+        assert lo <= q <= hi == iv_sup(x)
+        assert hi - lo <= Fraction(1, 2 ** (bits - 4))
 
 
 def test_iv_from_fraction_dyadic_is_exact():
     q = Fraction(5, 8)
     x = iv_from_fraction(q, 64)
-    assert iv_inf(x) == iv_sup(x) == q
-    assert iv_width(x) == 0
+    assert iv_to_fractions(x) == (q, q)
 
 
 def test_iv_from_fraction_does_not_reround_at_53_bits():
     # a rational needing far more than double precision
     q = Fraction(2**200 + 1, 2**200)
     x = iv_from_fraction(q, 256)
-    assert iv_inf(x) == iv_sup(x) == q
+    assert iv_to_fractions(x) == (q, q)
 
 
-def test_iv_from_fractions_rejects_empty():
+def test_interval_between_rejects_empty_and_exact():
     with pytest.raises(ValueError):
-        iv_from_fractions(Fraction(1), Fraction(0), 64)
+        Interval.between(Fraction(1), Fraction(0), 64)
+    with pytest.raises(ValueError):
+        Interval.of(3, 0)
 
 
 def test_endpoint_extraction_round_trip():
-    with interval_bits(128):
-        x = iv_from_fractions(Fraction(-3, 7), Fraction(2, 7), 128)
+    x = Interval.between(Fraction(-3, 7), Fraction(2, 7), 128)
     lo, hi = iv_to_fractions(x)
     assert lo <= Fraction(-3, 7) and hi >= Fraction(2, 7)
+    assert (x.inf, x.sup) == (lo, hi)
 
 
 def test_compare_three_valued():
-    with interval_bits(64):
-        a = iv_from_fraction(Fraction(1), 64)
-        b = iv_from_fraction(Fraction(2), 64)
-        c = iv_from_fractions(Fraction(0), Fraction(3), 64)
+    a = Interval.of(1, 64)
+    b = Interval.of(2, 64)
+    c = Interval.between(0, 3, 64)
     assert compare(a, b) is True
     assert compare(b, a) is False
     assert compare(a, c) is None
 
 
-def test_iv_abs_affine_exact_has_exact_endpoints(monkeypatch):
-    # x - y t cancels 400 bits of x for t near x / y; the endpoints are
-    # still |x - y lo| and |x - y hi| exactly, whatever the global iv.prec
+def test_exact_interval_has_exact_endpoints(monkeypatch):
+    # x - y t cancels 400 bits of x for t near x / y; at precision 0 the
+    # endpoints are still |x - y lo| and |x - y hi| exactly, whatever the
+    # global iv.prec
     x, y = 2**400 + 1, 3
     lo, hi = Fraction(x, y) - Fraction(1, 2**500), Fraction(x, y) + Fraction(1, 2**501)
-    r = iv_from_fractions(lo, hi, 1024)
-    rlo, rhi = iv_to_fractions(r)
-    want = (Fraction(0), max(abs(x - y * rlo), abs(x - y * rhi)))
+    r = Interval.between(lo, hi, 1024).at(0)
+    want = (Fraction(0), max(abs(x - y * r.inf), abs(x - y * r.sup)))
     for prec in (20, 53, 300):
         monkeypatch.setattr(iv, "prec", prec)
-        assert iv_to_fractions(iv_abs_affine_exact(x, y, r)) == want
-    r = iv_from_fractions(lo + Fraction(1, 2**499), hi + Fraction(1, 2**499), 1024)
-    rlo, rhi = iv_to_fractions(r)
-    assert iv_to_fractions(iv_abs_affine_exact(x, y, r)) == (y * rlo - x, y * rhi - x)
+        mag = abs(x - y * r)
+        assert (mag.inf, mag.sup) == want
+    r = Interval.between(lo + Fraction(1, 2**499), hi + Fraction(1, 2**499), 1024).at(0)
+    mag = abs(x - y * r)
+    assert (mag.inf, mag.sup) == (y * r.inf - x, y * r.sup - x)
+
+
+def test_interval_from_fraction_encloses_and_does_not_reround_at_53_bits():
+    third = Fraction(1, 3)
+    for bits in (64, 128, 256):
+        x = Interval.of(third, bits)
+        assert x.inf < third < x.sup
+        assert x.sup - x.inf <= Fraction(1, 2 ** (bits - 4))
+        assert (x * 3).inf <= 1 <= (x * 3).sup
+    q = Fraction(2**200 + 1, 2**200)
+    x = Interval.of(q, 256)
+    assert x.inf == x.sup == q
+
+
+@pytest.mark.parametrize("prec", [20, 53, 64, 160, 512])
+def test_interval_operations_match_iv_at_the_same_precision(monkeypatch, prec):
+    # each operation rounds outward exactly as mpmath's iv does at
+    # iv.prec = prec, whatever the global iv.prec is meanwhile
+    rng = random.Random(prec)
+
+    def draw():
+        lo = Fraction(rng.randint(1, 10**40), rng.randint(1, 10**30)) * rng.choice((1, -1))
+        return lo, lo + Fraction(rng.randint(0, 10**6), 10**rng.randint(6, 60))
+
+    for _ in range(50):
+        (a_lo, a_hi), (b_lo, b_hi) = draw(), draw()
+        k = rng.randint(-7, 7)
+        x, y = Interval.between(a_lo, a_hi, 1024).at(prec), Interval.between(b_lo, b_hi, 1024).at(prec)
+        monkeypatch.setattr(iv, "prec", 53)
+        got = [x + y, x - y, x * y, x / y, x**k, -x, abs(x), abs(x).log(), 7 * x - 3, 5 / x]
+        with interval_bits(prec):
+            u, v = iv.make_mpf(x._mpi_), iv.make_mpf(y._mpi_)
+            want = [u + v, u - v, u * v, u / v, u**k, -u, abs(u), iv.log(abs(u)), 7 * u - 3, 5 / u]
+        assert [g._mpi_ for g in got] == [w._mpi_ for w in want]
+        assert all(g.prec == prec for g in got)
+
+
+def test_intervals_of_different_precisions_do_not_mix():
+    a, b = Interval.of(1, 64), Interval.of(1, 128)
+    with pytest.raises(ValueError, match="do not mix"):
+        a + b
+    with pytest.raises(ValueError, match="do not mix"):
+        b * a
+    assert (a + b.at(64))._mpi_ == Interval.of(2, 64)._mpi_
+    for other in (iv.mpf(1), 1.0, Fraction(1, 3)):
+        with pytest.raises(TypeError):
+            a + other
+    with pytest.raises(TypeError):
+        a**Fraction(1, 2)
+
+
+def test_exact_interval_only_adds_and_multiplies():
+    x = Interval.of(3, 64).at(0)
+    assert (x * x - 10)._mpi_ == Interval.of(-1, 64)._mpi_
+    with pytest.raises(ValueError):
+        x / 2
+    with pytest.raises(ValueError):
+        x**3
+    with pytest.raises(ValueError):
+        x.log()

@@ -6,11 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from split_thue.algebraic import AlgebraicNumber, poly_eval_sign
-from split_thue.precision import (
-    iv_from_fraction,
-    iv_inf,
-    iv_sup,
-)
+from split_thue.precision import iv_from_fraction, iv_to_fractions
 from split_thue.solver import solve_bruteforce
 from test_solver import naive_solutions
 
@@ -23,7 +19,8 @@ rationals = st.fractions(
 @settings(max_examples=60, deadline=None)
 def test_iv_from_fraction_always_encloses(q):
     x = iv_from_fraction(q, 80)
-    assert iv_inf(x) <= q <= iv_sup(x)
+    lo, hi = iv_to_fractions(x)
+    assert lo <= q <= hi
 
 
 @given(rationals.filter(lambda q: q != 0))
@@ -32,7 +29,7 @@ def test_rational_height_formula(q):
     # h(p/q) = log max(|p|, q) for a reduced fraction
     h = AlgebraicNumber.from_rational(q).height()
     expected = math.log(max(abs(q.numerator), q.denominator))
-    mid = float((iv_inf(h) + iv_sup(h)) / 2)
+    mid = float((h.inf + h.sup) / 2)
     assert mid >= -1e-30
     assert abs(mid - expected) < 1e-12
 

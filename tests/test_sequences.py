@@ -3,11 +3,10 @@ import time
 from fractions import Fraction
 
 import pytest
-from mpmath.ctx_iv import ivmpf
 
 from split_thue.algebraic import AlgebraicNumber
 from split_thue.cubic import compute_constants
-from split_thue.precision import PrecisionBudget, SplitThueError, iv_inf, iv_sup, iv_to_fractions
+from split_thue.precision import PrecisionBudget, SplitThueError
 from split_thue.sequences import (
     CoefficientPolynomial,
     FamilyInstance,
@@ -26,7 +25,7 @@ def checked_terms(seq, count):
     terms = [seq.eval_recursion(n) for n in range(count)]
     for n, value in enumerate(terms):
         enc = seq.explicit_iv(n)
-        assert iv_inf(enc) <= value <= iv_sup(enc)
+        assert enc.inf <= value <= enc.sup
     return terms
 
 
@@ -44,7 +43,7 @@ def test_dominant_root_of_fibonacci(fib_seq):
     r = fib_seq.dominant_root
     assert r.min_poly == (1, -1, -1)
     enc = r.approx(64)
-    assert iv_inf(enc) > Fraction(8, 5) and iv_sup(enc) < Fraction(13, 8)
+    assert enc.inf > Fraction(8, 5) and enc.sup < Fraction(13, 8)
 
 
 def test_repeated_root_coefficient_polynomial():
@@ -111,11 +110,6 @@ def test_wrong_conjugate_coefficient_is_inconsistent(fib_seq):
         dataclasses.replace(fib_seq, dominant_coeff=c_psi, secondary=((psi, fib_seq.dominant_coeff),))
 
 
-def _plain(value):
-    """A real interval as its exact endpoints, anything else as it is."""
-    return iv_to_fractions(value) if isinstance(value, ivmpf) else value
-
-
 def test_derived_values_do_not_depend_on_earlier_refinement():
     # a fresh fib-pow2 family: refining its numbers further must not change
     # what is computed from them afterwards
@@ -131,8 +125,8 @@ def test_derived_values_do_not_depend_on_earlier_refinement():
 
     def derived():
         # computed afresh each time, past the per-family memos
-        logs = tuple(_plain(v) for v in dominant_logs.__wrapped__(fam, 160))
-        return compute_constants.__wrapped__(fam), logs, _plain(fam.alpha.approx(256))
+        # Intervals compare equal when their endpoints and precisions agree
+        return compute_constants.__wrapped__(fam), dominant_logs.__wrapped__(fam, 160), fam.alpha.approx(256)
 
     before = derived()
     for x in numbers:

@@ -4,14 +4,10 @@ from fractions import Fraction
 
 import pytest
 from mpmath import iv
-
 from split_thue.cubic import isolate_roots
 from split_thue.precision import (
+    Interval,
     PrecisionExhausted,
-    interval_bits,
-    iv_inf,
-    iv_sup,
-    iv_width,
 )
 from split_thue.units import (
     KL_CONVENTION,
@@ -45,10 +41,10 @@ def test_regulator_pair_independence(rs20, budget):
     r12 = regulator(rs20, (1, 2), bits)
     r23 = regulator(rs20, (2, 3), bits)
     r13 = regulator(rs20, (1, 3), bits)
-    vals = [(iv_inf(r) + iv_sup(r)) / 2 for r in (r12, r23, r13)]
+    vals = [(r.inf + r.sup) / 2 for r in (r12, r23, r13)]
     spread = max(vals) - min(vals)
     assert spread < Fraction(1, 2**40)
-    assert iv_width(r12) < Fraction(1, 2**40)
+    assert (r12.sup - r12.inf) < Fraction(1, 2**40)
 
 
 def test_regulator_rejects_degenerate_pair(rs20):
@@ -132,15 +128,14 @@ def test_unit_products_agree_with_interval_products(rs20):
     embedding, meets the interval product there."""
     A, B = rs20.A, rs20.B
     products = {}
-    with interval_bits(rs20.bits):
-        for b1 in range(-6, 7):
-            for b2 in range(-6, 7):
-                c0, c1, c2 = products[b1, b2] = unit_product(b1, b2, A, B)
-                for r in rs20.ivs:
-                    exact = c0 + c1 * r + c2 * r * r
-                    direct = r**b1 * (r - A) ** b2
-                    assert iv_inf(exact) <= iv_sup(direct)
-                    assert iv_inf(direct) <= iv_sup(exact)
+    for b1 in range(-6, 7):
+        for b2 in range(-6, 7):
+            c0, c1, c2 = products[b1, b2] = unit_product(b1, b2, A, B)
+            for r in rs20.ivs:
+                exact = c0 + c1 * r + c2 * r * r
+                direct = r**b1 * (r - A) ** b2
+                assert exact.inf <= direct.sup
+                assert direct.inf <= exact.sup
     # lambda and lambda - A are multiplicatively independent
     assert len(set(products.values())) == len(products)
 
@@ -165,8 +160,7 @@ def test_unit_decompose_refuses_wrong_logs(rs20, perturb):
 
 def test_unit_decompose_unbounded_enclosure(rs20):
     # a root interval wide enough to hold B makes log|B - lambda_1| unbounded
-    with interval_bits(rs20.bits):
-        wide = iv.mpf([rs20.B - 1, rs20.B + 1])
+    wide = Interval.between(rs20.B - 1, rs20.B + 1, rs20.bits)
     coarse = dataclasses.replace(rs20, ivs=(wide,) + rs20.ivs[1:])
     with pytest.raises(PrecisionExhausted):
         unit_decompose(rs20.B, 1, coarse)
@@ -188,8 +182,7 @@ def test_solution_type(fib_pow2, rs20):
 def test_solution_type_decides_overlapping_intervals(rs20):
     # intervals far too wide to compare: the exact brackets decide, and an
     # overlap never reads as a tie
-    with interval_bits(rs20.bits):
-        wide = tuple(r + iv.mpf([-10**6, 10**6]) for r in rs20.ivs)
+    wide = tuple(r + Interval.between(-10**6, 10**6, rs20.bits) for r in rs20.ivs)
     coarse = dataclasses.replace(rs20, ivs=wide)
     A, B = rs20.A, rs20.B
     assert [solution_type(x, 1, coarse) for x in (B, A, 0)] == [1, 2, 3]
@@ -202,8 +195,8 @@ def test_solution_type_decides_overlapping_intervals(rs20):
 def test_siegel_gamma_small_for_solution(rs20):
     A = rs20.A
     gamma, lam = siegel_gamma(A, 1, rs20, 2)
-    assert iv_sup(abs(gamma)) < Fraction(1, 10**10)
-    assert iv_sup(abs(lam)) < Fraction(1, 10**10)
+    assert abs(gamma).sup < Fraction(1, 10**10)
+    assert abs(lam).sup < Fraction(1, 10**10)
 
 
 def test_xi_form_vanishing_coefficients_on_trivial_solutions():
@@ -259,4 +252,14 @@ def test_xi_value_matches_computed_form(fib_pow2, rs20, fib_pow2_consts, budget)
     ue = unit_decompose(A, 1, rs20)
     xi = xi_form(2, fib_pow2.case_tag, 20, ue.b1, ue.b2)
     val = xi_value(xi, fib_pow2, budget.working_bits)
-    assert iv_sup(abs(val)) < Fraction(1, 10**3)
+    assert abs(val).sup < Fraction(1, 10**3)
+
+
+def test_xi_bound_value_does_not_depend_on_the_global_precision(monkeypatch, fib_pow2, fib_pow2_consts):
+    # |xi_j| is taken at the budget's precision, never at the global iv.prec
+    xi = xi_form(2, "strict", 20, 1, 3)
+    values = []
+    for prec in (20, 53, 300):
+        monkeypatch.setattr(iv, "prec", prec)
+        values.append(verify_xi_bound(xi, fib_pow2, fib_pow2_consts, 20).value)
+    assert values[0] == values[1] == values[2]
