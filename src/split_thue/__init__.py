@@ -9,13 +9,7 @@ brute-force certifies that only the trivial solutions of
 ``|X (X - A_n Y)(X - B_n Y) - Y^3| = 1`` occur at desk scale.
 """
 
-from .precision import (
-    DEFAULT_BUDGET,
-    PrecisionBudget,
-    PrecisionExhausted,
-    SplitThueError,
-    UndecidedComparison,
-)
+from .precision import PrecisionExhausted, SplitThueError, UndecidedComparison
 from .algebraic import AlgebraicNumber, field_arith
 from .sequences import (
     CoefficientPolynomial,
@@ -61,11 +55,9 @@ __all__ = [
     "C_RANK2_CUBIC",
     "CoefficientPolynomial",
     "CubicRootSet",
-    "DEFAULT_BUDGET",
     "FamilyInstance",
     "HypothesisViolated",
     "N0Result",
-    "PrecisionBudget",
     "PrecisionExhausted",
     "RecurrentSequence",
     "Solution",

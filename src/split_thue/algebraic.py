@@ -4,10 +4,11 @@ An algebraic number is stored as its primitive integer minimal polynomial
 together with a rational-endpoint box isolating exactly one root.  The exact
 polynomial kernel is here too: root isolation certified on exact Newton
 squares, composed sums and products from power sums, and factoring over the
-integers by root subsets.  Real enclosures are :class:`Interval` values with
-their own precision; arithmetic with complex boxes uses mpmath's ``iv``
-context inside :func:`interval_bits` (:mod:`split_thue.precision`).  mpmath's
-own root finder only supplies approximations, which are certified exactly.
+integers by root subsets.  Enclosures are :class:`Interval` values for real
+numbers and :class:`Box` values for complex ones, each with its own precision
+(:mod:`split_thue.precision`), and the same code computes with either.
+mpmath's own root finder only supplies approximations, which are certified
+exactly.
 """
 
 from __future__ import annotations
@@ -20,20 +21,17 @@ from functools import lru_cache
 from itertools import combinations
 
 import mpmath
-from mpmath import iv
-from mpmath.libmp import NoConvergence, mpci_abs
+from mpmath.libmp import NoConvergence
 
 from .precision import (
-    DEFAULT_BUDGET,
     MAX_BITS,
+    WORKING_BITS,
+    Box,
     Interval,
     PrecisionExhausted,
     SplitThueError,
     UndecidedComparison,
     _raw_to_fraction,
-    interval_bits,
-    is_iv_complex,
-    iv_to_fractions,
 )
 
 
@@ -95,7 +93,7 @@ class ComplexEnclosure:
     def as_iv(self, bits):
         re = Interval.between(self.re_lo, self.re_hi, bits)
         im = Interval.between(self.im_lo, self.im_hi, bits)
-        return iv.mpc(re, im)
+        return Box((re._mpi_, im._mpi_), bits)
 
 
 def _normalize_coeffs(coeffs):
@@ -390,33 +388,27 @@ class AlgebraicNumber:
 
     def approx(self, bits):
         """Enclosure of relative width about 2^-bits, with endpoints rounded
-        outward at bits + 8: an Interval whose operations round to ``bits``
-        for a real number, an mpmath ``iv.mpc`` for a complex one."""
+        outward at bits + 8 and operations that round to ``bits``: an
+        Interval for a real number, a Box for a complex one."""
         if self.is_rational:
             return Interval.of(self.as_fraction(), bits + 8).at(bits)
         box = self.enclosure
         scale = max(
             abs(box.mid() if box.is_real else box.re_lo + box.re_hi), Fraction(1)
         )
-        tight = self.refined(scale * Fraction(1, 2**bits)).as_iv(bits + 8)
-        return tight.at(bits) if box.is_real else tight
-
-    def approx_abs(self, bits):
-        """Interval enclosure of |x| whose operations round to ``bits``."""
-        return _abs_interval(self.approx(bits), bits)
+        return self.refined(scale * Fraction(1, 2**bits)).as_iv(bits + 8).at(bits)
 
     # -- number-theoretic operations ---------------------------------------
 
-    def height(self, budget=DEFAULT_BUDGET):
-        """Enclosure of the absolute logarithmic height."""
+    def height(self, bits=WORKING_BITS):
+        """Enclosure of the absolute logarithmic height, of width <= 2^-(bits // 2)."""
         d = self.degree
         lead = self.min_poly[0]
-        target = budget.target_width()
-        bits = budget.working_bits
-        while bits <= budget.max_bits:
+        target = Fraction(1, 2 ** (bits // 2))
+        while bits <= MAX_BITS:
             total = Interval.of(lead, bits).log()
             for box in _isolate_all(self.min_poly, bits):
-                total += _log_plus(_abs_interval(box.as_iv(bits), bits))
+                total += _log_plus(abs(box.as_iv(bits)))
             result = total / d
             if result.sup - result.inf <= target:
                 return result
@@ -514,31 +506,31 @@ def _abs_square(min_poly, enclosure):
     return x * AlgebraicNumber(min_poly, enclosure.conjugate())
 
 
-def abs_compare(x, y, budget=DEFAULT_BUDGET):
+def abs_compare(x, y, bits=WORKING_BITS):
     """Certified sign of |x| - |y| (-1, 0 or 1) for algebraic numbers or
     rationals.
 
     Two rationals compare exactly.  When the moduli's intervals overlap at
     the working precision, a tie is decided exactly: x = y or x = -y for
     real x and y, |x|^2 = |y|^2 otherwise.  Past that the moduli are
-    refined at doubling precision; UndecidedComparison is raised past
-    ``budget.max_bits``.
+    refined at precision doubling from ``bits``; UndecidedComparison is
+    raised past MAX_BITS.
     """
     x, y = _coerce(x), _coerce(y)
     if x.is_rational and y.is_rational:
         a, b = abs(x.as_fraction()), abs(y.as_fraction())
         return (a > b) - (a < b)
-    bits = budget.working_bits
-    while bits <= budget.max_bits:
-        a, b = x.approx_abs(bits), y.approx_abs(bits)
+    start = bits
+    while bits <= MAX_BITS:
+        a, b = abs(x.approx(bits)), abs(y.approx(bits))
         if a.sup < b.inf:
             return -1
         if a.inf > b.sup:
             return 1
-        if bits == budget.working_bits and _moduli_tie(x, y):
+        if bits == start and _moduli_tie(x, y):
             return 0
         bits *= 2
-    raise UndecidedComparison(f"interval comparison undecided at {budget.max_bits} bits")
+    raise UndecidedComparison(f"interval comparison undecided at {MAX_BITS} bits")
 
 
 def _moduli_tie(x, y):
@@ -547,14 +539,6 @@ def _moduli_tie(x, y):
     if x.is_real and y.is_real:
         return x == y or x == -y
     return abs_square(x) == abs_square(y)
-
-
-def _abs_interval(value, bits):
-    """|value| as an Interval at ``bits``, for an Interval at ``bits`` or an
-    ``iv.mpc``."""
-    if is_iv_complex(value):
-        return Interval(mpci_abs(value._mpci_, bits), bits)
-    return abs(value)
 
 
 def _log_plus(mag):
@@ -774,26 +758,25 @@ def _subsets(atoms, size):
 
 
 def _round_factor(f, roots, bits):
-    """lc(f) prod (x - r) over the boxes ``roots``, rounded to integers and
-    made primitive: () when some coefficient's enclosure holds no integer,
-    None when one holds more than one."""
+    """lc(f) prod (x - r) over the boxes ``roots``, with real Interval
+    coefficients (x^2 - 2 Re(z) x + Re(z)^2 + Im(z)^2 for a conjugate pair),
+    rounded to integers and made primitive: () when some coefficient's
+    enclosure holds no integer, None when one holds more than one."""
     lc = f[0]
     lo = lc * sum(b.lo if b.is_real else b.re_lo for b in roots)
     hi = lc * sum(b.hi if b.is_real else b.re_hi for b in roots)
     if math.floor(hi) < math.ceil(lo):
         return ()
-    with interval_bits(bits + 32):
-        prod = [iv.mpf(lc)]
-        for b in roots:
-            z = iv.mpf(b.as_iv(bits + 32))
-            if b.is_real:
-                prod = _poly_mul(prod, [1, -z])
-            elif b.im_lo > 0:
-                prod = _poly_mul(prod, [1, -2 * z.real, z.real**2 + z.imag**2])
+    prod = [Interval.of(lc, bits + 32)]
+    for b in roots:
+        z = b.as_iv(bits + 32)
+        if b.is_real:
+            prod = _poly_mul(prod, [1, -z])
+        elif b.im_lo > 0:
+            prod = _poly_mul(prod, [1, -2 * z.real, z.real**2 + z.imag**2])
     out = []
     for c in prod:
-        lo, hi = iv_to_fractions(c)
-        lo, hi = math.ceil(lo), math.floor(hi)
+        lo, hi = math.ceil(c.inf), math.floor(c.sup)
         if lo > hi:
             return ()
         if lo < hi:
@@ -830,7 +813,7 @@ def _resultant_poly(a_coeffs, b_coeffs, op):
     return tuple(_factor_squarefree(_squarefree_part(_composed_poly(a_coeffs, b_coeffs, op))))
 
 
-def field_arith(a, b, op, budget=DEFAULT_BUDGET):
+def field_arith(a, b, op, bits=WORKING_BITS):
     """Exact algebraic arithmetic: result has its own minimal polynomial.
 
     The result polynomial is found via resultants; the designated root is the
@@ -839,17 +822,15 @@ def field_arith(a, b, op, budget=DEFAULT_BUDGET):
     if op not in ("add", "sub", "mul", "div"):
         raise ValueError(f"unknown op {op!r}")
     if op == "sub":
-        return field_arith(a, -b, "add", budget)
+        return field_arith(a, -b, "add", bits)
     if op == "div":
         if b.is_zero:
             raise DivisionByZero("division by zero algebraic number")
         if b.is_rational:
-            return field_arith(a, AlgebraicNumber.from_rational(1 / b.as_fraction()), "mul", budget)
+            return field_arith(a, AlgebraicNumber.from_rational(1 / b.as_fraction()), "mul", bits)
         inv_coeffs = _normalize_coeffs(tuple(reversed(b.min_poly)))
-        b_inv = _designate_from_iv(
-            (inv_coeffs,), lambda bits: _evaluate(operator.truediv, bits, 1, b.approx(bits)), budget
-        )
-        return field_arith(a, b_inv, "mul", budget)
+        b_inv = _designate_from_iv((inv_coeffs,), lambda p: 1 / b.approx(p), bits)
+        return field_arith(a, b_inv, "mul", bits)
 
     # rational fast paths
     if a.is_rational and b.is_rational:
@@ -861,25 +842,13 @@ def field_arith(a, b, op, budget=DEFAULT_BUDGET):
 
     candidates = _resultant_poly(a.min_poly, b.min_poly, op)
     f = operator.add if op == "add" else operator.mul
-    return _designate_from_iv(
-        candidates, lambda bits: _evaluate(f, bits, a.approx(bits), b.approx(bits)), budget
-    )
+    return _designate_from_iv(candidates, lambda p: f(a.approx(p), b.approx(p)), bits)
 
 
-def _evaluate(f, bits, *args):
-    """f of approximations at ``bits``: real Intervals compute at their own
-    precision, and with a complex box among ``args``, f computes with
-    mpmath's ``iv`` at ``bits``."""
-    if not any(map(is_iv_complex, args)):
-        return f(*args)
-    with interval_bits(bits):
-        return f(*map(iv.mpf, args))
-
-
-def _designate_from_iv(candidate_polys, value_fn, budget=DEFAULT_BUDGET):
-    """Select the unique (factor, root) pair compatible with an interval value."""
-    bits = budget.working_bits
-    while bits <= budget.max_bits:
+def _designate_from_iv(candidate_polys, value_fn, bits=WORKING_BITS):
+    """Select the unique (factor, root) pair compatible with the Interval or
+    Box ``value_fn(p)``, at precision p doubling from ``bits``."""
+    while bits <= MAX_BITS:
         val = value_fn(bits)
         hits = []
         for fc in candidate_polys:
@@ -896,13 +865,5 @@ def _designate_from_iv(candidate_polys, value_fn, budget=DEFAULT_BUDGET):
 
 
 def _box_intersects_iv(box, val):
-    if is_iv_complex(val):
-        re_lo, re_hi = iv_to_fractions(val.real)
-        im_lo, im_hi = iv_to_fractions(val.imag)
-    else:
-        re_lo, re_hi = iv_to_fractions(val)
-        im_lo = im_hi = Fraction(0)
-    other = ComplexEnclosure(re_lo, re_hi, im_lo, im_hi)
-    if box.is_real:
-        return other.intersects(box)
-    return box.intersects(other)
+    re, im = val.real, val.imag
+    return ComplexEnclosure(re.inf, re.sup, im.inf, im.sup).intersects(box)

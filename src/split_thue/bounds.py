@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebraic import AlgebraicNumber, ComplexEnclosure, RealEnclosure, field_arith
-from .precision import DEFAULT_BUDGET, Interval, SplitThueError
+from .precision import WORKING_BITS, Interval, SplitThueError
 from .cubic import compute_constants
 from .sequences import FamilyInstance, dominant_logs
 
@@ -148,7 +148,7 @@ def baker_lower(heights, D: int, log_B: Fraction, bits: int) -> Fraction:
     return -K * log2tD * prod * max(log_B, Fraction(1))
 
 
-def compositum_degree(elements, budget=DEFAULT_BUDGET) -> int:
+def compositum_degree(elements, bits=WORKING_BITS) -> int:
     """Degree of the field generated by the given algebraic numbers, found
     by primitive-element trials gamma + k*delta, k = 1, 2, ...
 
@@ -175,7 +175,7 @@ def compositum_degree(elements, budget=DEFAULT_BUDGET) -> int:
         best = None
         best_deg = 0
         for k in range(1, (d1 - 1) * (d2 - 1) + 2):
-            cand = field_arith(gamma, _times_int(el, k), "add", budget)
+            cand = field_arith(gamma, _times_int(el, k), "add", bits)
             deg = len(cand.min_poly) - 1
             if deg > best_deg:
                 best_deg, best = deg, cand
@@ -198,7 +198,7 @@ def _times_int(el: AlgebraicNumber, k: int) -> AlgebraicNumber:
     return AlgebraicNumber(coeffs, box)
 
 
-def field_degree(fam: FamilyInstance, budget=DEFAULT_BUDGET) -> int:
+def field_degree(fam: FamilyInstance, bits=WORKING_BITS) -> int:
     """Degree D of Q(alpha, beta, secondary roots), the field of every root
     and coefficient value of the family.
 
@@ -214,13 +214,14 @@ def field_degree(fam: FamilyInstance, budget=DEFAULT_BUDGET) -> int:
     elements = [fam.alpha, fam.beta]
     for seq in (fam.A, fam.B):
         elements.extend(root for root, _ in seq.secondary)
-    return compositum_degree(elements, budget)
+    return compositum_degree(elements, bits)
 
 
-def xi_heights(fam: FamilyInstance, n: int, D: int, budget=DEFAULT_BUDGET):
+def xi_heights(fam: FamilyInstance, n: int, D: int, bits=WORKING_BITS):
     """Per-argument height bounds (with Baker floors) for the transformed
     form's logarithms at parameter n, from the family's constants at the
-    chain's precision, so the same for every ``budget``."""
+    chain's precision.  ``bits`` is ignored; it stays because
+    perfbench/check.py passes a fourth argument."""
     return _xi_heights(fam, compute_constants(fam), n, D)
 
 
@@ -349,12 +350,12 @@ def _branch_report(fam, consts, n, branch, D) -> BoundReport:
 
 
 def compute_n0(
-    fam: FamilyInstance, consts, n_cap: int = 10**7, budget=DEFAULT_BUDGET
+    fam: FamilyInstance, consts, n_cap: int = 10**7, bits=WORKING_BITS
 ) -> N0Result:
     """Smallest n beyond which every solution-type branch yields a
     contradiction between the lower and upper linear-form bounds, verified
     over a sanity window; per-branch thresholds and a probe trace included."""
-    D = field_degree(fam, budget)
+    D = field_degree(fam, bits)
     branches = ["xi-j2", "xi-j3"]
     if fam.equal_modulus:
         branches.append("xi-j1")

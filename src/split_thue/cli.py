@@ -10,7 +10,7 @@ import json
 import sys
 
 from . import bounds, cubic, solver
-from .precision import MAX_BITS, MIN_WORKING_BITS, PrecisionBudget, PrecisionExhausted, SplitThueError
+from .precision import MAX_BITS, MIN_WORKING_BITS, WORKING_BITS, PrecisionExhausted, SplitThueError
 from .sequences import FamilyInstance, HypothesisViolated, check_hypotheses, sequence_from_json
 
 EXIT_OK = 0
@@ -48,7 +48,7 @@ def load_config(args) -> dict:
     if not isinstance(opts, dict):
         raise ConfigError("options must be a JSON object")
     opts = dict(opts)
-    defaults = {"n_lo": 1, "n_hi": 10, "y_max": 100, "working_bits": 256, "n_cap": 10**7}
+    defaults = {"n_lo": 1, "n_hi": 10, "y_max": 100, "working_bits": WORKING_BITS, "n_cap": 10**7}
     for key, val in defaults.items():
         opts.setdefault(key, val)
     for flag, key in (
@@ -73,15 +73,15 @@ def load_config(args) -> dict:
 
 
 def build_family(config, args):
-    """The family and the precision budget of a loaded config; ``args`` is
+    """The family and the working precision of a loaded config; ``args`` is
     unused, since ``load_config`` has already folded the flags in."""
     try:
         A = sequence_from_json(config["A"])
         B = sequence_from_json(config["B"])
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad sequence spec: {exc}") from exc
-    budget = PrecisionBudget(working_bits=config["options"]["working_bits"])
-    return FamilyInstance.build(A, B, budget), budget
+    bits = config["options"]["working_bits"]
+    return FamilyInstance.build(A, B, bits), bits
 
 
 def _num(x):
@@ -104,7 +104,7 @@ def _solution_row(s):
 
 
 def cmd_solve(config, args):
-    fam, budget = build_family(config, args)
+    fam, _ = build_family(config, args)
     opts = config["options"]
     report = {"command": "solve", "config": _config_echo(config), "per_n": []}
     code = EXIT_OK
@@ -125,9 +125,9 @@ def cmd_solve(config, args):
 
 
 def cmd_verify(config, args):
-    fam, budget = build_family(config, args)
+    fam, bits = build_family(config, args)
     opts = config["options"]
-    fv = solver.verify_family(fam, opts["n_lo"], opts["n_hi"], opts["y_max"], budget)
+    fv = solver.verify_family(fam, opts["n_lo"], opts["n_hi"], opts["y_max"], bits)
     hyp = fv.hypotheses
     per_n = []
     residuals = []
@@ -186,10 +186,10 @@ def cmd_verify(config, args):
 
 
 def cmd_bounds(config, args):
-    fam, budget = build_family(config, args)
+    fam, bits = build_family(config, args)
     opts = config["options"]
     consts = cubic.compute_constants(fam)
-    res = bounds.compute_n0(fam, consts, n_cap=opts["n_cap"], budget=budget)
+    res = bounds.compute_n0(fam, consts, n_cap=opts["n_cap"], bits=bits)
     trace = [
         {
             "n": r.n,
@@ -217,7 +217,7 @@ def cmd_bounds(config, args):
         "flags": ["c5-inverted-in-upper-bound"],
     }
     if fam.equal_modulus:
-        hyp = check_hypotheses(fam, min(opts["n_hi"], 20), budget)
+        hyp = check_hypotheses(fam, min(opts["n_hi"], 20), bits)
         report["equal_case_condition"] = hyp.equal_case_condition
     code = EXIT_OK if not res.no_crossing else EXIT_BOUND
     return report, code

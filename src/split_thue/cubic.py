@@ -5,10 +5,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .algebraic import RealEnclosure, poly_eval_sign, refine_bracket
-from .precision import DEFAULT_BUDGET, Interval, PrecisionBudget, SplitThueError
+from .precision import MIN_WORKING_BITS, WORKING_BITS, Interval, SplitThueError
 from .sequences import FamilyInstance, dominant_logs
 
 
@@ -46,6 +46,14 @@ class CubicRootSet:
     def roots(self):
         return (self.lambda1, self.lambda2, self.lambda3)
 
+    @cached_property
+    def unit_log_matrix(self):
+        """(m11, m12, m21, m22, det): log|lambda_i|, log|lambda_i - A_n| for
+        i = 1, 2 and their determinant at MIN_WORKING_BITS, for unit_decompose."""
+        p = MIN_WORKING_BITS
+        (m11, m21), (m12, m22) = ((v.at(p) for v in logs[:2]) for logs in (self.log_abs, self.log_abs_A))
+        return m11, m12, m21, m22, m11 * m22 - m12 * m21
+
 
 def _bracket_around(coeffs, center, halfwidth):
     """A certified sign change of f within [center - w, center + w], as a
@@ -68,8 +76,9 @@ def _bracket_around(coeffs, center, halfwidth):
     )
 
 
-def isolate_roots(fam: FamilyInstance, n: int, budget=DEFAULT_BUDGET) -> CubicRootSet:
-    """Certify the three real roots from their anchor windows."""
+def isolate_roots(fam: FamilyInstance, n: int, bits=WORKING_BITS) -> CubicRootSet:
+    """Certify the three real roots from their anchor windows, for a root
+    context at ``bits`` plus the bits the roots' scale needs."""
     A, B = fam.terms(n)
     if A == 0 or B == 0 or A * B == A + B:
         raise AnchorSignFailure("degenerate parameters")
@@ -87,10 +96,10 @@ def isolate_roots(fam: FamilyInstance, n: int, budget=DEFAULT_BUDGET) -> CubicRo
     # widths fine enough for every downstream quantity, incl. lambda2 - A_n
     # whose scale is 1/(A^2 (A-B)^2); the intervals keep that accuracy
     scale_bits = 2 * (abs(A) * abs(B)).bit_length() + 8
-    width = Fraction(1, 2 ** (budget.working_bits // 2 + scale_bits))
+    width = Fraction(1, 2 ** (bits // 2 + scale_bits))
     roots = tuple(refine_bracket(coeffs, r, width) for r in (l1, l2, l3))
     l1, l2, l3 = roots
-    bits = budget.working_bits + scale_bits
+    bits += scale_bits
     ivs = tuple(r.as_iv(bits) for r in roots)
     log_abs = tuple(abs(v).log() for v in ivs)
     log_abs_A = tuple(abs(v - A).log() for v in ivs)
@@ -176,9 +185,6 @@ class ApproxConstants:
         # eps, and hashing every Fraction field costs more than a lookup saves
         return hash((self.C, self.eps))
 
-    def lterm(self, n: int, d2: int) -> Fraction:
-        return self.C * Fraction(n) ** d2 * self.eps**n
-
 
 # compute_constants bounds the coefficients for n >= _N_MIN, at _CONST_BITS
 _N_MIN = 2
@@ -187,7 +193,7 @@ _CONST_BITS = 128
 
 def _ratio_upper(num, den):
     """Rational upper bound on |num/den| for algebraic numbers."""
-    return (num.approx_abs(_CONST_BITS) / den.approx_abs(_CONST_BITS)).sup
+    return (abs(num.approx(_CONST_BITS)) / abs(den.approx(_CONST_BITS))).sup
 
 
 def _heights(fam: FamilyInstance):
@@ -195,17 +201,16 @@ def _heights(fam: FamilyInstance):
     bounds with h(c(n)) <= base + slope log n for c_A, c_B (and c_B - c_A in
     the equal-modulus case), from h(c(n)) <= sum_j (h(a_j) + j log n)
     + log(#terms)."""
-    budget = PrecisionBudget(working_bits=_CONST_BITS)
     polys = [("cA", fam.A.dominant_coeff), ("cB", fam.B.dominant_coeff)]
     if fam.equal_modulus:
         polys.append(("cB-cA", fam.coeff_diff))
     coeffs = []
     for label, poly in polys:
         log_terms = Interval.of(poly.degree + 1, _CONST_BITS).log().sup
-        base = sum((a.height(budget).sup for a in poly.coeffs), log_terms)
+        base = sum((a.height(_CONST_BITS).sup for a in poly.coeffs), log_terms)
         coeffs.append((label, base, sum(range(len(poly.coeffs)))))
-    h_alpha = fam.alpha.height(budget).sup
-    h_beta = fam.beta.height(budget).sup
+    h_alpha = fam.alpha.height(_CONST_BITS).sup
+    h_beta = fam.beta.height(_CONST_BITS).sup
     return h_alpha, h_beta, tuple(coeffs)
 
 
@@ -297,13 +302,13 @@ def _root_log_values(rs: CubicRootSet):
 
 
 def verify_log_approx(
-    rs: CubicRootSet, fam: FamilyInstance, consts: ApproxConstants, budget=DEFAULT_BUDGET
+    rs: CubicRootSet, fam: FamilyInstance, consts: ApproxConstants, bits=WORKING_BITS
 ) -> ResidualReport:
-    """Six log approximations against the shared decaying error term."""
+    """Six log approximations against the shared decaying error term
+    C n^d2 eps^n."""
     n = rs.n
-    bound = consts.lterm(n, fam.d2)
     scale = Fraction(n) ** fam.d2 * consts.eps**n
-    bits = budget.working_bits
+    bound = consts.C * scale
     computed = _root_log_values(rs)
     closed = log_closed_forms(fam, n, bits)
     entries = []
@@ -316,11 +321,10 @@ def verify_log_approx(
 
 
 def verify_root_diff(
-    rs: CubicRootSet, fam: FamilyInstance, consts: ApproxConstants, budget=DEFAULT_BUDGET
+    rs: CubicRootSet, fam: FamilyInstance, consts: ApproxConstants, bits=WORKING_BITS
 ) -> ResidualReport:
     """The six two-sided root-difference bounds."""
     n = rs.n
-    bits = budget.working_bits
     a_abs, b_abs, _, _ = dominant_logs(fam, bits)
     l1, l2, l3 = (v.at(bits) for v in rs.ivs)
     d12 = abs(l1 - l2)

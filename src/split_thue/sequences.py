@@ -14,8 +14,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import zip_longest
 
-from mpmath import iv
-
 from .algebraic import (
     AlgebraicNumber,
     _designate_from_iv,
@@ -28,14 +26,7 @@ from .algebraic import (
     abs_compare,
     factor_list,
 )
-from .precision import (
-    DEFAULT_BUDGET,
-    Interval,
-    PrecisionBudget,
-    SplitThueError,
-    interval_bits,
-    iv_from_fraction,
-)
+from .precision import WORKING_BITS, Interval, SplitThueError
 
 class InconsistentModel(SplitThueError):
     """Recursion and explicit formula disagree on a term."""
@@ -73,8 +64,8 @@ class CoefficientPolynomial:
         return acc
 
     def approx_at(self, n, bits):
-        """Interval value of c(n) at ``bits`` for real coefficients, where n
-        is an int or an Interval at ``bits``."""
+        """Value of c(n) at ``bits``, where n is an int or an Interval at
+        ``bits``: an Interval, or a Box when a coefficient is complex."""
         acc = Interval.of(0, bits)
         for c in reversed(self.coeffs):
             acc = acc * n + c.approx(bits)
@@ -84,7 +75,7 @@ class CoefficientPolynomial:
         """Rational upper bound on sum of |coefficients|."""
         total = Interval.of(0, bits)
         for c in self.coeffs:
-            total += c.approx_abs(bits)
+            total += abs(c.approx(bits))
         return total.sup
 
     def abs_lower_inf(self, n_min=2, bits=128):
@@ -97,16 +88,13 @@ class CoefficientPolynomial:
         O(log n_star) evaluations, not n_star.
         """
         g = self.degree
-        L = self.coeffs[g].approx_abs(bits).inf
+        L = abs(self.coeffs[g].approx(bits)).inf
         if L <= 0:
             raise SplitThueError("leading coefficient not separated from 0")
         if g == 0:
             return L
-        rest = Interval.of(0, bits)
-        for c in self.coeffs[:g]:
-            rest += c.approx_abs(bits)
-        # |c(n)| >= n^(g-1) (|lead| n - rest), increasing for n > rest/|lead|
-        R = rest.sup
+        # |c(n)| >= n^(g-1) (|lead| n - R), increasing for n > R/|lead|
+        R = CoefficientPolynomial(self.coeffs[:g]).abs_coeff_sum_upper(bits)
         n_star = max(n_min, 1 + math.ceil(2 * R / L))
 
         def at(n):
@@ -210,24 +198,19 @@ class RecurrentSequence:
         return terms[-1]
 
     def explicit_iv(self, n, bits=None):
-        """Interval value of the explicit formula at n (real part; the
-        imaginary part of the conjugate-pair sum is checked to straddle 0),
-        computed with mpmath's complex ``iv`` boxes."""
+        """Interval value at ``bits`` of the explicit formula at n: the real
+        part of its sum of Interval and Box terms, whose imaginary part (from
+        the conjugate pairs) is checked to hold 0."""
         if bits is None:
             bits = self._formula_bits(n)
-        with interval_bits(bits):
-            total = iv.mpf(0)
-            imag = iv.mpf(0)
-            for root, coeff in [(self.dominant_root, self.dominant_coeff)] + list(self.secondary):
-                cv = iv.mpf(0)
-                for c in reversed(coeff.coeffs):
-                    cv = cv * n + iv.mpf(c.approx(bits))
-                term = cv * iv.mpf(root.approx(bits)) ** n
-                total += term.real
-                imag += term.imag
-            if 0 not in imag:
-                raise InconsistentModel("imaginary part of explicit formula off zero")
-        return Interval(total._mpi_, bits)
+        total = imag = Interval.of(0, bits)
+        for root, coeff in [(self.dominant_root, self.dominant_coeff)] + list(self.secondary):
+            term = coeff.approx_at(n, bits) * root.approx(bits) ** n
+            total += term.real
+            imag += term.imag
+        if not imag.inf <= 0 <= imag.sup:
+            raise InconsistentModel("imaginary part of explicit formula off zero")
+        return total
 
     def _formula_bits(self, n):
         mag = 1.0
@@ -308,14 +291,13 @@ def _value_at_root(g, sums, P, root):
     minpoly = _squarefree_part(_from_power_sums([m] + traces))
 
     def value(bits):
-        with interval_bits(bits):
-            r = iv.mpf(root.approx(bits))
-            acc = iv_from_fraction(P[-1], bits)
-            for c in reversed(P[:-1]):
-                acc = acc * r + iv_from_fraction(c, bits)
-            return acc
+        r = root.approx(bits)
+        acc = Interval.of(P[-1], bits)
+        for c in reversed(P[:-1]):
+            acc = acc * r + Interval.of(c, bits)
+        return acc
 
-    return _designate_from_iv((minpoly,), value, PrecisionBudget(working_bits=128))
+    return _designate_from_iv((minpoly,), value, 128)
 
 
 # -- family ----------------------------------------------------------------
@@ -330,14 +312,14 @@ class FamilyInstance:
     equal_modulus: bool
 
     @classmethod
-    def build(cls, A, B, budget=DEFAULT_BUDGET):
+    def build(cls, A, B, bits=WORKING_BITS):
         """Order the pair so |alpha| <= |beta| and classify the case."""
         alpha, beta = A.dominant_root, B.dominant_root
         if alpha.is_zero or beta.is_zero:
             raise HypothesisViolated("dominant root must be nonzero")
         if any(all(c.is_zero for c in seq.dominant_coeff.coeffs) for seq in (A, B)):
             raise HypothesisViolated("dominant coefficient must be nonzero")
-        order = abs_compare(alpha, beta, budget)
+        order = abs_compare(alpha, beta, bits)
         if order > 0:
             A, B = B, A
         degrees = [A.dominant_coeff.degree, B.dominant_coeff.degree]
@@ -403,9 +385,9 @@ class HypothesisReport:
     failures: tuple  # of (n, reason)
 
 
-def check_hypotheses(fam: FamilyInstance, n_probe: int, budget=DEFAULT_BUDGET) -> HypothesisReport:
+def check_hypotheses(fam: FamilyInstance, n_probe: int, bits=WORKING_BITS) -> HypothesisReport:
     """Check the family's sign-regime conditions for n = 1..n_probe."""
-    if abs_compare(fam.beta, 1, budget) <= 0:
+    if abs_compare(fam.beta, 1, bits) <= 0:
         raise HypothesisViolated("|beta| must exceed 1")
 
     failures = []
@@ -416,7 +398,7 @@ def check_hypotheses(fam: FamilyInstance, n_probe: int, budget=DEFAULT_BUDGET) -
         An, Bn = fam.terms(n)
         ok, reason, bullet = _bullet_check(An, Bn)
         if ok and fam.equal_modulus:
-            ok, reason, equal_cond = _equal_modulus_check(fam, n, budget)
+            ok, reason, equal_cond = _equal_modulus_check(fam, n, bits)
         per_n_ok.append(ok)
         if ok:
             bullet_seen = bullet
@@ -446,21 +428,21 @@ def _bullet_check(An, Bn):
     return False, f"A_n={An}, B_n={Bn} outside both bullet ranges", None
 
 
-def _equal_modulus_check(fam, n, budget):
+def _equal_modulus_check(fam, n, bits):
     """Extra conditions in the equal-modulus case, decided exactly."""
     cB = fam.c_B(n)
     cA = fam.c_A(n)
     diff = cB - cA
-    if abs_compare(cB, cA, budget) == 0:
+    if abs_compare(cB, cA, bits) == 0:
         return False, f"|c_B(n)| = |c_A(n)| at n={n}", None
-    cB_order = abs_compare(cB, 1, budget)
+    cB_order = abs_compare(cB, 1, bits)
     if cB_order == 0:
-        if diff.is_zero or abs_compare(diff, 1, budget) == 0:
+        if diff.is_zero or abs_compare(diff, 1, bits) == 0:
             return False, f"|c_B-c_A| in {{0,1}} at n={n}", None
         return True, None, "unit-modulus"
     if cB_order > 0:
         # need |c_B - c_A| > 1/|c_B|, i.e. |(c_B - c_A) c_B| > 1
-        order = abs_compare(diff * cB, 1, budget)
+        order = abs_compare(diff * cB, 1, bits)
         if order == 0:
             return False, f"|c_B - c_A| = 1/|c_B| at n={n}", None
         if order > 0:
@@ -469,7 +451,7 @@ def _equal_modulus_check(fam, n, budget):
     # 0 < |c_B| < 1 case: need 0 < |c_B - c_A| < 1
     if diff.is_zero:
         return False, f"c_B = c_A at n={n}", None
-    order = abs_compare(diff, 1, budget)
+    order = abs_compare(diff, 1, bits)
     if order == 0:
         return False, f"|c_B - c_A| = 1 at n={n}", None
     if order < 0:

@@ -11,7 +11,7 @@ from math import isqrt
 from . import cubic, units
 from .algebraic import bisect_root, scaled_poly
 from .cubic import ApproxConstants, ResidualReport, cubic_coeffs
-from .precision import DEFAULT_BUDGET
+from .precision import WORKING_BITS
 from .sequences import FamilyInstance, HypothesisReport, check_hypotheses
 
 
@@ -240,7 +240,7 @@ class FamilyVerification:
 
 
 def verify_family(
-    fam: FamilyInstance, n_lo: int, n_hi: int, y_max: int, budget=DEFAULT_BUDGET
+    fam: FamilyInstance, n_lo: int, n_hi: int, y_max: int, bits=WORKING_BITS
 ) -> FamilyVerification:
     """Hypothesis check + brute force + classification for each n in range,
     with per-n lemma summaries and log residuals where the roots are
@@ -248,7 +248,7 @@ def verify_family(
     if n_lo > n_hi:
         raise ValueError("empty n range")
     consts = cubic.compute_constants(fam)
-    hyp = check_hypotheses(fam, n_hi, budget)
+    hyp = check_hypotheses(fam, n_hi, bits)
     failed = dict(hyp.failures)
     reports = []
     for n in range(n_lo, n_hi + 1):
@@ -261,19 +261,19 @@ def verify_family(
         nontrivial = tuple(s for s in sols if s.classification == "nontrivial")
         ra = la = rd = xi_ok = resid = None
         try:
-            rs = cubic.isolate_roots(fam, n, budget)
+            rs = cubic.isolate_roots(fam, n, bits)
             ra = cubic.verify_root_approx(rs, fam).all_pass
-            resid = cubic.verify_log_approx(rs, fam, consts, budget)
+            resid = cubic.verify_log_approx(rs, fam, consts, bits)
             la = resid.all_pass
-            rd = cubic.verify_root_diff(rs, fam, consts, budget).all_pass
+            rd = cubic.verify_root_diff(rs, fam, consts, bits).all_pass
             xi_ok = True
             for s in sols:
                 if s.y == 0:
                     continue  # (+-1, 0): every |x - lambda_j y| is 1, so no type
-                j = units.solution_type(s.x, s.y, rs, budget)
+                j = units.solution_type(s.x, s.y, rs, bits)
                 ue = units.unit_decompose(s.x, s.y, rs)
                 xi = units.xi_form(j, fam.case_tag, n, ue.b1, ue.b2)
-                if not units.verify_xi_bound(xi, fam, consts, n, budget).ok:
+                if not units.verify_xi_bound(xi, fam, consts, n, bits).ok:
                     xi_ok = False
         except cubic.AnchorSignFailure:
             pass

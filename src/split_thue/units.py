@@ -12,8 +12,9 @@ from functools import lru_cache
 from .algebraic import refine_bracket
 from .cubic import CubicRootSet, _log_quantities
 from .precision import (
-    DEFAULT_BUDGET,
+    MAX_BITS,
     MIN_WORKING_BITS,
+    WORKING_BITS,
     Interval,
     PrecisionExhausted,
     SplitThueError,
@@ -102,9 +103,10 @@ def unit_decompose(x: int, y: int, rs: CubicRootSet) -> UnitExponents:
 
     f_n is squarefree, so the identity holds at all three embeddings. The
     exponents lie in the enclosures solved from log|x - lambda_i y|, the log
-    of an exact interval, at MIN_WORKING_BITS; every integer pair in them is
-    tried exactly. The norm form is the norm of x - lambda y, and lambda and
-    lambda - A_n have norm 1, so the sign is the norm form's value.
+    of an exact interval, at MIN_WORKING_BITS, with the root context's
+    ``unit_log_matrix``; every integer pair in them is tried exactly. The
+    norm form is the norm of x - lambda y, and lambda and lambda - A_n have
+    norm 1, so the sign is the norm form's value.
     """
     A, B = rs.A, rs.B
     nf = norm_form(x, y, A, B)
@@ -114,8 +116,7 @@ def unit_decompose(x: int, y: int, rs: CubicRootSet) -> UnitExponents:
     # cancellation, so 64 bits leave the enclosures of b1, b2 narrow
     p = MIN_WORKING_BITS
     r1, r2 = (abs(x - y * r.at(0)).at(p).log() for r in rs.ivs[:2])
-    (m11, m21), (m12, m22) = ((v.at(p) for v in logs[:2]) for logs in (rs.log_abs, rs.log_abs_A))
-    det = m11 * m22 - m12 * m21
+    m11, m12, m21, m22, det = rs.unit_log_matrix
     b1_iv = (r1 * m22 - r2 * m12) / det
     b2_iv = (m11 * r2 - m21 * r1) / det
     try:
@@ -129,7 +130,7 @@ def unit_decompose(x: int, y: int, rs: CubicRootSet) -> UnitExponents:
     raise NotAUnit(f"x - lambda y is not +- lambda^b1 (lambda - A)^b2 at (x, y) = ({x}, {y})")
 
 
-def solution_type(x: int, y: int, rs: CubicRootSet, budget=DEFAULT_BUDGET) -> int:
+def solution_type(x: int, y: int, rs: CubicRootSet, bits=WORKING_BITS) -> int:
     """Index j minimizing |x - lambda_j y|.
 
     There are no ties for y != 0: |x - lambda_i y| = |x - lambda_j y| would
@@ -137,8 +138,7 @@ def solution_type(x: int, y: int, rs: CubicRootSet, budget=DEFAULT_BUDGET) -> in
     so lambda_i + lambda_j = A_n + B_n - lambda_k is irrational.  The
     magnitudes are compared as exact intervals over the root context's
     enclosures; overlapping ones are settled on the exact brackets, refined
-    at doubling precision from ``budget.working_bits`` up to
-    ``budget.max_bits``.
+    at precision doubling from ``bits`` up to MAX_BITS.
     """
     if y == 0:
         return 1
@@ -147,17 +147,16 @@ def solution_type(x: int, y: int, rs: CubicRootSet, budget=DEFAULT_BUDGET) -> in
     for i in (2, 3):
         verdict = compare(mags[i - 1], mags[best - 1])
         if verdict is None:
-            verdict = _closer(x, y, rs, i, best, budget)
+            verdict = _closer(x, y, rs, i, best, bits)
         if verdict:
             best = i
     return best
 
 
-def _closer(x, y, rs, i, j, budget):
+def _closer(x, y, rs, i, j, bits):
     """|x - lambda_i y| < |x - lambda_j y|, decided exactly on the brackets
     of lambda_i and lambda_j."""
-    bits = budget.working_bits
-    while bits <= budget.max_bits:
+    while bits <= MAX_BITS:
         width = Fraction(1, 1 << bits)
         (lo_i, hi_i), (lo_j, hi_j) = (
             _abs_range(x, y, refine_bracket(rs.coeffs, rs.roots()[k - 1], width)) for k in (i, j)
@@ -167,7 +166,7 @@ def _closer(x, y, rs, i, j, budget):
         if lo_i > hi_j:
             return False
         bits *= 2
-    raise UndecidedComparison(f"|x - lambda_j y| undecided at {budget.max_bits} bits")
+    raise UndecidedComparison(f"|x - lambda_j y| undecided at {MAX_BITS} bits")
 
 
 def _abs_range(x, y, box):
@@ -178,10 +177,9 @@ def _abs_range(x, y, box):
     return min(map(abs, ends)), max(map(abs, ends))
 
 
-def siegel_gamma(x: int, y: int, rs: CubicRootSet, j: int, budget=DEFAULT_BUDGET):
+def siegel_gamma(x: int, y: int, rs: CubicRootSet, j: int, bits=WORKING_BITS):
     """gamma from Siegel's identity for type j, and Lambda = log|1 + gamma|."""
     k, l = KL_CONVENTION[j]
-    bits = budget.working_bits
     lam = {i: r.at(bits) for i, r in enumerate(rs.ivs, 1)}
     uj = x - lam[j] * y
     uk = x - lam[k] * y
@@ -297,15 +295,13 @@ class XiBoundReport:
 
 
 def verify_xi_bound(
-    xi: LinearFormXi, fam: FamilyInstance, consts, n: int, budget=DEFAULT_BUDGET
+    xi: LinearFormXi, fam: FamilyInstance, consts, n: int, bits=WORKING_BITS
 ) -> XiBoundReport:
-    """Check |xi_j| against its decaying upper bound at the budget's working
-    precision: the upper end of |xi_j| must not exceed the lower end of the
-    bound. The bound only holds for exponents that come from a genuine
-    solution."""
+    """Check |xi_j| against its decaying upper bound at precision ``bits``:
+    the upper end of |xi_j| must not exceed the lower end of the bound. The
+    bound only holds for exponents that come from a genuine solution."""
     if n != xi.n:
         raise ValueError("n mismatch")
-    bits = budget.working_bits
     value = xi_value(xi, fam, bits)
     rhs = xi_upper_rhs(fam, consts, n, bits)
     sup = abs(value).sup

@@ -1,12 +1,12 @@
 import pytest
 
-from split_thue import FamilyInstance, PrecisionBudget, RecurrentSequence, algebraic
+from split_thue import FamilyInstance, RecurrentSequence, algebraic
 from split_thue.cubic import compute_constants
 
 
 @pytest.fixture(scope="session")
-def budget():
-    return PrecisionBudget(working_bits=256)
+def bits():
+    return 256
 
 
 @pytest.fixture(scope="session")
@@ -22,8 +22,8 @@ def pow2_seq():
 
 
 @pytest.fixture(scope="session")
-def fib_pow2(fib_seq, pow2_seq, budget):
-    return FamilyInstance.build(fib_seq, pow2_seq, budget)
+def fib_pow2(fib_seq, pow2_seq, bits):
+    return FamilyInstance.build(fib_seq, pow2_seq, bits)
 
 
 @pytest.fixture(scope="session")
@@ -32,10 +32,10 @@ def fib_pow2_consts(fib_pow2):
 
 
 @pytest.fixture(scope="session")
-def pow2_equal_modulus(pow2_seq, budget):
+def pow2_equal_modulus(pow2_seq, bits):
     # A_n = 2^{n+1}, B_n = 3 * 2^{n+1} + 1: |alpha| = |beta| = 2
     B = RecurrentSequence.from_recurrence([1, -3, 2], [7, 13])
-    return FamilyInstance.build(pow2_seq, B, budget)
+    return FamilyInstance.build(pow2_seq, B, bits)
 
 
 @pytest.fixture

@@ -106,10 +106,10 @@ def test_criterion_01_trivial_only_solutions(fib_pow2):
 
 # -- 2: root-approximation residuals ----------------------------------------
 
-def test_criterion_02_root_approx_residuals(fib_pow2, budget):
+def test_criterion_02_root_approx_residuals(fib_pow2, bits):
     worst = 0.0
     for n in range(10, 31):
-        rs = isolate_roots(fib_pow2, n, budget)
+        rs = isolate_roots(fib_pow2, n, bits)
         rep = verify_root_approx(rs, fib_pow2)
         assert rep.all_pass, f"n={n}: root-location inequality failed"
         # independent 50-digit cubic solver as oracle for the enclosures
@@ -133,11 +133,11 @@ def test_criterion_02_root_approx_residuals(fib_pow2, budget):
 
 # -- 3: log-approximation residuals -----------------------------------------
 
-def test_criterion_03_log_approx_residuals(fib_pow2, fib_pow2_consts, budget):
+def test_criterion_03_log_approx_residuals(fib_pow2, fib_pow2_consts, bits):
     ratios = []
     for n in range(15, 41):
-        rs = isolate_roots(fib_pow2, n, budget)
-        rep = verify_log_approx(rs, fib_pow2, fib_pow2_consts, budget)
+        rs = isolate_roots(fib_pow2, n, bits)
+        rep = verify_log_approx(rs, fib_pow2, fib_pow2_consts, bits)
         assert rep.all_pass, f"n={n}: log approximation exceeded C n^d2 eps^n"
         ratios.append(max(e.ratio for e in rep.entries))
     # boundedness: the scaled residual must not trend upward across the range
@@ -153,13 +153,13 @@ def test_criterion_03_log_approx_residuals(fib_pow2, fib_pow2_consts, budget):
 
 # -- 4: regulator growth -----------------------------------------------------
 
-def test_criterion_04_regulator_growth(fib_pow2, fib_pow2_consts, budget):
+def test_criterion_04_regulator_growth(fib_pow2, fib_pow2_consts, bits):
     # the closed-form enclosure that the n0 chain uses must bracket the
     # regulator of the certified roots, and the regulator must not depend on
     # the pair of embeddings: the three pairs' intervals overlap
     probes = (50, 80, 110, 140, 170, 200)
     for n in probes:
-        rs = isolate_roots(fib_pow2, n, budget)
+        rs = isolate_roots(fib_pow2, n, bits)
         r12, r23, r13 = (regulator(rs, pair) for pair in ((1, 2), (2, 3), (1, 3)))
         r_low, r_up = regulator_bounds(fib_pow2, fib_pow2_consts, n, CHAIN_BITS)
         assert 0 < r_low <= r12.inf and r12.sup <= r_up, f"n={n}: closed form misses R"
@@ -175,11 +175,11 @@ def test_criterion_04_regulator_growth(fib_pow2, fib_pow2_consts, budget):
 
 # -- 5: unit decomposition ---------------------------------------------------
 
-def test_criterion_05_unit_decomposition(fib_pow2, pow2_equal_modulus, budget):
+def test_criterion_05_unit_decomposition(fib_pow2, pow2_equal_modulus, bits):
     checked = 0
     for fam in (fib_pow2, pow2_equal_modulus):
         for n in range(5, 26):
-            rs = isolate_roots(fam, n, budget)
+            rs = isolate_roots(fam, n, bits)
             A, B = rs.A, rs.B
             expected = {
                 (1, 0): (0, 0, 1),
@@ -203,17 +203,17 @@ def test_criterion_05_unit_decomposition(fib_pow2, pow2_equal_modulus, budget):
 
 # -- 6: Siegel identity ------------------------------------------------------
 
-def test_criterion_06_siegel_identity(fib_pow2, budget):
+def test_criterion_06_siegel_identity(fib_pow2, bits):
     # Lambda = log|1 + gamma| from Siegel's identity, at the trivial
     # solutions (0, 1), (A_n, 1) and (B_n, 1) of their own solution type:
     # certified small, and not increasing with n
     probes = (8, 14, 21)
     sups = []
     for n in probes:
-        rs = isolate_roots(fib_pow2, n, budget)
+        rs = isolate_roots(fib_pow2, n, bits)
         lams = []
         for x, y in ((0, 1), (rs.A, 1), (rs.B, 1)):
-            _, lam = siegel_gamma(x, y, rs, solution_type(x, y, rs, budget), budget)
+            _, lam = siegel_gamma(x, y, rs, solution_type(x, y, rs, bits), bits)
             lams.append(abs(lam).sup)
         sups.append(max(lams))
     ok = all(s < Fraction(1, 10**6) for s in sups) and sups == sorted(sups, reverse=True)
@@ -243,13 +243,13 @@ def test_criterion_07_bound_micro_instances():
 
 # -- 8: effective threshold n0 ----------------------------------------------
 
-def test_criterion_08_effective_n0(fib_pow2, fib_pow2_consts, budget):
+def test_criterion_08_effective_n0(fib_pow2, fib_pow2_consts, bits):
     t0 = time.time()
-    res = compute_n0(fib_pow2, fib_pow2_consts, n_cap=10**25, budget=budget)
+    res = compute_n0(fib_pow2, fib_pow2_consts, n_cap=10**25, bits=bits)
     elapsed = time.time() - t0
     assert not res.no_crossing and res.n0 is not None
     n0 = res.n0
-    D = field_degree(fib_pow2, budget)
+    D = field_degree(fib_pow2, bits)
     # sanity window: every branch contradicts at n0..n0+10 ...
     window_ok = True
     for n in list(range(n0, n0 + 11)):
@@ -271,7 +271,7 @@ def test_criterion_08_effective_n0(fib_pow2, fib_pow2_consts, budget):
 
 # -- 9: heights --------------------------------------------------------------
 
-def test_criterion_09_heights(budget):
+def test_criterion_09_heights(bits):
     with mpmath.workdps(60):
         log2 = Fraction(mpmath.nstr(mpmath.log(2), 55)).limit_denominator(10**45)
         logphi_half = Fraction(
@@ -289,7 +289,7 @@ def test_criterion_09_heights(budget):
     ]
     worst = Fraction(0)
     for name, num, target in cases:
-        h = num.height(budget)
+        h = num.height(bits)
         mid = (h.inf + h.sup) / 2
         dev = abs(mid - target)
         worst = max(worst, dev)

@@ -21,7 +21,7 @@ from split_thue.algebraic import (
     refine_bracket,
     scaled_poly,
 )
-from split_thue.precision import PrecisionBudget, UndecidedComparison
+from split_thue.precision import UndecidedComparison
 
 
 def sqrt2():
@@ -234,7 +234,7 @@ def test_inverse_and_division_by_zero():
 
 def test_reciprocal_is_computed_at_the_requested_precision(monkeypatch):
     # 1 / (10^18 +- sqrt 2) differ in their 59th bit: a reciprocal rounded
-    # at the global iv.prec instead of the budget's precision cannot tell
+    # at the global iv.prec instead of the requested precision cannot tell
     # them apart at 20 or 53 bits
     f = (1, -2 * 10**18, 10**36 - 2)
     b = AlgebraicNumber(f, RealEnclosure(Fraction(10**18 + 1), Fraction(10**18 + 2)))
@@ -284,20 +284,20 @@ def test_abs_compare_refines():
     # moduli that overlap at 64 bits and separate under refinement
     r, q = _near_sqrt2()
     assert r.approx(64).sup >= q
-    budget = PrecisionBudget(working_bits=64)
-    assert abs_compare(r, q, budget) == -1
-    assert abs_compare(-q, -r, budget) == 1
+    assert abs_compare(r, q, 64) == -1
+    assert abs_compare(-q, -r, 64) == 1
 
 
-def test_abs_compare_undecided_raises():
+def test_abs_compare_undecided_raises(monkeypatch):
     r, q = _near_sqrt2()
-    with pytest.raises(UndecidedComparison):
-        abs_compare(r, q, PrecisionBudget(working_bits=64, max_bits=256))
+    monkeypatch.setattr(algebraic, "MAX_BITS", 256)
+    with pytest.raises(UndecidedComparison, match="256 bits"):
+        abs_compare(r, q, 64)
 
 
 def test_undecidable_comparison_stops_at_the_bit_cap(monkeypatch):
     # without the exact tie test |sqrt 2| and |-sqrt 2| never separate; the
-    # default budget doubles from 256 to 2^14 bits and gives up
+    # default precision doubles from 256 to 2^14 bits and gives up
     monkeypatch.setattr(algebraic, "_moduli_tie", lambda x, y: False)
     r = sqrt2()
     start = time.perf_counter()

@@ -23,8 +23,8 @@ def test_bracket_around_rejects_no_sign_change():
         _bracket_around((1, 0, -2), Fraction(5, 2), Fraction(1, 2))
 
 
-def test_isolate_roots_disjoint_and_ordered(fib_pow2, budget):
-    rs = isolate_roots(fib_pow2, 6, budget)
+def test_isolate_roots_disjoint_and_ordered(fib_pow2, bits):
+    rs = isolate_roots(fib_pow2, 6, bits)
     l1, l2, l3 = rs.roots()
     assert l3.hi < l2.lo < l2.hi < l1.lo
     A, B = fib_pow2.terms(6)
@@ -33,10 +33,10 @@ def test_isolate_roots_disjoint_and_ordered(fib_pow2, budget):
     assert abs(l3.mid() - Fraction(1, A * B)) < Fraction(1, 100)
 
 
-def test_isolate_roots_against_independent_solver(fib_pow2, budget):
+def test_isolate_roots_against_independent_solver(fib_pow2, bits):
     """50-digit numerical cubic solver as an oracle for the enclosures."""
     for n in (5, 12, 20):
-        rs = isolate_roots(fib_pow2, n, budget)
+        rs = isolate_roots(fib_pow2, n, bits)
         with mpmath.workdps(60):
             roots = sorted(
                 mpmath.polyroots([mpmath.mpf(c) for c in rs.coeffs], maxsteps=200, extraprec=120)
@@ -46,16 +46,16 @@ def test_isolate_roots_against_independent_solver(fib_pow2, budget):
                 assert abs(mid - oracle) < mpmath.mpf(10) ** -40
 
 
-def test_isolate_roots_below_threshold_raises(budget):
+def test_isolate_roots_below_threshold_raises(bits):
     # adjacent Fibonacci-type pair: at n = 1 (A, B) = (2, 3) and the
     # smallest root lies outside its 1/(AB) anchor window
     from split_thue import FamilyInstance, RecurrentSequence
 
     a = RecurrentSequence.from_recurrence([1, -1, -1], [1, 2])
     b = RecurrentSequence.from_recurrence([1, -1, -1], [2, 3])
-    fam = FamilyInstance.build(a, b, budget)
+    fam = FamilyInstance.build(a, b, bits)
     with pytest.raises(AnchorSignFailure):
-        isolate_roots(fam, 1, budget)
+        isolate_roots(fam, 1, bits)
 
 
 def test_compute_constants_values(fib_pow2_consts):
@@ -68,8 +68,8 @@ def test_compute_constants_values(fib_pow2_consts):
     assert 0 < c.eps < 1 and c.c5 <= c.c6
 
 
-def test_verify_root_approx(fib_pow2, budget):
-    rs = isolate_roots(fib_pow2, 8, budget)
+def test_verify_root_approx(fib_pow2, bits):
+    rs = isolate_roots(fib_pow2, 8, bits)
     rep = verify_root_approx(rs, fib_pow2)
     assert rep.all_pass
     assert {e.name for e in rep.entries} == {
@@ -80,25 +80,25 @@ def test_verify_root_approx(fib_pow2, budget):
     }
 
 
-def test_verify_log_approx(fib_pow2, fib_pow2_consts, budget):
-    rs = isolate_roots(fib_pow2, 10, budget)
-    rep = verify_log_approx(rs, fib_pow2, fib_pow2_consts, budget)
+def test_verify_log_approx(fib_pow2, fib_pow2_consts, bits):
+    rs = isolate_roots(fib_pow2, 10, bits)
+    rep = verify_log_approx(rs, fib_pow2, fib_pow2_consts, bits)
     assert rep.all_pass
     assert len(rep.entries) == 6
     for e in rep.entries:
         assert e.ratio is not None and e.ratio <= 6.0
 
 
-def test_verify_root_diff(fib_pow2, fib_pow2_consts, budget):
-    rs = isolate_roots(fib_pow2, 10, budget)
-    rep = verify_root_diff(rs, fib_pow2, fib_pow2_consts, budget)
+def test_verify_root_diff(fib_pow2, fib_pow2_consts, bits):
+    rs = isolate_roots(fib_pow2, 10, bits)
+    rep = verify_root_diff(rs, fib_pow2, fib_pow2_consts, bits)
     assert rep.all_pass
 
 
-def test_find_threshold(fib_pow2, fib_pow2_consts, budget):
+def test_find_threshold(fib_pow2, fib_pow2_consts, bits):
     # the lemma threshold of this family is n = 1: every lemma holds for n = 1..8
     for n in range(1, 9):
-        rs = isolate_roots(fib_pow2, n, budget)
+        rs = isolate_roots(fib_pow2, n, bits)
         assert verify_root_approx(rs, fib_pow2).all_pass
-        assert verify_log_approx(rs, fib_pow2, fib_pow2_consts, budget).all_pass
-        assert verify_root_diff(rs, fib_pow2, fib_pow2_consts, budget).all_pass
+        assert verify_log_approx(rs, fib_pow2, fib_pow2_consts, bits).all_pass
+        assert verify_root_diff(rs, fib_pow2, fib_pow2_consts, bits).all_pass

@@ -7,8 +7,8 @@ from mpmath import iv
 
 from split_thue import algebraic, bounds, cubic, sequences, solver, units
 from split_thue.precision import (
+    Box,
     Interval,
-    PrecisionBudget,
     compare,
     interval_bits,
     iv_from_fraction,
@@ -25,14 +25,19 @@ def _clear_memos():
     sequences.FamilyInstance.terms.cache_clear()
 
 
+FIB_POW2 = ({"recurrence": [1, -1, -1], "initial": [1, 2]}, {"recurrence": [1, -2], "initial": [2]})
+# A_n = 3^n + 2 cos(pi n / 2): a complex secondary pair +-i
+COMPLEX_PAIR = ({"recurrence": [1, -3, 1, -3], "initial": [3, 3, 7]}, {"recurrence": [1, -4], "initial": [4]})
+
+
 def test_per_n_path_never_sets_the_global_precision(monkeypatch, fib_pow2, fib_pow2_consts):
-    """Past the family build and its constants, every check at a given n
-    computes with Intervals of explicit precision: setting mpmath's global
-    iv.prec anywhere on that path fails the test."""
-    fam, consts = fib_pow2, fib_pow2_consts
-    budget = PrecisionBudget(working_bits=512)
-    D = bounds.field_degree(fam, budget)
-    probes = {(r.n, r.branch): r for r in bounds.compute_n0(fam, consts, 10**19, budget).trace}
+    """Building a family from JSON, its field degree and constants, and every
+    check at a given n compute with Intervals and Boxes of explicit
+    precision: setting mpmath's global iv.prec anywhere on that path fails
+    the test.  The complex-pair family computes with Boxes while it is
+    built."""
+    bits = 512
+    probes = bounds.compute_n0(fib_pow2, fib_pow2_consts, 10**19, bits).trace
 
     def forbidden(ctx, value):
         raise AssertionError(f"iv.prec set to {value}")
@@ -42,29 +47,29 @@ def test_per_n_path_never_sets_the_global_precision(monkeypatch, fib_pow2, fib_p
     _clear_memos()
     with pytest.raises(AssertionError, match="iv.prec set"):
         mpmath.iv.prec = 20
-    for n in range(2, 13):
-        rs = cubic.isolate_roots(fam, n, budget)
-        assert cubic.verify_root_approx(rs, fam).all_pass
-        assert cubic.verify_log_approx(rs, fam, consts, budget).all_pass
-        assert cubic.verify_root_diff(rs, fam, consts, budget).all_pass
-        for s in solver.solve_bruteforce(fam, n, 50):
-            if s.y == 0:
-                continue
-            j = units.solution_type(s.x, s.y, rs, budget)
-            ue = units.unit_decompose(s.x, s.y, rs)
-            xi = units.xi_form(j, fam.case_tag, n, ue.b1, ue.b2)
-            assert units.verify_xi_bound(xi, fam, consts, n, budget).ok
-    for (n, branch), traced in probes.items():
-        assert bounds._branch_report(fam, consts, n, branch, D) == traced
-
-
-def test_budget_validation():
-    with pytest.raises(ValueError):
-        PrecisionBudget(working_bits=32)
-    with pytest.raises(ValueError):
-        PrecisionBudget(working_bits=512, max_bits=256)
-    assert PrecisionBudget().max_bits == 1 << 14
-    assert PrecisionBudget(working_bits=128).target_width() == Fraction(1, 2**64)
+    for a, b in (FIB_POW2, COMPLEX_PAIR):
+        fam = sequences.FamilyInstance.build(
+            sequences.sequence_from_json(a), sequences.sequence_from_json(b), bits
+        )
+        D = bounds.field_degree(fam, bits)
+        consts = cubic.compute_constants(fam)
+        for n in range(2, 13):
+            rs = cubic.isolate_roots(fam, n, bits)
+            assert cubic.verify_root_approx(rs, fam).all_pass
+            assert cubic.verify_log_approx(rs, fam, consts, bits).all_pass
+            assert cubic.verify_root_diff(rs, fam, consts, bits).all_pass
+            for s in solver.solve_bruteforce(fam, n, 50):
+                if s.y == 0:
+                    continue
+                j = units.solution_type(s.x, s.y, rs, bits)
+                ue = units.unit_decompose(s.x, s.y, rs)
+                xi = units.xi_form(j, fam.case_tag, n, ue.b1, ue.b2)
+                assert units.verify_xi_bound(xi, fam, consts, n, bits).ok
+        if (a, b) == FIB_POW2:
+            assert D == 2 and consts == fib_pow2_consts
+            for traced in probes:
+                assert bounds._branch_report(fam, consts, traced.n, traced.branch, D) == traced
+    assert D == 2 and all(isinstance(r.approx(bits), Box) for r, _ in fam.A.secondary)
 
 
 def test_interval_bits_restores_precision():
@@ -170,6 +175,25 @@ def test_interval_operations_match_iv_at_the_same_precision(monkeypatch, prec):
         assert [g._mpi_ for g in got] == [w._mpi_ for w in want]
         assert all(g.prec == prec for g in got)
 
+        # a Box's operations round as mpmath's complex intervals do, with an
+        # Interval or int operand taken with a zero imaginary part
+        (c_lo, c_hi), (d_lo, d_hi) = draw(), draw()
+        z = Box((x._mpi_, y._mpi_), prec)
+        w = Box((Interval.between(c_lo, c_hi, 1024)._mpi_, Interval.between(d_lo, d_hi, 1024)._mpi_), prec)
+        got = [z + w, z - w, z * w, z / w, z + x, z - x, z * x, z / x, x + z, x - z, x * z, x / z]
+        got += [z + 7, z - 7, z * 7, z / 7, 7 + z, 7 - z, 7 * z, 7 / z] + [z**k for k in range(-7, 8)]
+        with interval_bits(prec):
+            u = iv.mpc(iv.make_mpf(x._mpi_), iv.make_mpf(y._mpi_))
+            v = iv.make_mpc(w._mpci_)
+            r = iv.make_mpf(x._mpi_)
+            want = [u + v, u - v, u * v, u / v, u + r, u - r, u * r, u / r, r + u, r - u, r * u, r / u]
+            want += [u + 7, u - 7, u * 7, u / 7, 7 + u, 7 - u, 7 * u, 7 / u] + [u**k for k in range(-7, 8)]
+            want_abs = abs(u)
+        assert [g._mpci_ for g in got] == [w._mpci_ for w in want]
+        assert all(isinstance(g, Box) and g.prec == prec for g in got)
+        assert abs(z) == Interval(want_abs._mpi_, prec)
+        assert (z.real, z.imag) == (x, y)
+
 
 def test_intervals_of_different_precisions_do_not_mix():
     a, b = Interval.of(1, 64), Interval.of(1, 128)
@@ -183,6 +207,16 @@ def test_intervals_of_different_precisions_do_not_mix():
             a + other
     with pytest.raises(TypeError):
         a**Fraction(1, 2)
+    z = Box((a._mpi_, a._mpi_), 64)
+    for mixed in (lambda: z + b, lambda: b * z, lambda: z / z.at(128), lambda: 1 - z.at(128) * a):
+        with pytest.raises(ValueError, match="do not mix"):
+            mixed()
+    assert (a + z)._mpci_ == (Interval.of(2, 64)._mpi_, a._mpi_)
+    for other in (iv.mpf(1), 1.0, Fraction(1, 3)):
+        with pytest.raises(TypeError):
+            z + other
+    with pytest.raises(TypeError):
+        z**Fraction(1, 2)
 
 
 def test_exact_interval_only_adds_and_multiplies():

@@ -7,7 +7,6 @@ import pytest
 
 from split_thue.algebraic import poly_eval_sign
 from split_thue.cubic import cubic_coeffs, isolate_roots
-from split_thue.precision import PrecisionBudget
 from split_thue.solver import (
     Solution,
     _certified_y0,
@@ -83,11 +82,10 @@ def test_solver_matches_naive_oracle_on_small_grid():
 
 def test_root_brackets_overlap_isolated_roots(fib_pow2):
     y_max = 5000
-    budget = PrecisionBudget(working_bits=64)
     for n in range(2, 61):
         A, B = fib_pow2.terms(n)
         K, brackets = root_brackets(A, B, y_max)
-        enclosures = sorted(isolate_roots(fib_pow2, n, budget).roots(), key=lambda r: r.lo)
+        enclosures = sorted(isolate_roots(fib_pow2, n, 64).roots(), key=lambda r: r.lo)
         assert len(brackets) == 3
         for (lo, hi), r in zip(brackets, enclosures):
             assert Fraction(hi - lo, 2**K) <= Fraction(1, 4 * y_max)
@@ -239,9 +237,9 @@ def test_solver_huge_y_max(fib_pow2):
     assert len(sols) == 8 and all(s.classification in trivial for s in sols)
 
 
-def test_verify_family(fib_pow2, fib_pow2_consts, budget):
+def test_verify_family(fib_pow2, fib_pow2_consts, bits):
     # every lemma already holds at n = 1, the one n with a nontrivial solution
-    fv = verify_family(fib_pow2, 1, 8, 100, budget)
+    fv = verify_family(fib_pow2, 1, 8, 100, bits)
     assert {(s.x, s.y, s.n) for s in fv.nontrivial_found} == {(7, 4, 1), (-7, -4, 1)}
     assert fv.constants == fib_pow2_consts
     for rep in fv.per_n:
@@ -252,18 +250,18 @@ def test_verify_family(fib_pow2, fib_pow2_consts, budget):
         assert rep.residuals.all_pass
 
 
-def test_verify_family_reports_nontrivial(fib_pow2, budget):
-    fv = verify_family(fib_pow2, 1, 1, 10, budget)
+def test_verify_family_reports_nontrivial(fib_pow2, bits):
+    fv = verify_family(fib_pow2, 1, 1, 10, bits)
     assert any(r.in_scope and r.nontrivial for r in fv.per_n)
     assert {(s.x, s.y) for s in fv.nontrivial_found} == {(7, 4), (-7, -4)}
 
 
 @pytest.mark.parametrize("n_lo, n_hi", [(62, 64), (95, 97)])
-def test_verify_family_large_n_at_256_bits(fib_pow2, budget, n_lo, n_hi):
+def test_verify_family_large_n_at_256_bits(fib_pow2, bits, n_lo, n_hi):
     # the per-n root context keeps the accuracy the brackets were refined
-    # for, which unit decomposition needs once A_n B_n outgrows the budget
-    assert budget.working_bits == 256
-    fv = verify_family(fib_pow2, n_lo, n_hi, 50, budget)
+    # for, which unit decomposition needs once A_n B_n outgrows the working precision
+    assert bits == 256
+    fv = verify_family(fib_pow2, n_lo, n_hi, 50, bits)
     assert [rep.n for rep in fv.per_n] == list(range(n_lo, n_hi + 1))
     for rep in fv.per_n:
         assert rep.in_scope and not rep.nontrivial

@@ -27,8 +27,8 @@ from split_thue.units import (
 
 
 @pytest.fixture(scope="module")
-def rs20(fib_pow2, budget):
-    return isolate_roots(fib_pow2, 20, budget)
+def rs20(fib_pow2, bits):
+    return isolate_roots(fib_pow2, 20, bits)
 
 
 def test_kl_convention_complementary():
@@ -36,8 +36,7 @@ def test_kl_convention_complementary():
         assert {j, k, l} == {1, 2, 3}
 
 
-def test_regulator_pair_independence(rs20, budget):
-    bits = budget.working_bits
+def test_regulator_pair_independence(rs20, bits):
     r12 = regulator(rs20, (1, 2), bits)
     r23 = regulator(rs20, (2, 3), bits)
     r13 = regulator(rs20, (1, 3), bits)
@@ -60,8 +59,8 @@ def test_norm_form_on_trivial_solutions(fib_pow2):
     assert norm_form(B, 1, A, B) == -1
 
 
-def test_unit_decompose_trivial_solutions(rs20, pow2_equal_modulus, budget):
-    for rs in (rs20, isolate_roots(pow2_equal_modulus, 20, budget)):
+def test_unit_decompose_trivial_solutions(rs20, pow2_equal_modulus, bits):
+    for rs in (rs20, isolate_roots(pow2_equal_modulus, 20, bits)):
         A, B = rs.A, rs.B
         expected = {
             (1, 0): (0, 0, 1),
@@ -79,37 +78,37 @@ def test_unit_decompose_trivial_solutions(rs20, pow2_equal_modulus, budget):
             assert (um.b1, um.b2, um.sign) == (b1, b2, -sign)
 
 
-def test_unit_decompose_nontrivial_solutions(fib_pow2, budget):
-    rs = isolate_roots(fib_pow2, 1, budget)
+def test_unit_decompose_nontrivial_solutions(fib_pow2, bits):
+    rs = isolate_roots(fib_pow2, 1, bits)
     expected = {(7, 4): (2, 0, 3, -1), (38, 273): (3, 6, -2, -1)}
     for (x, y), (j, b1, b2, sign) in expected.items():
         ue = unit_decompose(x, y, rs)
         assert (ue.b1, ue.b2, ue.sign) == (b1, b2, sign)
         um = unit_decompose(-x, -y, rs)
         assert (um.b1, um.b2, um.sign) == (b1, b2, -sign)
-        assert solution_type(x, y, rs, budget) == solution_type(-x, -y, rs, budget) == j
+        assert solution_type(x, y, rs, bits) == solution_type(-x, -y, rs, bits) == j
 
 
 @pytest.mark.parametrize("family", ["fib_pow2", "pow2_equal_modulus"])
-def test_trivial_solutions_over_many_n(request, budget, family):
+def test_trivial_solutions_over_many_n(request, bits, family):
     """Type and exponents of every trivial solution with y != 0, at each n
     from 2 to 120: (0, 1) has type 3 and x - lambda y = -lambda, (A, 1) type
     2 and -(lambda - A), (B, 1) type 1 and -lambda^-1 (lambda - A)^-1."""
     fam = request.getfixturevalue(family)
     for n in range(2, 121):
-        rs = isolate_roots(fam, n, budget)
+        rs = isolate_roots(fam, n, bits)
         expected = {(0, 1): (3, 1, 0), (rs.A, 1): (2, 0, 1), (rs.B, 1): (1, -1, -1)}
         for (x, y), want in expected.items():
             for sign in (1, -1):
                 ue = unit_decompose(sign * x, sign * y, rs)
-                j = solution_type(sign * x, sign * y, rs, budget)
+                j = solution_type(sign * x, sign * y, rs, bits)
                 assert (j, ue.b1, ue.b2, ue.sign) == want + (-sign,), (n, x, y, sign)
 
 
-def test_unit_decompose_deepest_cancellation(fib_pow2, budget):
+def test_unit_decompose_deepest_cancellation(fib_pow2, bits):
     # B - lambda_1 is about 1/(B (B - A)): the form cancels all of B's bits
     # (n = 60 is among the n above)
-    rs = isolate_roots(fib_pow2, 300, budget)
+    rs = isolate_roots(fib_pow2, 300, bits)
     ue = unit_decompose(rs.B, 1, rs)
     assert (ue.b1, ue.b2, ue.sign) == (-1, -1, -1)
 
@@ -224,12 +223,12 @@ def test_xi_form_rejects_bad_input():
         xi_form(1, "other", 3, 0, 0)
 
 
-def test_xi_bound_on_trivial_solutions(fib_pow2, fib_pow2_consts, budget):
+def test_xi_bound_on_trivial_solutions(fib_pow2, fib_pow2_consts, bits):
     for n in (15, 20, 30):
-        rs = isolate_roots(fib_pow2, n, budget)
+        rs = isolate_roots(fib_pow2, n, bits)
         A, B = rs.A, rs.B
         for x, y in ((1, 0), (0, 1), (A, 1), (B, 1)):
-            j = solution_type(x, y, rs, budget)
+            j = solution_type(x, y, rs, bits)
             ue = unit_decompose(x, y, rs)
             xi = xi_form(j, fib_pow2.case_tag, n, ue.b1, ue.b2)
             rep = verify_xi_bound(xi, fib_pow2, fib_pow2_consts, n)
@@ -245,18 +244,18 @@ def test_xi_upper_rhs_is_a_lower_end(fib_pow2, fib_pow2_consts):
         assert 0 < coarse <= fine
 
 
-def test_xi_value_matches_computed_form(fib_pow2, rs20, fib_pow2_consts, budget):
+def test_xi_value_matches_computed_form(fib_pow2, rs20, fib_pow2_consts, bits):
     """The tabulated linear form must agree with the directly computed
     log-combination on a solution's exponents."""
     A = rs20.A
     ue = unit_decompose(A, 1, rs20)
     xi = xi_form(2, fib_pow2.case_tag, 20, ue.b1, ue.b2)
-    val = xi_value(xi, fib_pow2, budget.working_bits)
+    val = xi_value(xi, fib_pow2, bits)
     assert abs(val).sup < Fraction(1, 10**3)
 
 
 def test_xi_bound_value_does_not_depend_on_the_global_precision(monkeypatch, fib_pow2, fib_pow2_consts):
-    # |xi_j| is taken at the budget's precision, never at the global iv.prec
+    # |xi_j| is taken at the requested precision, never at the global iv.prec
     xi = xi_form(2, "strict", 20, 1, 3)
     values = []
     for prec in (20, 53, 300):
