@@ -31,7 +31,6 @@ from .cubic import (
 from .units import (
     UnitExponents,
     regulator,
-    solution_type,
     unit_decompose,
     verify_xi_bound,
     xi_form,
@@ -75,7 +74,6 @@ __all__ = [
     "regulator",
     "regulator_bounds",
     "sequence_from_json",
-    "solution_type",
     "solve_bruteforce",
     "unit_decompose",
     "verify_family",

@@ -268,9 +268,3 @@ def _raw_to_fraction(raw):
         return Fraction(man * (1 << exp))
     return Fraction(man, 1 << -exp)
 
-
-def iv_to_fractions(x):
-    """Exact rational endpoints of a real interval."""
-    lo, hi = x._mpi_
-    return _raw_to_fraction(lo), _raw_to_fraction(hi)
-

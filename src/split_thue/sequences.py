@@ -303,7 +303,7 @@ def _value_at_root(g, sums, P, root):
 # -- family ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FamilyInstance:
     A: RecurrentSequence
     B: RecurrentSequence

@@ -270,9 +270,8 @@ def verify_family(
             for s in sols:
                 if s.y == 0:
                     continue  # (+-1, 0): every |x - lambda_j y| is 1, so no type
-                j = units.solution_type(s.x, s.y, rs, bits)
                 ue = units.unit_decompose(s.x, s.y, rs)
-                xi = units.xi_form(j, fam.case_tag, n, ue.b1, ue.b2)
+                xi = units.xi_form(ue.j, fam.case_tag, n, ue.b1, ue.b2)
                 if not units.verify_xi_bound(xi, fam, consts, n, bits).ok:
                     xi_ok = False
         except cubic.AnchorSignFailure:

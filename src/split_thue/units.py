@@ -45,6 +45,7 @@ def regulator(rs: CubicRootSet, pair=(1, 2), bits=None):
 
 @dataclass(frozen=True)
 class UnitExponents:
+    j: int  # solution type: the index of the root nearest x / y
     b1: int
     b2: int
     sign: int
@@ -98,24 +99,27 @@ def unit_product(b1: int, b2: int, A: int, B: int):
 
 
 def unit_decompose(x: int, y: int, rs: CubicRootSet) -> UnitExponents:
-    """Integer exponents (b1, b2) and sign with x - lambda y =
+    """Solution type j, integer exponents (b1, b2) and sign with x - lambda y =
     sign * lambda^b1 (lambda - A_n)^b2, an identity in Z[lambda].
 
-    f_n is squarefree, so the identity holds at all three embeddings. The
-    exponents lie in the enclosures solved from log|x - lambda_i y|, the log
-    of an exact interval, at MIN_WORKING_BITS, with the root context's
-    ``unit_log_matrix``; every integer pair in them is tried exactly. The
-    norm form is the norm of x - lambda y, and lambda and lambda - A_n have
-    norm 1, so the sign is the norm form's value.
+    Both come from the exact magnitudes |x - lambda_i y| (Intervals at
+    precision 0), built once: j is the index of the smallest, and the
+    exponents lie in the enclosures solved from the logs of the first two at
+    MIN_WORKING_BITS, with the root context's ``unit_log_matrix``. f_n is
+    squarefree, so the identity holds at all three embeddings, and every
+    integer pair in the enclosures is tried exactly. The norm form is the
+    norm of x - lambda y, and lambda and lambda - A_n have norm 1, so the
+    sign is the norm form's value.
     """
     A, B = rs.A, rs.B
     nf = norm_form(x, y, A, B)
     if nf not in (1, -1):
         raise NotAUnit(f"norm form value {nf} is not a unit")
+    mags = [abs(x - y * r.at(0)) for r in rs.ivs]
+    j = _solution_type(x, y, rs, mags)
     # at precision 0, x - y lambda_i is exact and loses no bits to its
     # cancellation, so 64 bits leave the enclosures of b1, b2 narrow
-    p = MIN_WORKING_BITS
-    r1, r2 = (abs(x - y * r.at(0)).at(p).log() for r in rs.ivs[:2])
+    r1, r2 = (m.at(MIN_WORKING_BITS).log() for m in mags[:2])
     m11, m12, m21, m22, det = rs.unit_log_matrix
     b1_iv = (r1 * m22 - r2 * m12) / det
     b2_iv = (m11 * r2 - m21 * r1) / det
@@ -126,37 +130,37 @@ def unit_decompose(x: int, y: int, rs: CubicRootSet) -> UnitExponents:
     for b1 in range(math.ceil(lo1), math.floor(hi1) + 1):
         for b2 in range(math.ceil(lo2), math.floor(hi2) + 1):
             if unit_product(b1, b2, A, B) == (nf * x, -nf * y, 0):
-                return UnitExponents(b1, b2, nf)
+                return UnitExponents(j, b1, b2, nf)
     raise NotAUnit(f"x - lambda y is not +- lambda^b1 (lambda - A)^b2 at (x, y) = ({x}, {y})")
 
 
-def solution_type(x: int, y: int, rs: CubicRootSet, bits=WORKING_BITS) -> int:
-    """Index j minimizing |x - lambda_j y|.
+def _solution_type(x, y, rs, mags) -> int:
+    """Index j minimizing mags[j - 1] = |x - lambda_j y|; 1 when y = 0.
 
     There are no ties for y != 0: |x - lambda_i y| = |x - lambda_j y| would
     make x/y the midpoint of lambda_i and lambda_j, but f_n is irreducible,
     so lambda_i + lambda_j = A_n + B_n - lambda_k is irrational.  The
-    magnitudes are compared as exact intervals over the root context's
-    enclosures; overlapping ones are settled on the exact brackets, refined
-    at precision doubling from ``bits`` up to MAX_BITS.
+    magnitudes are compared as intervals; overlapping ones are settled on
+    the exact brackets, refined at precision doubling from the root
+    context's ``bits`` up to MAX_BITS.
     """
     if y == 0:
         return 1
-    mags = [abs(x - y * r.at(0)) for r in rs.ivs]
     best = 1
     for i in (2, 3):
         verdict = compare(mags[i - 1], mags[best - 1])
         if verdict is None:
-            verdict = _closer(x, y, rs, i, best, bits)
+            verdict = _closer(x, y, rs, i, best)
         if verdict:
             best = i
     return best
 
 
-def _closer(x, y, rs, i, j, bits):
+def _closer(x, y, rs, i, j):
     """|x - lambda_i y| < |x - lambda_j y|, decided exactly on the brackets
     of lambda_i and lambda_j."""
-    while bits <= MAX_BITS:
+    bits = rs.bits
+    while True:
         width = Fraction(1, 1 << bits)
         (lo_i, hi_i), (lo_j, hi_j) = (
             _abs_range(x, y, refine_bracket(rs.coeffs, rs.roots()[k - 1], width)) for k in (i, j)
@@ -165,8 +169,9 @@ def _closer(x, y, rs, i, j, bits):
             return True
         if lo_i > hi_j:
             return False
-        bits *= 2
-    raise UndecidedComparison(f"|x - lambda_j y| undecided at {MAX_BITS} bits")
+        if bits >= MAX_BITS:
+            raise UndecidedComparison(f"|x - lambda_j y| undecided at {bits} bits")
+        bits = min(2 * bits, MAX_BITS)
 
 
 def _abs_range(x, y, box):
@@ -202,7 +207,6 @@ class LinearFormXi:
     b1: int
     b2: int
     terms: tuple  # of (label, integer coefficient)
-    flags: tuple = ()
 
 
 def xi_form(j: int, case_tag: str, n: int, b1: int, b2: int) -> LinearFormXi:
@@ -213,7 +217,6 @@ def xi_form(j: int, case_tag: str, n: int, b1: int, b2: int) -> LinearFormXi:
         raise ValueError("unknown case tag")
     ne = 1 if case_tag == "strict" else 0  # chi_{|alpha| != |beta|}
     eq = 1 - ne
-    flags = []
     if j == 1:
         coeffs = (
             2 * n * (b1 - b2),
@@ -241,28 +244,7 @@ def xi_form(j: int, case_tag: str, n: int, b1: int, b2: int) -> LinearFormXi:
             b1 + ne * (2 * b2) - 1,
             eq * 2 * b2,
         )
-        flags.append("j3-cB-row-rederived-as-b1-plus-chi-2b2-minus-1")
-    return LinearFormXi(j, case_tag, n, b1, b2, tuple(zip(XI_LABELS, coeffs)), tuple(flags))
-
-
-def xi_value(xi: LinearFormXi, fam: FamilyInstance, bits: int):
-    """Interval value of the linear form at ``bits``."""
-    la, lb, lcA, lcB, ldiff = _log_quantities(fam, xi.n, bits)
-    logs = {
-        "log|alpha|": la,
-        "log|beta|": lb,
-        "log|cA|": lcA,
-        "log|cB|": lcB,
-        "log|cB-cA|": ldiff,
-    }
-    total = Interval.of(0, bits)
-    for label, coeff in xi.terms:
-        if coeff == 0:
-            continue
-        if logs[label] is None:
-            raise SplitThueError(f"{label} term in a strict-case form")
-        total += coeff * logs[label]
-    return total
+    return LinearFormXi(j, case_tag, n, b1, b2, tuple(zip(XI_LABELS, coeffs)))
 
 
 @lru_cache(maxsize=256)
@@ -291,19 +273,25 @@ class XiBoundReport:
     value: float
     bound: float
     ok: bool
-    flags: tuple
 
 
 def verify_xi_bound(
     xi: LinearFormXi, fam: FamilyInstance, consts, n: int, bits=WORKING_BITS
 ) -> XiBoundReport:
-    """Check |xi_j| against its decaying upper bound at precision ``bits``:
-    the upper end of |xi_j| must not exceed the lower end of the bound. The
-    bound only holds for exponents that come from a genuine solution."""
+    """Check |xi_j|, the linear form's interval value at precision ``bits``,
+    against its decaying upper bound: the upper end of |xi_j| must not
+    exceed the lower end of the bound. The bound only holds for exponents
+    that come from a genuine solution."""
     if n != xi.n:
         raise ValueError("n mismatch")
-    value = xi_value(xi, fam, bits)
+    logs = dict(zip(XI_LABELS, _log_quantities(fam, n, bits)))
+    value = Interval.of(0, bits)
+    for label, coeff in xi.terms:
+        if coeff == 0:
+            continue
+        if logs[label] is None:
+            raise SplitThueError(f"{label} term in a strict-case form")
+        value += coeff * logs[label]
     rhs = xi_upper_rhs(fam, consts, n, bits)
     sup = abs(value).sup
-    flags = xi.flags + ("c5-inverted-in-upper-bound",)
-    return XiBoundReport(xi.j, n, float(sup), float(rhs), sup <= rhs, flags)
+    return XiBoundReport(xi.j, n, float(sup), float(rhs), sup <= rhs)

@@ -28,7 +28,7 @@ from split_thue.bounds import (
 )
 from split_thue.cubic import isolate_roots, verify_log_approx, verify_root_approx
 from split_thue.solver import solve_bruteforce
-from split_thue.units import regulator, siegel_gamma, solution_type, unit_decompose
+from split_thue.units import regulator, siegel_gamma, unit_decompose
 
 
 _CAPMAN = None
@@ -213,7 +213,7 @@ def test_criterion_06_siegel_identity(fib_pow2, bits):
         rs = isolate_roots(fib_pow2, n, bits)
         lams = []
         for x, y in ((0, 1), (rs.A, 1), (rs.B, 1)):
-            _, lam = siegel_gamma(x, y, rs, solution_type(x, y, rs, bits), bits)
+            _, lam = siegel_gamma(x, y, rs, unit_decompose(x, y, rs).j, bits)
             lams.append(abs(lam).sup)
         sups.append(max(lams))
     ok = all(s < Fraction(1, 10**6) for s in sups) and sups == sorted(sups, reverse=True)

@@ -19,3 +19,11 @@ def test_exact_branches_altunit_threshold():
     exact = _load_check().ExactBranches("fib-pow2", 256)
     assert exact.contradiction(568, "altunit-j1")
     assert not exact.contradiction(567, "altunit-j1")
+
+
+def test_exact_branches_xi_threshold():
+    # n0 of fib-pow2, where both xi branches first contradict; the check
+    # reaches xi_heights, exponent_bound_B, baker_lower and xi_upper_log
+    exact = _load_check().ExactBranches("fib-pow2", 256)
+    assert exact.first_from(59362923407947902848, ["xi-j2", "xi-j3"])
+    assert not exact.contradiction(10**19, "xi-j2")

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import mpmath
 import pytest
 
-from split_thue import cli, cubic, sequences, units
+from split_thue import algebraic, cli, cubic, sequences, units
 
 EXAMPLE_CONFIG = os.path.join(
     os.path.dirname(__file__), os.pardir, "configs", "fibonacci_pow2.json"
@@ -225,6 +225,24 @@ def test_equal_modulus_verify_checks_xi_off_y_zero(capsys):
     assert code == cli.EXIT_OK
     assert len(report["per_n"]) == 39
     assert all(row["xi_bound_ok"] is True for row in report["per_n"])
+
+
+def test_second_in_process_verify_compares_no_algebraic_numbers(capsys, monkeypatch):
+    """Families compare by identity, so the memo-cache lookups of a second
+    run, on a family equal to the first one, never compare roots exactly."""
+    argv = ["verify", EXAMPLE_CONFIG, "--n-lo", "2", "--n-hi", "20", "--y-max", "50"]
+    calls = []
+    exact_eq = algebraic.AlgebraicNumber.__eq__
+
+    def counting(self, other):
+        calls.append(1)
+        return exact_eq(self, other)
+
+    monkeypatch.setattr(algebraic.AlgebraicNumber, "__eq__", counting)
+    first = run(argv, capsys)
+    calls.clear()
+    assert run(argv, capsys) == first
+    assert len(calls) == 0
 
 
 def test_xi_bound_failure_exits_bound(config_path, capsys, monkeypatch):

@@ -13,7 +13,6 @@ from split_thue.precision import (
     interval_bits,
     iv_from_fraction,
     iv_sup,
-    iv_to_fractions,
 )
 
 
@@ -61,9 +60,8 @@ def test_per_n_path_never_sets_the_global_precision(monkeypatch, fib_pow2, fib_p
             for s in solver.solve_bruteforce(fam, n, 50):
                 if s.y == 0:
                     continue
-                j = units.solution_type(s.x, s.y, rs, bits)
                 ue = units.unit_decompose(s.x, s.y, rs)
-                xi = units.xi_form(j, fam.case_tag, n, ue.b1, ue.b2)
+                xi = units.xi_form(ue.j, fam.case_tag, n, ue.b1, ue.b2)
                 assert units.verify_xi_bound(xi, fam, consts, n, bits).ok
         if (a, b) == FIB_POW2:
             assert D == 2 and consts == fib_pow2_consts
@@ -83,7 +81,8 @@ def test_iv_from_fraction_encloses_exactly():
     q = Fraction(1, 3)
     for bits in (64, 128, 256):
         x = iv_from_fraction(q, bits)
-        lo, hi = iv_to_fractions(x)
+        exact = Interval(x._mpi_, bits)
+        lo, hi = exact.inf, exact.sup
         assert lo <= q <= hi == iv_sup(x)
         assert hi - lo <= Fraction(1, 2 ** (bits - 4))
 
@@ -91,14 +90,14 @@ def test_iv_from_fraction_encloses_exactly():
 def test_iv_from_fraction_dyadic_is_exact():
     q = Fraction(5, 8)
     x = iv_from_fraction(q, 64)
-    assert iv_to_fractions(x) == (q, q)
+    assert Interval(x._mpi_, 64).inf == iv_sup(x) == q
 
 
 def test_iv_from_fraction_does_not_reround_at_53_bits():
     # a rational needing far more than double precision
     q = Fraction(2**200 + 1, 2**200)
-    x = iv_from_fraction(q, 256)
-    assert iv_to_fractions(x) == (q, q)
+    x = Interval(iv_from_fraction(q, 256)._mpi_, 256)
+    assert (x.inf, x.sup) == (q, q)
 
 
 def test_interval_between_rejects_empty_and_exact():
@@ -110,9 +109,11 @@ def test_interval_between_rejects_empty_and_exact():
 
 def test_endpoint_extraction_round_trip():
     x = Interval.between(Fraction(-3, 7), Fraction(2, 7), 128)
-    lo, hi = iv_to_fractions(x)
+    lo, hi = x.inf, x.sup
     assert lo <= Fraction(-3, 7) and hi >= Fraction(2, 7)
-    assert (x.inf, x.sup) == (lo, hi)
+    # the exact endpoints are representable at 128 bits: rebuilding from
+    # them gives the same raw endpoints
+    assert Interval.between(lo, hi, 128)._mpi_ == x._mpi_
 
 
 def test_compare_three_valued():

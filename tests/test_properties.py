@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from split_thue.algebraic import AlgebraicNumber, poly_eval_sign
-from split_thue.precision import iv_from_fraction, iv_to_fractions
+from split_thue.precision import Interval, iv_from_fraction
 from split_thue.solver import solve_bruteforce
 from test_solver import naive_solutions
 
@@ -18,9 +18,8 @@ rationals = st.fractions(
 @given(rationals)
 @settings(max_examples=60, deadline=None)
 def test_iv_from_fraction_always_encloses(q):
-    x = iv_from_fraction(q, 80)
-    lo, hi = iv_to_fractions(x)
-    assert lo <= q <= hi
+    x = Interval(iv_from_fraction(q, 80)._mpi_, 80)
+    assert x.inf <= q <= x.sup
 
 
 @given(rationals.filter(lambda q: q != 0))

@@ -15,14 +15,13 @@ from split_thue.units import (
     norm_form,
     regulator,
     ring_mul,
+    _solution_type,
     siegel_gamma,
-    solution_type,
     unit_decompose,
     unit_product,
     verify_xi_bound,
     xi_form,
     xi_upper_rhs,
-    xi_value,
 )
 
 
@@ -83,10 +82,9 @@ def test_unit_decompose_nontrivial_solutions(fib_pow2, bits):
     expected = {(7, 4): (2, 0, 3, -1), (38, 273): (3, 6, -2, -1)}
     for (x, y), (j, b1, b2, sign) in expected.items():
         ue = unit_decompose(x, y, rs)
-        assert (ue.b1, ue.b2, ue.sign) == (b1, b2, sign)
+        assert (ue.j, ue.b1, ue.b2, ue.sign) == (j, b1, b2, sign)
         um = unit_decompose(-x, -y, rs)
-        assert (um.b1, um.b2, um.sign) == (b1, b2, -sign)
-        assert solution_type(x, y, rs, bits) == solution_type(-x, -y, rs, bits) == j
+        assert (um.j, um.b1, um.b2, um.sign) == (j, b1, b2, -sign)
 
 
 @pytest.mark.parametrize("family", ["fib_pow2", "pow2_equal_modulus"])
@@ -101,8 +99,7 @@ def test_trivial_solutions_over_many_n(request, bits, family):
         for (x, y), want in expected.items():
             for sign in (1, -1):
                 ue = unit_decompose(sign * x, sign * y, rs)
-                j = solution_type(sign * x, sign * y, rs, bits)
-                assert (j, ue.b1, ue.b2, ue.sign) == want + (-sign,), (n, x, y, sign)
+                assert (ue.j, ue.b1, ue.b2, ue.sign) == want + (-sign,), (n, x, y, sign)
 
 
 def test_unit_decompose_deepest_cancellation(fib_pow2, bits):
@@ -172,10 +169,14 @@ def test_unit_decompose_rejects_non_unit(rs20):
 
 def test_solution_type(fib_pow2, rs20):
     A, B = rs20.A, rs20.B
-    assert solution_type(1, 0, rs20) == 1
-    assert solution_type(B, 1, rs20) == 1  # x - lambda1 y smallest near B
-    assert solution_type(A, 1, rs20) == 2
-    assert solution_type(0, 1, rs20) == 3
+    assert unit_decompose(1, 0, rs20).j == 1
+    assert unit_decompose(B, 1, rs20).j == 1  # x - lambda1 y smallest near B
+    assert unit_decompose(A, 1, rs20).j == 2
+    assert unit_decompose(0, 1, rs20).j == 3
+
+
+def _type(x, y, rs):
+    return _solution_type(x, y, rs, [abs(x - y * r.at(0)) for r in rs.ivs])
 
 
 def test_solution_type_decides_overlapping_intervals(rs20):
@@ -184,11 +185,11 @@ def test_solution_type_decides_overlapping_intervals(rs20):
     wide = tuple(r + Interval.between(-10**6, 10**6, rs20.bits) for r in rs20.ivs)
     coarse = dataclasses.replace(rs20, ivs=wide)
     A, B = rs20.A, rs20.B
-    assert [solution_type(x, 1, coarse) for x in (B, A, 0)] == [1, 2, 3]
+    assert [_type(x, 1, coarse) for x in (B, A, 0)] == [1, 2, 3]
     rng = random.Random(3)
     for _ in range(20):
         x, y = rng.randint(-10**12, 10**12), rng.randint(1, 10**6)
-        assert solution_type(x, y, coarse) == solution_type(x, y, rs20)
+        assert _type(x, y, coarse) == _type(x, y, rs20)
 
 
 def test_siegel_gamma_small_for_solution(rs20):
@@ -228,9 +229,8 @@ def test_xi_bound_on_trivial_solutions(fib_pow2, fib_pow2_consts, bits):
         rs = isolate_roots(fib_pow2, n, bits)
         A, B = rs.A, rs.B
         for x, y in ((1, 0), (0, 1), (A, 1), (B, 1)):
-            j = solution_type(x, y, rs, bits)
             ue = unit_decompose(x, y, rs)
-            xi = xi_form(j, fib_pow2.case_tag, n, ue.b1, ue.b2)
+            xi = xi_form(ue.j, fib_pow2.case_tag, n, ue.b1, ue.b2)
             rep = verify_xi_bound(xi, fib_pow2, fib_pow2_consts, n)
             assert rep.ok, (n, x, y, rep.value, rep.bound)
 
@@ -250,8 +250,7 @@ def test_xi_value_matches_computed_form(fib_pow2, rs20, fib_pow2_consts, bits):
     A = rs20.A
     ue = unit_decompose(A, 1, rs20)
     xi = xi_form(2, fib_pow2.case_tag, 20, ue.b1, ue.b2)
-    val = xi_value(xi, fib_pow2, bits)
-    assert abs(val).sup < Fraction(1, 10**3)
+    assert verify_xi_bound(xi, fib_pow2, fib_pow2_consts, 20, bits).value < 1e-3
 
 
 def test_xi_bound_value_does_not_depend_on_the_global_precision(monkeypatch, fib_pow2, fib_pow2_consts):
