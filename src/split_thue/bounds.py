@@ -148,7 +148,7 @@ def baker_lower(heights, D: int, log_B: Fraction, bits: int) -> Fraction:
     return -K * log2tD * prod * max(log_B, Fraction(1))
 
 
-def compositum_degree(elements, bits=WORKING_BITS) -> int:
+def compositum_degree(elements) -> int:
     """Degree of the field generated by the given algebraic numbers, found
     by primitive-element trials gamma + k*delta, k = 1, 2, ...
 
@@ -175,7 +175,7 @@ def compositum_degree(elements, bits=WORKING_BITS) -> int:
         best = None
         best_deg = 0
         for k in range(1, (d1 - 1) * (d2 - 1) + 2):
-            cand = field_arith(gamma, _times_int(el, k), "add", bits)
+            cand = field_arith(gamma, _times_int(el, k), "add")
             deg = len(cand.min_poly) - 1
             if deg > best_deg:
                 best_deg, best = deg, cand
@@ -198,7 +198,7 @@ def _times_int(el: AlgebraicNumber, k: int) -> AlgebraicNumber:
     return AlgebraicNumber(coeffs, box)
 
 
-def field_degree(fam: FamilyInstance, bits=WORKING_BITS) -> int:
+def field_degree(fam: FamilyInstance) -> int:
     """Degree D of Q(alpha, beta, secondary roots), the field of every root
     and coefficient value of the family.
 
@@ -214,7 +214,7 @@ def field_degree(fam: FamilyInstance, bits=WORKING_BITS) -> int:
     elements = [fam.alpha, fam.beta]
     for seq in (fam.A, fam.B):
         elements.extend(root for root, _ in seq.secondary)
-    return compositum_degree(elements, bits)
+    return compositum_degree(elements)
 
 
 def xi_heights(fam: FamilyInstance, n: int, D: int, bits=WORKING_BITS):
@@ -349,13 +349,11 @@ def _branch_report(fam, consts, n, branch, D) -> BoundReport:
     )
 
 
-def compute_n0(
-    fam: FamilyInstance, consts, n_cap: int = 10**7, bits=WORKING_BITS
-) -> N0Result:
+def compute_n0(fam: FamilyInstance, consts, n_cap: int = 10**7) -> N0Result:
     """Smallest n beyond which every solution-type branch yields a
     contradiction between the lower and upper linear-form bounds, verified
     over a sanity window; per-branch thresholds and a probe trace included."""
-    D = field_degree(fam, bits)
+    D = field_degree(fam)
     branches = ["xi-j2", "xi-j3"]
     if fam.equal_modulus:
         branches.append("xi-j1")

@@ -80,8 +80,7 @@ def build_family(config, args):
         B = sequence_from_json(config["B"])
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad sequence spec: {exc}") from exc
-    bits = config["options"]["working_bits"]
-    return FamilyInstance.build(A, B, bits), bits
+    return FamilyInstance.build(A, B), config["options"]["working_bits"]
 
 
 def _num(x):
@@ -129,6 +128,7 @@ def cmd_verify(config, args):
     opts = config["options"]
     fv = solver.verify_family(fam, opts["n_lo"], opts["n_hi"], opts["y_max"], bits)
     hyp = fv.hypotheses
+    threshold = hyp.first_n_all_pass
     per_n = []
     residuals = []
     any_out_of_scope = False
@@ -148,6 +148,9 @@ def cmd_verify(config, args):
         if not rep.in_scope:
             any_out_of_scope = True
             row["failures"] = [reason for _, reason in rep.hypothesis_failures]
+        elif threshold is not None and rep.n >= threshold:
+            if False in (rep.lemma_log_approx, rep.lemma_root_diff, rep.xi_bound_ok):
+                check_fail_beyond = True
         per_n.append(row)
         if rep.residuals is not None:
             residuals.extend(
@@ -155,11 +158,6 @@ def cmd_verify(config, args):
                  "ratio": e.ratio, "ok": e.ok}
                 for e in rep.residuals.entries
             )
-    threshold = hyp.first_n_all_pass
-    for rep in fv.per_n:
-        if threshold is not None and rep.n >= threshold and rep.in_scope:
-            if False in (rep.lemma_log_approx, rep.lemma_root_diff, rep.xi_bound_ok):
-                check_fail_beyond = True
     if fv.nontrivial_found:
         code = EXIT_NONTRIVIAL
     elif check_fail_beyond:
@@ -186,10 +184,10 @@ def cmd_verify(config, args):
 
 
 def cmd_bounds(config, args):
-    fam, bits = build_family(config, args)
+    fam, _ = build_family(config, args)
     opts = config["options"]
     consts = cubic.compute_constants(fam)
-    res = bounds.compute_n0(fam, consts, n_cap=opts["n_cap"], bits=bits)
+    res = bounds.compute_n0(fam, consts, n_cap=opts["n_cap"])
     trace = [
         {
             "n": r.n,
@@ -217,7 +215,7 @@ def cmd_bounds(config, args):
         "flags": ["c5-inverted-in-upper-bound"],
     }
     if fam.equal_modulus:
-        hyp = check_hypotheses(fam, min(opts["n_hi"], 20), bits)
+        hyp = check_hypotheses(fam, min(opts["n_hi"], 20))
         report["equal_case_condition"] = hyp.equal_case_condition
     code = EXIT_OK if not res.no_crossing else EXIT_BOUND
     return report, code

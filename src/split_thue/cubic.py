@@ -26,11 +26,13 @@ class CubicRootSet:
     """Certified enclosures of the three real roots, labelled by anchors:
     lambda1 near B_n, lambda2 near A_n, lambda3 near 1/(A_n B_n).
 
-    The per-n root context: every check at this n reads the intervals and
-    logarithms below, which are computed once, at the precision ``bits``
-    the brackets were refined for.
+    The per-n root context: every check at this n reads its family, its n,
+    its working precision ``work_bits`` and the intervals and logarithms
+    below from here, each computed once.  The root intervals are at
+    ``bits``, the working precision plus the bits the roots' scale needs.
     """
 
+    fam: FamilyInstance
     n: int
     A: int
     B: int
@@ -38,6 +40,7 @@ class CubicRootSet:
     lambda1: RealEnclosure
     lambda2: RealEnclosure
     lambda3: RealEnclosure
+    work_bits: int
     bits: int
     ivs: tuple  # Intervals at ``bits`` enclosing lambda1, lambda2, lambda3
     log_abs: tuple  # log|lambda_i|
@@ -53,6 +56,18 @@ class CubicRootSet:
         p = MIN_WORKING_BITS
         (m11, m21), (m12, m22) = ((v.at(p) for v in logs[:2]) for logs in (self.log_abs, self.log_abs_A))
         return m11, m12, m21, m22, m11 * m22 - m12 * m21
+
+    @cached_property
+    def coeff_logs(self):
+        """Interval values at ``work_bits`` of log|alpha|, log|beta|,
+        log|c_A(n)|, log|c_B(n)| and log|(c_B - c_A)(n)| (the last only in
+        the equal-modulus case, else None)."""
+        fam, n, bits = self.fam, self.n, self.work_bits
+        _, _, la, lb = dominant_logs(fam, bits)
+        lcA = abs(fam.A.dominant_coeff.approx_at(n, bits)).log()
+        lcB = abs(fam.B.dominant_coeff.approx_at(n, bits)).log()
+        ldiff = abs(fam.coeff_diff.approx_at(n, bits)).log() if fam.equal_modulus else None
+        return la, lb, lcA, lcB, ldiff
 
 
 def _bracket_around(coeffs, center, halfwidth):
@@ -77,8 +92,8 @@ def _bracket_around(coeffs, center, halfwidth):
 
 
 def isolate_roots(fam: FamilyInstance, n: int, bits=WORKING_BITS) -> CubicRootSet:
-    """Certify the three real roots from their anchor windows, for a root
-    context at ``bits`` plus the bits the roots' scale needs."""
+    """Certify the three real roots from their anchor windows: the root
+    context at n, at working precision ``bits``, which every check at n reads."""
     A, B = fam.terms(n)
     if A == 0 or B == 0 or A * B == A + B:
         raise AnchorSignFailure("degenerate parameters")
@@ -98,12 +113,11 @@ def isolate_roots(fam: FamilyInstance, n: int, bits=WORKING_BITS) -> CubicRootSe
     scale_bits = 2 * (abs(A) * abs(B)).bit_length() + 8
     width = Fraction(1, 2 ** (bits // 2 + scale_bits))
     roots = tuple(refine_bracket(coeffs, r, width) for r in (l1, l2, l3))
-    l1, l2, l3 = roots
-    bits += scale_bits
-    ivs = tuple(r.as_iv(bits) for r in roots)
+    iv_bits = bits + scale_bits
+    ivs = tuple(r.as_iv(iv_bits) for r in roots)
     log_abs = tuple(abs(v).log() for v in ivs)
     log_abs_A = tuple(abs(v - A).log() for v in ivs)
-    return CubicRootSet(n, A, B, coeffs, l1, l2, l3, bits, ivs, log_abs, log_abs_A)
+    return CubicRootSet(fam, n, A, B, coeffs, *roots, bits, iv_bits, ivs, log_abs, log_abs_A)
 
 
 def abs_frac_dist(root: RealEnclosure, point: Fraction):
@@ -133,7 +147,7 @@ class ResidualReport:
         return all(e.ok for e in self.entries)
 
 
-def verify_root_approx(rs: CubicRootSet, fam: FamilyInstance) -> ResidualReport:
+def verify_root_approx(rs: CubicRootSet) -> ResidualReport:
     """The four root-location inequalities, checked with exact rationals."""
     A, B = rs.A, rs.B
     checks = [
@@ -267,22 +281,11 @@ def compute_constants(fam: FamilyInstance) -> ApproxConstants:
     )
 
 
-@lru_cache(maxsize=256)
-def _log_quantities(fam: FamilyInstance, n: int, bits: int):
-    """Interval values of log|alpha|, log|beta|, log|c_A(n)|, log|c_B(n)|,
-    log|(c_B - c_A)(n)| (the last only in the equal-modulus case), computed
-    once per (family, n, precision)."""
-    _, _, la, lb = dominant_logs(fam, bits)
-    lcA = abs(fam.A.dominant_coeff.approx_at(n, bits)).log()
-    lcB = abs(fam.B.dominant_coeff.approx_at(n, bits)).log()
-    ldiff = abs(fam.coeff_diff.approx_at(n, bits)).log() if fam.equal_modulus else None
-    return la, lb, lcA, lcB, ldiff
-
-
-def log_closed_forms(fam: FamilyInstance, n: int, bits: int):
+def log_closed_forms(rs: CubicRootSet):
     """The six closed forms for log|lambda_i| and log|lambda_i - A_n|."""
-    la, lb, lcA, lcB, ldiff = _log_quantities(fam, n, bits)
-    cross = ldiff if fam.equal_modulus else lcB
+    n = rs.n
+    la, lb, lcA, lcB, ldiff = rs.coeff_logs
+    cross = ldiff if rs.fam.equal_modulus else lcB
     return {
         "log|l1|": n * lb + lcB,
         "log|l1-A|": n * lb + cross,
@@ -301,16 +304,14 @@ def _root_log_values(rs: CubicRootSet):
     return out
 
 
-def verify_log_approx(
-    rs: CubicRootSet, fam: FamilyInstance, consts: ApproxConstants, bits=WORKING_BITS
-) -> ResidualReport:
+def verify_log_approx(rs: CubicRootSet, consts: ApproxConstants) -> ResidualReport:
     """Six log approximations against the shared decaying error term
-    C n^d2 eps^n."""
-    n = rs.n
-    scale = Fraction(n) ** fam.d2 * consts.eps**n
+    C n^d2 eps^n, at the context's working precision."""
+    n, bits = rs.n, rs.work_bits
+    scale = Fraction(n) ** rs.fam.d2 * consts.eps**n
     bound = consts.C * scale
     computed = _root_log_values(rs)
-    closed = log_closed_forms(fam, n, bits)
+    closed = log_closed_forms(rs)
     entries = []
     for name in computed:
         sup = abs(computed[name].at(bits) - closed[name]).sup
@@ -320,11 +321,9 @@ def verify_log_approx(
     return ResidualReport(n, tuple(entries))
 
 
-def verify_root_diff(
-    rs: CubicRootSet, fam: FamilyInstance, consts: ApproxConstants, bits=WORKING_BITS
-) -> ResidualReport:
-    """The six two-sided root-difference bounds."""
-    n = rs.n
+def verify_root_diff(rs: CubicRootSet, consts: ApproxConstants) -> ResidualReport:
+    """The six two-sided root-difference bounds, at the working precision."""
+    fam, n, bits = rs.fam, rs.n, rs.work_bits
     a_abs, b_abs, _, _ = dominant_logs(fam, bits)
     l1, l2, l3 = (v.at(bits) for v in rs.ivs)
     d12 = abs(l1 - l2)

@@ -26,7 +26,7 @@ from .algebraic import (
     abs_compare,
     factor_list,
 )
-from .precision import WORKING_BITS, Interval, SplitThueError
+from .precision import Interval, SplitThueError
 
 class InconsistentModel(SplitThueError):
     """Recursion and explicit formula disagree on a term."""
@@ -312,14 +312,14 @@ class FamilyInstance:
     equal_modulus: bool
 
     @classmethod
-    def build(cls, A, B, bits=WORKING_BITS):
+    def build(cls, A, B):
         """Order the pair so |alpha| <= |beta| and classify the case."""
         alpha, beta = A.dominant_root, B.dominant_root
         if alpha.is_zero or beta.is_zero:
             raise HypothesisViolated("dominant root must be nonzero")
         if any(all(c.is_zero for c in seq.dominant_coeff.coeffs) for seq in (A, B)):
             raise HypothesisViolated("dominant coefficient must be nonzero")
-        order = abs_compare(alpha, beta, bits)
+        order = abs_compare(alpha, beta)
         if order > 0:
             A, B = B, A
         degrees = [A.dominant_coeff.degree, B.dominant_coeff.degree]
@@ -378,16 +378,19 @@ def dominant_logs(fam: FamilyInstance, bits: int):
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    passed: bool
     first_n_all_pass: int | None
     bullet: str | None  # which sign regime holds from first_n on
     equal_case_condition: str | None
     failures: tuple  # of (n, reason)
 
+    @property
+    def passed(self):
+        return self.first_n_all_pass is not None
 
-def check_hypotheses(fam: FamilyInstance, n_probe: int, bits=WORKING_BITS) -> HypothesisReport:
+
+def check_hypotheses(fam: FamilyInstance, n_probe: int) -> HypothesisReport:
     """Check the family's sign-regime conditions for n = 1..n_probe."""
-    if abs_compare(fam.beta, 1, bits) <= 0:
+    if abs_compare(fam.beta, 1) <= 0:
         raise HypothesisViolated("|beta| must exceed 1")
 
     failures = []
@@ -398,7 +401,7 @@ def check_hypotheses(fam: FamilyInstance, n_probe: int, bits=WORKING_BITS) -> Hy
         An, Bn = fam.terms(n)
         ok, reason, bullet = _bullet_check(An, Bn)
         if ok and fam.equal_modulus:
-            ok, reason, equal_cond = _equal_modulus_check(fam, n, bits)
+            ok, reason, equal_cond = _equal_modulus_check(fam, n)
         per_n_ok.append(ok)
         if ok:
             bullet_seen = bullet
@@ -410,11 +413,9 @@ def check_hypotheses(fam: FamilyInstance, n_probe: int, bits=WORKING_BITS) -> Hy
         if not per_n_ok[i]:
             break
         first = i + 1
-    passed = first is not None
     return HypothesisReport(
-        passed=passed,
         first_n_all_pass=first,
-        bullet=bullet_seen if passed else None,
+        bullet=bullet_seen if first is not None else None,
         equal_case_condition=equal_cond,
         failures=tuple(failures),
     )
@@ -428,21 +429,21 @@ def _bullet_check(An, Bn):
     return False, f"A_n={An}, B_n={Bn} outside both bullet ranges", None
 
 
-def _equal_modulus_check(fam, n, bits):
+def _equal_modulus_check(fam, n):
     """Extra conditions in the equal-modulus case, decided exactly."""
     cB = fam.c_B(n)
     cA = fam.c_A(n)
     diff = cB - cA
-    if abs_compare(cB, cA, bits) == 0:
+    if abs_compare(cB, cA) == 0:
         return False, f"|c_B(n)| = |c_A(n)| at n={n}", None
-    cB_order = abs_compare(cB, 1, bits)
+    cB_order = abs_compare(cB, 1)
     if cB_order == 0:
-        if diff.is_zero or abs_compare(diff, 1, bits) == 0:
+        if diff.is_zero or abs_compare(diff, 1) == 0:
             return False, f"|c_B-c_A| in {{0,1}} at n={n}", None
         return True, None, "unit-modulus"
     if cB_order > 0:
         # need |c_B - c_A| > 1/|c_B|, i.e. |(c_B - c_A) c_B| > 1
-        order = abs_compare(diff * cB, 1, bits)
+        order = abs_compare(diff * cB, 1)
         if order == 0:
             return False, f"|c_B - c_A| = 1/|c_B| at n={n}", None
         if order > 0:
@@ -451,7 +452,7 @@ def _equal_modulus_check(fam, n, bits):
     # 0 < |c_B| < 1 case: need 0 < |c_B - c_A| < 1
     if diff.is_zero:
         return False, f"c_B = c_A at n={n}", None
-    order = abs_compare(diff, 1, bits)
+    order = abs_compare(diff, 1)
     if order == 0:
         return False, f"|c_B - c_A| = 1 at n={n}", None
     if order < 0:

@@ -244,11 +244,11 @@ def verify_family(
 ) -> FamilyVerification:
     """Hypothesis check + brute force + classification for each n in range,
     with per-n lemma summaries and log residuals where the roots are
-    certifiable."""
+    certifiable, each read from the n's root context at precision ``bits``."""
     if n_lo > n_hi:
         raise ValueError("empty n range")
     consts = cubic.compute_constants(fam)
-    hyp = check_hypotheses(fam, n_hi, bits)
+    hyp = check_hypotheses(fam, n_hi)
     failed = dict(hyp.failures)
     reports = []
     for n in range(n_lo, n_hi + 1):
@@ -262,17 +262,16 @@ def verify_family(
         ra = la = rd = xi_ok = resid = None
         try:
             rs = cubic.isolate_roots(fam, n, bits)
-            ra = cubic.verify_root_approx(rs, fam).all_pass
-            resid = cubic.verify_log_approx(rs, fam, consts, bits)
+            ra = cubic.verify_root_approx(rs).all_pass
+            resid = cubic.verify_log_approx(rs, consts)
             la = resid.all_pass
-            rd = cubic.verify_root_diff(rs, fam, consts, bits).all_pass
+            rd = cubic.verify_root_diff(rs, consts).all_pass
             xi_ok = True
             for s in sols:
                 if s.y == 0:
                     continue  # (+-1, 0): every |x - lambda_j y| is 1, so no type
                 ue = units.unit_decompose(s.x, s.y, rs)
-                xi = units.xi_form(ue.j, fam.case_tag, n, ue.b1, ue.b2)
-                if not units.verify_xi_bound(xi, fam, consts, n, bits).ok:
+                if not units.verify_xi_bound(ue, rs, consts).ok:
                     xi_ok = False
         except cubic.AnchorSignFailure:
             pass

@@ -10,11 +10,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebraic import refine_bracket
-from .cubic import CubicRootSet, _log_quantities
+from .cubic import CubicRootSet
 from .precision import (
     MAX_BITS,
     MIN_WORKING_BITS,
-    WORKING_BITS,
     Interval,
     PrecisionExhausted,
     SplitThueError,
@@ -33,13 +32,13 @@ class NotAUnit(SplitThueError):
 KL_CONVENTION = {1: (3, 2), 2: (3, 1), 3: (2, 1)}
 
 
-def regulator(rs: CubicRootSet, pair=(1, 2), bits=None):
+def regulator(rs: CubicRootSet, pair=(1, 2)):
     """|det| of the 2x2 log-embedding matrix of the fundamental units
-    {lambda, lambda - A_n}; independent of the chosen pair of embeddings."""
+    {lambda, lambda - A_n}, at the root intervals' precision; independent
+    of the chosen pair of embeddings."""
     if pair[0] == pair[1]:
         raise ValueError("need two distinct embeddings")
-    bits = bits or rs.bits
-    (a, b), (c, d) = ((rs.log_abs[i - 1].at(bits), rs.log_abs_A[i - 1].at(bits)) for i in pair)
+    (a, b), (c, d) = ((rs.log_abs[i - 1], rs.log_abs_A[i - 1]) for i in pair)
     return abs(a * d - b * c)
 
 
@@ -182,10 +181,11 @@ def _abs_range(x, y, box):
     return min(map(abs, ends)), max(map(abs, ends))
 
 
-def siegel_gamma(x: int, y: int, rs: CubicRootSet, j: int, bits=WORKING_BITS):
-    """gamma from Siegel's identity for type j, and Lambda = log|1 + gamma|."""
+def siegel_gamma(x: int, y: int, rs: CubicRootSet, j: int):
+    """gamma from Siegel's identity for type j, and Lambda = log|1 + gamma|,
+    at the context's working precision."""
     k, l = KL_CONVENTION[j]
-    lam = {i: r.at(bits) for i, r in enumerate(rs.ivs, 1)}
+    lam = {i: r.at(rs.work_bits) for i, r in enumerate(rs.ivs, 1)}
     uj = x - lam[j] * y
     uk = x - lam[k] * y
     if uk.inf <= 0 <= uk.sup:
@@ -275,16 +275,15 @@ class XiBoundReport:
     ok: bool
 
 
-def verify_xi_bound(
-    xi: LinearFormXi, fam: FamilyInstance, consts, n: int, bits=WORKING_BITS
-) -> XiBoundReport:
-    """Check |xi_j|, the linear form's interval value at precision ``bits``,
-    against its decaying upper bound: the upper end of |xi_j| must not
-    exceed the lower end of the bound. The bound only holds for exponents
-    that come from a genuine solution."""
-    if n != xi.n:
-        raise ValueError("n mismatch")
-    logs = dict(zip(XI_LABELS, _log_quantities(fam, n, bits)))
+def verify_xi_bound(ue: UnitExponents, rs: CubicRootSet, consts) -> XiBoundReport:
+    """Check |xi_j|, the interval value of the transformed linear form of
+    ``ue`` at the context's working precision, against its decaying upper
+    bound: the upper end of |xi_j| must not exceed the lower end of the
+    bound. The bound only holds for exponents that come from a genuine
+    solution."""
+    fam, n, bits = rs.fam, rs.n, rs.work_bits
+    xi = xi_form(ue.j, fam.case_tag, n, ue.b1, ue.b2)
+    logs = dict(zip(XI_LABELS, rs.coeff_logs))
     value = Interval.of(0, bits)
     for label, coeff in xi.terms:
         if coeff == 0:

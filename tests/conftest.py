@@ -22,8 +22,8 @@ def pow2_seq():
 
 
 @pytest.fixture(scope="session")
-def fib_pow2(fib_seq, pow2_seq, bits):
-    return FamilyInstance.build(fib_seq, pow2_seq, bits)
+def fib_pow2(fib_seq, pow2_seq):
+    return FamilyInstance.build(fib_seq, pow2_seq)
 
 
 @pytest.fixture(scope="session")
@@ -32,10 +32,10 @@ def fib_pow2_consts(fib_pow2):
 
 
 @pytest.fixture(scope="session")
-def pow2_equal_modulus(pow2_seq, bits):
+def pow2_equal_modulus(pow2_seq):
     # A_n = 2^{n+1}, B_n = 3 * 2^{n+1} + 1: |alpha| = |beta| = 2
     B = RecurrentSequence.from_recurrence([1, -3, 2], [7, 13])
-    return FamilyInstance.build(pow2_seq, B, bits)
+    return FamilyInstance.build(pow2_seq, B)
 
 
 @pytest.fixture

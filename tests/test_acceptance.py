@@ -110,7 +110,7 @@ def test_criterion_02_root_approx_residuals(fib_pow2, bits):
     worst = 0.0
     for n in range(10, 31):
         rs = isolate_roots(fib_pow2, n, bits)
-        rep = verify_root_approx(rs, fib_pow2)
+        rep = verify_root_approx(rs)
         assert rep.all_pass, f"n={n}: root-location inequality failed"
         # independent 50-digit cubic solver as oracle for the enclosures
         with mpmath.workdps(50):
@@ -137,7 +137,7 @@ def test_criterion_03_log_approx_residuals(fib_pow2, fib_pow2_consts, bits):
     ratios = []
     for n in range(15, 41):
         rs = isolate_roots(fib_pow2, n, bits)
-        rep = verify_log_approx(rs, fib_pow2, fib_pow2_consts, bits)
+        rep = verify_log_approx(rs, fib_pow2_consts)
         assert rep.all_pass, f"n={n}: log approximation exceeded C n^d2 eps^n"
         ratios.append(max(e.ratio for e in rep.entries))
     # boundedness: the scaled residual must not trend upward across the range
@@ -213,7 +213,7 @@ def test_criterion_06_siegel_identity(fib_pow2, bits):
         rs = isolate_roots(fib_pow2, n, bits)
         lams = []
         for x, y in ((0, 1), (rs.A, 1), (rs.B, 1)):
-            _, lam = siegel_gamma(x, y, rs, unit_decompose(x, y, rs).j, bits)
+            _, lam = siegel_gamma(x, y, rs, unit_decompose(x, y, rs).j)
             lams.append(abs(lam).sup)
         sups.append(max(lams))
     ok = all(s < Fraction(1, 10**6) for s in sups) and sups == sorted(sups, reverse=True)
@@ -245,11 +245,11 @@ def test_criterion_07_bound_micro_instances():
 
 def test_criterion_08_effective_n0(fib_pow2, fib_pow2_consts, bits):
     t0 = time.time()
-    res = compute_n0(fib_pow2, fib_pow2_consts, n_cap=10**25, bits=bits)
+    res = compute_n0(fib_pow2, fib_pow2_consts, n_cap=10**25)
     elapsed = time.time() - t0
     assert not res.no_crossing and res.n0 is not None
     n0 = res.n0
-    D = field_degree(fib_pow2, bits)
+    D = field_degree(fib_pow2)
     # sanity window: every branch contradicts at n0..n0+10 ...
     window_ok = True
     for n in list(range(n0, n0 + 11)):

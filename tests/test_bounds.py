@@ -72,16 +72,16 @@ def test_baker_lower_enforces_height_floor():
         baker_lower([], 1, Fraction(1), CHAIN_BITS)
 
 
-def test_field_degree(fib_pow2, bits):
-    assert field_degree(fib_pow2, bits) == 2
+def test_field_degree(fib_pow2):
+    assert field_degree(fib_pow2) == 2
 
 
-def test_compositum_degree(bits):
+def test_compositum_degree():
     sqrt2 = AlgebraicNumber([1, 0, -2], RealEnclosure(Fraction(1), Fraction(3, 2)))
     sqrt3 = AlgebraicNumber([1, 0, -3], RealEnclosure(Fraction(3, 2), Fraction(2)))
     one_plus_sqrt2 = AlgebraicNumber([1, -2, -1], RealEnclosure(Fraction(2), Fraction(3)))
-    assert compositum_degree([sqrt2, sqrt3], bits) == 4
-    assert compositum_degree([sqrt2, one_plus_sqrt2], bits) == 2
+    assert compositum_degree([sqrt2, sqrt3]) == 4
+    assert compositum_degree([sqrt2, one_plus_sqrt2]) == 2
 
 
 def _roots_and_coefficients(fam):
@@ -95,27 +95,27 @@ def _roots_and_coefficients(fam):
     return elements
 
 
-def test_field_degree_equals_compositum_of_all_values(fib_pow2, pow2_seq, bits):
+def test_field_degree_equals_compositum_of_all_values(fib_pow2, pow2_seq):
     # each coefficient value lies in Q(its root), so joining the coefficients
     # to the roots leaves the degree as it is
     b = RecurrentSequence.from_recurrence([1, -3, 1, -3], [3, 3, 7])  # 3^n + i^n + (-i)^n
-    pow2_complex = FamilyInstance.build(pow2_seq, b, bits)
+    pow2_complex = FamilyInstance.build(pow2_seq, b)
     for fam in (fib_pow2, pow2_complex):
-        assert field_degree(fam, bits) == 2
-        assert compositum_degree(_roots_and_coefficients(fam), bits) == 2
+        assert field_degree(fam) == 2
+        assert compositum_degree(_roots_and_coefficients(fam)) == 2
 
 
-def test_field_degree_with_irrational_alpha_and_complex_pair(fib_seq, bits, cold_kernel):
+def test_field_degree_with_irrational_alpha_and_complex_pair(fib_seq, cold_kernel):
     # Q(sqrt 5, i): joining -i runs four shifts, each a degree-8 composed
     # sum with complex roots to isolate; about 0.3 s
     b = RecurrentSequence.from_recurrence([1, -3, 1, -3], [3, 3, 7])  # 3^n + i^n + (-i)^n
-    fam = FamilyInstance.build(fib_seq, b, bits)
+    fam = FamilyInstance.build(fib_seq, b)
     start = time.perf_counter()
-    assert field_degree(fam, bits) == 4
+    assert field_degree(fam) == 4
     assert time.perf_counter() - start < 3
 
 
-def test_field_degree_makes_few_resultants(fib_pow2, bits, monkeypatch):
+def test_field_degree_makes_few_resultants(fib_pow2, monkeypatch):
     # beta = 2 is rational and psi joins Q(alpha) with (2-1)(2-1)+1 = 2 shifts
     calls = []
     arith = bounds.field_arith
@@ -125,7 +125,7 @@ def test_field_degree_makes_few_resultants(fib_pow2, bits, monkeypatch):
         return arith(*args, **kwargs)
 
     monkeypatch.setattr(bounds, "field_arith", counting)
-    assert field_degree(fib_pow2, bits) == 2
+    assert field_degree(fib_pow2) == 2
     assert len(calls) == 2
 
 
@@ -140,7 +140,7 @@ def test_regulator_bounds_bracket_true_regulator(fib_pow2, fib_pow2_consts, bits
     for n in (20, 40):
         lo, up = regulator_bounds(fib_pow2, fib_pow2_consts, n, CHAIN_BITS)
         rs = isolate_roots(fib_pow2, n, bits)
-        r = regulator(rs, (1, 2), bits)
+        r = regulator(rs, (1, 2))
         assert lo <= r.inf and r.sup <= up
         assert lo > 0
 
@@ -183,20 +183,20 @@ def test_logy_lower_altunit(fib_pow2, fib_pow2_consts):
     assert 0 < v600 < v700
 
 
-def test_compute_n0_small_cap_reports_no_crossing(fib_pow2, fib_pow2_consts, bits):
-    res = compute_n0(fib_pow2, fib_pow2_consts, n_cap=10**4, bits=bits)
+def test_compute_n0_small_cap_reports_no_crossing(fib_pow2, fib_pow2_consts):
+    res = compute_n0(fib_pow2, fib_pow2_consts, n_cap=10**4)
     assert res.no_crossing and res.n0 is None
 
 
-def test_compute_n0_finite_at_large_cap(fib_pow2, fib_pow2_consts, bits):
-    res = compute_n0(fib_pow2, fib_pow2_consts, n_cap=10**25, bits=bits)
+def test_compute_n0_finite_at_large_cap(fib_pow2, fib_pow2_consts):
+    res = compute_n0(fib_pow2, fib_pow2_consts, n_cap=10**25)
     assert not res.no_crossing
     assert res.n0 == 59362923407947902848
     assert set(res.branch_thresholds) == {"xi-j2", "xi-j3", "altunit-j1"}
     assert res.branch_thresholds["altunit-j1"] == 568
 
 
-def test_compute_n0_builds_no_family_constants(fib_pow2, fib_pow2_consts, bits, monkeypatch):
+def test_compute_n0_builds_no_family_constants(fib_pow2, fib_pow2_consts, monkeypatch):
     # the envelopes and heights do not depend on n: they are built with the
     # constants, and a full run at cap 10**19 (152 probes) builds none again
     calls = {"envelope": 0, "height": 0}
@@ -211,13 +211,13 @@ def test_compute_n0_builds_no_family_constants(fib_pow2, fib_pow2_consts, bits, 
     for name in ("abs_coeff_sum_upper", "abs_lower_inf"):
         monkeypatch.setattr(poly, name, counting(getattr(poly, name), "envelope"))
     monkeypatch.setattr(AlgebraicNumber, "height", counting(AlgebraicNumber.height, "height"))
-    res = compute_n0(fib_pow2, fib_pow2_consts, n_cap=10**19, bits=bits)
+    res = compute_n0(fib_pow2, fib_pow2_consts, n_cap=10**19)
     assert len(res.trace) == 152
     assert calls == {"envelope": 0, "height": 0}
 
 
 def test_compute_n0_evaluates_the_xi_branches_once_per_n(
-    fib_pow2, fib_pow2_consts, bits, monkeypatch
+    fib_pow2, fib_pow2_consts, monkeypatch
 ):
     # xi-j2 and xi-j3 read the same bounds: one evaluation per n serves both
     evaluated = []
@@ -228,7 +228,7 @@ def test_compute_n0_evaluates_the_xi_branches_once_per_n(
         return branch_report(fam, consts, n, branch, D)
 
     monkeypatch.setattr(bounds, "_branch_report", counting)
-    res = compute_n0(fib_pow2, fib_pow2_consts, n_cap=10**19, bits=bits)
+    res = compute_n0(fib_pow2, fib_pow2_consts, n_cap=10**19)
     assert len(res.trace) == 152
     j2 = [rep for rep in res.trace if rep.branch == "xi-j2"]
     j3 = [rep for rep in res.trace if rep.branch == "xi-j3"]

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from functools import cached_property
 from types import SimpleNamespace
 
 import mpmath
@@ -149,6 +150,22 @@ def test_zero_dominant_root_is_a_hypothesis_violation(tmp_path, capsys):
     _assert_hypothesis_violation(p, capsys, "dominant root must be nonzero")
 
 
+def count_coeff_logs(monkeypatch):
+    """Count the root contexts' per-n log computations: the list of the n
+    each one was computed at."""
+    computed = []
+    coeff_logs = cubic.CubicRootSet.coeff_logs.func
+
+    def counting(rs):
+        computed.append(rs.n)
+        return coeff_logs(rs)
+
+    prop = cached_property(counting)
+    prop.__set_name__(cubic.CubicRootSet, "coeff_logs")
+    monkeypatch.setattr(cubic.CubicRootSet, "coeff_logs", prop)
+    return computed
+
+
 def test_verify_runs_each_stage_once(monkeypatch, capsys):
     calls = {"isolate_roots": [], "compute_constants": 0, "bullet": 0, "explicit_iv": 0}
     isolate, constants = cubic.isolate_roots, cubic.compute_constants
@@ -180,8 +197,9 @@ def test_verify_runs_each_stage_once(monkeypatch, capsys):
     monkeypatch.setattr(sequences, "_bullet_check", counting_bullet)
     monkeypatch.setattr(sequences.RecurrentSequence, "explicit_iv", counting_explicit_iv)
     monkeypatch.setattr(sequences.FamilyInstance, "build", recording_build)
+    coeff_logs = count_coeff_logs(monkeypatch)
     # the per-(family, n) caches count the computations they hold
-    for cached in (sequences.FamilyInstance.terms, cubic._log_quantities, units.xi_upper_rhs):
+    for cached in (sequences.FamilyInstance.terms, units.xi_upper_rhs):
         cached.cache_clear()
     code, report = run(["verify", EXAMPLE_CONFIG], capsys)
     assert code == cli.EXIT_OK
@@ -198,20 +216,29 @@ def test_verify_runs_each_stage_once(monkeypatch, capsys):
     assert calls["explicit_iv_at_build"] > 0
     assert calls["explicit_iv"] == calls["explicit_iv_at_build"]
     # per-n values are computed once per n, not once per solution or stage
-    assert cubic._log_quantities.cache_info().misses <= len(in_scope)
+    assert coeff_logs == in_scope
     assert units.xi_upper_rhs.cache_info().misses <= len(in_scope)
 
 
-def test_verify_checks_xi_at_the_working_precision(capsys):
-    # the xi bound reads the per-n logs at --bits, the precision the lemma
-    # checks computed them at: one computation per in-scope n
-    for cached in (cubic._log_quantities, units.xi_upper_rhs):
-        cached.cache_clear()
+def test_verify_checks_xi_at_the_working_precision(monkeypatch, capsys):
+    # the xi bound reads the per-n logs of the root context, at --bits, the
+    # precision the lemma checks read them at: one computation per in-scope n
+    contexts = []
+    isolate = cubic.isolate_roots
+
+    def recording_isolate(*args, **kwargs):
+        contexts.append(isolate(*args, **kwargs))
+        return contexts[-1]
+
+    monkeypatch.setattr(cubic, "isolate_roots", recording_isolate)
+    coeff_logs = count_coeff_logs(monkeypatch)
+    units.xi_upper_rhs.cache_clear()
     code, report = run(["verify", EXAMPLE_CONFIG, "--n-hi", "5", "--bits", "512"], capsys)
     assert code == cli.EXIT_OK
     in_scope = [row["n"] for row in report["per_n"] if row["in_scope"]]
     assert in_scope == list(range(2, 6))
-    assert cubic._log_quantities.cache_info().misses == len(in_scope)
+    assert coeff_logs == in_scope
+    assert [rs.work_bits for rs in contexts] == [512] * len(in_scope)
     assert units.xi_upper_rhs.cache_info().misses == len(in_scope)
 
 

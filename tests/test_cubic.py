@@ -53,7 +53,7 @@ def test_isolate_roots_below_threshold_raises(bits):
 
     a = RecurrentSequence.from_recurrence([1, -1, -1], [1, 2])
     b = RecurrentSequence.from_recurrence([1, -1, -1], [2, 3])
-    fam = FamilyInstance.build(a, b, bits)
+    fam = FamilyInstance.build(a, b)
     with pytest.raises(AnchorSignFailure):
         isolate_roots(fam, 1, bits)
 
@@ -70,7 +70,7 @@ def test_compute_constants_values(fib_pow2_consts):
 
 def test_verify_root_approx(fib_pow2, bits):
     rs = isolate_roots(fib_pow2, 8, bits)
-    rep = verify_root_approx(rs, fib_pow2)
+    rep = verify_root_approx(rs)
     assert rep.all_pass
     assert {e.name for e in rep.entries} == {
         "lambda1-near-B",
@@ -82,7 +82,7 @@ def test_verify_root_approx(fib_pow2, bits):
 
 def test_verify_log_approx(fib_pow2, fib_pow2_consts, bits):
     rs = isolate_roots(fib_pow2, 10, bits)
-    rep = verify_log_approx(rs, fib_pow2, fib_pow2_consts, bits)
+    rep = verify_log_approx(rs, fib_pow2_consts)
     assert rep.all_pass
     assert len(rep.entries) == 6
     for e in rep.entries:
@@ -91,7 +91,7 @@ def test_verify_log_approx(fib_pow2, fib_pow2_consts, bits):
 
 def test_verify_root_diff(fib_pow2, fib_pow2_consts, bits):
     rs = isolate_roots(fib_pow2, 10, bits)
-    rep = verify_root_diff(rs, fib_pow2, fib_pow2_consts, bits)
+    rep = verify_root_diff(rs, fib_pow2_consts)
     assert rep.all_pass
 
 
@@ -99,6 +99,6 @@ def test_find_threshold(fib_pow2, fib_pow2_consts, bits):
     # the lemma threshold of this family is n = 1: every lemma holds for n = 1..8
     for n in range(1, 9):
         rs = isolate_roots(fib_pow2, n, bits)
-        assert verify_root_approx(rs, fib_pow2).all_pass
-        assert verify_log_approx(rs, fib_pow2, fib_pow2_consts, bits).all_pass
-        assert verify_root_diff(rs, fib_pow2, fib_pow2_consts, bits).all_pass
+        assert verify_root_approx(rs).all_pass
+        assert verify_log_approx(rs, fib_pow2_consts).all_pass
+        assert verify_root_diff(rs, fib_pow2_consts).all_pass

@@ -36,7 +36,7 @@ def test_per_n_path_never_sets_the_global_precision(monkeypatch, fib_pow2, fib_p
     the test.  The complex-pair family computes with Boxes while it is
     built."""
     bits = 512
-    probes = bounds.compute_n0(fib_pow2, fib_pow2_consts, 10**19, bits).trace
+    probes = bounds.compute_n0(fib_pow2, fib_pow2_consts, 10**19).trace
 
     def forbidden(ctx, value):
         raise AssertionError(f"iv.prec set to {value}")
@@ -48,21 +48,20 @@ def test_per_n_path_never_sets_the_global_precision(monkeypatch, fib_pow2, fib_p
         mpmath.iv.prec = 20
     for a, b in (FIB_POW2, COMPLEX_PAIR):
         fam = sequences.FamilyInstance.build(
-            sequences.sequence_from_json(a), sequences.sequence_from_json(b), bits
+            sequences.sequence_from_json(a), sequences.sequence_from_json(b)
         )
-        D = bounds.field_degree(fam, bits)
+        D = bounds.field_degree(fam)
         consts = cubic.compute_constants(fam)
         for n in range(2, 13):
             rs = cubic.isolate_roots(fam, n, bits)
-            assert cubic.verify_root_approx(rs, fam).all_pass
-            assert cubic.verify_log_approx(rs, fam, consts, bits).all_pass
-            assert cubic.verify_root_diff(rs, fam, consts, bits).all_pass
+            assert cubic.verify_root_approx(rs).all_pass
+            assert cubic.verify_log_approx(rs, consts).all_pass
+            assert cubic.verify_root_diff(rs, consts).all_pass
             for s in solver.solve_bruteforce(fam, n, 50):
                 if s.y == 0:
                     continue
                 ue = units.unit_decompose(s.x, s.y, rs)
-                xi = units.xi_form(ue.j, fam.case_tag, n, ue.b1, ue.b2)
-                assert units.verify_xi_bound(xi, fam, consts, n, bits).ok
+                assert units.verify_xi_bound(ue, rs, consts).ok
         if (a, b) == FIB_POW2:
             assert D == 2 and consts == fib_pow2_consts
             for traced in probes:

@@ -116,7 +116,6 @@ def test_derived_values_do_not_depend_on_earlier_refinement():
     fam = FamilyInstance.build(
         RecurrentSequence.from_recurrence([1, -1, -1], [1, 2]),
         RecurrentSequence.from_recurrence([1, -2], [2]),
-        256,
     )
     numbers = []
     for seq in (fam.A, fam.B):
@@ -187,8 +186,8 @@ def test_modulus_tie_squares_each_root_once():
     assert algebraic._abs_square.cache_info().misses == 3
 
 
-def test_family_orders_roots(fib_seq, pow2_seq, bits):
-    fam = FamilyInstance.build(pow2_seq, fib_seq, bits)
+def test_family_orders_roots(fib_seq, pow2_seq):
+    fam = FamilyInstance.build(pow2_seq, fib_seq)
     # swapped input still puts the larger-modulus root on the B side
     assert fam.beta.as_fraction() == 2
     assert not fam.equal_modulus
@@ -203,21 +202,21 @@ def test_family_terms_and_coeffs(fib_pow2):
 
 
 @pytest.mark.parametrize("n_probe", [3, 12])
-def test_check_hypotheses(fib_pow2, bits, n_probe):
-    rep = check_hypotheses(fib_pow2, n_probe, bits)
+def test_check_hypotheses(fib_pow2, n_probe):
+    rep = check_hypotheses(fib_pow2, n_probe)
     assert rep.passed
     assert rep.first_n_all_pass == 1
     assert rep.bullet == "positive"
     assert rep.failures == ()
 
 
-def test_hypotheses_fail_outside_bullets(bits):
+def test_hypotheses_fail_outside_bullets():
     # adjacent Fibonacci-type terms violate A <= B - 2 at n = 1
     a = RecurrentSequence.from_recurrence([1, -1, -1], [1, 2])
     b = RecurrentSequence.from_recurrence([1, -1, -1], [2, 3])
-    fam = FamilyInstance.build(a, b, bits)
+    fam = FamilyInstance.build(a, b)
     assert fam.equal_modulus
-    rep = check_hypotheses(fam, 1, bits)
+    rep = check_hypotheses(fam, 1)
     assert [n for n, _ in rep.failures] == [1]
     assert not rep.passed
 

@@ -12,6 +12,7 @@ from split_thue.precision import (
 from split_thue.units import (
     KL_CONVENTION,
     NotAUnit,
+    UnitExponents,
     norm_form,
     regulator,
     ring_mul,
@@ -35,10 +36,10 @@ def test_kl_convention_complementary():
         assert {j, k, l} == {1, 2, 3}
 
 
-def test_regulator_pair_independence(rs20, bits):
-    r12 = regulator(rs20, (1, 2), bits)
-    r23 = regulator(rs20, (2, 3), bits)
-    r13 = regulator(rs20, (1, 3), bits)
+def test_regulator_pair_independence(rs20):
+    r12 = regulator(rs20, (1, 2))
+    r23 = regulator(rs20, (2, 3))
+    r13 = regulator(rs20, (1, 3))
     vals = [(r.inf + r.sup) / 2 for r in (r12, r23, r13)]
     spread = max(vals) - min(vals)
     assert spread < Fraction(1, 2**40)
@@ -229,9 +230,7 @@ def test_xi_bound_on_trivial_solutions(fib_pow2, fib_pow2_consts, bits):
         rs = isolate_roots(fib_pow2, n, bits)
         A, B = rs.A, rs.B
         for x, y in ((1, 0), (0, 1), (A, 1), (B, 1)):
-            ue = unit_decompose(x, y, rs)
-            xi = xi_form(ue.j, fib_pow2.case_tag, n, ue.b1, ue.b2)
-            rep = verify_xi_bound(xi, fib_pow2, fib_pow2_consts, n)
+            rep = verify_xi_bound(unit_decompose(x, y, rs), rs, fib_pow2_consts)
             assert rep.ok, (n, x, y, rep.value, rep.bound)
 
 
@@ -244,20 +243,34 @@ def test_xi_upper_rhs_is_a_lower_end(fib_pow2, fib_pow2_consts):
         assert 0 < coarse <= fine
 
 
-def test_xi_value_matches_computed_form(fib_pow2, rs20, fib_pow2_consts, bits):
+def test_xi_value_matches_computed_form(rs20, fib_pow2_consts):
     """The tabulated linear form must agree with the directly computed
     log-combination on a solution's exponents."""
-    A = rs20.A
-    ue = unit_decompose(A, 1, rs20)
-    xi = xi_form(2, fib_pow2.case_tag, 20, ue.b1, ue.b2)
-    assert verify_xi_bound(xi, fib_pow2, fib_pow2_consts, 20, bits).value < 1e-3
+    ue = unit_decompose(rs20.A, 1, rs20)
+    assert ue.j == 2
+    assert verify_xi_bound(ue, rs20, fib_pow2_consts).value < 1e-3
 
 
-def test_xi_bound_value_does_not_depend_on_the_global_precision(monkeypatch, fib_pow2, fib_pow2_consts):
-    # |xi_j| is taken at the requested precision, never at the global iv.prec
-    xi = xi_form(2, "strict", 20, 1, 3)
+def test_xi_bound_value_does_not_depend_on_the_global_precision(monkeypatch, rs20, fib_pow2_consts):
+    # |xi_j| is taken at the context's precision, never at the global iv.prec
+    ue = UnitExponents(2, 1, 3, 1)
     values = []
     for prec in (20, 53, 300):
         monkeypatch.setattr(iv, "prec", prec)
-        values.append(verify_xi_bound(xi, fib_pow2, fib_pow2_consts, 20).value)
+        values.append(verify_xi_bound(ue, rs20, fib_pow2_consts).value)
     assert values[0] == values[1] == values[2]
+
+
+def test_checks_at_n_read_the_context_precision(fib_pow2, fib_pow2_consts):
+    # the per-n logs are taken at the context's working precision, and so
+    # is |xi_j|: a 64-bit context encloses the same form no tighter
+    values = []
+    for bits in (64, 512):
+        rs = isolate_roots(fib_pow2, 1, bits)
+        assert rs.work_bits == bits and rs.bits > bits
+        logs = [v for v in rs.coeff_logs if v is not None]
+        assert len(logs) == 4 and all(v.prec == bits for v in logs)
+        ue = unit_decompose(7, 4, rs)
+        assert (ue.j, ue.b1, ue.b2) == (2, 0, 3)
+        values.append(verify_xi_bound(ue, rs, fib_pow2_consts).value)
+    assert values[0] >= values[1] > 0
