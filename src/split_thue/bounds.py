@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .algebraic import AlgebraicNumber, ComplexEnclosure, RealEnclosure, field_arith
 from .precision import WORKING_BITS, Interval, SplitThueError
-from .cubic import compute_constants
+from .cubic import closed_forms, combine, compute_constants
 from .sequences import FamilyInstance, dominant_logs
 
 
@@ -87,17 +87,20 @@ def lterm_sup(consts, d2: int, n: int, bits: int) -> Fraction:
 
 @lru_cache(maxsize=256)
 def regulator_bounds(fam: FamilyInstance, consts, n: int, bits: int):
-    """Closed-form enclosure (R_low, R_up) of the regulator at n, from the
-    log approximations with every coefficient log ranging over [-m, m]."""
+    """Closed-form enclosure (R_low, R_up) of the regulator at n: the rows
+    log|l1|, log|l1-A|, log|l2| and log|l2-A| of ``closed_forms``, each
+    coefficient log ranging over [-m, m], plus the error envelope e once per
+    row."""
     m = log_coeff_bound(fam, consts, n, bits)
     e = lterm_sup(consts, fam.d2, n, bits)
     _, _, la, lb = dominant_logs(fam, bits)
-    u1 = Interval.between(-(m + e), m + e, bits)
-    u2 = Interval.between(-(2 * m + e), 2 * m + e, bits)
-    x1 = n * lb + u1  # log|l1|
-    y1 = n * lb + u1  # log|l1 - A|
-    x2 = n * la + u1  # log|l2|
-    y2 = -n * (la + lb) - u2  # log|l2 - A|
+    rows = closed_forms(fam.equal_modulus)
+
+    def enclose(name):
+        k = sum(map(abs, rows[name][2:]))
+        return n * combine(rows[name][:2], (la, lb)) + Interval.between(-(k * m + e), k * m + e, bits)
+
+    x1, y1, x2, y2 = map(enclose, ("log|l1|", "log|l1-A|", "log|l2|", "log|l2-A|"))
     det = abs(x1 * y2 - x2 * y1)
     return max(Fraction(0), det.inf), det.sup
 

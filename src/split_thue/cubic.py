@@ -281,27 +281,58 @@ def compute_constants(fam: FamilyInstance) -> ApproxConstants:
     )
 
 
-def log_closed_forms(rs: CubicRootSet):
-    """The six closed forms for log|lambda_i| and log|lambda_i - A_n|."""
-    n = rs.n
-    la, lb, lcA, lcB, ldiff = rs.coeff_logs
-    cross = ldiff if rs.fam.equal_modulus else lcB
-    return {
-        "log|l1|": n * lb + lcB,
-        "log|l1-A|": n * lb + cross,
-        "log|l2|": n * la + lcA,
-        "log|l2-A|": -n * (la + lb) - lcA - cross,
-        "log|l3|": -n * (la + lb) - lcA - lcB,
-        "log|l3-A|": n * la + lcA,
+def _closed_form_rows(equal_modulus: bool):
+    """The rows of ``closed_forms``, from lambda1 ~ B_n, lambda2 ~ A_n +
+    1/(A_n (A_n - B_n)) and lambda3 ~ 1/(A_n B_n), with A_n ~ c_A alpha^n,
+    B_n ~ c_B beta^n, and B_n - A_n led by c_B beta^n, or by (c_B - c_A) beta^n
+    when |alpha| = |beta|."""
+    A, B = (1, 0, 1, 0, 0), (0, 1, 0, 1, 0)
+    D = (0, 1, 0, 0, 1) if equal_modulus else B  # B_n - A_n
+    rows = {
+        "l1": B, "l1-A": D, "l1-l2": D, "l1-l3": B,
+        "l2": A, "l2-A": tuple(-a - d for a, d in zip(A, D)), "l2-l3": A,
+        "l3": tuple(-a - b for a, b in zip(A, B)), "l3-A": A,
     }
+    rows.update({f"l{k}-l{i}": rows[f"l{i}-l{k}"] for i, k in ((1, 2), (1, 3), (2, 3))})
+    return {f"log|{name}|": row for name, row in rows.items()}
 
 
-def _root_log_values(rs: CubicRootSet):
-    out = {}
-    for name, la, laA in zip(("l1", "l2", "l3"), rs.log_abs, rs.log_abs_A):
-        out[f"log|{name}|"] = la
-        out[f"log|{name}-A|"] = laA
-    return out
+_CLOSED_FORMS = {eq: _closed_form_rows(eq) for eq in (False, True)}
+
+
+def closed_forms(equal_modulus: bool):
+    """The one model of the roots: log|lambda_i|, log|lambda_i - A_n| and
+    log|lambda_i - lambda_k| ("log|l1|", "log|l1-A|", "log|l1-l2|", ...) as
+    integer rows over (n log|alpha|, n log|beta|, log|c_A(n)|, log|c_B(n)|,
+    log|(c_B - c_A)(n)|), built once per case, at import."""
+    return _CLOSED_FORMS[equal_modulus]
+
+
+def combine(coeffs, logs, start=None):
+    """start plus the sum of c * v over the nonzero integer coefficients c,
+    left to right; c = +-1 adds or subtracts v with no multiplication."""
+    for c, v in zip(coeffs, logs):
+        if c:
+            term = v if abs(c) == 1 else abs(c) * v
+            if start is None:
+                start = term if c > 0 else -term
+            else:
+                start = start + term if c > 0 else start - term
+    return start
+
+
+_ROOT_LOGS = ("log|l1|", "log|l1-A|", "log|l2|", "log|l2-A|", "log|l3|", "log|l3-A|")
+
+
+def log_closed_forms(rs: CubicRootSet):
+    """The six closed forms for log|lambda_i| and log|lambda_i - A_n|, their
+    rows evaluated on the context's ``coeff_logs``."""
+    la, lb, *coeff = rs.coeff_logs
+    rows = closed_forms(rs.fam.equal_modulus)
+    return {
+        name: combine(rows[name][2:], coeff, rs.n * combine(rows[name][:2], (la, lb)))
+        for name in _ROOT_LOGS
+    }
 
 
 def verify_log_approx(rs: CubicRootSet, consts: ApproxConstants) -> ResidualReport:
@@ -310,7 +341,7 @@ def verify_log_approx(rs: CubicRootSet, consts: ApproxConstants) -> ResidualRepo
     n, bits = rs.n, rs.work_bits
     scale = Fraction(n) ** rs.fam.d2 * consts.eps**n
     bound = consts.C * scale
-    computed = _root_log_values(rs)
+    computed = dict(zip(_ROOT_LOGS, (v for pair in zip(rs.log_abs, rs.log_abs_A) for v in pair)))
     closed = log_closed_forms(rs)
     entries = []
     for name in computed:

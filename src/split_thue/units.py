@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebraic import refine_bracket
-from .cubic import CubicRootSet
+from .cubic import CubicRootSet, closed_forms, combine
 from .precision import (
     MAX_BITS,
     MIN_WORKING_BITS,
@@ -196,55 +196,25 @@ def siegel_gamma(x: int, y: int, rs: CubicRootSet, j: int):
 
 # -- transformed linear form xi_j ------------------------------------------
 
-XI_LABELS = ("log|alpha|", "log|beta|", "log|cA|", "log|cB|", "log|cB-cA|")
 
-
-@dataclass(frozen=True)
-class LinearFormXi:
-    j: int
-    case_tag: str  # "strict" | "equal_modulus"
-    n: int
-    b1: int
-    b2: int
-    terms: tuple  # of (label, integer coefficient)
-
-
-def xi_form(j: int, case_tag: str, n: int, b1: int, b2: int) -> LinearFormXi:
-    """Coefficient table of the transformed linear form for solution type j."""
-    if j not in (1, 2, 3):
+def xi_form(j: int, case_tag: str, n: int, b1: int, b2: int):
+    """The transformed linear form xi_j of a type-j solution with unit
+    exponents (b1, b2): Lambda = log|1 + gamma| of Siegel's identity, b1
+    log|l_l / l_k| + b2 log|(l_l - A_n) / (l_k - A_n)| + log|(l_j - l_k) /
+    (l_j - l_l)| with (k, l) = KL_CONVENTION[j], each log replaced by its row
+    of ``closed_forms``: five integer coefficients of ``coeff_logs``."""
+    if j not in KL_CONVENTION:
         raise ValueError("j must be 1, 2 or 3")
     if case_tag not in ("strict", "equal_modulus"):
         raise ValueError("unknown case tag")
-    ne = 1 if case_tag == "strict" else 0  # chi_{|alpha| != |beta|}
-    eq = 1 - ne
-    if j == 1:
-        coeffs = (
-            2 * n * (b1 - b2),
-            n * (b1 - b2),
-            2 * (b1 - b2),
-            b1 - ne * b2 + eq,
-            eq * (b2 + 1),
-        )
-    elif j == 2:
-        coeffs = (
-            n * (b1 - (b2 - 1)),
-            n * (2 * b1 + b2 - 1),
-            b1 - (b2 - 1),
-            2 * b1 + ne * (b2 - 1),
-            eq * (b2 - 1),
-        )
-    else:
-        # the published log|cB| row is ambiguous and drops a b1 term; the
-        # row below is re-derived from the log closed forms (it makes the
-        # form vanish on the trivial solution (0,1) as required)
-        coeffs = (
-            n * (b2 - (b1 - 1)),
-            n * (2 * b2 + b1 - 1),
-            b2 - (b1 - 1),
-            b1 + ne * (2 * b2) - 1,
-            eq * 2 * b2,
-        )
-    return LinearFormXi(j, case_tag, n, b1, b2, tuple(zip(XI_LABELS, coeffs)))
+    k, l = KL_CONVENTION[j]
+    rows = closed_forms(case_tag == "equal_modulus")
+    names = (f"l{l}", f"l{k}", f"l{l}-A", f"l{k}-A", f"l{j}-l{k}", f"l{j}-l{l}")
+    row = [
+        b1 * (ll - lk) + b2 * (llA - lkA) + jk - jl
+        for ll, lk, llA, lkA, jk, jl in zip(*(rows[f"log|{name}|"] for name in names))
+    ]
+    return (n * row[0], n * row[1], *row[2:])
 
 
 @lru_cache(maxsize=256)
@@ -283,14 +253,7 @@ def verify_xi_bound(ue: UnitExponents, rs: CubicRootSet, consts) -> XiBoundRepor
     solution."""
     fam, n, bits = rs.fam, rs.n, rs.work_bits
     xi = xi_form(ue.j, fam.case_tag, n, ue.b1, ue.b2)
-    logs = dict(zip(XI_LABELS, rs.coeff_logs))
-    value = Interval.of(0, bits)
-    for label, coeff in xi.terms:
-        if coeff == 0:
-            continue
-        if logs[label] is None:
-            raise SplitThueError(f"{label} term in a strict-case form")
-        value += coeff * logs[label]
+    value = combine(xi, rs.coeff_logs, Interval.of(0, bits))
     rhs = xi_upper_rhs(fam, consts, n, bits)
     sup = abs(value).sup
-    return XiBoundReport(xi.j, n, float(sup), float(rhs), sup <= rhs)
+    return XiBoundReport(ue.j, n, float(sup), float(rhs), sup <= rhs)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import iv
-from split_thue.cubic import isolate_roots
+from split_thue.cubic import compute_constants, isolate_roots
 from split_thue.precision import (
     Interval,
     PrecisionExhausted,
@@ -200,22 +200,63 @@ def test_siegel_gamma_small_for_solution(rs20):
     assert abs(lam).sup < Fraction(1, 10**10)
 
 
-def test_xi_form_vanishing_coefficients_on_trivial_solutions():
-    # each trivial solution's exponent vector must make its transformed
-    # form identically small; coefficient tables at those exponents:
+@pytest.mark.parametrize("case_tag", ["strict", "equal_modulus"])
+def test_xi_form_vanishing_coefficients_on_trivial_solutions(case_tag):
+    # each trivial solution with y != 0 makes its transformed form vanish
+    # identically: (B, 1) has type 1 and b = (-1, -1), (A, 1) type 2 and
+    # b = (0, 1), (0, 1) type 3 and b = (1, 0)
     n = 15
-    # type 1, (B,1): b = (-1, -1)
-    xi = xi_form(1, "strict", n, -1, -1)
-    assert all(c == 0 for _, c in xi.terms[:3])
-    # type 2, (A,1): b = (0, 1)
-    xi = xi_form(2, "strict", n, 0, 1)
-    assert all(c == 0 for _, c in xi.terms)
-    # type 3, (0,1): b = (1, 0)
-    xi = xi_form(3, "strict", n, 1, 0)
-    assert all(c == 0 for _, c in xi.terms)
+    for j, b1, b2 in ((1, -1, -1), (2, 0, 1), (3, 1, 0)):
+        assert xi_form(j, case_tag, n, b1, b2) == (0, 0, 0, 0, 0), (j, b1, b2)
     # type 1, (1,0): b = (0, 0)
     xi = xi_form(1, "strict", n, 0, 0)
-    assert all(c == 0 for _, c in xi.terms[:3])
+    assert all(c == 0 for c in xi[:3])
+
+
+def _xi_value(rs, j, b1, b2):
+    xi = xi_form(j, rs.fam.case_tag, rs.n, b1, b2)
+    return sum((c * v for c, v in zip(xi, rs.coeff_logs) if c), Interval.of(0, rs.work_bits))
+
+
+@pytest.mark.parametrize("family", ["fib_pow2", "pow2_equal_modulus"])
+def test_xi_form_is_the_closed_form_of_siegels_lambda(request, bits, family):
+    """xi_j against Lambda_j = b1 log|l_l / l_k| + b2 log|(l_l - A) / (l_k - A)|
+    + log|(l_j - l_k) / (l_j - l_l)|, built from the root context's logs and
+    root intervals alone: each of its 2|b1| + 2|b2| + 2 logs lies within the
+    lemma envelope C n^d2 eps^n of its closed form."""
+    fam = request.getfixturevalue(family)
+    consts = compute_constants(fam)
+    for n in (5, 12, 30, 60):
+        rs = isolate_roots(fam, n, bits)
+        w = rs.work_bits
+        lam = [v.at(w) for v in rs.ivs]
+        log_abs = [v.at(w) for v in rs.log_abs]
+        log_abs_A = [v.at(w) for v in rs.log_abs_A]
+        envelope = consts.C * Fraction(n) ** fam.d2 * consts.eps**n
+        for j, (k, l) in KL_CONVENTION.items():
+            j_, k_, l_ = j - 1, k - 1, l - 1
+            log_diff = abs(lam[j_] - lam[k_]).log() - abs(lam[j_] - lam[l_]).log()
+            for b1 in range(-4, 5):
+                for b2 in range(-4, 5):
+                    lam_j = (
+                        b1 * (log_abs[l_] - log_abs[k_])
+                        + b2 * (log_abs_A[l_] - log_abs_A[k_])
+                        + log_diff
+                    )
+                    residual = abs(lam_j - _xi_value(rs, j, b1, b2)).sup
+                    assert residual <= (2 * abs(b1) + 2 * abs(b2) + 2) * envelope, (n, j, b1, b2)
+
+
+@pytest.mark.parametrize("case_tag", ["strict", "equal_modulus"])
+def test_xi_form_coefficients_within_the_exponent_bound(case_tag):
+    # bounds.exponent_bound_B covers the form's coefficients by 4 n (B + 1)
+    # for a bound B on max(|b1|, |b2|)
+    for n in (1, 2, 7, 60):
+        for j in (1, 2, 3):
+            for b1 in range(-6, 7):
+                for b2 in range(-6, 7):
+                    cap = 4 * n * (max(abs(b1), abs(b2)) + 1)
+                    assert all(abs(c) <= cap for c in xi_form(j, case_tag, n, b1, b2)), (n, j, b1, b2)
 
 
 def test_xi_form_rejects_bad_input():
