@@ -8,6 +8,7 @@ import csv
 import io
 import json
 import sys
+from collections import namedtuple
 
 from . import bounds, cubic, solver
 from .precision import MAX_BITS, MIN_WORKING_BITS, WORKING_BITS, PrecisionExhausted, SplitThueError
@@ -26,7 +27,7 @@ class ConfigError(SplitThueError):
 
 
 def load_config(args) -> dict:
-    """Read the family config from a path or stdin and fold in CLI flags."""
+    """Read the family config from a path or stdin and fold in the command's flags."""
     if args.config and args.config != "-":
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -44,43 +45,40 @@ def load_config(args) -> dict:
     for key in ("A", "B"):
         if key not in data:
             raise ConfigError(f"config is missing the '{key}' sequence spec")
-    opts = data.get("options", {})
-    if not isinstance(opts, dict):
+    data.setdefault("name", "unnamed-family")
+    if not isinstance(data["name"], str):
+        raise ConfigError("name must be a string")
+    given = data.get("options", {})
+    if not isinstance(given, dict):
         raise ConfigError("options must be a JSON object")
-    opts = dict(opts)
-    defaults = {"n_lo": 1, "n_hi": 10, "y_max": 100, "working_bits": WORKING_BITS, "n_cap": 10**7}
-    for key, val in defaults.items():
-        opts.setdefault(key, val)
-    for flag, key in (
-        ("n_lo", "n_lo"), ("n_hi", "n_hi"), ("y_max", "y_max"),
-        ("bits", "working_bits"), ("n_cap", "n_cap"),
-    ):
-        val = getattr(args, flag, None)
-        if val is not None:
-            opts[key] = val
-    for key, val in opts.items():
+    unknown = sorted(given.keys() - DEFAULTS.keys())
+    if unknown:
+        raise ConfigError("unknown option " + ", ".join(unknown))
+    opts = {}
+    for key in COMMANDS[args.command].keys:
+        flag = getattr(args, key)
+        opts[key] = val = given.get(key, DEFAULTS[key]) if flag is None else flag
         if not isinstance(val, int) or isinstance(val, bool) or val <= 0:
             raise ConfigError(f"option {key} must be a positive integer")
-    if opts["working_bits"] < MIN_WORKING_BITS:
+    if opts.get("working_bits", WORKING_BITS) < MIN_WORKING_BITS:
         raise ConfigError(f"option working_bits must be at least {MIN_WORKING_BITS}")
-    if opts["working_bits"] > MAX_BITS:
+    if opts.get("working_bits", WORKING_BITS) > MAX_BITS:
         raise ConfigError(f"option working_bits must be at most {MAX_BITS}")
-    if opts["n_lo"] > opts["n_hi"]:
+    if "n_lo" in opts and opts["n_lo"] > opts["n_hi"]:
         raise ConfigError("n_lo must not exceed n_hi")
     data["options"] = opts
-    data.setdefault("name", "unnamed-family")
     return data
 
 
 def build_family(config, args):
-    """The family and the working precision of a loaded config; ``args`` is
-    unused, since ``load_config`` has already folded the flags in."""
+    """The family of a loaded config and its working precision, None for a
+    command that takes none; ``load_config`` has folded the flags in."""
     try:
         A = sequence_from_json(config["A"])
         B = sequence_from_json(config["B"])
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad sequence spec: {exc}") from exc
-    return FamilyInstance.build(A, B), config["options"]["working_bits"]
+    return FamilyInstance.build(A, B), config["options"].get("working_bits")
 
 
 def _num(x):
@@ -215,7 +213,7 @@ def cmd_bounds(config, args):
         "flags": ["c5-inverted-in-upper-bound"],
     }
     if fam.equal_modulus:
-        hyp = check_hypotheses(fam, min(opts["n_hi"], 20))
+        hyp = check_hypotheses(fam, 20)
         report["equal_case_condition"] = hyp.equal_case_condition
     code = EXIT_OK if not res.no_crossing else EXIT_BOUND
     return report, code
@@ -268,6 +266,18 @@ def residuals_csv(report) -> str:
     return out.getvalue()
 
 
+Command = namedtuple("Command", "run help keys outputs")
+# the flag of a config key is the key with dashes, except --bits for working_bits
+COMMANDS = {
+    "verify": Command(cmd_verify, "hypothesis checks, lemma residuals and brute-force solving",
+                      ("n_lo", "n_hi", "y_max", "working_bits"), ("json_out", "md_out", "csv_out")),
+    "bounds": Command(cmd_bounds, "effective bound chain and the threshold n0", ("n_cap",), ("json_out", "md_out")),
+    "solve": Command(cmd_solve, "brute-force solving only", ("n_lo", "n_hi", "y_max"), ("json_out", "md_out")),
+}
+DEFAULTS = {"n_lo": 1, "n_hi": 10, "y_max": 100, "working_bits": WORKING_BITS, "n_cap": 10**7}
+RENDERERS = {"json_out": to_canonical_json, "md_out": to_markdown, "csv_out": residuals_csv}
+
+
 def make_parser():
     parser = argparse.ArgumentParser(
         prog="split-thue",
@@ -275,25 +285,21 @@ def make_parser():
         "trivial-only solutions for split families of cubic Thue equations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("verify", "hypothesis checks, lemma residuals and brute-force solving"),
-        ("bounds", "effective bound chain and the threshold n0"),
-        ("solve", "brute-force solving only"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("config", nargs="?", help="family config JSON path (default: stdin)")
-        p.add_argument("--n-lo", dest="n_lo", type=int)
-        p.add_argument("--n-hi", dest="n_hi", type=int)
-        p.add_argument("--y-max", dest="y_max", type=int)
-        p.add_argument("--bits", dest="bits", type=int)
-        p.add_argument("--n-cap", dest="n_cap", type=int)
-        p.add_argument("--json-out", dest="json_out")
-        p.add_argument("--md-out", dest="md_out")
-        p.add_argument("--csv-out", dest="csv_out")
+        for dest in command.keys + command.outputs:
+            flag = "--bits" if dest == "working_bits" else "--" + dest.replace("_", "-")
+            p.add_argument(flag, dest=dest, type=int if dest in command.keys else None)
     return parser
 
 
-COMMANDS = {"verify": cmd_verify, "bounds": cmd_bounds, "solve": cmd_solve}
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def main(argv=None) -> int:
@@ -304,7 +310,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         config = load_config(args)
-        report, code = COMMANDS[args.command](config, args)
+        report, code = COMMANDS[args.command].run(config, args)
+        for dest in COMMANDS[args.command].outputs:
+            path = getattr(args, dest)
+            if path:
+                _write(path, RENDERERS[dest](report))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -318,18 +328,8 @@ def main(argv=None) -> int:
         # e.g. NotAUnit, UndecidedComparison, InconsistentModel
         print(f"not certified: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    payload = to_canonical_json(report)
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-    if args.md_out:
-        with open(args.md_out, "w", encoding="utf-8") as fh:
-            fh.write(to_markdown(report))
-    if args.csv_out:
-        with open(args.csv_out, "w", encoding="utf-8") as fh:
-            fh.write(residuals_csv(report))
+    if not args.json_out:
+        sys.stdout.write(to_canonical_json(report))
     return code
 
 

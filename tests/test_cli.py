@@ -88,20 +88,43 @@ def test_equal_modulus_n0(capsys):
 
 
 @pytest.mark.parametrize(
-    "config, cap",
-    [(EXAMPLE_CONFIG, 10**25), (EQUAL_MODULUS_CONFIG, 10**40)],
-    ids=["fib-pow2", "equal-modulus"],
+    "argv, want, keys",
+    [
+        (["verify", EXAMPLE_CONFIG], cli.EXIT_OK, ["n_hi", "n_lo", "working_bits", "y_max"]),
+        (["solve", EXAMPLE_CONFIG], cli.EXIT_OK, ["n_hi", "n_lo", "y_max"]),
+        (["bounds", EXAMPLE_CONFIG, "--n-cap", "10000"], cli.EXIT_BOUND, ["n_cap"]),
+    ],
+    ids=["verify", "solve", "bounds"],
 )
-def test_bounds_does_not_depend_on_the_working_precision(capsys, config, cap):
-    # the chain and the family constants run at fixed precisions, so --bits
-    # changes only the config echo
-    reports = []
-    for bits in ("64", "256"):
-        code, report = run(["bounds", config, "--n-cap", str(cap), "--bits", bits], capsys)
-        assert code == cli.EXIT_OK
-        del report["config"]
-        reports.append(report)
-    assert reports[0] == reports[1]
+def test_each_command_echoes_only_its_options(capsys, argv, want, keys):
+    # the shipped config sets all five options; each command ignores the
+    # ones it does not take
+    code, report = run(argv, capsys)
+    assert code == want
+    assert list(report["config"]["options"]) == keys
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("solve", "--bits", "256"),
+        ("solve", "--n-cap", "10000"),
+        ("solve", "--csv-out", "r.csv"),
+        ("bounds", "--n-lo", "2"),
+        ("bounds", "--n-hi", "8"),
+        ("bounds", "--y-max", "50"),
+        ("bounds", "--bits", "256"),
+        ("bounds", "--csv-out", "r.csv"),
+        ("verify", "--n-cap", "10000"),
+    ],
+)
+def test_flag_the_command_does_not_take_is_usage_error(tmp_path, capsys, command, flag, value):
+    argv = [command, EXAMPLE_CONFIG, flag, str(tmp_path / value) if flag == "--csv-out" else value]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def _assert_hypothesis_violation(path, capsys, message):
@@ -314,7 +337,7 @@ def test_option_validation(config_path, capsys):
 
 
 def test_bits_below_minimum_is_usage_error(config_path, capsys):
-    assert cli.main(["solve", config_path, "--bits", "10"]) == cli.EXIT_USAGE
+    assert cli.main(["verify", config_path, "--bits", "10"]) == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: option working_bits must be at least 64\n"
@@ -322,7 +345,7 @@ def test_bits_below_minimum_is_usage_error(config_path, capsys):
 
 def test_bits_above_cap_is_usage_error(config_path, capsys):
     # refinement doubles up to 2^14 bits, so a larger working precision is refused
-    assert cli.main(["solve", config_path, "--bits", str(2**14 + 1)]) == cli.EXIT_USAGE
+    assert cli.main(["verify", config_path, "--bits", str(2**14 + 1)]) == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: option working_bits must be at most 16384\n"
@@ -410,6 +433,8 @@ def test_boolean_option_is_usage_error(tmp_path, capsys):
         (dict(CONFIG, options=None), "options must be a JSON object"),
         ([CONFIG], "config must be a JSON object"),
         (3, "config must be a JSON object"),
+        (dict(CONFIG, options={"n_lo": 2, "ymax": 5}), "unknown option ymax"),
+        (dict(CONFIG, name=["x"]), "name must be a string"),
     ],
 )
 def test_non_object_config_is_usage_error(tmp_path, capsys, config, message):
@@ -428,40 +453,40 @@ PINNED_REPORTS = {
     "solve-fib-pow2": (
         ["solve", EXAMPLE_CONFIG, "--n-lo", "2", "--n-hi", "12", "--y-max", str(10**30)],
         cli.EXIT_OK,
-        ("bbb7c254efbbbab1fd06d31537f906b508ea87813e83aa93a104b090bf56c213",),
+        ("fb8422283ea036cb14b15575495b7233000de34abadd1496cf563bc1bf8715d9",),
     ),
     "verify-fib-pow2": (
         ["verify", EXAMPLE_CONFIG, "--n-lo", "2", "--n-hi", "60", "--y-max", "50", "--bits", "512"],
         cli.EXIT_OK,
         (
-            "eaf6a51ef4d2312474a5c4c4f430261f05c8f40d5d62bf31f9a71312f1c033f9",
-            "e1e174f2f30bbbb30fa0769ba41f513b240b270cdc8ae3760ac9695682e64053",
+            "c03b4f021c9d0ffed8db9d82787cfa83a156bf75be972bdaf4473fdba00f7a1c",
+            "bd7e111f7cf5d5adb16cfe45f756f12acb8a4c4254605d49fcfcf6398d500fd7",
             "63ee65201f15cb4694a935e4a2caf0a76bef17242f483b06abef7fa97958e9f1",
         ),
     ),
     "bounds-fib-pow2-cap-1e19": (
         ["bounds", EXAMPLE_CONFIG, "--n-cap", str(10**19)],
         cli.EXIT_BOUND,
-        ("ded6c7984bc3b66632a71be7de9b143512980781130bf2d60902f0629e3fd34d",),
+        ("d44fb15120aca66c4eaab695ea776beb44a4dc7c4f876d1438b345b406ef2607",),
     ),
     "bounds-fib-pow2-cap-1e25": (
         ["bounds", EXAMPLE_CONFIG, "--n-cap", str(10**25)],
         cli.EXIT_OK,
-        ("48aa5d58f7962d81c6dd6c2e0f940120cdc9671e2e420fa2ce8387e6ea352d80",),
+        ("7287043efa9bff7a0439ac5931e15ed2f8a9589bd0559e01f40fde27841a1715",),
     ),
     "verify-equal-modulus": (
         ["verify", EQUAL_MODULUS_CONFIG, "--n-lo", "2", "--n-hi", "40", "--y-max", "50", "--bits", "512"],
         cli.EXIT_OK,
         (
-            "35cc29a2e941d6b62a2cabfd35e2c68c687db823ce364f7847c4aad4c4190183",
-            "1ac7d3c4599bf24c0a03fcc1521b1e013b46c6e4674063d6a5a5378e708734ab",
+            "9ba706246f141c377e2062c7f48dbed3479f7b20dcaddf333cff99a81eda3d15",
+            "0b21444b825a2bf4cca8d105c80829235fbebde9ddd9ecbdadf4b09171ea2787",
             "39f62457f011e6ed2bb8fb4bed578fc7a292f162945b947c39ed7e1b33c415d4",
         ),
     ),
     "bounds-equal-modulus-cap-1e40": (
         ["bounds", EQUAL_MODULUS_CONFIG, "--n-cap", str(10**40)],
         cli.EXIT_OK,
-        ("728f6450af5f218477657cda3be57818621b00266951cebb837584f61e064998",),
+        ("a43bfea5c9d901d97262d220c34160ebf26ab79a8c62d5e8e61478cdfc9c9beb",),
     ),
 }
 
@@ -524,9 +549,9 @@ STEEP_COEFFICIENT = {
 @pytest.mark.parametrize("command, want", [("verify", cli.EXIT_HYPOTHESIS), ("bounds", cli.EXIT_BOUND)])
 def test_steep_coefficient_family_is_decided_quickly(tmp_path, capsys, command, want):
     p = tmp_path / "steep.json"
-    p.write_text(json.dumps(STEEP_COEFFICIENT))
+    p.write_text(json.dumps(dict(STEEP_COEFFICIENT, options={"n_hi": 3})))
     start = time.perf_counter()
-    assert cli.main([command, str(p), "--n-hi", "3"]) == want
+    assert cli.main([command, str(p)]) == want
     assert time.perf_counter() - start < 10
     capsys.readouterr()
 
@@ -555,6 +580,15 @@ def test_output_files(config_path, tmp_path, capsys):
     assert md.startswith("# split-thue verify report")
     header = c.read_text().splitlines()[0]
     assert header == "n,name,residual,bound,ratio,ok"
+
+
+@pytest.mark.parametrize("flag", ["--json-out", "--md-out", "--csv-out"])
+def test_unwritable_output_path_is_usage_error(config_path, tmp_path, capsys, flag):
+    path = tmp_path / "missing" / "r.md"
+    assert cli.main(["verify", config_path, flag, str(path)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {path}: No such file or directory\n"
 
 
 def test_deterministic_json(config_path, tmp_path, capsys):
