@@ -1,7 +1,8 @@
 """Certified arithmetic on real and complex algebraic numbers.
 
 An algebraic number is stored as its primitive integer minimal polynomial
-together with a rational-endpoint box isolating exactly one root.  The exact
+together with an :class:`Enclosure`, the one exact box type: a
+rational-endpoint box isolating exactly one root, real or complex.  The exact
 polynomial kernel is here too: root isolation certified on exact Newton
 squares, composed sums and products from power sums, and factoring over the
 integers by root subsets.  Enclosures are :class:`Interval` values for real
@@ -24,7 +25,6 @@ import mpmath
 from mpmath.libmp import NoConvergence
 
 from .precision import (
-    MAX_BITS,
     WORKING_BITS,
     Box,
     Interval,
@@ -32,68 +32,56 @@ from .precision import (
     SplitThueError,
     UndecidedComparison,
     _raw_to_fraction,
+    ladder,
 )
 
 
-class DivisionByZero(SplitThueError):
-    pass
-
-
 @dataclass(frozen=True)
-class RealEnclosure:
+class Enclosure:
+    """The exact box [lo, hi] + i [im_lo, im_hi]: a real interval when
+    ``im_lo == 0 == im_hi``."""
+
     lo: Fraction
     hi: Fraction
+    im_lo: Fraction = 0
+    im_hi: Fraction = 0
 
     @property
     def is_real(self):
-        return True
+        return self.im_lo == 0 == self.im_hi
 
     def width(self):
-        return self.hi - self.lo
+        return max(self.hi - self.lo, self.im_hi - self.im_lo)
 
     def mid(self):
+        """The midpoint of the real part."""
         return (self.lo + self.hi) / 2
 
     def intersects(self, other):
-        if isinstance(other, ComplexEnclosure):
-            return other.intersects(self)
-        return self.lo <= other.hi and other.lo <= self.hi
-
-    def as_iv(self, bits):
-        return Interval.between(self.lo, self.hi, bits)
-
-
-@dataclass(frozen=True)
-class ComplexEnclosure:
-    re_lo: Fraction
-    re_hi: Fraction
-    im_lo: Fraction
-    im_hi: Fraction
-
-    @property
-    def is_real(self):
-        return False
-
-    def width(self):
-        return max(self.re_hi - self.re_lo, self.im_hi - self.im_lo)
-
-    def intersects(self, other):
-        if isinstance(other, RealEnclosure):
-            other = ComplexEnclosure(other.lo, other.hi, Fraction(0), Fraction(0))
         return (
-            self.re_lo <= other.re_hi
-            and other.re_lo <= self.re_hi
+            self.lo <= other.hi
+            and other.lo <= self.hi
             and self.im_lo <= other.im_hi
             and other.im_lo <= self.im_hi
         )
 
     def conjugate(self):
-        return ComplexEnclosure(self.re_lo, self.re_hi, -self.im_hi, -self.im_lo)
+        return Enclosure(self.lo, self.hi, -self.im_hi, -self.im_lo)
+
+    def scaled(self, k):
+        """The box of k z for z in this box and an int k."""
+        lo, hi, im_lo, im_hi = (k * v for v in (self.lo, self.hi, self.im_lo, self.im_hi))
+        if k < 0:
+            lo, hi, im_lo, im_hi = hi, lo, im_hi, im_lo
+        return Enclosure(lo, hi, im_lo, im_hi)
 
     def as_iv(self, bits):
-        re = Interval.between(self.re_lo, self.re_hi, bits)
-        im = Interval.between(self.im_lo, self.im_hi, bits)
-        return Box((re._mpi_, im._mpi_), bits)
+        """The box rounded outward to ``bits``: an Interval when it is real,
+        else a Box."""
+        re = Interval.between(self.lo, self.hi, bits)
+        if self.is_real:
+            return re
+        return Box((re._mpi_, Interval.between(self.im_lo, self.im_hi, bits)._mpi_), bits)
 
 
 def _normalize_coeffs(coeffs):
@@ -128,8 +116,7 @@ def _coarse_boxes(coeffs):
     certificate holds.
     """
     d = len(coeffs) - 1
-    K = 32
-    while K <= MAX_BITS:
+    for K in ladder(32):
         unit = 1 << K
         try:
             with mpmath.workprec(K + 16):
@@ -147,12 +134,11 @@ def _coarse_boxes(coeffs):
             if step is None:
                 break
             R = step[0]
-            square = ComplexEnclosure(re - R, re + R, im - R, im + R)
+            square = Enclosure(re - R, re + R, im - R, im + R)
             squares += [square] if im == 0 else [square.conjugate(), square]
         if len(squares) == d and not any(a.intersects(b) for a, b in combinations(squares, 2)):
-            return tuple(RealEnclosure(s.re_lo, s.re_hi) if s.im_lo < 0 < s.im_hi else s for s in squares)
-        K *= 2
-    raise PrecisionExhausted("root isolation did not separate the roots")
+            return tuple(Enclosure(s.lo, s.hi) if s.im_lo < 0 < s.im_hi else s for s in squares)
+    raise PrecisionExhausted(f"root isolation did not separate the roots at {K} bits")
 
 
 @lru_cache(maxsize=1024)
@@ -160,7 +146,7 @@ def _isolate_all(coeffs, eps_bits):
     """All roots of a squarefree integer polynomial as pairwise-disjoint
     exact boxes of width <= 2^-eps_bits.
 
-    Real roots come first, ascending, as RealEnclosures; then the complex
+    Real roots come first, ascending, as real Enclosures; then the complex
     roots by real part, each conjugate pair with the negative imaginary
     part first.  A degree-1 polynomial gives its exact root.  The coarse
     boxes of :func:`_coarse_boxes` are refined by :func:`refine_bracket`
@@ -169,7 +155,7 @@ def _isolate_all(coeffs, eps_bits):
     """
     if len(coeffs) == 2:
         root = Fraction(-coeffs[1], coeffs[0])
-        return (RealEnclosure(root, root),)
+        return (Enclosure(root, root),)
     coarse = _coarse_boxes(coeffs)
     target = Fraction(1, 1 << eps_bits)
     out = []
@@ -267,7 +253,7 @@ def _refine_grid(F, lo, hi, f_lo, f_hi):
 
 
 def refine_bracket(coeffs, box, width):
-    """Shrink ``box``, a RealEnclosure isolating one simple root of the
+    """Shrink ``box``, a real Enclosure isolating one simple root of the
     integer polynomial ``coeffs`` (opposite nonzero signs at its ends, no
     other root inside), to width <= ``width`` inside the old box.
 
@@ -289,13 +275,13 @@ def refine_bracket(coeffs, box, width):
     neg_lo = poly_eval_sign(coeffs, lo) < 0
     if v_a == 0 or v_b == 0:
         point = Fraction(a if v_a == 0 else b, scale)
-        return RealEnclosure(point, point)
+        return Enclosure(point, point)
     if (v_a < 0) != neg_lo:
-        return RealEnclosure(lo, Fraction(a, scale))
+        return Enclosure(lo, Fraction(a, scale))
     if (v_b < 0) == neg_lo:
-        return RealEnclosure(Fraction(b, scale), hi)
+        return Enclosure(Fraction(b, scale), hi)
     a, b = _refine_grid(F, a, b, v_a, v_b)
-    return RealEnclosure(Fraction(a, scale), Fraction(b, scale))
+    return Enclosure(Fraction(a, scale), Fraction(b, scale))
 
 
 def root_separation_lower(coeffs):
@@ -318,7 +304,7 @@ class AlgebraicNumber:
     an isolating rational box."""
 
     min_poly: tuple
-    enclosure: object  # RealEnclosure or ComplexEnclosure
+    enclosure: Enclosure
 
     def __post_init__(self):
         object.__setattr__(self, "min_poly", _normalize_coeffs(self.min_poly))
@@ -328,7 +314,7 @@ class AlgebraicNumber:
     @classmethod
     def from_rational(cls, value):
         value = Fraction(value)
-        return cls((value.denominator, -value.numerator), RealEnclosure(value, value))
+        return cls((value.denominator, -value.numerator), Enclosure(value, value))
 
     # -- basic structure ---------------------------------------------------
 
@@ -394,7 +380,7 @@ class AlgebraicNumber:
             return Interval.of(self.as_fraction(), bits + 8).at(bits)
         box = self.enclosure
         scale = max(
-            abs(box.mid() if box.is_real else box.re_lo + box.re_hi), Fraction(1)
+            abs(box.mid() if box.is_real else box.lo + box.hi), Fraction(1)
         )
         return self.refined(scale * Fraction(1, 2**bits)).as_iv(bits + 8).at(bits)
 
@@ -405,15 +391,14 @@ class AlgebraicNumber:
         d = self.degree
         lead = self.min_poly[0]
         target = Fraction(1, 2 ** (bits // 2))
-        while bits <= MAX_BITS:
-            total = Interval.of(lead, bits).log()
-            for box in _isolate_all(self.min_poly, bits):
-                total += _log_plus(abs(box.as_iv(bits)))
+        for p in ladder(bits):
+            total = Interval.of(lead, p).log()
+            for box in _isolate_all(self.min_poly, p):
+                total += _log_plus(abs(box.as_iv(p)))
             result = total / d
             if result.sup - result.inf <= target:
                 return result
-            bits *= 2
-        raise PrecisionExhausted("height enclosure did not converge")
+        raise PrecisionExhausted(f"height enclosure did not converge at {p} bits")
 
     # -- arithmetic --------------------------------------------------------
 
@@ -422,12 +407,7 @@ class AlgebraicNumber:
             return AlgebraicNumber.from_rational(-self.as_fraction())
         d = self.degree
         coeffs = [c if (d - i) % 2 == 0 else -c for i, c in enumerate(self.min_poly)]
-        box = self.enclosure
-        if box.is_real:
-            nbox = RealEnclosure(-box.hi, -box.lo)
-        else:
-            nbox = ComplexEnclosure(-box.re_hi, -box.re_lo, -box.im_hi, -box.im_lo)
-        return AlgebraicNumber(coeffs, nbox)
+        return AlgebraicNumber(coeffs, self.enclosure.scaled(-1))
 
     def __add__(self, other):
         return field_arith(self, _coerce(other), "add")
@@ -447,12 +427,6 @@ class AlgebraicNumber:
     def __rmul__(self, other):
         return field_arith(_coerce(other), self, "mul")
 
-    def __truediv__(self, other):
-        return field_arith(self, _coerce(other), "div")
-
-    def __rtruediv__(self, other):
-        return field_arith(_coerce(other), self, "div")
-
 
 @lru_cache(maxsize=1024)
 def _refined(min_poly, box, width):
@@ -470,8 +444,7 @@ def _refined(min_poly, box, width):
 def _refine_complex(min_poly, box, width):
     """Exact Newton steps certified by :func:`_newton_box` against the
     other roots' isolating boxes, which are refined when they fail."""
-    eps_bits = 64
-    while eps_bits <= MAX_BITS:
+    for eps_bits in ladder(64):
         boxes = _isolate_all(min_poly, eps_bits)
         hits = [b for b in boxes if b.intersects(box)]
         if len(hits) == 1:
@@ -482,8 +455,7 @@ def _refine_complex(min_poly, box, width):
             box = hits[0]
             if box.width() <= width:
                 return box
-        eps_bits *= 2
-    raise PrecisionExhausted("complex enclosure refinement failed")
+    raise PrecisionExhausted(f"complex enclosure refinement failed at {eps_bits} bits")
 
 
 def _coerce(value):
@@ -513,24 +485,22 @@ def abs_compare(x, y, bits=WORKING_BITS):
     Two rationals compare exactly.  When the moduli's intervals overlap at
     the working precision, a tie is decided exactly: x = y or x = -y for
     real x and y, |x|^2 = |y|^2 otherwise.  Past that the moduli are
-    refined at precision doubling from ``bits``; UndecidedComparison is
-    raised past MAX_BITS.
+    refined up :func:`ladder` from ``bits``; UndecidedComparison is raised
+    when its last precision leaves them overlapping.
     """
     x, y = _coerce(x), _coerce(y)
     if x.is_rational and y.is_rational:
         a, b = abs(x.as_fraction()), abs(y.as_fraction())
         return (a > b) - (a < b)
-    start = bits
-    while bits <= MAX_BITS:
-        a, b = abs(x.approx(bits)), abs(y.approx(bits))
+    for p in ladder(bits):
+        a, b = abs(x.approx(p)), abs(y.approx(p))
         if a.sup < b.inf:
             return -1
         if a.inf > b.sup:
             return 1
-        if bits == start and _moduli_tie(x, y):
+        if p == bits and _moduli_tie(x, y):
             return 0
-        bits *= 2
-    raise UndecidedComparison(f"interval comparison undecided at {MAX_BITS} bits")
+    raise UndecidedComparison(f"interval comparison undecided at {p} bits")
 
 
 def _moduli_tie(x, y):
@@ -581,7 +551,7 @@ def _newton_box(coeffs, start, others, target):
     """
     K = target.denominator.bit_length() - target.numerator.bit_length() + 16
     unit = 2**K
-    re = (start.re_lo + start.re_hi) / 2
+    re = start.mid()
     im = (start.im_lo + start.im_hi) / 2
     for _ in range(2 * K.bit_length() + 8):
         step = _newton_step(coeffs, re, im, unit)
@@ -589,7 +559,7 @@ def _newton_box(coeffs, start, others, target):
             return None
         R, next_re, next_im = step
         if 2 * R <= target:
-            square = ComplexEnclosure(re - R, re + R, im - R, im + R)
+            square = Enclosure(re - R, re + R, im - R, im + R)
             if not any(square.intersects(b) for b in others):
                 return square
         re, im = next_re, next_im
@@ -713,13 +683,11 @@ def _factor_squarefree(f):
     """
     d = len(f) - 1
     bound = 2 + max(abs(c) for c in f) // f[0]  # > |root| (Cauchy)
-    bits = 32 + f[0].bit_length() + d * (bound.bit_length() + 1)
-    while bits <= MAX_BITS:
+    for bits in ladder(32 + f[0].bit_length() + d * (bound.bit_length() + 1)):
         factors = _split_by_roots(f, _isolate_all(f, bits), bits)
         if factors is not None:
             return factors
-        bits *= 2
-    raise PrecisionExhausted("factoring needs more than the precision cap")
+    raise PrecisionExhausted(f"factoring needs more than {bits} bits")
 
 
 def _split_by_roots(f, boxes, bits):
@@ -763,8 +731,8 @@ def _round_factor(f, roots, bits):
     rounded to integers and made primitive: () when some coefficient's
     enclosure holds no integer, None when one holds more than one."""
     lc = f[0]
-    lo = lc * sum(b.lo if b.is_real else b.re_lo for b in roots)
-    hi = lc * sum(b.hi if b.is_real else b.re_hi for b in roots)
+    lo = lc * sum(b.lo for b in roots)
+    hi = lc * sum(b.hi for b in roots)
     if math.floor(hi) < math.ceil(lo):
         return ()
     prod = [Interval.of(lc, bits + 32)]
@@ -813,24 +781,16 @@ def _resultant_poly(a_coeffs, b_coeffs, op):
     return tuple(_factor_squarefree(_squarefree_part(_composed_poly(a_coeffs, b_coeffs, op))))
 
 
-def field_arith(a, b, op, bits=WORKING_BITS):
+def field_arith(a, b, op):
     """Exact algebraic arithmetic: result has its own minimal polynomial.
 
     The result polynomial is found via resultants; the designated root is the
     unique candidate compatible with interval arithmetic on the operands.
     """
-    if op not in ("add", "sub", "mul", "div"):
+    if op not in ("add", "sub", "mul"):
         raise ValueError(f"unknown op {op!r}")
     if op == "sub":
-        return field_arith(a, -b, "add", bits)
-    if op == "div":
-        if b.is_zero:
-            raise DivisionByZero("division by zero algebraic number")
-        if b.is_rational:
-            return field_arith(a, AlgebraicNumber.from_rational(1 / b.as_fraction()), "mul", bits)
-        inv_coeffs = _normalize_coeffs(tuple(reversed(b.min_poly)))
-        b_inv = _designate_from_iv((inv_coeffs,), lambda p: 1 / b.approx(p), bits)
-        return field_arith(a, b_inv, "mul", bits)
+        return field_arith(a, -b, "add")
 
     # rational fast paths
     if a.is_rational and b.is_rational:
@@ -842,28 +802,22 @@ def field_arith(a, b, op, bits=WORKING_BITS):
 
     candidates = _resultant_poly(a.min_poly, b.min_poly, op)
     f = operator.add if op == "add" else operator.mul
-    return _designate_from_iv(candidates, lambda p: f(a.approx(p), b.approx(p)), bits)
+    return _designate_from_iv(candidates, lambda p: f(a.approx(p), b.approx(p)))
 
 
 def _designate_from_iv(candidate_polys, value_fn, bits=WORKING_BITS):
     """Select the unique (factor, root) pair compatible with the Interval or
-    Box ``value_fn(p)``, at precision p doubling from ``bits``."""
-    while bits <= MAX_BITS:
-        val = value_fn(bits)
-        hits = []
-        for fc in candidate_polys:
-            for box in _isolate_all(fc, bits // 2):
-                if _box_intersects_iv(box, val):
-                    hits.append((fc, box))
+    Box ``value_fn(p)``, at the precisions p of :func:`ladder` from ``bits``."""
+    for p in ladder(bits):
+        val = value_fn(p)
+        re, im = val.real, val.imag
+        val_box = Enclosure(re.inf, re.sup, im.inf, im.sup)
+        hits = [
+            (fc, box) for fc in candidate_polys for box in _isolate_all(fc, p // 2) if box.intersects(val_box)
+        ]
         if len(hits) == 1:
             fc, box = hits[0]
             return AlgebraicNumber(fc, box)
         if not hits:
             raise SplitThueError("no candidate root matches interval value")
-        bits *= 2
-    raise PrecisionExhausted("could not separate candidate roots")
-
-
-def _box_intersects_iv(box, val):
-    re, im = val.real, val.imag
-    return ComplexEnclosure(re.inf, re.sup, im.inf, im.sup).intersects(box)
+    raise PrecisionExhausted(f"could not separate candidate roots at {p} bits")

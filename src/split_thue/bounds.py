@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebraic import AlgebraicNumber, ComplexEnclosure, RealEnclosure, field_arith
+from .algebraic import AlgebraicNumber, field_arith
 from .precision import WORKING_BITS, Interval, SplitThueError
 from .cubic import closed_forms, combine, compute_constants
 from .sequences import FamilyInstance, dominant_logs
@@ -193,12 +193,7 @@ def _times_int(el: AlgebraicNumber, k: int) -> AlgebraicNumber:
     polynomial sum c_i x^(d-i) becomes sum c_i k^i x^(d-i), and the box
     scales by k."""
     coeffs = [c * k**i for i, c in enumerate(el.min_poly)]
-    box = el.enclosure
-    if box.is_real:
-        box = RealEnclosure(k * box.lo, k * box.hi)
-    else:
-        box = ComplexEnclosure(k * box.re_lo, k * box.re_hi, k * box.im_lo, k * box.im_hi)
-    return AlgebraicNumber(coeffs, box)
+    return AlgebraicNumber(coeffs, el.enclosure.scaled(k))
 
 
 def field_degree(fam: FamilyInstance) -> int:

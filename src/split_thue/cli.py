@@ -4,9 +4,12 @@ pipelines, and emit deterministic machine- and human-readable reports."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import errno
 import io
 import json
+import os
 import sys
 from collections import namedtuple
 
@@ -294,11 +297,27 @@ def make_parser():
     return parser
 
 
-def _write(path, text):
+def _write_all(outputs):
+    """Write every (path, text) pair or none: each text goes to a temporary
+    file beside its path, and the temporaries replace their paths only once
+    all of them are written (a directory, which no file replaces, is refused
+    first)."""
+    temps = []
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        for i, (path, text) in enumerate(outputs):
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            head, tail = os.path.split(path)
+            tmp = os.path.join(head, f".{tail}.{os.getpid()}-{i}.tmp")
+            with open(tmp, "x", encoding="utf-8") as fh:
+                temps.append(tmp)
+                fh.write(text)
+        for (path, _), tmp in zip(outputs, temps):
+            os.replace(tmp, path)
     except OSError as exc:
+        for tmp in temps:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
@@ -311,10 +330,8 @@ def main(argv=None) -> int:
     try:
         config = load_config(args)
         report, code = COMMANDS[args.command].run(config, args)
-        for dest in COMMANDS[args.command].outputs:
-            path = getattr(args, dest)
-            if path:
-                _write(path, RENDERERS[dest](report))
+        outputs = [(getattr(args, dest), RENDERERS[dest]) for dest in COMMANDS[args.command].outputs]
+        _write_all([(path, render(report)) for path, render in outputs if path])
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

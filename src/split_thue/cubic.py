@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .algebraic import RealEnclosure, poly_eval_sign, refine_bracket
+from .algebraic import Enclosure, poly_eval_sign, refine_bracket
 from .precision import MIN_WORKING_BITS, WORKING_BITS, Interval, SplitThueError
 from .sequences import FamilyInstance, dominant_logs
 
@@ -37,9 +37,9 @@ class CubicRootSet:
     A: int
     B: int
     coeffs: tuple
-    lambda1: RealEnclosure
-    lambda2: RealEnclosure
-    lambda3: RealEnclosure
+    lambda1: Enclosure
+    lambda2: Enclosure
+    lambda3: Enclosure
     work_bits: int
     bits: int
     ivs: tuple  # Intervals at ``bits`` enclosing lambda1, lambda2, lambda3
@@ -72,7 +72,7 @@ class CubicRootSet:
 
 def _bracket_around(coeffs, center, halfwidth):
     """A certified sign change of f within [center - w, center + w], as a
-    RealEnclosure with f nonzero, of opposite signs, at its ends.
+    real Enclosure with f nonzero, of opposite signs, at its ends.
 
     f is nonzero at each anchor once A, B != 0 and AB != A + B: f(A) =
     f(B) = -1, and a rational root of f is +-1, which 1/(AB) is only for
@@ -83,9 +83,9 @@ def _bracket_around(coeffs, center, halfwidth):
     s_mid = poly_eval_sign(coeffs, center)
     s_hi = poly_eval_sign(coeffs, hi)
     if s_lo != 0 and s_lo != s_mid:
-        return RealEnclosure(lo, center)
+        return Enclosure(lo, center)
     if s_hi != 0 and s_hi != s_mid:
-        return RealEnclosure(center, hi)
+        return Enclosure(center, hi)
     raise AnchorSignFailure(
         f"no sign change in anchor window around {float(center):.6g}"
     )
@@ -120,7 +120,7 @@ def isolate_roots(fam: FamilyInstance, n: int, bits=WORKING_BITS) -> CubicRootSe
     return CubicRootSet(fam, n, A, B, coeffs, *roots, bits, iv_bits, ivs, log_abs, log_abs_A)
 
 
-def abs_frac_dist(root: RealEnclosure, point: Fraction):
+def abs_frac_dist(root: Enclosure, point: Fraction):
     """Upper bound on |root - point| from the bracket."""
     return max(abs(root.lo - point), abs(root.hi - point))
 

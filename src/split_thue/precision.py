@@ -6,8 +6,9 @@ complex arithmetic through :class:`Box` (a real and an imaginary interval).
 Each carries the precision ``prec`` that its operations round outward to,
 passed to ``mpmath.libmp.libmpi`` at each step, so no result depends on
 mpmath's global interval precision, and nothing here sets it.  A precision
-is an int number of bits: refinement doubles it from a starting ``bits``
-(``WORKING_BITS`` by default) up to ``MAX_BITS``.
+is an int number of bits, and :func:`ladder` is the one escalation policy:
+every refinement tries the precisions it yields from a starting ``bits``
+(``WORKING_BITS`` by default), doubling up to ``MAX_BITS``.
 """
 
 from __future__ import annotations
@@ -52,6 +53,17 @@ class UndecidedComparison(SplitThueError):
 MIN_WORKING_BITS = 64
 WORKING_BITS = 256
 MAX_BITS = 1 << 14
+
+
+def ladder(start):
+    """The precisions an escalation tries, in order: ``start``, doubled while
+    below ``MAX_BITS``, and ``MAX_BITS`` last; ``start`` alone when it is at
+    least ``MAX_BITS``."""
+    bits = start
+    yield bits
+    while bits < MAX_BITS:
+        bits = min(2 * bits, MAX_BITS)
+        yield bits
 
 
 def _real_op(f, swap=False, exact=True):

@@ -26,7 +26,7 @@ from .algebraic import (
     abs_compare,
     factor_list,
 )
-from .precision import Interval, SplitThueError
+from .precision import Interval, SplitThueError, ladder
 
 class InconsistentModel(SplitThueError):
     """Recursion and explicit formula disagree on a term."""
@@ -213,27 +213,26 @@ class RecurrentSequence:
         return total
 
     def _formula_bits(self, n):
+        """The first precision of the check at n, from a bound on |root|."""
         mag = 1.0
         for root, _ in [(self.dominant_root, self.dominant_coeff)] + list(self.secondary):
-            box = root.enclosure
-            if box.is_real:
-                mag = max(mag, abs(float(box.lo)), abs(float(box.hi)))
-            else:
-                mag = max(mag, abs(float(box.re_lo)) + abs(float(box.im_hi)))
+            b = root.enclosure
+            mag = max(mag, float(max(abs(b.lo), abs(b.hi)) + max(abs(b.im_lo), abs(b.im_hi))))
         return 96 + int((n + self.order) * math.log2(mag + 1)) + 8 * self.order
 
     # -- internal checks ---------------------------------------------------
 
     def _check_explicit_consistency(self):
         """The explicit formula's enclosure of each initial term must be
-        narrower than 1/2 (one retry at twice the precision) and hold the
-        term."""
+        narrower than 1/2, at some precision of :func:`ladder` from
+        ``_formula_bits(n)``, and hold the term."""
         for n, value in enumerate(self.initial_terms):
-            enc = self.explicit_iv(n)
-            if enc.sup - enc.inf >= Fraction(1, 2):
-                enc = self.explicit_iv(n, bits=2 * self._formula_bits(n))
-                if enc.sup - enc.inf >= Fraction(1, 2):
-                    raise InconsistentModel("explicit formula enclosure too wide")
+            for bits in ladder(self._formula_bits(n)):
+                enc = self.explicit_iv(n, bits)
+                if enc.sup - enc.inf < Fraction(1, 2):
+                    break
+            else:
+                raise InconsistentModel(f"explicit formula enclosure too wide at {bits} bits")
             if not (enc.inf <= value <= enc.sup):
                 raise InconsistentModel(
                     f"explicit formula does not reproduce initial term {n}"
@@ -276,8 +275,9 @@ def _value_at_root(g, sums, P, root):
     The minimal polynomial is the squarefree part of the characteristic
     polynomial of multiplication by P on Q[x]/(g), because the
     characteristic polynomial of an element of a field is a power of its
-    minimal polynomial.  Its root is the one isolating box (eps 64 first,
-    then doubling) that meets the interval value of P at the root.
+    minimal polynomial.  Its root is the one isolating box that meets the
+    interval value of P at the root (:func:`_designate_from_iv` from 128
+    bits).
     """
     if not any(P[1:]):
         return AlgebraicNumber.from_rational(P[0])

@@ -12,13 +12,13 @@ from functools import lru_cache
 from .algebraic import refine_bracket
 from .cubic import CubicRootSet, closed_forms, combine
 from .precision import (
-    MAX_BITS,
     MIN_WORKING_BITS,
     Interval,
     PrecisionExhausted,
     SplitThueError,
     UndecidedComparison,
     compare,
+    ladder,
 )
 from .sequences import FamilyInstance, dominant_logs
 
@@ -140,8 +140,8 @@ def _solution_type(x, y, rs, mags) -> int:
     make x/y the midpoint of lambda_i and lambda_j, but f_n is irreducible,
     so lambda_i + lambda_j = A_n + B_n - lambda_k is irrational.  The
     magnitudes are compared as intervals; overlapping ones are settled on
-    the exact brackets, refined at precision doubling from the root
-    context's ``bits`` up to MAX_BITS.
+    the exact brackets, refined up the precision ladder from the root
+    context's ``bits``.
     """
     if y == 0:
         return 1
@@ -158,8 +158,7 @@ def _solution_type(x, y, rs, mags) -> int:
 def _closer(x, y, rs, i, j):
     """|x - lambda_i y| < |x - lambda_j y|, decided exactly on the brackets
     of lambda_i and lambda_j."""
-    bits = rs.bits
-    while True:
+    for bits in ladder(rs.bits):
         width = Fraction(1, 1 << bits)
         (lo_i, hi_i), (lo_j, hi_j) = (
             _abs_range(x, y, refine_bracket(rs.coeffs, rs.roots()[k - 1], width)) for k in (i, j)
@@ -168,9 +167,7 @@ def _closer(x, y, rs, i, j):
             return True
         if lo_i > hi_j:
             return False
-        if bits >= MAX_BITS:
-            raise UndecidedComparison(f"|x - lambda_j y| undecided at {bits} bits")
-        bits = min(2 * bits, MAX_BITS)
+    raise UndecidedComparison(f"|x - lambda_j y| undecided at {bits} bits")
 
 
 def _abs_range(x, y, box):

@@ -15,7 +15,7 @@ import mpmath
 import pytest
 
 from split_thue import cli
-from split_thue.algebraic import AlgebraicNumber, RealEnclosure
+from split_thue.algebraic import AlgebraicNumber, Enclosure
 from split_thue.bounds import (
     CHAIN_BITS,
     C_RANK2_CUBIC,
@@ -283,7 +283,7 @@ def test_criterion_09_heights(bits):
         ("h(1/2)", AlgebraicNumber.from_rational(Fraction(1, 2)), log2),
         (
             "h(phi)",
-            AlgebraicNumber([1, -1, -1], RealEnclosure(Fraction(3, 2), Fraction(2))),
+            AlgebraicNumber([1, -1, -1], Enclosure(Fraction(3, 2), Fraction(2))),
             logphi_half,
         ),
     ]

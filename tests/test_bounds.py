@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from split_thue import FamilyInstance, RecurrentSequence, bounds
-from split_thue.algebraic import AlgebraicNumber, RealEnclosure
+from split_thue.algebraic import AlgebraicNumber, Enclosure
 from split_thue.bounds import (
     CHAIN_BITS,
     C_RANK2_CUBIC,
@@ -77,9 +77,9 @@ def test_field_degree(fib_pow2):
 
 
 def test_compositum_degree():
-    sqrt2 = AlgebraicNumber([1, 0, -2], RealEnclosure(Fraction(1), Fraction(3, 2)))
-    sqrt3 = AlgebraicNumber([1, 0, -3], RealEnclosure(Fraction(3, 2), Fraction(2)))
-    one_plus_sqrt2 = AlgebraicNumber([1, -2, -1], RealEnclosure(Fraction(2), Fraction(3)))
+    sqrt2 = AlgebraicNumber([1, 0, -2], Enclosure(Fraction(1), Fraction(3, 2)))
+    sqrt3 = AlgebraicNumber([1, 0, -3], Enclosure(Fraction(3, 2), Fraction(2)))
+    one_plus_sqrt2 = AlgebraicNumber([1, -2, -1], Enclosure(Fraction(2), Fraction(3)))
     assert compositum_degree([sqrt2, sqrt3]) == 4
     assert compositum_degree([sqrt2, one_plus_sqrt2]) == 2
 

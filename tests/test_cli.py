@@ -591,6 +591,22 @@ def test_unwritable_output_path_is_usage_error(config_path, tmp_path, capsys, fl
     assert captured.err == f"error: cannot write {path}: No such file or directory\n"
 
 
+@pytest.mark.parametrize(
+    "bad, reason", [("missing/x.md", "No such file or directory"), ("a-directory", "Is a directory")]
+)
+def test_output_files_are_written_all_or_none(config_path, tmp_path, capsys, bad, reason):
+    ok, bad = tmp_path / "ok.json", tmp_path / bad
+    (tmp_path / "a-directory").mkdir()
+    argv = ["solve", config_path, "--n-lo", "2", "--n-hi", "3", "--json-out", str(ok), "--md-out", str(bad)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: cannot write {bad}: {reason}\n"
+    assert not ok.exists()
+    ok.write_bytes(b"old report")
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert ok.read_bytes() == b"old report"
+    assert sorted(os.listdir(tmp_path)) == ["a-directory", "family.json", "ok.json"]  # no temporary file is left
+
+
 def test_deterministic_json(config_path, tmp_path, capsys):
     outs = []
     for i in range(2):

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from split_thue.algebraic import (
-    ComplexEnclosure,
+    Enclosure,
     _composed_poly,
     _isolate_all,
     _normalize_coeffs,
@@ -49,7 +49,7 @@ def _sympy_factors(f):
 
 def _as_complex(box):
     if box.is_real:
-        return ComplexEnclosure(box.lo, box.hi, Fraction(0), Fraction(0))
+        return Enclosure(box.lo, box.hi, Fraction(0), Fraction(0))
     return box
 
 
@@ -96,10 +96,10 @@ def test_isolation_matches_sympy_roots(f, eps_bits):
     # other, it holds the root sympy puts at index i, since it holds one
     # root and that is none of the others
     real, cplx = poly.intervals(all=True, eps=sp.Rational(1, 2**8))
-    oracle = [ComplexEnclosure(Fraction(str(a)), Fraction(str(b)), Fraction(0), Fraction(0)) for (a, b), _ in real]
+    oracle = [Enclosure(Fraction(str(a)), Fraction(str(b)), Fraction(0), Fraction(0)) for (a, b), _ in real]
     for (c1, c2), _ in cplx:
         (re1, im1), (re2, im2) = c1.as_real_imag(), c2.as_real_imag()
-        oracle.append(ComplexEnclosure(*(Fraction(str(v)) for v in (min(re1, re2), max(re1, re2), min(im1, im2), max(im1, im2)))))
+        oracle.append(Enclosure(*(Fraction(str(v)) for v in (min(re1, re2), max(re1, re2), min(im1, im2), max(im1, im2)))))
     assert len(oracle) == len(boxes)
     for i, b in enumerate(boxes):
         assert [j for j, s in enumerate(oracle) if s.intersects(_as_complex(b))] == [i]

@@ -13,6 +13,7 @@ from split_thue.precision import (
     interval_bits,
     iv_from_fraction,
     iv_sup,
+    ladder,
 )
 
 
@@ -228,3 +229,9 @@ def test_exact_interval_only_adds_and_multiplies():
         x**3
     with pytest.raises(ValueError):
         x.log()
+
+
+def test_ladder_doubles_up_to_the_cap():
+    assert list(ladder(64)) == [64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384]
+    assert list(ladder(3000)) == [3000, 6000, 12000, 16384]
+    assert list(ladder(20000)) == [20000]
