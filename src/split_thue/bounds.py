@@ -52,6 +52,14 @@ def _log(x, bits: int) -> Interval:
     return Interval.of(x, bits).log()
 
 
+@lru_cache(maxsize=64)
+def _n_free_log(x, bits: int) -> Interval:
+    """``_log`` of a value that does not depend on n (a small integer or a
+    family constant), once per (value, precision); the n-specific values
+    go through the uncached ``_log``."""
+    return _log(x, bits)
+
+
 # log_coeff_bound, lterm_sup and regulator_bounds are memoised per (family,
 # constants, n, precision): every bound of a probe reads them, and so do the
 # probes of the other branches at the same n.
@@ -144,7 +152,7 @@ def baker_lower(heights, D: int, log_B: Fraction, bits: int) -> Fraction:
         if h < floor:
             raise SplitThueError(f"height {h} below its floor {floor}")
     K = baker_constant(t, D)
-    log2tD = _log(2 * t * D, bits).sup
+    log2tD = _n_free_log(2 * t * D, bits).sup
     prod = Fraction(1)
     for h in heights:
         prod *= h
@@ -258,11 +266,11 @@ def xi_upper_log(fam: FamilyInstance, consts, n: int, bits: int) -> Fraction:
     evaluated in closed form (safe at astronomically large n)."""
     _, _, la, lb = dominant_logs(fam, bits)
     logn = _log(n, bits)
-    t1 = _log(4, bits) - 3 * _log(consts.c5, bits) - fam.d1 * logn - n * (2 * la + lb)
+    t1 = _n_free_log(4, bits) - 3 * _n_free_log(consts.c5, bits) - fam.d1 * logn - n * (2 * la + lb)
     if consts.eps == 0:
         return t1.sup
-    t2 = _log(6 * consts.C, bits) + fam.d2 * logn + n * _log(consts.eps, bits)
-    return max(t1.sup, t2.sup) + _log(2, bits).sup
+    t2 = _n_free_log(6 * consts.C, bits) + fam.d2 * logn + n * _n_free_log(consts.eps, bits)
+    return max(t1.sup, t2.sup) + _n_free_log(2, bits).sup
 
 
 def log_logy_lower_altunit(fam: FamilyInstance, consts, n: int, bits: int):
@@ -278,10 +286,10 @@ def log_logy_lower_altunit(fam: FamilyInstance, consts, n: int, bits: int):
     if r_low <= 2:
         return None
     _, _, la, lb = dominant_logs(fam, bits)
-    log_q = _log(2 * consts.U_A, bits) + fam.d2 * _log(n, bits) + n * (la - lb) - _log(consts.L_B, bits)
-    if log_q.sup >= _log(Fraction(1, 4), bits).inf:
+    log_q = _n_free_log(2 * consts.U_A, bits) + fam.d2 * _log(n, bits) + n * (la - lb) - _n_free_log(consts.L_B, bits)
+    if log_q.sup >= _n_free_log(Fraction(1, 4), bits).inf:
         return None
-    return (_log(r_low - 2, bits) - _log(4, bits) - log_q).inf
+    return (_log(r_low - 2, bits) - _n_free_log(4, bits) - log_q).inf
 
 
 # -- the crossing search ---------------------------------------------------

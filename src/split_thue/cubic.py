@@ -29,7 +29,8 @@ class CubicRootSet:
     The per-n root context: every check at this n reads its family, its n,
     its working precision ``work_bits`` and the intervals and logarithms
     below from here, each computed once.  The root intervals are at
-    ``bits``, the working precision plus the bits the roots' scale needs.
+    ``bits``, the working precision plus the bits the roots' scale needs;
+    the logs are at ``work_bits``.
     """
 
     fam: FamilyInstance
@@ -61,13 +62,44 @@ class CubicRootSet:
     def coeff_logs(self):
         """Interval values at ``work_bits`` of log|alpha|, log|beta|,
         log|c_A(n)|, log|c_B(n)| and log|(c_B - c_A)(n)| (the last only in
-        the equal-modulus case, else None)."""
+        the equal-modulus case, else None).  Only the logs of coefficient
+        polynomials that depend on n are computed here; the others come
+        from ``_n_free_coeff_logs``."""
         fam, n, bits = self.fam, self.n, self.work_bits
         _, _, la, lb = dominant_logs(fam, bits)
-        lcA = abs(fam.A.dominant_coeff.approx_at(n, bits)).log()
-        lcB = abs(fam.B.dominant_coeff.approx_at(n, bits)).log()
-        ldiff = abs(fam.coeff_diff.approx_at(n, bits)).log() if fam.equal_modulus else None
+        lcA, lcB, ldiff = (
+            v if v is not None or p is None else abs(p.approx_at(n, bits)).log()
+            for p, v in zip(_coeff_polys(fam), _n_free_coeff_logs(fam, bits))
+        )
         return la, lb, lcA, lcB, ldiff
+
+
+def _coeff_polys(fam: FamilyInstance):
+    """c_A, c_B and c_B - c_A (None unless the equal-modulus case reads it)."""
+    return fam.A.dominant_coeff, fam.B.dominant_coeff, fam.coeff_diff if fam.equal_modulus else None
+
+
+@lru_cache(maxsize=64)
+def _n_free_coeff_logs(fam: FamilyInstance, bits: int):
+    """log|c| at ``bits`` of each polynomial of ``_coeff_polys`` that is
+    constant in n, None for the others: once per (family, precision).  The
+    key is the family, which compares by identity, never a polynomial,
+    whose equality compares AlgebraicNumbers exactly."""
+    return tuple(
+        abs(p.approx_at(0, bits)).log() if p is not None and p.degree == 0 else None
+        for p in _coeff_polys(fam)
+    )
+
+
+@lru_cache(maxsize=4)
+def dominant_powers(fam: FamilyInstance, n: int, bits: int):
+    """(|alpha|^n, |beta|^n, n^d1, n^d2) as Intervals at ``bits``, once per
+    root context (family, n, precision): ``verify_root_diff`` and
+    ``units.xi_upper_rhs`` read them one after the other, so the cache
+    keeps only the last few contexts."""
+    a_abs, b_abs, _, _ = dominant_logs(fam, bits)
+    n_iv = Interval.of(n, bits)
+    return a_abs**n, b_abs**n, n_iv**fam.d1, n_iv**fam.d2
 
 
 def _bracket_around(coeffs, center, halfwidth):
@@ -93,7 +125,11 @@ def _bracket_around(coeffs, center, halfwidth):
 
 def isolate_roots(fam: FamilyInstance, n: int, bits=WORKING_BITS) -> CubicRootSet:
     """Certify the three real roots from their anchor windows: the root
-    context at n, at working precision ``bits``, which every check at n reads."""
+    context at n, at working precision ``bits``, which every check at n reads.
+
+    Four logs are taken, at ``bits``; those at lambda3 are derived as minus
+    the sum of the other two, since lambda1 lambda2 lambda3 = -f(0) = 1 and
+    prod (lambda_i - A_n) = -f(A_n) = 1."""
     A, B = fam.terms(n)
     if A == 0 or B == 0 or A * B == A + B:
         raise AnchorSignFailure("degenerate parameters")
@@ -115,8 +151,9 @@ def isolate_roots(fam: FamilyInstance, n: int, bits=WORKING_BITS) -> CubicRootSe
     roots = tuple(refine_bracket(coeffs, r, width) for r in (l1, l2, l3))
     iv_bits = bits + scale_bits
     ivs = tuple(r.as_iv(iv_bits) for r in roots)
-    log_abs = tuple(abs(v).log() for v in ivs)
-    log_abs_A = tuple(abs(v - A).log() for v in ivs)
+    r1, r2 = (abs(v).at(bits).log() for v in ivs[:2])
+    s1, s2 = (abs(v - A).at(bits).log() for v in ivs[:2])
+    log_abs, log_abs_A = (r1, r2, -(r1 + r2)), (s1, s2, -(s1 + s2))
     return CubicRootSet(fam, n, A, B, coeffs, *roots, bits, iv_bits, ivs, log_abs, log_abs_A)
 
 
@@ -198,6 +235,13 @@ class ApproxConstants:
         # a cheap key for the per-n caches: equal constants agree on C and
         # eps, and hashing every Fraction field costs more than a lookup saves
         return hash((self.C, self.eps))
+
+
+@lru_cache(maxsize=64)
+def constant_ivs(consts: ApproxConstants, bits: int):
+    """(c5, c6, C, eps) as Intervals at ``bits``, once per (constants,
+    precision)."""
+    return tuple(Interval.of(v, bits) for v in (consts.c5, consts.c6, consts.C, consts.eps))
 
 
 # compute_constants bounds the coefficients for n >= _N_MIN, at _CONST_BITS
@@ -338,14 +382,14 @@ def log_closed_forms(rs: CubicRootSet):
 def verify_log_approx(rs: CubicRootSet, consts: ApproxConstants) -> ResidualReport:
     """Six log approximations against the shared decaying error term
     C n^d2 eps^n, at the context's working precision."""
-    n, bits = rs.n, rs.work_bits
+    n = rs.n
     scale = Fraction(n) ** rs.fam.d2 * consts.eps**n
     bound = consts.C * scale
     computed = dict(zip(_ROOT_LOGS, (v for pair in zip(rs.log_abs, rs.log_abs_A) for v in pair)))
     closed = log_closed_forms(rs)
     entries = []
     for name in computed:
-        sup = abs(computed[name].at(bits) - closed[name]).sup
+        sup = abs(computed[name] - closed[name]).sup
         ok = sup <= bound
         ratio = float(sup / scale) if scale > 0 else None
         entries.append(ResidualEntry(name, float(sup), float(bound), ok, ratio))
@@ -354,18 +398,13 @@ def verify_log_approx(rs: CubicRootSet, consts: ApproxConstants) -> ResidualRepo
 
 def verify_root_diff(rs: CubicRootSet, consts: ApproxConstants) -> ResidualReport:
     """The six two-sided root-difference bounds, at the working precision."""
-    fam, n, bits = rs.fam, rs.n, rs.work_bits
-    a_abs, b_abs, _, _ = dominant_logs(fam, bits)
+    bits = rs.work_bits
     l1, l2, l3 = (v.at(bits) for v in rs.ivs)
     d12 = abs(l1 - l2)
     d13 = abs(l1 - l3)
     d23 = abs(l2 - l3)
-    an = a_abs**n
-    bn = b_abs**n
-    c5 = Interval.of(consts.c5, bits)
-    c6 = Interval.of(consts.c6, bits)
-    nd1 = Interval.of(n, bits) ** fam.d1
-    nd2 = Interval.of(n, bits) ** fam.d2
+    an, bn, nd1, nd2 = dominant_powers(rs.fam, rs.n, bits)
+    c5, c6, _, _ = constant_ivs(consts, bits)
     checks = [
         ("c5 b^n <= |l1-l2|", (c5 * bn).sup <= d12.inf),
         ("|l1-l2| <= c6 n^d2 b^n", d12.sup <= (c6 * nd2 * bn).inf),
@@ -375,4 +414,4 @@ def verify_root_diff(rs: CubicRootSet, consts: ApproxConstants) -> ResidualRepor
         ("|l2-l3| <= c6 n^d2 a^n", d23.sup <= (c6 * nd2 * an).inf),
     ]
     entries = tuple(ResidualEntry(name, 0.0, 0.0, ok) for name, ok in checks)
-    return ResidualReport(n, entries)
+    return ResidualReport(rs.n, entries)

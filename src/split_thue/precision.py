@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import from_int, from_rational, mpf_gt, mpf_lt, round_ceiling, round_floor
+from mpmath.libmp import from_int, from_man_exp, from_rational, mpf_gt, mpf_lt, round_ceiling, round_floor
 from mpmath.libmp.libmpi import (
     mpci_abs,
     mpci_add,
@@ -111,13 +111,16 @@ class Interval:
 
     @classmethod
     def between(cls, lo, hi, prec):
-        """[lo, hi] for ints or Fractions, rounded outward to ``prec`` > 0."""
+        """[lo, hi] for ints or Fractions, rounded outward to ``prec`` > 0.
+
+        A dyadic endpoint m / 2^k (an int, and nearly every Fraction here:
+        the ends of refined brackets and of intervals) is rounded from
+        (m, -k) by ``from_man_exp``: the correctly rounded endpoint that
+        ``from_rational`` gives, without a big-integer division."""
         lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi or prec < 1:
             raise ValueError(f"no interval [{lo}, {hi}] at {prec} bits")
-        a = from_rational(lo.numerator, lo.denominator, prec, round_floor)
-        b = from_rational(hi.numerator, hi.denominator, prec, round_ceiling)
-        return cls((a, b), prec)
+        return cls((_round(lo, prec, round_floor), _round(hi, prec, round_ceiling)), prec)
 
     @classmethod
     def of(cls, value, prec):
@@ -267,6 +270,14 @@ def compare(x, y):
     if mpf_gt(x_lo, y_hi):
         return False
     return None
+
+
+def _round(x, prec, rnd):
+    """The raw mpf of the Fraction ``x`` rounded to ``prec`` bits in direction ``rnd``."""
+    den = x.denominator
+    if den & (den - 1):
+        return from_rational(x.numerator, den, prec, rnd)
+    return from_man_exp(x.numerator, 1 - den.bit_length(), prec, rnd)
 
 
 def _raw_to_fraction(raw):

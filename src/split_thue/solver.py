@@ -244,7 +244,12 @@ def verify_family(
 ) -> FamilyVerification:
     """Hypothesis check + brute force + classification for each n in range,
     with per-n lemma summaries and log residuals where the roots are
-    certifiable, each read from the n's root context at precision ``bits``."""
+    certifiable, each read from the n's root context at precision ``bits``.
+
+    The xi bound is checked once per mirror pair +-(x, y), on the solution
+    with y > 0: x - lambda y = sign lambda^b1 (lambda - A_n)^b2 gives
+    -x + lambda y the same type j and exponents (b1, b2) with the opposite
+    sign, and xi_j reads only (j, b1, b2, n)."""
     if n_lo > n_hi:
         raise ValueError("empty n range")
     consts = cubic.compute_constants(fam)
@@ -268,8 +273,10 @@ def verify_family(
             rd = cubic.verify_root_diff(rs, consts).all_pass
             xi_ok = True
             for s in sols:
-                if s.y == 0:
-                    continue  # (+-1, 0): every |x - lambda_j y| is 1, so no type
+                if s.y <= 0:
+                    # (+-1, 0): every |x - lambda_j y| is 1, so no type; and
+                    # (x, y) with y < 0 mirrors (-x, -y), a solution too
+                    continue
                 ue = units.unit_decompose(s.x, s.y, rs)
                 if not units.verify_xi_bound(ue, rs, consts).ok:
                     xi_ok = False

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebraic import refine_bracket
-from .cubic import CubicRootSet, closed_forms, combine
+from .cubic import CubicRootSet, closed_forms, combine, constant_ivs, dominant_powers
 from .precision import (
     MIN_WORKING_BITS,
     Interval,
@@ -20,7 +20,7 @@ from .precision import (
     compare,
     ladder,
 )
-from .sequences import FamilyInstance, dominant_logs
+from .sequences import FamilyInstance
 
 
 class NotAUnit(SplitThueError):
@@ -34,7 +34,7 @@ KL_CONVENTION = {1: (3, 2), 2: (3, 1), 3: (2, 1)}
 
 def regulator(rs: CubicRootSet, pair=(1, 2)):
     """|det| of the 2x2 log-embedding matrix of the fundamental units
-    {lambda, lambda - A_n}, at the root intervals' precision; independent
+    {lambda, lambda - A_n}, at the context's working precision; independent
     of the chosen pair of embeddings."""
     if pair[0] == pair[1]:
         raise ValueError("need two distinct embeddings")
@@ -217,19 +217,19 @@ def xi_form(j: int, case_tag: str, n: int, b1: int, b2: int):
 @lru_cache(maxsize=256)
 def xi_upper_rhs(fam: FamilyInstance, consts, n: int, bits: int) -> Fraction:
     """Certified lower bound on the right-hand side of the transformed-form
-    upper bound, computed once per (family, constants, n, precision): a
-    |xi_j| at most this value is at most the bound itself.
+    upper bound 4 c5^-3 n^-d1 |alpha|^-2n |beta|^-n + 6 C n^d2 eps^n,
+    computed once per (family, constants, n, precision) from the root
+    context's ``dominant_powers``: a |xi_j| at most this value is at most
+    the bound itself.
 
     The source states the first term with c5 cubed; the derivation uses the
     *inverse* of the root-difference lower bounds, so we evaluate 4 c5^{-3}
     and flag the discrepancy in reports.
     """
-    a_abs, b_abs, _, _ = dominant_logs(fam, bits)
-    c5 = Interval.of(consts.c5, bits)
-    C = Interval.of(consts.C, bits)
-    eps = Interval.of(consts.eps, bits)
-    t1 = 4 / c5**3 * Interval.of(n, bits) ** (-fam.d1) * a_abs ** (-2 * n) * b_abs ** (-n)
-    t2 = 6 * C * Interval.of(n, bits) ** fam.d2 * eps**n
+    an, bn, nd1, nd2 = dominant_powers(fam, n, bits)
+    c5, _, C, eps = constant_ivs(consts, bits)
+    t1 = 4 / (c5**3 * nd1 * an * an * bn)
+    t2 = 6 * C * nd2 * eps**n
     return (t1 + t2).inf
 
 

@@ -265,6 +265,28 @@ def test_verify_checks_xi_at_the_working_precision(monkeypatch, capsys):
     assert units.xi_upper_rhs.cache_info().misses == len(in_scope)
 
 
+def test_verify_decomposes_one_solution_of_each_mirror_pair(monkeypatch, capsys):
+    # fib-pow2 has six solutions with y != 0 at each n = 2..60: three mirror
+    # pairs, each decomposed once
+    decomposed = []
+    decompose = units.unit_decompose
+
+    def counting(x, y, rs):
+        decomposed.append(rs.n)
+        return decompose(x, y, rs)
+
+    monkeypatch.setattr(units, "unit_decompose", counting)
+    code, report = run(
+        ["verify", EXAMPLE_CONFIG, "--n-lo", "2", "--n-hi", "60", "--y-max", "50", "--bits", "512"],
+        capsys,
+    )
+    assert code == cli.EXIT_OK
+    in_scope = [row["n"] for row in report["per_n"] if row["in_scope"]]
+    assert in_scope == list(range(2, 61))
+    assert len(decomposed) == 177
+    assert decomposed == [n for n in in_scope for _ in range(3)]
+
+
 def test_equal_modulus_verify_checks_xi_off_y_zero(capsys):
     # the y = 0 solutions have no type, so the xi bound is not checked there
     code, report = run(

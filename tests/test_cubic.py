@@ -3,6 +3,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from split_thue import FamilyInstance, RecurrentSequence
 from split_thue.cubic import (
     AnchorSignFailure,
     _bracket_around,
@@ -12,6 +13,7 @@ from split_thue.cubic import (
     verify_root_approx,
     verify_root_diff,
 )
+from split_thue.precision import Interval
 
 
 def test_cubic_coeffs():
@@ -31,6 +33,38 @@ def test_isolate_roots_disjoint_and_ordered(fib_pow2, bits):
     assert abs(l1.mid() - B) < 1
     assert abs(l2.mid() - A) < 1
     assert abs(l3.mid() - Fraction(1, A * B)) < Fraction(1, 100)
+
+
+@pytest.mark.parametrize("family", ["fib_pow2", "pow2_equal_modulus"])
+@pytest.mark.parametrize("n", [5, 30, 60, 150])
+def test_logs_at_lambda3_follow_from_the_norms(request, bits, family, n):
+    """lambda1 lambda2 lambda3 = 1 and prod (lambda_i - A_n) = 1: the logs at
+    lambda3, derived from the other two, meet the logs taken directly from
+    lambda3's interval; every log of the context is at its working
+    precision."""
+    rs = isolate_roots(request.getfixturevalue(family), n, bits)
+    lam3 = rs.ivs[2]
+    for derived, direct in zip((rs.log_abs[2], rs.log_abs_A[2]), (abs(lam3).log(), abs(lam3 - rs.A).log())):
+        assert derived.inf <= direct.sup and direct.inf <= derived.sup
+    logs = rs.log_abs + rs.log_abs_A + tuple(v for v in rs.coeff_logs if v is not None)
+    assert all(v.prec == rs.work_bits for v in logs)
+
+
+def test_coeff_logs_of_an_n_dependent_coefficient(bits):
+    """A_n = (n + 2) 2^(n-1) has c_A(n) = (n + 2)/2, whose log is taken at
+    each n; B_n = 3^n has the constant c_B = 1, whose log is taken once per
+    family and precision."""
+    fam = FamilyInstance.build(
+        RecurrentSequence.from_recurrence([1, -4, 4], [1, 3]),
+        RecurrentSequence.from_recurrence([1, -3], [1]),
+    )
+    contexts = [isolate_roots(fam, n, bits) for n in (5, 6)]
+    for rs in contexts:
+        _, _, lcA, lcB, ldiff = rs.coeff_logs
+        exact = Interval.of(Fraction(rs.n + 2, 2), bits).log()
+        assert lcA.inf <= exact.sup and exact.inf <= lcA.sup
+        assert lcB.inf <= 0 <= lcB.sup and ldiff is None
+    assert contexts[0].coeff_logs[3] is contexts[1].coeff_logs[3]
 
 
 def test_isolate_roots_against_independent_solver(fib_pow2, bits):

@@ -47,12 +47,6 @@ def _sympy_factors(f):
     return [(_normalize_coeffs(g.all_coeffs()), m) for g, m in sp.Poly(list(f), X).factor_list()[1]]
 
 
-def _as_complex(box):
-    if box.is_real:
-        return Enclosure(box.lo, box.hi, Fraction(0), Fraction(0))
-    return box
-
-
 @ORACLE
 @given(st.one_of(polys(), products()))
 def test_factor_list_matches_sympy(f):
@@ -102,4 +96,4 @@ def test_isolation_matches_sympy_roots(f, eps_bits):
         oracle.append(Enclosure(*(Fraction(str(v)) for v in (min(re1, re2), max(re1, re2), min(im1, im2), max(im1, im2)))))
     assert len(oracle) == len(boxes)
     for i, b in enumerate(boxes):
-        assert [j for j, s in enumerate(oracle) if s.intersects(_as_complex(b))] == [i]
+        assert [j for j, s in enumerate(oracle) if s.intersects(b)] == [i]

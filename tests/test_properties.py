@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
+from mpmath.libmp import from_rational, round_ceiling, round_floor
 
 from split_thue.algebraic import AlgebraicNumber, poly_eval_sign
 from split_thue.precision import Interval, iv_from_fraction
@@ -20,6 +21,25 @@ rationals = st.fractions(
 def test_iv_from_fraction_always_encloses(q):
     x = Interval(iv_from_fraction(q, 80)._mpi_, 80)
     assert x.inf <= q <= x.sup
+
+
+# m * 2^e: zero, small and huge mantissas, negative and positive exponents
+dyadics = st.builds(
+    lambda m, e: m * Fraction(2) ** e,
+    st.integers(-5, 5) | st.integers(-(2**3000), 2**3000),
+    st.integers(-3000, 3000),
+)
+
+
+@given(dyadics, dyadics, st.integers(1, 2000))
+@settings(max_examples=200, deadline=None)
+def test_between_rounds_dyadic_ends_as_from_rational(a, b, prec):
+    lo, hi = min(a, b), max(a, b)
+    want = (
+        from_rational(lo.numerator, lo.denominator, prec, round_floor),
+        from_rational(hi.numerator, hi.denominator, prec, round_ceiling),
+    )
+    assert Interval.between(lo, hi, prec)._mpi_ == want
 
 
 @given(rationals.filter(lambda q: q != 0))

@@ -9,6 +9,7 @@ from split_thue.precision import (
     Interval,
     PrecisionExhausted,
 )
+from split_thue.solver import solve_bruteforce
 from split_thue.units import (
     KL_CONVENTION,
     NotAUnit,
@@ -101,6 +102,26 @@ def test_trivial_solutions_over_many_n(request, bits, family):
             for sign in (1, -1):
                 ue = unit_decompose(sign * x, sign * y, rs)
                 assert (ue.j, ue.b1, ue.b2, ue.sign) == want + (-sign,), (n, x, y, sign)
+
+
+@pytest.mark.parametrize("family", ["fib_pow2", "pow2_equal_modulus"])
+def test_mirror_solution_has_the_same_type_and_exponents(request, bits, family):
+    """-x + lambda y = -(x - lambda y): the mirror (-x, -y) of a solution has
+    its type j and exponents (b1, b2) and the opposite sign, for every
+    solution at n = 1 (on fib-pow2 the nontrivial +-(7, 4) and +-(38, 273)
+    among them) and at n = 2..60."""
+    fam = request.getfixturevalue(family)
+    pairs = set()
+    for n in range(1, 61):
+        rs = isolate_roots(fam, n, bits)
+        for s in solve_bruteforce(fam, n, 300 if n == 1 else 50):
+            if s.y == 0:
+                continue
+            ue = unit_decompose(s.x, s.y, rs)
+            assert unit_decompose(-s.x, -s.y, rs) == UnitExponents(ue.j, ue.b1, ue.b2, -ue.sign), (n, s)
+            pairs.add((n, s.x, s.y))
+    if family == "fib_pow2":
+        assert {(1, 7, 4), (1, -7, -4), (1, 38, 273), (1, -38, -273)} <= pairs
 
 
 def test_unit_decompose_deepest_cancellation(fib_pow2, bits):
