@@ -16,8 +16,8 @@ from functools import lru_cache
 
 from .algebraic import AlgebraicNumber, field_arith
 from .precision import WORKING_BITS, Interval, SplitThueError
-from .cubic import closed_forms, combine, compute_constants
-from .sequences import FamilyInstance, dominant_logs
+from .cubic import closed_forms, combine, compute_constants, family_ivs
+from .sequences import FamilyInstance
 
 
 # -- solution-size upper bound (unit rank 2, cubic form) -------------------
@@ -101,7 +101,7 @@ def regulator_bounds(fam: FamilyInstance, consts, n: int, bits: int):
     row."""
     m = log_coeff_bound(fam, consts, n, bits)
     e = lterm_sup(consts, fam.d2, n, bits)
-    _, _, la, lb = dominant_logs(fam, bits)
+    la, lb = family_ivs(fam, bits).log_ab
     rows = closed_forms(fam.equal_modulus)
 
     def enclose(name):
@@ -117,7 +117,7 @@ def logH_upper(fam: FamilyInstance, consts, n: int, bits: int) -> Fraction:
     """Upper bound on log of the largest form coefficient, |A_n B_n|."""
     m = log_coeff_bound(fam, consts, n, bits)
     e = lterm_sup(consts, fam.d2, n, bits)
-    _, _, la, lb = dominant_logs(fam, bits)
+    la, lb = family_ivs(fam, bits).log_ab
     val = (n * (la + lb)).sup + 2 * (m + 1) + e
     return max(val, Fraction(2))  # H >= 3 floor
 
@@ -237,7 +237,7 @@ def _xi_heights(fam: FamilyInstance, consts, n: int, D: int):
     logn = _log(n, bits).sup
     floor = Fraction(16, 100) / D
     h_alpha, h_beta, coeff_heights = consts.heights
-    _, _, la, lb = dominant_logs(fam, bits)
+    la, lb = family_ivs(fam, bits).log_ab
     la_abs, lb_abs = abs(la).sup, abs(lb).sup
     out = [("alpha", max(h_alpha, la_abs / D, floor))]
     if not fam.equal_modulus:
@@ -254,7 +254,7 @@ def exponent_bound_B(fam: FamilyInstance, consts, n: int, logy: Fraction, R_low:
         raise ValueError("need a positive regulator lower bound")
     m = log_coeff_bound(fam, consts, n, bits)
     e = lterm_sup(consts, fam.d2, n, bits)
-    _, _, la, lb = dominant_logs(fam, bits)
+    la, lb = family_ivs(fam, bits).log_ab
     entry = (n * (la + lb)).sup + 2 * m + e  # largest |log| matrix entry
     maxdiff = (n * lb).sup + m + e  # largest log root difference
     b_bound = (2 * entry) * (logy + maxdiff) / R_low + 1
@@ -264,7 +264,7 @@ def exponent_bound_B(fam: FamilyInstance, consts, n: int, logy: Fraction, R_low:
 def xi_upper_log(fam: FamilyInstance, consts, n: int, bits: int) -> Fraction:
     """log of the right-hand side of the transformed-form upper bound,
     evaluated in closed form (safe at astronomically large n)."""
-    _, _, la, lb = dominant_logs(fam, bits)
+    la, lb = family_ivs(fam, bits).log_ab
     logn = _log(n, bits)
     t1 = _n_free_log(4, bits) - 3 * _n_free_log(consts.c5, bits) - fam.d1 * logn - n * (2 * la + lb)
     if consts.eps == 0:
@@ -285,7 +285,7 @@ def log_logy_lower_altunit(fam: FamilyInstance, consts, n: int, bits: int):
     r_low, _ = regulator_bounds(fam, consts, n, bits)
     if r_low <= 2:
         return None
-    _, _, la, lb = dominant_logs(fam, bits)
+    la, lb = family_ivs(fam, bits).log_ab
     log_q = _n_free_log(2 * consts.U_A, bits) + fam.d2 * _log(n, bits) + n * (la - lb) - _n_free_log(consts.L_B, bits)
     if log_q.sup >= _n_free_log(Fraction(1, 4), bits).inf:
         return None

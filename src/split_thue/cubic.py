@@ -3,13 +3,14 @@ verification of the root/log approximation bounds with explicit constants."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .algebraic import Enclosure, poly_eval_sign, refine_bracket
 from .precision import MIN_WORKING_BITS, WORKING_BITS, Interval, SplitThueError
-from .sequences import FamilyInstance, dominant_logs
+from .sequences import FamilyInstance
 
 
 class AnchorSignFailure(SplitThueError):
@@ -27,8 +28,9 @@ class CubicRootSet:
     lambda1 near B_n, lambda2 near A_n, lambda3 near 1/(A_n B_n).
 
     The per-n root context: every check at this n reads its family, its n,
-    its working precision ``work_bits`` and the intervals and logarithms
-    below from here, each computed once.  The root intervals are at
+    its working precision ``work_bits``, the family's constants and n-free
+    intervals (``fam_ivs``) and the intervals and logarithms below from
+    here, each computed once.  The root intervals are at
     ``bits``, the working precision plus the bits the roots' scale needs;
     the logs are at ``work_bits``.
     """
@@ -58,20 +60,49 @@ class CubicRootSet:
         (m11, m21), (m12, m22) = ((v.at(p) for v in logs[:2]) for logs in (self.log_abs, self.log_abs_A))
         return m11, m12, m21, m22, m11 * m22 - m12 * m21
 
+    @property
+    def fam_ivs(self):
+        """The family's values at ``work_bits`` that do not depend on n
+        (``family_ivs``), among them its constants."""
+        return family_ivs(self.fam, self.work_bits)
+
     @cached_property
     def coeff_logs(self):
         """Interval values at ``work_bits`` of log|alpha|, log|beta|,
         log|c_A(n)|, log|c_B(n)| and log|(c_B - c_A)(n)| (the last only in
         the equal-modulus case, else None).  Only the logs of coefficient
         polynomials that depend on n are computed here; the others come
-        from ``_n_free_coeff_logs``."""
-        fam, n, bits = self.fam, self.n, self.work_bits
-        _, _, la, lb = dominant_logs(fam, bits)
+        from ``fam_ivs``."""
+        f = self.fam_ivs
         lcA, lcB, ldiff = (
-            v if v is not None or p is None else abs(p.approx_at(n, bits)).log()
-            for p, v in zip(_coeff_polys(fam), _n_free_coeff_logs(fam, bits))
+            v if v is not None or p is None else abs(p.approx_at(self.n, self.work_bits)).log()
+            for p, v in zip(_coeff_polys(self.fam), f.coeff_logs)
         )
-        return la, lb, lcA, lcB, ldiff
+        return (*f.log_ab, lcA, lcB, ldiff)
+
+    @cached_property
+    def powers(self):
+        """(|alpha|^n, |beta|^n, n^d1, n^d2) at ``work_bits``, which
+        ``verify_root_diff`` and ``xi_rhs`` read."""
+        a_abs, b_abs = self.fam_ivs.abs_ab
+        n_iv = Interval.of(self.n, self.work_bits)
+        return a_abs**self.n, b_abs**self.n, n_iv**self.fam.d1, n_iv**self.fam.d2
+
+    @cached_property
+    def xi_rhs(self) -> Fraction:
+        """Certified lower bound on the right-hand side of the transformed-form
+        upper bound 4 c5^-3 n^-d1 |alpha|^-2n |beta|^-n + 6 C n^d2 eps^n at
+        ``work_bits``: a |xi_j| at most this value is at most the bound itself.
+
+        The source states the first term with c5 cubed; the derivation uses the
+        *inverse* of the root-difference lower bounds, so we evaluate 4 c5^{-3}
+        and flag the discrepancy in reports.
+        """
+        an, bn, nd1, nd2 = self.powers
+        f = self.fam_ivs
+        t1 = 4 / (f.c5**3 * nd1 * an * an * bn)
+        t2 = 6 * f.C * nd2 * f.eps**self.n
+        return (t1 + t2).inf
 
 
 def _coeff_polys(fam: FamilyInstance):
@@ -79,27 +110,25 @@ def _coeff_polys(fam: FamilyInstance):
     return fam.A.dominant_coeff, fam.B.dominant_coeff, fam.coeff_diff if fam.equal_modulus else None
 
 
+FamilyIvs = namedtuple("FamilyIvs", "consts abs_ab log_ab coeff_logs c5 c6 C eps")
+
+
 @lru_cache(maxsize=64)
-def _n_free_coeff_logs(fam: FamilyInstance, bits: int):
-    """log|c| at ``bits`` of each polynomial of ``_coeff_polys`` that is
-    constant in n, None for the others: once per (family, precision).  The
-    key is the family, which compares by identity, never a polynomial,
-    whose equality compares AlgebraicNumbers exactly."""
-    return tuple(
+def family_ivs(fam: FamilyInstance, bits: int) -> FamilyIvs:
+    """Everything about a family at ``bits`` that does not depend on n, once
+    per (family, precision): its constants (``compute_constants``); |alpha|
+    and |beta| and their logs; log|c| of each polynomial of ``_coeff_polys``
+    that is constant in n, None for the others; and c5, c6, C and eps as
+    Intervals.  The key is the family, which compares by identity, never a
+    polynomial, whose equality compares AlgebraicNumbers exactly."""
+    consts = compute_constants(fam)
+    abs_ab = abs(fam.alpha.approx(bits)), abs(fam.beta.approx(bits))
+    coeff_logs = tuple(
         abs(p.approx_at(0, bits)).log() if p is not None and p.degree == 0 else None
         for p in _coeff_polys(fam)
     )
-
-
-@lru_cache(maxsize=4)
-def dominant_powers(fam: FamilyInstance, n: int, bits: int):
-    """(|alpha|^n, |beta|^n, n^d1, n^d2) as Intervals at ``bits``, once per
-    root context (family, n, precision): ``verify_root_diff`` and
-    ``units.xi_upper_rhs`` read them one after the other, so the cache
-    keeps only the last few contexts."""
-    a_abs, b_abs, _, _ = dominant_logs(fam, bits)
-    n_iv = Interval.of(n, bits)
-    return a_abs**n, b_abs**n, n_iv**fam.d1, n_iv**fam.d2
+    c5, c6, C, eps = (Interval.of(v, bits) for v in (consts.c5, consts.c6, consts.C, consts.eps))
+    return FamilyIvs(consts, abs_ab, tuple(v.log() for v in abs_ab), coeff_logs, c5, c6, C, eps)
 
 
 def _bracket_around(coeffs, center, halfwidth):
@@ -232,16 +261,10 @@ class ApproxConstants:
             raise SplitThueError("c5 must not exceed c6")
 
     def __hash__(self):
-        # a cheap key for the per-n caches: equal constants agree on C and
-        # eps, and hashing every Fraction field costs more than a lookup saves
+        # only the bound chain's per-probe caches key on the constants: equal
+        # constants agree on C and eps, and hashing every Fraction field
+        # costs more than a lookup saves
         return hash((self.C, self.eps))
-
-
-@lru_cache(maxsize=64)
-def constant_ivs(consts: ApproxConstants, bits: int):
-    """(c5, c6, C, eps) as Intervals at ``bits``, once per (constants,
-    precision)."""
-    return tuple(Interval.of(v, bits) for v in (consts.c5, consts.c6, consts.C, consts.eps))
 
 
 # compute_constants bounds the coefficients for n >= _N_MIN, at _CONST_BITS
@@ -370,41 +393,47 @@ _ROOT_LOGS = ("log|l1|", "log|l1-A|", "log|l2|", "log|l2-A|", "log|l3|", "log|l3
 
 def log_closed_forms(rs: CubicRootSet):
     """The six closed forms for log|lambda_i| and log|lambda_i - A_n|, their
-    rows evaluated on the context's ``coeff_logs``."""
+    rows evaluated on the context's ``coeff_logs``; each of the rows' three
+    heads, n times (log|alpha|, log|beta|), is evaluated once."""
     la, lb, *coeff = rs.coeff_logs
     rows = closed_forms(rs.fam.equal_modulus)
-    return {
-        name: combine(rows[name][2:], coeff, rs.n * combine(rows[name][:2], (la, lb)))
-        for name in _ROOT_LOGS
-    }
+    heads = {rows[name][:2] for name in _ROOT_LOGS}
+    start = {head: rs.n * combine(head, (la, lb)) for head in heads}
+    return {name: combine(rows[name][2:], coeff, start[rows[name][:2]]) for name in _ROOT_LOGS}
 
 
-def verify_log_approx(rs: CubicRootSet, consts: ApproxConstants) -> ResidualReport:
+def verify_log_approx(rs: CubicRootSet) -> ResidualReport:
     """Six log approximations against the shared decaying error term
-    C n^d2 eps^n, at the context's working precision."""
-    n = rs.n
-    scale = Fraction(n) ** rs.fam.d2 * consts.eps**n
-    bound = consts.C * scale
+    C n^d2 eps^n, at the context's working precision.
+
+    The scale n^d2 eps^n and the bound C n^d2 eps^n are kept as unreduced
+    integer fractions: each row is compared with the bound by
+    cross-multiplication, and its ratio to the scale is an int true
+    division, which is correctly rounded, as ``float`` of the reduced
+    Fraction is, without a gcd on the long integers of eps^n."""
+    n, C, eps = rs.n, rs.fam_ivs.consts.C, rs.fam_ivs.consts.eps
+    scale_num, scale_den = n**rs.fam.d2 * eps.numerator**n, eps.denominator**n
+    bound_num, bound_den = C.numerator * scale_num, C.denominator * scale_den
+    bound = bound_num / bound_den
     computed = dict(zip(_ROOT_LOGS, (v for pair in zip(rs.log_abs, rs.log_abs_A) for v in pair)))
     closed = log_closed_forms(rs)
     entries = []
     for name in computed:
         sup = abs(computed[name] - closed[name]).sup
-        ok = sup <= bound
-        ratio = float(sup / scale) if scale > 0 else None
-        entries.append(ResidualEntry(name, float(sup), float(bound), ok, ratio))
+        ok = sup.numerator * bound_den <= bound_num * sup.denominator
+        ratio = sup.numerator * scale_den / (sup.denominator * scale_num) if scale_num else None
+        entries.append(ResidualEntry(name, float(sup), bound, ok, ratio))
     return ResidualReport(n, tuple(entries))
 
 
-def verify_root_diff(rs: CubicRootSet, consts: ApproxConstants) -> ResidualReport:
+def verify_root_diff(rs: CubicRootSet) -> ResidualReport:
     """The six two-sided root-difference bounds, at the working precision."""
-    bits = rs.work_bits
-    l1, l2, l3 = (v.at(bits) for v in rs.ivs)
+    l1, l2, l3 = (v.at(rs.work_bits) for v in rs.ivs)
     d12 = abs(l1 - l2)
     d13 = abs(l1 - l3)
     d23 = abs(l2 - l3)
-    an, bn, nd1, nd2 = dominant_powers(rs.fam, rs.n, bits)
-    c5, c6, _, _ = constant_ivs(consts, bits)
+    an, bn, nd1, nd2 = rs.powers
+    c5, c6 = rs.fam_ivs.c5, rs.fam_ivs.c6
     checks = [
         ("c5 b^n <= |l1-l2|", (c5 * bn).sup <= d12.inf),
         ("|l1-l2| <= c6 n^d2 b^n", d12.sup <= (c6 * nd2 * bn).inf),

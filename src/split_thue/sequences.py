@@ -363,16 +363,6 @@ class FamilyInstance:
         return CoefficientPolynomial(diff)
 
 
-@lru_cache(maxsize=64)
-def dominant_logs(fam: FamilyInstance, bits: int):
-    """(|alpha|, |beta|, log|alpha|, log|beta|) as intervals at ``bits``,
-    once per (family, precision): the family's only precision-dependent
-    values, and the one place that encloses them."""
-    a_abs = abs(fam.alpha.approx(bits))
-    b_abs = abs(fam.beta.approx(bits))
-    return a_abs, b_abs, a_abs.log(), b_abs.log()
-
-
 # -- hypothesis checking ---------------------------------------------------
 
 

@@ -268,9 +268,9 @@ def verify_family(
         try:
             rs = cubic.isolate_roots(fam, n, bits)
             ra = cubic.verify_root_approx(rs).all_pass
-            resid = cubic.verify_log_approx(rs, consts)
+            resid = cubic.verify_log_approx(rs)
             la = resid.all_pass
-            rd = cubic.verify_root_diff(rs, consts).all_pass
+            rd = cubic.verify_root_diff(rs).all_pass
             xi_ok = True
             for s in sols:
                 if s.y <= 0:
@@ -278,7 +278,7 @@ def verify_family(
                     # (x, y) with y < 0 mirrors (-x, -y), a solution too
                     continue
                 ue = units.unit_decompose(s.x, s.y, rs)
-                if not units.verify_xi_bound(ue, rs, consts).ok:
+                if not units.verify_xi_bound(ue, rs).ok:
                     xi_ok = False
         except cubic.AnchorSignFailure:
             pass

@@ -7,10 +7,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .algebraic import refine_bracket
-from .cubic import CubicRootSet, closed_forms, combine, constant_ivs, dominant_powers
+from .cubic import CubicRootSet, closed_forms, combine
 from .precision import (
     MIN_WORKING_BITS,
     Interval,
@@ -20,7 +19,6 @@ from .precision import (
     compare,
     ladder,
 )
-from .sequences import FamilyInstance
 
 
 class NotAUnit(SplitThueError):
@@ -214,25 +212,6 @@ def xi_form(j: int, case_tag: str, n: int, b1: int, b2: int):
     return (n * row[0], n * row[1], *row[2:])
 
 
-@lru_cache(maxsize=256)
-def xi_upper_rhs(fam: FamilyInstance, consts, n: int, bits: int) -> Fraction:
-    """Certified lower bound on the right-hand side of the transformed-form
-    upper bound 4 c5^-3 n^-d1 |alpha|^-2n |beta|^-n + 6 C n^d2 eps^n,
-    computed once per (family, constants, n, precision) from the root
-    context's ``dominant_powers``: a |xi_j| at most this value is at most
-    the bound itself.
-
-    The source states the first term with c5 cubed; the derivation uses the
-    *inverse* of the root-difference lower bounds, so we evaluate 4 c5^{-3}
-    and flag the discrepancy in reports.
-    """
-    an, bn, nd1, nd2 = dominant_powers(fam, n, bits)
-    c5, _, C, eps = constant_ivs(consts, bits)
-    t1 = 4 / (c5**3 * nd1 * an * an * bn)
-    t2 = 6 * C * nd2 * eps**n
-    return (t1 + t2).inf
-
-
 @dataclass(frozen=True)
 class XiBoundReport:
     j: int
@@ -242,15 +221,15 @@ class XiBoundReport:
     ok: bool
 
 
-def verify_xi_bound(ue: UnitExponents, rs: CubicRootSet, consts) -> XiBoundReport:
+def verify_xi_bound(ue: UnitExponents, rs: CubicRootSet) -> XiBoundReport:
     """Check |xi_j|, the interval value of the transformed linear form of
     ``ue`` at the context's working precision, against its decaying upper
     bound: the upper end of |xi_j| must not exceed the lower end of the
-    bound. The bound only holds for exponents that come from a genuine
-    solution."""
+    bound, the context's ``xi_rhs``. The bound only holds for exponents that
+    come from a genuine solution."""
     fam, n, bits = rs.fam, rs.n, rs.work_bits
     xi = xi_form(ue.j, fam.case_tag, n, ue.b1, ue.b2)
     value = combine(xi, rs.coeff_logs, Interval.of(0, bits))
-    rhs = xi_upper_rhs(fam, consts, n, bits)
+    rhs = rs.xi_rhs
     sup = abs(value).sup
     return XiBoundReport(ue.j, n, float(sup), float(rhs), sup <= rhs)

@@ -137,7 +137,7 @@ def test_criterion_03_log_approx_residuals(fib_pow2, fib_pow2_consts, bits):
     ratios = []
     for n in range(15, 41):
         rs = isolate_roots(fib_pow2, n, bits)
-        rep = verify_log_approx(rs, fib_pow2_consts)
+        rep = verify_log_approx(rs)
         assert rep.all_pass, f"n={n}: log approximation exceeded C n^d2 eps^n"
         ratios.append(max(e.ratio for e in rep.entries))
     # boundedness: the scaled residual must not trend upward across the range

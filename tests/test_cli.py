@@ -173,35 +173,32 @@ def test_zero_dominant_root_is_a_hypothesis_violation(tmp_path, capsys):
     _assert_hypothesis_violation(p, capsys, "dominant root must be nonzero")
 
 
-def count_coeff_logs(monkeypatch):
-    """Count the root contexts' per-n log computations: the list of the n
-    each one was computed at."""
+def count_property(monkeypatch, name):
+    """Count the computations of a cached property of the root contexts,
+    such as the per-n logs ``coeff_logs``: the list of the n each one was
+    computed at."""
     computed = []
-    coeff_logs = cubic.CubicRootSet.coeff_logs.func
+    compute = getattr(cubic.CubicRootSet, name).func
 
     def counting(rs):
         computed.append(rs.n)
-        return coeff_logs(rs)
+        return compute(rs)
 
     prop = cached_property(counting)
-    prop.__set_name__(cubic.CubicRootSet, "coeff_logs")
-    monkeypatch.setattr(cubic.CubicRootSet, "coeff_logs", prop)
+    prop.__set_name__(cubic.CubicRootSet, name)
+    monkeypatch.setattr(cubic.CubicRootSet, name, prop)
     return computed
 
 
 def test_verify_runs_each_stage_once(monkeypatch, capsys):
-    calls = {"isolate_roots": [], "compute_constants": 0, "bullet": 0, "explicit_iv": 0}
-    isolate, constants = cubic.isolate_roots, cubic.compute_constants
+    calls = {"isolate_roots": [], "bullet": 0, "explicit_iv": 0}
+    isolate = cubic.isolate_roots
     bullet = sequences._bullet_check
     explicit_iv, build = sequences.RecurrentSequence.explicit_iv, sequences.FamilyInstance.build
 
     def counting_isolate(fam, n, *args, **kwargs):
         calls["isolate_roots"].append(n)
         return isolate(fam, n, *args, **kwargs)
-
-    def counting_constants(*args, **kwargs):
-        calls["compute_constants"] += 1
-        return constants(*args, **kwargs)
 
     def counting_bullet(*args):
         calls["bullet"] += 1
@@ -216,20 +213,21 @@ def test_verify_runs_each_stage_once(monkeypatch, capsys):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(cubic, "isolate_roots", counting_isolate)
-    monkeypatch.setattr(cubic, "compute_constants", counting_constants)
     monkeypatch.setattr(sequences, "_bullet_check", counting_bullet)
     monkeypatch.setattr(sequences.RecurrentSequence, "explicit_iv", counting_explicit_iv)
     monkeypatch.setattr(sequences.FamilyInstance, "build", recording_build)
-    coeff_logs = count_coeff_logs(monkeypatch)
-    # the per-(family, n) caches count the computations they hold
-    for cached in (sequences.FamilyInstance.terms, units.xi_upper_rhs):
-        cached.cache_clear()
+    coeff_logs = count_property(monkeypatch, "coeff_logs")
+    xi_rhs = count_property(monkeypatch, "xi_rhs")
+    sequences.FamilyInstance.terms.cache_clear()
+    # the memo's misses count the computations of the family's constants
+    constants = cubic.compute_constants.cache_info().misses
     code, report = run(["verify", EXAMPLE_CONFIG], capsys)
     assert code == cli.EXIT_OK
     in_scope = [row["n"] for row in report["per_n"] if row["in_scope"]]
     assert in_scope == list(range(2, 9))
     assert calls["isolate_roots"] == in_scope
-    assert calls["compute_constants"] == 1
+    # the family's constants are computed once, whoever reads them
+    assert cubic.compute_constants.cache_info().misses == constants + 1
     # one hypothesis pass over n = 1..n_hi
     n_hi = report["config"]["options"]["n_hi"]
     assert calls["bullet"] == n_hi
@@ -240,7 +238,7 @@ def test_verify_runs_each_stage_once(monkeypatch, capsys):
     assert calls["explicit_iv"] == calls["explicit_iv_at_build"]
     # per-n values are computed once per n, not once per solution or stage
     assert coeff_logs == in_scope
-    assert units.xi_upper_rhs.cache_info().misses <= len(in_scope)
+    assert xi_rhs == in_scope
 
 
 def test_verify_checks_xi_at_the_working_precision(monkeypatch, capsys):
@@ -254,15 +252,14 @@ def test_verify_checks_xi_at_the_working_precision(monkeypatch, capsys):
         return contexts[-1]
 
     monkeypatch.setattr(cubic, "isolate_roots", recording_isolate)
-    coeff_logs = count_coeff_logs(monkeypatch)
-    units.xi_upper_rhs.cache_clear()
+    coeff_logs = count_property(monkeypatch, "coeff_logs")
+    xi_rhs = count_property(monkeypatch, "xi_rhs")
     code, report = run(["verify", EXAMPLE_CONFIG, "--n-hi", "5", "--bits", "512"], capsys)
     assert code == cli.EXIT_OK
     in_scope = [row["n"] for row in report["per_n"] if row["in_scope"]]
     assert in_scope == list(range(2, 6))
-    assert coeff_logs == in_scope
+    assert coeff_logs == xi_rhs == in_scope
     assert [rs.work_bits for rs in contexts] == [512] * len(in_scope)
-    assert units.xi_upper_rhs.cache_info().misses == len(in_scope)
 
 
 def test_verify_decomposes_one_solution_of_each_mirror_pair(monkeypatch, capsys):

@@ -8,12 +8,14 @@ from split_thue.cubic import (
     AnchorSignFailure,
     _bracket_around,
     cubic_coeffs,
+    family_ivs,
     isolate_roots,
     verify_log_approx,
     verify_root_approx,
     verify_root_diff,
 )
 from split_thue.precision import Interval
+from split_thue.solver import verify_family
 
 
 def test_cubic_coeffs():
@@ -114,25 +116,38 @@ def test_verify_root_approx(fib_pow2, bits):
     }
 
 
-def test_verify_log_approx(fib_pow2, fib_pow2_consts, bits):
+def test_verify_log_approx(fib_pow2, bits):
     rs = isolate_roots(fib_pow2, 10, bits)
-    rep = verify_log_approx(rs, fib_pow2_consts)
+    rep = verify_log_approx(rs)
     assert rep.all_pass
     assert len(rep.entries) == 6
     for e in rep.entries:
         assert e.ratio is not None and e.ratio <= 6.0
 
 
-def test_verify_root_diff(fib_pow2, fib_pow2_consts, bits):
+def test_verify_root_diff(fib_pow2, bits):
     rs = isolate_roots(fib_pow2, 10, bits)
-    rep = verify_root_diff(rs, fib_pow2_consts)
+    rep = verify_root_diff(rs)
     assert rep.all_pass
 
 
-def test_find_threshold(fib_pow2, fib_pow2_consts, bits):
+def test_find_threshold(fib_pow2, bits):
     # the lemma threshold of this family is n = 1: every lemma holds for n = 1..8
     for n in range(1, 9):
         rs = isolate_roots(fib_pow2, n, bits)
         assert verify_root_approx(rs).all_pass
-        assert verify_log_approx(rs, fib_pow2_consts).all_pass
-        assert verify_root_diff(rs, fib_pow2_consts).all_pass
+        assert verify_log_approx(rs).all_pass
+        assert verify_root_diff(rs).all_pass
+
+
+def test_family_ivs_once_per_family_and_precision(fib_seq, pow2_seq):
+    # two working precisions in one process compute the family's n-free
+    # values twice, and a repeat of the first computes nothing new
+    fam = FamilyInstance.build(fib_seq, pow2_seq)
+    runs, computed = [], []
+    for bits in (256, 512, 256):
+        before = family_ivs.cache_info().misses
+        runs.append(verify_family(fam, 2, 8, 50, bits))
+        computed.append(family_ivs.cache_info().misses - before)
+    assert computed == [1, 1, 0]
+    assert runs[0] == runs[2]

@@ -56,13 +56,13 @@ def test_per_n_path_never_sets_the_global_precision(monkeypatch, fib_pow2, fib_p
         for n in range(2, 13):
             rs = cubic.isolate_roots(fam, n, bits)
             assert cubic.verify_root_approx(rs).all_pass
-            assert cubic.verify_log_approx(rs, consts).all_pass
-            assert cubic.verify_root_diff(rs, consts).all_pass
+            assert cubic.verify_log_approx(rs).all_pass
+            assert cubic.verify_root_diff(rs).all_pass
             for s in solver.solve_bruteforce(fam, n, 50):
                 if s.y == 0:
                     continue
                 ue = units.unit_decompose(s.x, s.y, rs)
-                assert units.verify_xi_bound(ue, rs, consts).ok
+                assert units.verify_xi_bound(ue, rs).ok
         if (a, b) == FIB_POW2:
             assert D == 2 and consts == fib_pow2_consts
             for traced in probes:

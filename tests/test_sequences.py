@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from split_thue.algebraic import AlgebraicNumber
-from split_thue.cubic import compute_constants
+from split_thue.cubic import compute_constants, family_ivs
 from split_thue.precision import SplitThueError
 from split_thue.sequences import (
     CoefficientPolynomial,
@@ -14,7 +14,6 @@ from split_thue.sequences import (
     InconsistentModel,
     RecurrentSequence,
     check_hypotheses,
-    dominant_logs,
     sequence_from_json,
 )
 
@@ -125,7 +124,7 @@ def test_derived_values_do_not_depend_on_earlier_refinement():
     def derived():
         # computed afresh each time, past the per-family memos
         # Intervals compare equal when their endpoints and precisions agree
-        return compute_constants.__wrapped__(fam), dominant_logs.__wrapped__(fam, 160), fam.alpha.approx(256)
+        return compute_constants.__wrapped__(fam), family_ivs.__wrapped__(fam, 160), fam.alpha.approx(256)
 
     before = derived()
     for x in numbers:

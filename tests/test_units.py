@@ -23,7 +23,6 @@ from split_thue.units import (
     unit_product,
     verify_xi_bound,
     xi_form,
-    xi_upper_rhs,
 )
 
 
@@ -287,43 +286,42 @@ def test_xi_form_rejects_bad_input():
         xi_form(1, "other", 3, 0, 0)
 
 
-def test_xi_bound_on_trivial_solutions(fib_pow2, fib_pow2_consts, bits):
+def test_xi_bound_on_trivial_solutions(fib_pow2, bits):
     for n in (15, 20, 30):
         rs = isolate_roots(fib_pow2, n, bits)
         A, B = rs.A, rs.B
         for x, y in ((1, 0), (0, 1), (A, 1), (B, 1)):
-            rep = verify_xi_bound(unit_decompose(x, y, rs), rs, fib_pow2_consts)
+            rep = verify_xi_bound(unit_decompose(x, y, rs), rs)
             assert rep.ok, (n, x, y, rep.value, rep.bound)
 
 
-def test_xi_upper_rhs_is_a_lower_end(fib_pow2, fib_pow2_consts):
-    # a pass compares sup|xi| with a lower bound on the right-hand side: at
-    # a coarse precision its wider enclosure puts that bound lower
+def test_xi_upper_rhs_is_a_lower_end(fib_pow2):
+    # a pass compares sup|xi| with a lower bound on the right-hand side: in
+    # a coarse context its wider enclosure puts that bound lower
     for n in (15, 60, 150):
-        coarse = xi_upper_rhs(fib_pow2, fib_pow2_consts, n, 64)
-        fine = xi_upper_rhs(fib_pow2, fib_pow2_consts, n, 512)
+        coarse, fine = (isolate_roots(fib_pow2, n, bits).xi_rhs for bits in (64, 512))
         assert 0 < coarse <= fine
 
 
-def test_xi_value_matches_computed_form(rs20, fib_pow2_consts):
+def test_xi_value_matches_computed_form(rs20):
     """The tabulated linear form must agree with the directly computed
     log-combination on a solution's exponents."""
     ue = unit_decompose(rs20.A, 1, rs20)
     assert ue.j == 2
-    assert verify_xi_bound(ue, rs20, fib_pow2_consts).value < 1e-3
+    assert verify_xi_bound(ue, rs20).value < 1e-3
 
 
-def test_xi_bound_value_does_not_depend_on_the_global_precision(monkeypatch, rs20, fib_pow2_consts):
+def test_xi_bound_value_does_not_depend_on_the_global_precision(monkeypatch, rs20):
     # |xi_j| is taken at the context's precision, never at the global iv.prec
     ue = UnitExponents(2, 1, 3, 1)
     values = []
     for prec in (20, 53, 300):
         monkeypatch.setattr(iv, "prec", prec)
-        values.append(verify_xi_bound(ue, rs20, fib_pow2_consts).value)
+        values.append(verify_xi_bound(ue, rs20).value)
     assert values[0] == values[1] == values[2]
 
 
-def test_checks_at_n_read_the_context_precision(fib_pow2, fib_pow2_consts):
+def test_checks_at_n_read_the_context_precision(fib_pow2):
     # the per-n logs are taken at the context's working precision, and so
     # is |xi_j|: a 64-bit context encloses the same form no tighter
     values = []
@@ -334,5 +332,5 @@ def test_checks_at_n_read_the_context_precision(fib_pow2, fib_pow2_consts):
         assert len(logs) == 4 and all(v.prec == bits for v in logs)
         ue = unit_decompose(7, 4, rs)
         assert (ue.j, ue.b1, ue.b2) == (2, 0, 3)
-        values.append(verify_xi_bound(ue, rs, fib_pow2_consts).value)
+        values.append(verify_xi_bound(ue, rs).value)
     assert values[0] >= values[1] > 0
