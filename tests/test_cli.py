@@ -87,6 +87,22 @@ def test_equal_modulus_n0(capsys):
     assert report["branch_thresholds"] == {"xi-j1": n0, "xi-j2": n0, "xi-j3": n0}
 
 
+def test_n_dependent_coefficient_n0(capsys, tmp_path):
+    # A_n = (n+2) 2^(n-1) has c_A = (n+2)/2, so d2 = 1: m, e, the xi bound
+    # and the coefficient heights all carry a log n term
+    path = tmp_path / "n-dependent-cA.json"
+    path.write_text(json.dumps({
+        "A": {"recurrence": [1, -4, 4], "initial": [1, 3]},
+        "B": {"recurrence": [1, -3], "initial": [1]},
+    }))
+    code, report = run(["bounds", str(path), "--n-cap", str(10**25)], capsys)
+    assert code == cli.EXIT_OK
+    n0 = 7636976776585388261696
+    assert report["n0"] == n0
+    assert report["branch_thresholds"] == {"altunit-j1": 313, "xi-j2": n0, "xi-j3": n0}
+    assert len(report["trace"]) == 334
+
+
 @pytest.mark.parametrize(
     "argv, want, keys",
     [
