@@ -37,12 +37,12 @@ from .units import (
 )
 from .bounds import (
     C_RANK2_CUBIC,
+    ChainProbe,
     N0Result,
     baker_lower,
     bugy_bound,
     compute_n0,
     field_degree,
-    regulator_bounds,
 )
 from .solver import Solution, solve_bruteforce, verify_family
 
@@ -52,6 +52,7 @@ __all__ = [
     "AlgebraicNumber",
     "ApproxConstants",
     "C_RANK2_CUBIC",
+    "ChainProbe",
     "CoefficientPolynomial",
     "CubicRootSet",
     "FamilyInstance",
@@ -72,7 +73,6 @@ __all__ = [
     "field_degree",
     "isolate_roots",
     "regulator",
-    "regulator_bounds",
     "sequence_from_json",
     "solve_bruteforce",
     "unit_decompose",

@@ -10,13 +10,13 @@ far beyond any n at which exact root isolation is feasible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .algebraic import AlgebraicNumber, field_arith
 from .precision import WORKING_BITS, Interval, SplitThueError
-from .cubic import closed_forms, combine, compute_constants, family_ivs
+from .cubic import ApproxConstants, closed_forms, combine, compute_constants, family_ivs
 from .sequences import FamilyInstance
 
 
@@ -60,77 +60,7 @@ def _n_free_log(x, bits: int) -> Interval:
     return _log(x, bits)
 
 
-# log_coeff_bound, lterm_sup and regulator_bounds are memoised per (family,
-# constants, n, precision): every bound of a probe reads them, and so do the
-# probes of the other branches at the same n.
-
-@lru_cache(maxsize=256)
-def log_coeff_bound(fam: FamilyInstance, consts, n: int, bits: int) -> Fraction:
-    """Upper bound m(n) on |log| of every coefficient value at n (dominant
-    coefficients and, in the equal-modulus case, their difference)."""
-    return max(consts.log_coeff_neg, consts.log_coeff_pos + fam.d2 * _log(n, bits).sup)
-
-
 _CLAMP_BITS = 256
-
-
-def _sup_clamped(x) -> Fraction:
-    """Upper endpoint as a Fraction, rounded up to 2^-_CLAMP_BITS when the
-    value is even tinier (an exact conversion would need astronomically long
-    denominators)."""
-    sign, man, exp, bc = x._mpi_[1]
-    if man != 0 and exp + bc < -_CLAMP_BITS:
-        return Fraction(1, 2**_CLAMP_BITS) if not sign else Fraction(0)
-    return x.sup
-
-
-@lru_cache(maxsize=256)
-def lterm_sup(consts, d2: int, n: int, bits: int) -> Fraction:
-    """Rational upper bound of the decaying error envelope C n^d2 eps^n."""
-    if consts.eps == 0:
-        return Fraction(0)
-    v = Interval.of(consts.C, bits) * Interval.of(n, bits) ** d2 * Interval.of(consts.eps, bits) ** n
-    return _sup_clamped(v)
-
-
-@lru_cache(maxsize=256)
-def regulator_bounds(fam: FamilyInstance, consts, n: int, bits: int):
-    """Closed-form enclosure (R_low, R_up) of the regulator at n: the rows
-    log|l1|, log|l1-A|, log|l2| and log|l2-A| of ``closed_forms``, each
-    coefficient log ranging over [-m, m], plus the error envelope e once per
-    row."""
-    m = log_coeff_bound(fam, consts, n, bits)
-    e = lterm_sup(consts, fam.d2, n, bits)
-    la, lb = family_ivs(fam, bits).log_ab
-    rows = closed_forms(fam.equal_modulus)
-
-    def enclose(name):
-        k = sum(map(abs, rows[name][2:]))
-        return n * combine(rows[name][:2], (la, lb)) + Interval.between(-(k * m + e), k * m + e, bits)
-
-    x1, y1, x2, y2 = map(enclose, ("log|l1|", "log|l1-A|", "log|l2|", "log|l2-A|"))
-    det = abs(x1 * y2 - x2 * y1)
-    return max(Fraction(0), det.inf), det.sup
-
-
-def logH_upper(fam: FamilyInstance, consts, n: int, bits: int) -> Fraction:
-    """Upper bound on log of the largest form coefficient, |A_n B_n|."""
-    m = log_coeff_bound(fam, consts, n, bits)
-    e = lterm_sup(consts, fam.d2, n, bits)
-    la, lb = family_ivs(fam, bits).log_ab
-    val = (n * (la + lb)).sup + 2 * (m + 1) + e
-    return max(val, Fraction(2))  # H >= 3 floor
-
-
-@dataclass(frozen=True)
-class LogyUpper:
-    value: Fraction
-
-
-def logy_upper(fam: FamilyInstance, consts, n: int, bits: int) -> LogyUpper:
-    """Explicit upper bound on log|y| for any solution at parameter n."""
-    r_low, r_up = regulator_bounds(fam, consts, n, bits)
-    return LogyUpper(bugy_bound(r_up, logH_upper(fam, consts, n, bits), bits))
 
 
 # -- linear-form lower bound -----------------------------------------------
@@ -223,73 +153,175 @@ def field_degree(fam: FamilyInstance) -> int:
     return compositum_degree(elements)
 
 
-def xi_heights(fam: FamilyInstance, n: int, D: int, bits=WORKING_BITS):
-    """Per-argument height bounds (with Baker floors) for the transformed
-    form's logarithms at parameter n, from the family's constants at the
-    chain's precision.  ``bits`` is ignored; it stays because
-    perfbench/check.py passes a fourth argument."""
-    return _xi_heights(fam, compute_constants(fam), n, D)
+# -- the chain at one n ----------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class ChainProbe:
+    """The bound chain at one n: its closed forms in n over the family's
+    constants at precision ``bits``, each a cached property computed once.
+    ``compute_n0`` keeps one probe per probed n, which every branch at that n
+    reads; only the xi lower bound reads ``D``, the field degree."""
+
+    fam: FamilyInstance
+    consts: ApproxConstants
+    n: int
+    bits: int
+    D: int | None = None
+
+    @cached_property
+    def logn(self) -> Interval:
+        return _log(self.n, self.bits)
+
+    @cached_property
+    def m(self) -> Fraction:
+        """Upper bound m(n) on |log| of every coefficient value at n (dominant
+        coefficients and, in the equal-modulus case, their difference)."""
+        return max(self.consts.log_coeff_neg, self.consts.log_coeff_pos + self.fam.d2 * self.logn.sup)
+
+    @cached_property
+    def e(self) -> Fraction:
+        """Rational upper bound of the decaying error envelope C n^d2 eps^n,
+        rounded up to 2^-_CLAMP_BITS when it is even tinier (an exact
+        conversion would need astronomically long denominators)."""
+        consts, bits = self.consts, self.bits
+        if consts.eps == 0:
+            return Fraction(0)
+        v = Interval.of(consts.C, bits) * Interval.of(self.n, bits) ** self.fam.d2 * Interval.of(consts.eps, bits) ** self.n
+        sign, man, exp, bc = v._mpi_[1]
+        if man != 0 and exp + bc < -_CLAMP_BITS:
+            return Fraction(1, 2**_CLAMP_BITS) if not sign else Fraction(0)
+        return v.sup
+
+    @cached_property
+    def regulator(self):
+        """Closed-form enclosure (R_low, R_up) of the regulator at n: the rows
+        log|l1|, log|l1-A|, log|l2| and log|l2-A| of ``closed_forms``, each
+        coefficient log ranging over [-m, m], plus the error envelope e once
+        per row."""
+        m, e, n, bits = self.m, self.e, self.n, self.bits
+        la, lb = family_ivs(self.fam, bits).log_ab
+        rows = closed_forms(self.fam.equal_modulus)
+
+        def enclose(name):
+            k = sum(map(abs, rows[name][2:]))
+            return n * combine(rows[name][:2], (la, lb)) + Interval.between(-(k * m + e), k * m + e, bits)
+
+        x1, y1, x2, y2 = map(enclose, ("log|l1|", "log|l1-A|", "log|l2|", "log|l2-A|"))
+        det = abs(x1 * y2 - x2 * y1)
+        return max(Fraction(0), det.inf), det.sup
+
+    @cached_property
+    def logH(self) -> Fraction:
+        """Upper bound on log of the largest form coefficient, |A_n B_n|."""
+        la, lb = family_ivs(self.fam, self.bits).log_ab
+        val = (self.n * (la + lb)).sup + 2 * (self.m + 1) + self.e
+        return max(val, Fraction(2))  # H >= 3 floor
+
+    @cached_property
+    def logy(self) -> Fraction:
+        """Explicit upper bound on log|y| for any solution at n."""
+        return bugy_bound(self.regulator[1], self.logH, self.bits)
+
+    @cached_property
+    def xi_upper(self) -> Fraction:
+        """log of the right-hand side of the transformed-form upper bound,
+        evaluated in closed form (safe at astronomically large n)."""
+        fam, consts, n, bits, logn = self.fam, self.consts, self.n, self.bits, self.logn
+        la, lb = family_ivs(fam, bits).log_ab
+        t1 = _n_free_log(4, bits) - 3 * _n_free_log(consts.c5, bits) - fam.d1 * logn - n * (2 * la + lb)
+        if consts.eps == 0:
+            return t1.sup
+        t2 = _n_free_log(6 * consts.C, bits) + fam.d2 * logn + n * _n_free_log(consts.eps, bits)
+        return max(t1.sup, t2.sup) + _n_free_log(2, bits).sup
+
+    @cached_property
+    def altunit_lower(self) -> Fraction | None:
+        """log of the alternative-unit lower bound, in the log domain: the
+        direct evaluation clamps the decay factor q at 2^-256, which forfeits
+        the contradiction at astronomically large n, while log q is linear in
+        n and stays exact-scale.  None while the chain is vacuous."""
+        fam, consts, n, bits = self.fam, self.consts, self.n, self.bits
+        if fam.equal_modulus:
+            raise SplitThueError("chain requires distinct dominant-root moduli")
+        r_low = self.regulator[0]
+        if r_low <= 2:
+            return None
+        la, lb = family_ivs(fam, bits).log_ab
+        log_q = _n_free_log(2 * consts.U_A, bits) + fam.d2 * self.logn + n * (la - lb) - _n_free_log(consts.L_B, bits)
+        if log_q.sup >= _n_free_log(Fraction(1, 4), bits).inf:
+            return None
+        return (_log(r_low - 2, bits) - _n_free_log(4, bits) - log_q).inf
+
+    @cached_property
+    def heights(self):
+        """Per-argument height bounds (with Baker floors) for the transformed
+        form's logarithms at n, as (label, height) pairs."""
+        D, m, logn = self.D, self.m, self.logn.sup
+        floor = Fraction(16, 100) / D
+        h_alpha, h_beta, coeff_heights = self.consts.heights
+        la, lb = family_ivs(self.fam, self.bits).log_ab
+        la_abs, lb_abs = abs(la).sup, abs(lb).sup
+        out = [("alpha", max(h_alpha, la_abs / D, floor))]
+        if not self.fam.equal_modulus:
+            out.append(("beta", max(h_beta, lb_abs / D, floor)))
+        for label, base, slope in coeff_heights:
+            out.append((label, max(base + slope * logn, m / D, floor)))
+        return out
+
+    def exponent_bound(self, logy: Fraction, R_low: Fraction) -> Fraction:
+        """Upper bound on max(|b1|, |b2|) from the inverted log system, times n
+        to cover the transformed form's table coefficients."""
+        if R_low <= 0:
+            raise ValueError("need a positive regulator lower bound")
+        m, e, n = self.m, self.e, self.n
+        la, lb = family_ivs(self.fam, self.bits).log_ab
+        entry = (n * (la + lb)).sup + 2 * m + e  # largest |log| matrix entry
+        maxdiff = (n * lb).sup + m + e  # largest log root difference
+        b_bound = (2 * entry) * (logy + maxdiff) / R_low + 1
+        return 4 * n * (b_bound + 1)
+
+    @cached_property
+    def xi_lower(self) -> Fraction | None:
+        """Baker's lower bound on the log of the xi branches' linear form,
+        from the heights and the exponent bound B; None while R_low <= 0.
+        Both xi branches read it."""
+        r_low = self.regulator[0]
+        if r_low <= 0:
+            return None
+        B_exp = self.exponent_bound(self.logy, r_low)
+        return baker_lower([h for _, h in self.heights], self.D, _log(B_exp, self.bits).sup, self.bits)
 
 
-def _xi_heights(fam: FamilyInstance, consts, n: int, D: int):
-    bits = CHAIN_BITS
-    m = log_coeff_bound(fam, consts, n, bits)
-    logn = _log(n, bits).sup
-    floor = Fraction(16, 100) / D
-    h_alpha, h_beta, coeff_heights = consts.heights
-    la, lb = family_ivs(fam, bits).log_ab
-    la_abs, lb_abs = abs(la).sup, abs(lb).sup
-    out = [("alpha", max(h_alpha, la_abs / D, floor))]
-    if not fam.equal_modulus:
-        out.append(("beta", max(h_beta, lb_abs / D, floor)))
-    for label, base, slope in coeff_heights:
-        out.append((label, max(base + slope * logn, m / D, floor)))
-    return out
+# The six readers below remain only for the benchmark's perfbench/check.py,
+# which calls them; each reads one value of a fresh probe.
+
+@dataclass(frozen=True)
+class LogyUpper:
+    value: Fraction
 
 
-def exponent_bound_B(fam: FamilyInstance, consts, n: int, logy: Fraction, R_low: Fraction, bits: int) -> Fraction:
-    """Upper bound on max(|b1|, |b2|) from the inverted log system, times n
-    to cover the transformed form's table coefficients."""
-    if R_low <= 0:
-        raise ValueError("need a positive regulator lower bound")
-    m = log_coeff_bound(fam, consts, n, bits)
-    e = lterm_sup(consts, fam.d2, n, bits)
-    la, lb = family_ivs(fam, bits).log_ab
-    entry = (n * (la + lb)).sup + 2 * m + e  # largest |log| matrix entry
-    maxdiff = (n * lb).sup + m + e  # largest log root difference
-    b_bound = (2 * entry) * (logy + maxdiff) / R_low + 1
-    return 4 * n * (b_bound + 1)
+def regulator_bounds(fam: FamilyInstance, consts, n: int, bits: int):
+    return ChainProbe(fam, consts, n, bits).regulator
 
 
-def xi_upper_log(fam: FamilyInstance, consts, n: int, bits: int) -> Fraction:
-    """log of the right-hand side of the transformed-form upper bound,
-    evaluated in closed form (safe at astronomically large n)."""
-    la, lb = family_ivs(fam, bits).log_ab
-    logn = _log(n, bits)
-    t1 = _n_free_log(4, bits) - 3 * _n_free_log(consts.c5, bits) - fam.d1 * logn - n * (2 * la + lb)
-    if consts.eps == 0:
-        return t1.sup
-    t2 = _n_free_log(6 * consts.C, bits) + fam.d2 * logn + n * _n_free_log(consts.eps, bits)
-    return max(t1.sup, t2.sup) + _n_free_log(2, bits).sup
+def logy_upper(fam: FamilyInstance, consts, n: int, bits: int) -> LogyUpper:
+    return LogyUpper(ChainProbe(fam, consts, n, bits).logy)
 
 
 def log_logy_lower_altunit(fam: FamilyInstance, consts, n: int, bits: int):
-    """log of the alternative-unit lower bound, computed entirely in the log domain.
+    return ChainProbe(fam, consts, n, bits).altunit_lower
 
-    The direct evaluation clamps the decay factor q at 2^-256, which
-    forfeits the contradiction at astronomically large n; log q is linear
-    in n and stays exact-scale.  Returns None while the chain is vacuous.
-    """
-    if fam.equal_modulus:
-        raise SplitThueError("chain requires distinct dominant-root moduli")
-    r_low, _ = regulator_bounds(fam, consts, n, bits)
-    if r_low <= 2:
-        return None
-    la, lb = family_ivs(fam, bits).log_ab
-    log_q = _n_free_log(2 * consts.U_A, bits) + fam.d2 * _log(n, bits) + n * (la - lb) - _n_free_log(consts.L_B, bits)
-    if log_q.sup >= _n_free_log(Fraction(1, 4), bits).inf:
-        return None
-    return (_log(r_low - 2, bits) - _n_free_log(4, bits) - log_q).inf
+
+def xi_heights(fam: FamilyInstance, n: int, D: int, bits=WORKING_BITS):
+    return ChainProbe(fam, compute_constants(fam), n, CHAIN_BITS, D).heights  # ``bits`` is ignored
+
+
+def exponent_bound_B(fam: FamilyInstance, consts, n: int, logy: Fraction, R_low: Fraction, bits: int) -> Fraction:
+    return ChainProbe(fam, consts, n, bits).exponent_bound(logy, R_low)
+
+
+def xi_upper_log(fam: FamilyInstance, consts, n: int, bits: int) -> Fraction:
+    return ChainProbe(fam, consts, n, bits).xi_upper
 
 
 # -- the crossing search ---------------------------------------------------
@@ -330,32 +362,22 @@ class N0Result:
     trace: tuple
 
 
-def _branch_report(fam, consts, n, branch, D) -> BoundReport:
-    bits = CHAIN_BITS
-    r_low, r_up = regulator_bounds(fam, consts, n, bits)
-    ly = logy_upper(fam, consts, n, bits)
+def _branch_report(probe: ChainProbe, branch: str) -> BoundReport:
     if branch == "altunit-j1":
         # log-domain comparison: chain lower bound vs upper bound
-        lower = log_logy_lower_altunit(fam, consts, n, bits)
-        upper = _log(ly.value, bits).sup
+        lower, upper = probe.altunit_lower, _log(probe.logy, probe.bits).sup
     else:
-        upper = xi_upper_log(fam, consts, n, bits)
-        if r_low <= 0:
-            lower = None
-        else:
-            heights = _xi_heights(fam, consts, n, D)
-            B_exp = exponent_bound_B(fam, consts, n, ly.value, r_low, bits)
-            lower = baker_lower([h for _, h in heights], D, _log(B_exp, bits).sup, bits)
+        lower, upper = probe.xi_lower, probe.xi_upper
     contra = lower is not None and lower > upper
     return BoundReport(
-        n=n, branch=branch, R_upper=float(r_up), logy_upper=float(ly.value),
+        n=probe.n, branch=branch, R_upper=float(probe.regulator[1]), logy_upper=float(probe.logy),
         baker_lower_exponent=lower,
         xi_upper_log=upper,
         verdict="contradiction" if contra else "no-contradiction",
     )
 
 
-def compute_n0(fam: FamilyInstance, consts, n_cap: int = 10**7) -> N0Result:
+def compute_n0(fam: FamilyInstance, consts, n_cap: int) -> N0Result:
     """Smallest n beyond which every solution-type branch yields a
     contradiction between the lower and upper linear-form bounds, verified
     over a sanity window; per-branch thresholds and a probe trace included."""
@@ -367,15 +389,12 @@ def compute_n0(fam: FamilyInstance, consts, n_cap: int = 10**7) -> N0Result:
         branches.append("altunit-j1")
 
     trace = []
-    xi_reports = {}  # n -> report: the xi branches share every bound
+    probes = {}  # n -> ChainProbe, which every branch at n reads
 
     def contra(n, branch):
-        if branch == "altunit-j1":
-            rep = _branch_report(fam, consts, n, branch, D)
-        else:
-            if n not in xi_reports:
-                xi_reports[n] = _branch_report(fam, consts, n, branch, D)
-            rep = replace(xi_reports[n], branch=branch)
+        if n not in probes:
+            probes[n] = ChainProbe(fam, consts, n, CHAIN_BITS, D)
+        rep = _branch_report(probes[n], branch)
         trace.append(rep)
         return rep.verdict == "contradiction"
 

@@ -260,12 +260,6 @@ class ApproxConstants:
         if self.c5 > self.c6:
             raise SplitThueError("c5 must not exceed c6")
 
-    def __hash__(self):
-        # only the bound chain's per-probe caches key on the constants: equal
-        # constants agree on C and eps, and hashing every Fraction field
-        # costs more than a lookup saves
-        return hash((self.C, self.eps))
-
 
 # compute_constants bounds the coefficients for n >= _N_MIN, at _CONST_BITS
 _N_MIN = 2

@@ -33,9 +33,7 @@ class InconsistentModel(SplitThueError):
 
 
 class HypothesisViolated(SplitThueError):
-    def __init__(self, message, witness_n=None):
-        super().__init__(message)
-        self.witness_n = witness_n
+    """The family breaks a hypothesis of the paper (exit 2)."""
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,12 @@ from split_thue.algebraic import AlgebraicNumber, Enclosure
 from split_thue.bounds import (
     CHAIN_BITS,
     C_RANK2_CUBIC,
+    ChainProbe,
     _branch_report,
     baker_lower,
     bugy_bound,
     compute_n0,
     field_degree,
-    regulator_bounds,
 )
 from split_thue.cubic import isolate_roots, verify_log_approx, verify_root_approx
 from split_thue.solver import solve_bruteforce
@@ -161,7 +161,7 @@ def test_criterion_04_regulator_growth(fib_pow2, fib_pow2_consts, bits):
     for n in probes:
         rs = isolate_roots(fib_pow2, n, bits)
         r12, r23, r13 = (regulator(rs, pair) for pair in ((1, 2), (2, 3), (1, 3)))
-        r_low, r_up = regulator_bounds(fib_pow2, fib_pow2_consts, n, CHAIN_BITS)
+        r_low, r_up = ChainProbe(fib_pow2, fib_pow2_consts, n, CHAIN_BITS).regulator
         assert 0 < r_low <= r12.inf and r12.sup <= r_up, f"n={n}: closed form misses R"
         assert max(r.inf for r in (r12, r23, r13)) <= min(r.sup for r in (r12, r23, r13)), (
             f"n={n}: regulator depends on the embedding pair"
@@ -253,12 +253,13 @@ def test_criterion_08_effective_n0(fib_pow2, fib_pow2_consts, bits):
     # sanity window: every branch contradicts at n0..n0+10 ...
     window_ok = True
     for n in list(range(n0, n0 + 11)):
+        probe = ChainProbe(fib_pow2, fib_pow2_consts, n, CHAIN_BITS, D)
         for branch in ("xi-j2", "xi-j3", "altunit-j1"):
-            r = _branch_report(fib_pow2, fib_pow2_consts, n, branch, D)
+            r = _branch_report(probe, branch)
             if r.verdict != "contradiction":
                 window_ok = False
     # ... and the largest branch threshold really is the first crossing point
-    below = _branch_report(fib_pow2, fib_pow2_consts, n0 - 1, "xi-j2", D=D)
+    below = _branch_report(ChainProbe(fib_pow2, fib_pow2_consts, n0 - 1, CHAIN_BITS, D), "xi-j2")
     strict_ok = below.verdict == "no-contradiction"
     outcome(
         "criterion-08 effective n0",

@@ -10,6 +10,7 @@ from split_thue.algebraic import AlgebraicNumber, Enclosure
 from split_thue.bounds import (
     CHAIN_BITS,
     C_RANK2_CUBIC,
+    ChainProbe,
     baker_constant,
     baker_lower,
     bugy_bound,
@@ -18,8 +19,6 @@ from split_thue.bounds import (
     compute_n0,
     exponent_bound_B,
     field_degree,
-    log_coeff_bound,
-    logH_upper,
     log_logy_lower_altunit,
     logy_upper,
     regulator_bounds,
@@ -130,8 +129,7 @@ def test_field_degree_makes_few_resultants(fib_pow2, monkeypatch):
 
 
 def test_log_coeff_bound_positive(fib_pow2, fib_pow2_consts):
-    m = log_coeff_bound(fib_pow2, fib_pow2_consts, 10, CHAIN_BITS)
-    assert m > 0
+    assert ChainProbe(fib_pow2, fib_pow2_consts, 10, CHAIN_BITS).m > 0
 
 
 def test_regulator_bounds_bracket_true_regulator(fib_pow2, fib_pow2_consts, bits):
@@ -219,21 +217,27 @@ def test_compute_n0_builds_no_family_constants(fib_pow2, fib_pow2_consts, monkey
 def test_compute_n0_evaluates_the_xi_branches_once_per_n(
     fib_pow2, fib_pow2_consts, monkeypatch
 ):
-    # xi-j2 and xi-j3 read the same bounds: one evaluation per n serves both
-    evaluated = []
-    branch_report = bounds._branch_report
+    # every branch at n reads one probe, and xi-j2 and xi-j3 read one lower
+    # bound: one probe, one regulator and one Baker bound per distinct n
+    probes, regulators, lower_bounds = [], [], []
 
-    def counting(fam, consts, n, branch, D):
-        evaluated.append((n, branch))
-        return branch_report(fam, consts, n, branch, D)
+    def counting(fn, calls):
+        def wrapper(*args):
+            result = fn(*args)
+            calls.append(result)
+            return result
+        return wrapper
 
-    monkeypatch.setattr(bounds, "_branch_report", counting)
+    monkeypatch.setattr(bounds, "ChainProbe", counting(bounds.ChainProbe, probes))
+    monkeypatch.setattr(bounds, "closed_forms", counting(bounds.closed_forms, regulators))
+    monkeypatch.setattr(bounds, "baker_lower", counting(bounds.baker_lower, lower_bounds))
     res = compute_n0(fib_pow2, fib_pow2_consts, n_cap=10**19)
     assert len(res.trace) == 152
+    assert len(probes) == len({p.n for p in probes}) == len({rep.n for rep in res.trace}) == 80
+    assert len(regulators) == 80
     j2 = [rep for rep in res.trace if rep.branch == "xi-j2"]
     j3 = [rep for rep in res.trace if rep.branch == "xi-j3"]
     assert len(j3) == len(j2) == 62
     for a, b in zip(j2, j3):
         assert replace(b, branch="xi-j2") == a
-    xi_ns = [n for n, branch in evaluated if branch != "altunit-j1"]
-    assert len(xi_ns) == len(set(xi_ns)) == len({rep.n for rep in j2 + j3})
+    assert len(lower_bounds) == len({rep.n for rep in j2 if rep.baker_lower_exponent is not None})

@@ -66,7 +66,8 @@ def test_per_n_path_never_sets_the_global_precision(monkeypatch, fib_pow2, fib_p
         if (a, b) == FIB_POW2:
             assert D == 2 and consts == fib_pow2_consts
             for traced in probes:
-                assert bounds._branch_report(fam, consts, traced.n, traced.branch, D) == traced
+                probe = bounds.ChainProbe(fam, consts, traced.n, bounds.CHAIN_BITS, D)
+                assert bounds._branch_report(probe, traced.branch) == traced
     assert D == 2 and all(isinstance(r.approx(bits), Box) for r, _ in fam.A.secondary)
 
 
