@@ -102,28 +102,19 @@ def compositum_degree(elements) -> int:
     """
     gamma = None
     for el in elements:
+        if el.is_rational:
+            continue
         if gamma is None:
             gamma = el
             continue
-        d1 = len(gamma.min_poly) - 1
-        d2 = len(el.min_poly) - 1
-        if d2 == 1:
-            continue
-        if d1 == 1:
-            gamma = el
-            continue
-        cap = d1 * d2
-        best = None
-        best_deg = 0
+        d1, d2 = gamma.degree, el.degree
+        best = gamma
         for k in range(1, (d1 - 1) * (d2 - 1) + 2):
-            cand = field_arith(gamma, _times_int(el, k), "add")
-            deg = len(cand.min_poly) - 1
-            if deg > best_deg:
-                best_deg, best = deg, cand
-            if best_deg == cap:
+            best = max(best, field_arith(gamma, _times_int(el, k), "add"), key=lambda x: x.degree)
+            if best.degree == d1 * d2:
                 break
         gamma = best
-    return len(gamma.min_poly) - 1 if gamma is not None else 1
+    return gamma.degree if gamma is not None else 1
 
 
 def _times_int(el: AlgebraicNumber, k: int) -> AlgebraicNumber:
@@ -146,11 +137,19 @@ def field_degree(fam: FamilyInstance) -> int:
     `RecurrentSequence.from_recurrence` builds it as P_{g,j}(r) with P_{g,j}
     in Q[x].  The equal-modulus difference c_B - c_A then lies in
     Q(alpha, beta).
+
+    Nor do all the roots: `from_recurrence` isolates every root of each
+    irreducible factor g, and they sum to -g[1]/g[0], so the last lies in
+    the field of the others.  Each distinct g joins deg g - 1 roots of one
+    sequence (a factor shared by A and B once, a rational root not at all),
+    larger deg g first: the trials compose few large roots, not many quadratics.
     """
-    elements = [fam.alpha, fam.beta]
+    roots = {}  # minimal polynomial g -> deg g - 1 of its roots, from one sequence
     for seq in (fam.A, fam.B):
-        elements.extend(root for root, _ in seq.secondary)
-    return compositum_degree(elements)
+        own = [seq.dominant_root] + [r for r, _ in seq.secondary]
+        for r in own:
+            roots.setdefault(r.min_poly, [c for c in own if c.min_poly == r.min_poly][1:])
+    return compositum_degree([r for g in sorted(roots, key=len, reverse=True) for r in roots[g]])
 
 
 # -- the chain at one n ----------------------------------------------------
@@ -417,7 +416,7 @@ def compute_n0(fam: FamilyInstance, consts, n_cap: int) -> N0Result:
                 thresholds[branch] = None
                 no_crossing = True
                 continue
-        lo = lo if lo is not None else hi - 1
+        lo = lo if lo is not None else 0
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if contra(mid, branch):

@@ -1,4 +1,5 @@
 import math
+import signal
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -27,7 +28,7 @@ from split_thue.bounds import (
 )
 from split_thue import sequences
 from split_thue.algebraic import AlgebraicNumber
-from split_thue.cubic import isolate_roots
+from split_thue.cubic import compute_constants, isolate_roots
 from split_thue.precision import SplitThueError
 from split_thue.units import regulator
 
@@ -105,8 +106,9 @@ def test_field_degree_equals_compositum_of_all_values(fib_pow2, pow2_seq):
 
 
 def test_field_degree_with_irrational_alpha_and_complex_pair(fib_seq, cold_kernel):
-    # Q(sqrt 5, i): joining -i runs four shifts, each a degree-8 composed
-    # sum with complex roots to isolate; about 0.3 s
+    # Q(sqrt 5, i): joining a root of x^2 + 1 to one of x^2 - x - 1 runs one
+    # shift, which scales the complex box, and a degree-4 composed sum with
+    # complex roots to isolate
     b = RecurrentSequence.from_recurrence([1, -3, 1, -3], [3, 3, 7])  # 3^n + i^n + (-i)^n
     fam = FamilyInstance.build(fib_seq, b)
     start = time.perf_counter()
@@ -114,8 +116,10 @@ def test_field_degree_with_irrational_alpha_and_complex_pair(fib_seq, cold_kerne
     assert time.perf_counter() - start < 3
 
 
-def test_field_degree_makes_few_resultants(fib_pow2, monkeypatch):
-    # beta = 2 is rational and psi joins Q(alpha) with (2-1)(2-1)+1 = 2 shifts
+def test_field_degree_makes_few_resultants(fib_pow2, pow2_equal_modulus, fib_seq, pow2_seq, monkeypatch):
+    # one root of each distinct quadratic and none of a rational factor: a
+    # single irrational generator needs no field arithmetic, whether its
+    # factor is real, complex or shared by A and B
     calls = []
     arith = bounds.field_arith
 
@@ -124,8 +128,36 @@ def test_field_degree_makes_few_resultants(fib_pow2, monkeypatch):
         return arith(*args, **kwargs)
 
     monkeypatch.setattr(bounds, "field_arith", counting)
-    assert field_degree(fib_pow2) == 2
-    assert len(calls) == 2
+    complex_pair = FamilyInstance.build(
+        RecurrentSequence.from_recurrence([1, -3, 1, -3], [3, 3, 7]), pow2_seq
+    )
+    shared = FamilyInstance.build(fib_seq, RecurrentSequence.from_recurrence([1, -1, -1], [3, 5]))
+    for fam, D in ((fib_pow2, 2), (pow2_equal_modulus, 1), (complex_pair, 2), (shared, 2)):
+        assert field_degree(fam) == D
+    assert calls == []
+
+
+@pytest.mark.parametrize("a, b", [
+    (([1, 3, 1], [8, 2]), ([1, 4, -5, 1], [-2, 0, 7])),
+    (([1, 2, -3, 4], [-3, 4, -5]), ([1, -4, 1], [-2, -2])),
+], ids=["quadratic-A", "cubic-A"])
+def test_field_degree_of_a_cubic_next_to_a_quadratic(a, b):
+    # an S3 cubic and a quadratic: joining all five roots composed polynomials
+    # of degree up to 36 and ran for minutes; two roots of the cubic, then one
+    # of the quadratic, take about a second.  The alarm fails a regression
+    # instead of hanging the suite.
+    fam = FamilyInstance.build(RecurrentSequence.from_recurrence(*a), RecurrentSequence.from_recurrence(*b))
+
+    def timeout(signum, frame):
+        raise TimeoutError("field_degree ran for more than 30 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(30)
+    try:
+        assert field_degree(fam) == 12
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_log_coeff_bound_positive(fib_pow2, fib_pow2_consts):
@@ -184,6 +216,18 @@ def test_logy_lower_altunit(fib_pow2, fib_pow2_consts):
 def test_compute_n0_small_cap_reports_no_crossing(fib_pow2, fib_pow2_consts):
     res = compute_n0(fib_pow2, fib_pow2_consts, n_cap=10**4)
     assert res.no_crossing and res.n0 is None
+
+
+def test_compute_n0_bisects_below_its_first_probe():
+    # A = 3^n, B = 10^(9n): altunit-j1 already contradicts at N_START = 8, and
+    # first contradicts at n = 6, which a search from 0 finds
+    fam = FamilyInstance.build(
+        RecurrentSequence.from_recurrence([1, -3], [1]),
+        RecurrentSequence.from_recurrence([1, -1000000000], [1]),
+    )
+    res = compute_n0(fam, compute_constants(fam), n_cap=10**6)
+    assert res.branch_thresholds["altunit-j1"] == 6
+    assert [rep.n for rep in res.trace if rep.branch == "altunit-j1"][:4] == [8, 4, 6, 5]
 
 
 def test_compute_n0_finite_at_large_cap(fib_pow2, fib_pow2_consts):
