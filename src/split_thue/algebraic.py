@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -27,24 +26,29 @@ from mpmath.libmp import NoConvergence
 from .precision import (
     WORKING_BITS,
     Box,
+    Frozen,
     Interval,
     PrecisionExhausted,
     SplitThueError,
     UndecidedComparison,
+    Value,
     _raw_to_fraction,
+    _set,
     ladder,
 )
 
 
-@dataclass(frozen=True)
-class Enclosure:
-    """The exact box [lo, hi] + i [im_lo, im_hi]: a real interval when
-    ``im_lo == 0 == im_hi``."""
+class Enclosure(Value):
+    """The exact box [lo, hi] + i [im_lo, im_hi] of Fractions: a real
+    interval when ``im_lo == 0 == im_hi``."""
 
-    lo: Fraction
-    hi: Fraction
-    im_lo: Fraction = 0
-    im_hi: Fraction = 0
+    __slots__ = ("lo", "hi", "im_lo", "im_hi")
+
+    def __init__(self, lo, hi, im_lo=0, im_hi=0):
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "im_lo", im_lo)
+        _set(self, "im_hi", im_hi)
 
     @property
     def is_real(self):
@@ -298,16 +302,17 @@ def root_separation_lower(coeffs):
     return Fraction(1, d ** (d + 2) * norm2_sq ** (d - 1))
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
-class AlgebraicNumber:
+class AlgebraicNumber(Frozen):
     """A root of an irreducible primitive integer polynomial, designated by
-    an isolating rational box."""
+    an isolating rational box: ``min_poly`` is stored normalised (primitive,
+    with a positive leading coefficient), and ``enclosure`` is an
+    :class:`Enclosure`."""
 
-    min_poly: tuple
-    enclosure: Enclosure
+    __slots__ = ("min_poly", "enclosure")
 
-    def __post_init__(self):
-        object.__setattr__(self, "min_poly", _normalize_coeffs(self.min_poly))
+    def __init__(self, min_poly, enclosure):
+        _set(self, "min_poly", _normalize_coeffs(min_poly))
+        _set(self, "enclosure", enclosure)
 
     # -- constructors ------------------------------------------------------
 

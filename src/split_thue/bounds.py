@@ -10,12 +10,12 @@ far beyond any n at which exact root isolation is feasible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .algebraic import AlgebraicNumber, field_arith
-from .precision import WORKING_BITS, Interval, SplitThueError
+from .precision import WORKING_BITS, Frozen, Interval, SplitThueError, Value, _set
 from .cubic import ApproxConstants, closed_forms, combine, compute_constants, family_ivs
 from .sequences import FamilyInstance
 
@@ -61,6 +61,17 @@ def _n_free_log(x, bits: int) -> Interval:
 
 
 _CLAMP_BITS = 256
+
+
+def _decay_ratio(consts) -> Fraction:
+    """The family's decay ratio eps, which the chain's error envelope
+    C n^d2 eps^n and the xi upper bound read.  eps = 0 (equal moduli, no
+    secondary root) is refused: the envelope would be 0, which the true log
+    residuals exceed, so every bound read from it would rest on a false
+    lemma."""
+    if consts.eps == 0:
+        raise SplitThueError("no certified decay ratio: eps = 0 (equal moduli, no secondary root)")
+    return consts.eps
 
 
 # -- linear-form lower bound -----------------------------------------------
@@ -154,18 +165,19 @@ def field_degree(fam: FamilyInstance) -> int:
 
 # -- the chain at one n ----------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class ChainProbe:
+class ChainProbe(Frozen):
     """The bound chain at one n: its closed forms in n over the family's
     constants at precision ``bits``, each a cached property computed once.
     ``compute_n0`` keeps one probe per probed n, which every branch at that n
-    reads; only the xi lower bound reads ``D``, the field degree."""
+    reads; only the xi lower bound reads ``D``, the field degree.  It
+    compares by identity."""
 
-    fam: FamilyInstance
-    consts: ApproxConstants
-    n: int
-    bits: int
-    D: int | None = None
+    def __init__(self, fam: FamilyInstance, consts: ApproxConstants, n: int, bits: int, D: int | None = None):
+        _set(self, "fam", fam)
+        _set(self, "consts", consts)
+        _set(self, "n", n)
+        _set(self, "bits", bits)
+        _set(self, "D", D)
 
     @cached_property
     def logn(self) -> Interval:
@@ -183,9 +195,8 @@ class ChainProbe:
         rounded up to 2^-_CLAMP_BITS when it is even tinier (an exact
         conversion would need astronomically long denominators)."""
         consts, bits = self.consts, self.bits
-        if consts.eps == 0:
-            return Fraction(0)
-        v = Interval.of(consts.C, bits) * Interval.of(self.n, bits) ** self.fam.d2 * Interval.of(consts.eps, bits) ** self.n
+        eps = _decay_ratio(consts)
+        v = Interval.of(consts.C, bits) * Interval.of(self.n, bits) ** self.fam.d2 * Interval.of(eps, bits) ** self.n
         sign, man, exp, bc = v._mpi_[1]
         if man != 0 and exp + bc < -_CLAMP_BITS:
             return Fraction(1, 2**_CLAMP_BITS) if not sign else Fraction(0)
@@ -228,9 +239,7 @@ class ChainProbe:
         fam, consts, n, bits, logn = self.fam, self.consts, self.n, self.bits, self.logn
         la, lb = family_ivs(fam, bits).log_ab
         t1 = _n_free_log(4, bits) - 3 * _n_free_log(consts.c5, bits) - fam.d1 * logn - n * (2 * la + lb)
-        if consts.eps == 0:
-            return t1.sup
-        t2 = _n_free_log(6 * consts.C, bits) + fam.d2 * logn + n * _n_free_log(consts.eps, bits)
+        t2 = _n_free_log(6 * consts.C, bits) + fam.d2 * logn + n * _n_free_log(_decay_ratio(consts), bits)
         return max(t1.sup, t2.sup) + _n_free_log(2, bits).sup
 
     @cached_property
@@ -294,9 +303,7 @@ class ChainProbe:
 # The six readers below remain only for the benchmark's perfbench/check.py,
 # which calls them; each reads one value of a fresh probe.
 
-@dataclass(frozen=True)
-class LogyUpper:
-    value: Fraction
+LogyUpper = namedtuple("LogyUpper", "value")
 
 
 def regulator_bounds(fam: FamilyInstance, consts, n: int, bits: int):
@@ -331,34 +338,27 @@ N_START = 8
 WINDOW = 10
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Value):
     """One probe of one branch. The verdict compares the exact lower bound
     (None while the chain gives none) with the exact upper bound; the
     floats are for the report only."""
 
-    n: int
-    branch: str
-    R_upper: float
-    logy_upper: float
-    baker_lower_exponent: Fraction | None
-    xi_upper_log: Fraction
-    verdict: str
+    __slots__ = ("n", "branch", "R_upper", "logy_upper", "baker_lower_exponent", "xi_upper_log", "verdict")
 
-    def __post_init__(self):
-        lower = self.baker_lower_exponent
-        contra = lower is not None and lower > self.xi_upper_log
-        if self.verdict != ("contradiction" if contra else "no-contradiction"):
+    def __init__(self, n, branch, R_upper, logy_upper, baker_lower_exponent, xi_upper_log, verdict):
+        contra = baker_lower_exponent is not None and baker_lower_exponent > xi_upper_log
+        if verdict != ("contradiction" if contra else "no-contradiction"):
             raise ValueError("verdict inconsistent with the recorded bounds")
+        _set(self, "n", n)
+        _set(self, "branch", branch)
+        _set(self, "R_upper", R_upper)
+        _set(self, "logy_upper", logy_upper)
+        _set(self, "baker_lower_exponent", baker_lower_exponent)
+        _set(self, "xi_upper_log", xi_upper_log)
+        _set(self, "verdict", verdict)
 
 
-@dataclass(frozen=True)
-class N0Result:
-    n0: int | None
-    no_crossing: bool
-    n_cap: int
-    branch_thresholds: dict
-    trace: tuple
+N0Result = namedtuple("N0Result", "n0 no_crossing n_cap branch_thresholds trace")
 
 
 def _branch_report(probe: ChainProbe, branch: str) -> BoundReport:

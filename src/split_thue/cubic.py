@@ -4,12 +4,11 @@ verification of the root/log approximation bounds with explicit constants."""
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .algebraic import Enclosure, poly_eval_sign, refine_bracket
-from .precision import MIN_WORKING_BITS, WORKING_BITS, Interval, SplitThueError
+from .precision import MIN_WORKING_BITS, WORKING_BITS, Interval, SplitThueError, Value, _set
 from .sequences import FamilyInstance
 
 
@@ -22,8 +21,9 @@ def cubic_coeffs(A: int, B: int):
     return (1, -(A + B), A * B, -1)
 
 
-@dataclass(frozen=True)
-class CubicRootSet:
+class CubicRootSet(
+    namedtuple("CubicRootSet", "fam n A B coeffs lambda1 lambda2 lambda3 work_bits bits ivs log_abs log_abs_A")
+):
     """Certified enclosures of the three real roots, labelled by anchors:
     lambda1 near B_n, lambda2 near A_n, lambda3 near 1/(A_n B_n).
 
@@ -33,21 +33,12 @@ class CubicRootSet:
     here, each computed once.  The root intervals are at
     ``bits``, the working precision plus the bits the roots' scale needs;
     the logs are at ``work_bits``.
-    """
 
-    fam: FamilyInstance
-    n: int
-    A: int
-    B: int
-    coeffs: tuple
-    lambda1: Enclosure
-    lambda2: Enclosure
-    lambda3: Enclosure
-    work_bits: int
-    bits: int
-    ivs: tuple  # Intervals at ``bits`` enclosing lambda1, lambda2, lambda3
-    log_abs: tuple  # log|lambda_i|
-    log_abs_A: tuple  # log|lambda_i - A_n|
+    ``lambda1``, ``lambda2`` and ``lambda3`` are Enclosures; ``ivs`` holds
+    Intervals at ``bits`` enclosing them, ``log_abs`` the log|lambda_i|
+    and ``log_abs_A`` the log|lambda_i - A_n|.  No ``__slots__``: the
+    cached properties below are kept in the instance ``__dict__``.
+    """
 
     def roots(self):
         return (self.lambda1, self.lambda2, self.lambda3)
@@ -194,19 +185,15 @@ def abs_frac_dist(root: Enclosure, point: Fraction):
 # -- residual reports ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResidualEntry:
-    name: str
-    residual: float
-    bound: float
-    ok: bool
-    ratio: float | None = None  # residual / (n^d2 eps^n) where applicable
+class ResidualEntry(namedtuple("ResidualEntry", "name residual bound ok ratio", defaults=(None,))):
+    """One checked inequality; ``ratio`` is residual / (n^d2 eps^n) where
+    applicable, else None."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    n: int
-    entries: tuple
+class ResidualReport(namedtuple("ResidualReport", "n entries")):
+    __slots__ = ()
 
     @property
     def all_pass(self):
@@ -237,28 +224,35 @@ def verify_root_approx(rs: CubicRootSet) -> ResidualReport:
     return ResidualReport(rs.n, entries)
 
 
-@dataclass(frozen=True)
-class ApproxConstants:
+class ApproxConstants(Value):
     """Everything about a family that does not depend on n, built once per
     family by ``compute_constants``: C, eps and c5 <= c6 of the approximation
     lemmas, and what the bound chain reads of the coefficient envelopes
-    U >= sum of |coefficients| and L <= inf_{n >= 2} |c(n)|."""
+    U >= sum of |coefficients| and L <= inf_{n >= 2} |c(n)|.
 
-    C: Fraction
-    eps: Fraction  # certified upper bound, strictly < 1
-    c5: Fraction
-    c6: Fraction
-    U_A: Fraction  # U over every coefficient of A, dominant and secondary
-    L_B: Fraction  # L of c_B
-    log_coeff_neg: Fraction  # max |log L| over the lower envelopes
-    log_coeff_pos: Fraction  # max log U over the upper envelopes
-    heights: tuple  # (h(alpha), h(beta), ((label, base, slope), ...))
+    All are Fractions but ``heights``: ``eps`` is a certified upper bound,
+    in [0, 1); ``U_A`` is U over every coefficient of A, dominant and
+    secondary; ``L_B`` is L of c_B; ``log_coeff_neg`` is the largest
+    |log L| over the lower envelopes and ``log_coeff_pos`` the largest
+    log U over the upper ones; ``heights`` is (h(alpha), h(beta),
+    ((label, base, slope), ...))."""
 
-    def __post_init__(self):
-        if not (0 <= self.eps < 1):
+    __slots__ = ("C", "eps", "c5", "c6", "U_A", "L_B", "log_coeff_neg", "log_coeff_pos", "heights")
+
+    def __init__(self, C, eps, c5, c6, U_A, L_B, log_coeff_neg, log_coeff_pos, heights):
+        if not (0 <= eps < 1):
             raise SplitThueError("eps must lie in [0, 1)")
-        if self.c5 > self.c6:
+        if c5 > c6:
             raise SplitThueError("c5 must not exceed c6")
+        _set(self, "C", C)
+        _set(self, "eps", eps)
+        _set(self, "c5", c5)
+        _set(self, "c6", c6)
+        _set(self, "U_A", U_A)
+        _set(self, "L_B", L_B)
+        _set(self, "log_coeff_neg", log_coeff_neg)
+        _set(self, "log_coeff_pos", log_coeff_pos)
+        _set(self, "heights", heights)
 
 
 # compute_constants bounds the coefficients for n >= _N_MIN, at _CONST_BITS

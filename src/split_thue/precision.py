@@ -14,8 +14,8 @@ every refinement tries the precisions it yields from a starting ``bits``
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 import mpmath
 from mpmath.libmp import from_int, from_man_exp, from_rational, mpf_gt, mpf_lt, round_ceiling, round_floor
@@ -48,6 +48,48 @@ class PrecisionExhausted(SplitThueError):
 
 class UndecidedComparison(SplitThueError):
     """An interval comparison stayed undecided after all refinements."""
+
+
+class Frozen:
+    """Base of the package's immutable classes: ``__init__`` sets each
+    attribute once, through ``object.__setattr__``, and assigning or
+    deleting one later raises AttributeError.  A ``cached_property`` writes
+    to the instance ``__dict__`` directly, so it still works.
+
+    The package does without ``dataclasses``: importing that module and
+    generating the methods of each decorated class took about a third of
+    the package's import, which every command pays."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+
+class Value(Frozen):
+    """A :class:`Frozen` class whose fields are its ``__slots__``, compared
+    by value: equal to an instance of the same class with equal fields, and
+    hashed by them."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._values = attrgetter(*cls.__slots__)  # a plain callable: not bound to instances
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+
+_set = object.__setattr__  # how an __init__ sets a field of a Frozen instance
 
 
 MIN_WORKING_BITS = 64
@@ -89,8 +131,7 @@ def _complex_op(f, swap=False):
     return op
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
+class Interval(Value):
     """A real interval ``_mpi_ = (lo, hi)`` of raw mpf endpoints whose
     operations round outward to ``prec`` bits; ``prec = 0`` means exact, and
     then only ``+ - *``, negation and ``abs`` are defined (``libmpi`` does not
@@ -106,8 +147,11 @@ class Interval:
     read an Interval as a complex value, as they read a Box.
     """
 
-    _mpi_: tuple
-    prec: int
+    __slots__ = ("_mpi_", "prec")
+
+    def __init__(self, _mpi_, prec):
+        _set(self, "_mpi_", _mpi_)
+        _set(self, "prec", prec)
 
     @classmethod
     def between(cls, lo, hi, prec):
@@ -185,8 +229,7 @@ class Interval:
         return self.prec
 
 
-@dataclass(frozen=True, slots=True)
-class Box:
+class Box(Value):
     """A complex interval ``_mpci_ = (re, im)`` of two raw real intervals
     whose operations round outward to ``prec`` > 0 bits: the complex
     counterpart of :class:`Interval`.
@@ -198,8 +241,11 @@ class Box:
     imaginary part.  Two precisions do not mix.
     """
 
-    _mpci_: tuple
-    prec: int
+    __slots__ = ("_mpci_", "prec")
+
+    def __init__(self, _mpci_, prec):
+        _set(self, "_mpci_", _mpci_)
+        _set(self, "prec", prec)
 
     def at(self, prec):
         """The same endpoints, with later operations rounding to ``prec``."""

@@ -9,7 +9,7 @@ term.  The formula satisfies the recurrence, so it is not evaluated again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import zip_longest
@@ -26,7 +26,7 @@ from .algebraic import (
     abs_compare,
     factor_list,
 )
-from .precision import Interval, SplitThueError, ladder
+from .precision import Frozen, Interval, SplitThueError, Value, _set, ladder
 
 class InconsistentModel(SplitThueError):
     """Recursion and explicit formula disagree on a term."""
@@ -36,15 +36,17 @@ class HypothesisViolated(SplitThueError):
     """The family breaks a hypothesis of the paper (exit 2)."""
 
 
-@dataclass(frozen=True)
-class CoefficientPolynomial:
-    """Polynomial in n with algebraic coefficients, attached to one root."""
+class CoefficientPolynomial(Value):
+    """Polynomial in n with algebraic coefficients, attached to one root:
+    ``coeffs``, a nonempty tuple of AlgebraicNumbers, in ascending powers
+    of n."""
 
-    coeffs: tuple  # AlgebraicNumber, ascending powers of n
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs):
+        if not coeffs:
             raise ValueError("empty coefficient polynomial")
+        _set(self, "coeffs", coeffs)
 
     @property
     def degree(self):
@@ -113,15 +115,22 @@ class CoefficientPolynomial:
         return min(best, Fraction(n_star) ** (g - 1) * (L * n_star - R))
 
 
-@dataclass(frozen=True)
-class RecurrentSequence:
-    dominant_root: AlgebraicNumber
-    dominant_coeff: CoefficientPolynomial
-    secondary: tuple  # of (root: AlgebraicNumber, coeff: CoefficientPolynomial)
-    recurrence_coeffs: tuple  # characteristic polynomial, descending, monic
-    initial_terms: tuple
+class RecurrentSequence(Value):
+    """A sequence by its recursion and its explicit formula: the
+    ``dominant_root`` (an AlgebraicNumber) with its ``dominant_coeff`` (a
+    CoefficientPolynomial), the ``secondary`` (root, coeff) pairs,
+    ``recurrence_coeffs``, the monic characteristic polynomial in descending
+    order, and the ``initial_terms``.  Every construction checks that the
+    formula reproduces the initial terms."""
 
-    def __post_init__(self):
+    __slots__ = ("dominant_root", "dominant_coeff", "secondary", "recurrence_coeffs", "initial_terms")
+
+    def __init__(self, dominant_root, dominant_coeff, secondary, recurrence_coeffs, initial_terms):
+        _set(self, "dominant_root", dominant_root)
+        _set(self, "dominant_coeff", dominant_coeff)
+        _set(self, "secondary", secondary)
+        _set(self, "recurrence_coeffs", recurrence_coeffs)
+        _set(self, "initial_terms", initial_terms)
         self._check_explicit_consistency()
 
     # -- construction ------------------------------------------------------
@@ -301,13 +310,18 @@ def _value_at_root(g, sums, P, root):
 # -- family ----------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class FamilyInstance:
-    A: RecurrentSequence
-    B: RecurrentSequence
-    d1: int
-    d2: int
-    equal_modulus: bool
+class FamilyInstance(Frozen):
+    """A family: sequences ``A`` and ``B`` ordered so |alpha| <= |beta|,
+    ``d1`` and ``d2``, the least and largest degree of their coefficient
+    polynomials, and whether ``equal_modulus`` holds.  It compares by
+    identity, which is what the per-family caches key on."""
+
+    def __init__(self, A, B, d1, d2, equal_modulus):
+        _set(self, "A", A)
+        _set(self, "B", B)
+        _set(self, "d1", d1)
+        _set(self, "d2", d2)
+        _set(self, "equal_modulus", equal_modulus)
 
     @classmethod
     def build(cls, A, B):
@@ -364,12 +378,12 @@ class FamilyInstance:
 # -- hypothesis checking ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    first_n_all_pass: int | None
-    bullet: str | None  # which sign regime holds from first_n on
-    equal_case_condition: str | None
-    failures: tuple  # of (n, reason)
+class HypothesisReport(namedtuple("HypothesisReport", "first_n_all_pass bullet equal_case_condition failures")):
+    """``first_n_all_pass``, an int or None; ``bullet``, the sign regime that
+    holds from it on, or None; ``equal_case_condition``, a str or None; and
+    ``failures``, (n, reason) pairs."""
+
+    __slots__ = ()
 
     @property
     def passed(self):

@@ -3,25 +3,24 @@ parameters, solution classification, and the family verification pipeline."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from math import isqrt
 
 from . import cubic, units
 from .algebraic import bisect_root, scaled_poly
-from .cubic import ApproxConstants, ResidualReport, cubic_coeffs
+from .cubic import cubic_coeffs
 from .precision import WORKING_BITS
-from .sequences import FamilyInstance, HypothesisReport, check_hypotheses
+from .sequences import FamilyInstance, check_hypotheses
 
 
-@dataclass(frozen=True, order=True)
-class Solution:
-    x: int
-    y: int
-    n: int
-    sign: int
-    classification: str
+class Solution(namedtuple("Solution", "x y n sign classification")):
+    """A solution (x, y) at n of x (x - A y)(x - B y) - y^3 = ``sign``,
+    with its ``classification``; solutions sort by (x, y, n, sign,
+    classification)."""
+
+    __slots__ = ()
 
     def verify(self, A: int, B: int) -> bool:
         return self.x * (self.x - A * self.y) * (self.x - B * self.y) - self.y**3 == self.sign
@@ -214,25 +213,26 @@ def solve_bruteforce(fam, n: int, y_max: int):
     return sols
 
 
-@dataclass(frozen=True)
-class PerNReport:
-    n: int
-    in_scope: bool
-    hypothesis_failures: tuple
-    solutions: tuple
-    nontrivial: tuple
-    lemma_root_approx: bool | None
-    lemma_log_approx: bool | None
-    lemma_root_diff: bool | None
-    xi_bound_ok: bool | None
-    residuals: ResidualReport | None = None  # behind lemma_log_approx
+class PerNReport(
+    namedtuple(
+        "PerNReport",
+        "n in_scope hypothesis_failures solutions nontrivial"
+        " lemma_root_approx lemma_log_approx lemma_root_diff xi_bound_ok residuals",
+        defaults=(None,),
+    )
+):
+    """The checks at one n; each lemma verdict is a bool, or None where it
+    was not checked, and ``residuals`` (the ResidualReport behind
+    ``lemma_log_approx``) is None then too."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FamilyVerification:
-    per_n: tuple
-    constants: ApproxConstants  # the lemmas were checked with these
-    hypotheses: HypothesisReport  # for n = 1..n_hi; in_scope comes from it
+class FamilyVerification(namedtuple("FamilyVerification", "per_n constants hypotheses")):
+    """The PerNReports, the ApproxConstants the lemmas were checked with, and
+    the HypothesisReport for n = 1..n_hi, from which ``in_scope`` comes."""
+
+    __slots__ = ()
 
     @property
     def nontrivial_found(self):

@@ -5,7 +5,7 @@ coefficient tables."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebraic import refine_bracket
@@ -16,6 +16,8 @@ from .precision import (
     PrecisionExhausted,
     SplitThueError,
     UndecidedComparison,
+    Value,
+    _set,
     compare,
     ladder,
 )
@@ -40,16 +42,19 @@ def regulator(rs: CubicRootSet, pair=(1, 2)):
     return abs(a * d - b * c)
 
 
-@dataclass(frozen=True)
-class UnitExponents:
-    j: int  # solution type: the index of the root nearest x / y
-    b1: int
-    b2: int
-    sign: int
+class UnitExponents(Value):
+    """x - lambda y = sign lambda^b1 (lambda - A_n)^b2 for a solution of
+    type ``j``, the index of the root nearest x / y."""
 
-    def __post_init__(self):
-        if self.sign not in (-1, 1):
+    __slots__ = ("j", "b1", "b2", "sign")
+
+    def __init__(self, j, b1, b2, sign):
+        if sign not in (-1, 1):
             raise ValueError("sign must be +-1")
+        _set(self, "j", j)
+        _set(self, "b1", b1)
+        _set(self, "b2", b2)
+        _set(self, "sign", sign)
 
 
 def norm_form(x, y, A, B):
@@ -212,13 +217,7 @@ def xi_form(j: int, case_tag: str, n: int, b1: int, b2: int):
     return (n * row[0], n * row[1], *row[2:])
 
 
-@dataclass(frozen=True)
-class XiBoundReport:
-    j: int
-    n: int
-    value: float
-    bound: float
-    ok: bool
+XiBoundReport = namedtuple("XiBoundReport", "j n value bound ok")
 
 
 def verify_xi_bound(ue: UnitExponents, rs: CubicRootSet) -> XiBoundReport:

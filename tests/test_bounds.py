@@ -1,7 +1,6 @@
 import math
 import signal
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +10,7 @@ from split_thue.algebraic import AlgebraicNumber, Enclosure
 from split_thue.bounds import (
     CHAIN_BITS,
     C_RANK2_CUBIC,
+    BoundReport,
     ChainProbe,
     baker_constant,
     baker_lower,
@@ -205,6 +205,17 @@ def test_xi_upper_log_decreases(fib_pow2, fib_pow2_consts):
     assert v200 < v100 < 0
 
 
+def test_chain_refuses_zero_decay_ratio(pow2_seq):
+    # A_n = 2^(n+1), B_n = 3 2^(n+1): equal moduli and no secondary root;
+    # each value that reads eps refuses it, whichever a caller reads first
+    fam = FamilyInstance.build(pow2_seq, RecurrentSequence.from_recurrence([1, -2], [6]))
+    consts = compute_constants(fam)
+    assert consts.eps == 0
+    for name in ("e", "xi_upper", "regulator"):
+        with pytest.raises(SplitThueError, match="no certified decay ratio"):
+            getattr(ChainProbe(fam, consts, 10, CHAIN_BITS), name)
+
+
 def test_logy_lower_altunit(fib_pow2, fib_pow2_consts):
     # vacuous at small n, then exponentially growing
     assert log_logy_lower_altunit(fib_pow2, fib_pow2_consts, 5, CHAIN_BITS) is None
@@ -283,5 +294,7 @@ def test_compute_n0_evaluates_the_xi_branches_once_per_n(
     j3 = [rep for rep in res.trace if rep.branch == "xi-j3"]
     assert len(j3) == len(j2) == 62
     for a, b in zip(j2, j3):
-        assert replace(b, branch="xi-j2") == a
+        assert BoundReport(
+            b.n, "xi-j2", b.R_upper, b.logy_upper, b.baker_lower_exponent, b.xi_upper_log, b.verdict
+        ) == a
     assert len(lower_bounds) == len({rep.n for rep in j2 if rep.baker_lower_exponent is not None})

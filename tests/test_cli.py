@@ -103,6 +103,22 @@ def test_n_dependent_coefficient_n0(capsys, tmp_path):
     assert len(report["trace"]) == 334
 
 
+def test_bounds_refuses_zero_decay_ratio(capsys, tmp_path):
+    # A_n = 2^(n+1), B_n = 3 2^(n+1): equal moduli and no secondary root give
+    # eps = 0, an error envelope of 0 that the true log residuals exceed
+    path = tmp_path / "zero-eps.json"
+    path.write_text(json.dumps({
+        "A": {"recurrence": [1, -2], "initial": [2]},
+        "B": {"recurrence": [1, -2], "initial": [6]},
+    }))
+    assert cli.main(["bounds", str(path), "--n-cap", str(10**40)]) == cli.EXIT_PRECISION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "not certified: SplitThueError: no certified decay ratio: eps = 0 (equal moduli, no secondary root)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, want, keys",
     [
@@ -670,3 +686,20 @@ sys.exit("sympy" in sys.modules)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 0
+
+
+def test_import_stays_light():
+    # every command starts cold, and dataclasses (with inspect) or sympy
+    # would add their import to each; the baseline is the interpreter's own,
+    # since site may already have loaded some modules
+    script = """
+import sys
+before = set(sys.modules)
+import split_thue.cli
+print(" ".join(sorted({"dataclasses", "inspect", "sympy"} & (set(sys.modules) - before))))
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "\n"

@@ -1,4 +1,3 @@
-import dataclasses
 import time
 from fractions import Fraction
 
@@ -106,7 +105,10 @@ def test_wrong_conjugate_coefficient_is_inconsistent(fib_seq):
     # formula gives c + c' = 1 at n = 0 but c' phi + c psi = -1 at n = 1
     ((psi, c_psi),) = fib_seq.secondary
     with pytest.raises(InconsistentModel, match="initial term 1"):
-        dataclasses.replace(fib_seq, dominant_coeff=c_psi, secondary=((psi, fib_seq.dominant_coeff),))
+        RecurrentSequence(
+            fib_seq.dominant_root, c_psi, ((psi, fib_seq.dominant_coeff),), fib_seq.recurrence_coeffs,
+            fib_seq.initial_terms,
+        )
 
 
 def test_derived_values_do_not_depend_on_earlier_refinement():

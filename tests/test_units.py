@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -166,7 +165,7 @@ def test_unit_decompose_refuses_wrong_logs(rs20, perturb):
     """With wrong logs the exponent enclosures miss the true exponents (the
     inverted unit puts them around the integer pair (b1, -b2)); the exact
     check then finds no match, and no exponents are returned."""
-    bad = dataclasses.replace(rs20, log_abs_A=tuple(perturb(v) for v in rs20.log_abs_A))
+    bad = rs20._replace(log_abs_A=tuple(perturb(v) for v in rs20.log_abs_A))
     A, B = rs20.A, rs20.B
     # (1, 0) and (0, 1) have b2 = 0, so their enclosures do not read log_abs_A
     for x, y in ((A, 1), (B, 1)):
@@ -178,7 +177,7 @@ def test_unit_decompose_refuses_wrong_logs(rs20, perturb):
 def test_unit_decompose_unbounded_enclosure(rs20):
     # a root interval wide enough to hold B makes log|B - lambda_1| unbounded
     wide = Interval.between(rs20.B - 1, rs20.B + 1, rs20.bits)
-    coarse = dataclasses.replace(rs20, ivs=(wide,) + rs20.ivs[1:])
+    coarse = rs20._replace(ivs=(wide,) + rs20.ivs[1:])
     with pytest.raises(PrecisionExhausted):
         unit_decompose(rs20.B, 1, coarse)
 
@@ -204,7 +203,7 @@ def test_solution_type_decides_overlapping_intervals(rs20):
     # intervals far too wide to compare: the exact brackets decide, and an
     # overlap never reads as a tie
     wide = tuple(r + Interval.between(-10**6, 10**6, rs20.bits) for r in rs20.ivs)
-    coarse = dataclasses.replace(rs20, ivs=wide)
+    coarse = rs20._replace(ivs=wide)
     A, B = rs20.A, rs20.B
     assert [_type(x, 1, coarse) for x in (B, A, 0)] == [1, 2, 3]
     rng = random.Random(3)
