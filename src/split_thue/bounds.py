@@ -110,6 +110,8 @@ def compositum_degree(elements) -> int:
     k = (gamma_i - gamma)/(delta - delta_j).  The terms with i = 1 give
     k = 0, so at most (d1-1)(d2-1) shifts k >= 1 fail, and the largest
     degree over (d1-1)(d2-1)+1 shifts is the degree of Q(gamma, delta).
+    Rational elements and an element equal to gamma add nothing and are
+    skipped.
     """
     gamma = None
     for el in elements:
@@ -117,6 +119,8 @@ def compositum_degree(elements) -> int:
             continue
         if gamma is None:
             gamma = el
+            continue
+        if el == gamma:
             continue
         d1, d2 = gamma.degree, el.degree
         best = gamma
@@ -137,30 +141,23 @@ def _times_int(el: AlgebraicNumber, k: int) -> AlgebraicNumber:
 
 
 def field_degree(fam: FamilyInstance) -> int:
-    """Degree D of Q(alpha, beta, secondary roots), the field of every root
-    and coefficient value of the family.
+    """Degree D of Q(alpha, beta), the field of the linear form's arguments.
 
-    The coefficients add nothing to it.  The recurrence and the rational
-    initial terms determine the explicit formula uniquely, and an
-    automorphism sigma maps it to itself, so sigma maps the coefficient of
-    n^j at a root r to the one at sigma(r).  Every sigma that fixes r thus
-    fixes that coefficient, which therefore lies in Q(r):
-    `RecurrentSequence.from_recurrence` builds it as P_{g,j}(r) with P_{g,j}
-    in Q[x].  The equal-modulus difference c_B - c_A then lies in
-    Q(alpha, beta).
-
-    Nor do all the roots: `from_recurrence` isolates every root of each
-    irreducible factor g, and they sum to -g[1]/g[0], so the last lies in
-    the field of the others.  Each distinct g joins deg g - 1 roots of one
-    sequence (a factor shared by A and B once, a rational root not at all),
-    larger deg g first: the trials compose few large roots, not many quadratics.
+    Baker-Wustholz needs D >= [Q(gamma_1, ..., gamma_t):Q] for the form's
+    arguments gamma_j, which ``ChainProbe.heights`` lists: alpha, beta, c_A,
+    c_B and, in the equal-modulus case, c_B - c_A.  Each lies in Q(alpha,
+    beta).  The recurrence and the rational initial terms determine the
+    explicit formula uniquely, and an automorphism sigma maps it to itself,
+    so sigma maps the coefficient of n^j at a root r to the one at sigma(r).
+    Every sigma that fixes r thus fixes that coefficient, which therefore
+    lies in Q(r): `RecurrentSequence.from_recurrence` builds it as
+    P_{g,j}(r) with P_{g,j} in Q[x].  So c_A(n) lies in Q(alpha), c_B(n) in
+    Q(beta), and c_B(n) - c_A(n) in Q(alpha, beta); and alpha and beta are
+    real, so |alpha| and |beta| lie in the field too.  The secondary roots
+    enter only the error envelope (eps, C), never the form, and are not
+    joined.
     """
-    roots = {}  # minimal polynomial g -> deg g - 1 of its roots, from one sequence
-    for seq in (fam.A, fam.B):
-        own = [seq.dominant_root] + [r for r, _ in seq.secondary]
-        for r in own:
-            roots.setdefault(r.min_poly, [c for c in own if c.min_poly == r.min_poly][1:])
-    return compositum_degree([r for g in sorted(roots, key=len, reverse=True) for r in roots[g]])
+    return compositum_degree([fam.alpha, fam.beta])
 
 
 # -- the chain at one n ----------------------------------------------------

@@ -68,7 +68,7 @@ def test_per_n_path_never_sets_the_global_precision(monkeypatch, fib_pow2, fib_p
             for traced in probes:
                 probe = bounds.ChainProbe(fam, consts, traced.n, bounds.CHAIN_BITS, D)
                 assert bounds._branch_report(probe, traced.branch) == traced
-    assert D == 2 and all(isinstance(r.approx(bits), Box) for r, _ in fam.A.secondary)
+    assert D == 1 and all(isinstance(r.approx(bits), Box) for r, _ in fam.A.secondary)
 
 
 def test_interval_bits_restores_precision():
