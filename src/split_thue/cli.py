@@ -241,7 +241,7 @@ def to_markdown(report) -> str:
             f"c5={c['c5']:.6g}, c6={c['c6']:.6g}\n"
         )
     if "n0" in report:
-        out.write(f"\n## Effective threshold\n\n")
+        out.write("\n## Effective threshold\n\n")
         if report["no_crossing"]:
             out.write(f"No crossing found below the cap {report['n_cap']}.\n")
         else:

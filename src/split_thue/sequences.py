@@ -9,10 +9,10 @@ term.  The formula satisfies the recurrence, so it is not evaluated again.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import deque, namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import zip_longest
+from functools import cached_property
+from itertools import islice, zip_longest
 
 from .algebraic import (
     AlgebraicNumber,
@@ -100,6 +100,8 @@ class CoefficientPolynomial(Value):
         def at(n):
             lo = abs(self.approx_at(n, bits)).inf
             if lo <= 0:
+                if self.value_at(n).is_zero:
+                    raise HypothesisViolated(f"coefficient polynomial vanishes at n={n}")
                 raise SplitThueError(f"coefficient polynomial not separated from 0 at n={n}")
             return lo
 
@@ -191,18 +193,14 @@ class RecurrentSequence(Value):
     def order(self):
         return len(self.recurrence_coeffs) - 1
 
-    def eval_recursion(self, n):
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        terms = list(self.initial_terms)
-        if n < len(terms):
-            return terms[n]
+    def iter_terms(self):
+        """a_0, a_1, ... by the integer recursion over a window of ``order`` terms."""
+        window = deque(self.initial_terms, maxlen=self.order)
+        yield from window
         tail = self.recurrence_coeffs[1:]
-        for _ in range(n - len(terms) + 1):
-            nxt = -sum(c * t for c, t in zip(tail, reversed(terms)))
-            terms.append(nxt)
-            terms = terms[1:]
-        return terms[-1]
+        while True:
+            window.append(-sum(c * t for c, t in zip(tail, reversed(window))))
+            yield window[-1]
 
     def explicit_iv(self, n, bits=None):
         """Interval value at ``bits`` of the explicit formula at n: the real
@@ -351,11 +349,19 @@ class FamilyInstance(Frozen):
     def case_tag(self):
         return "equal_modulus" if self.equal_modulus else "strict"
 
-    @lru_cache(maxsize=4096)
+    @cached_property
+    def term_table(self):
+        """The (A_n, B_n) pairs walked so far, and the walk that extends them."""
+        return [], zip(self.A.iter_terms(), self.B.iter_terms())
+
     def terms(self, n):
-        """(A_n, B_n) by the integer recursions, once per (family, n); each
-        sequence's explicit formula was checked when it was built."""
-        return self.A.eval_recursion(n), self.B.eval_recursion(n)
+        """(A_n, B_n) from the term table: each step of each recursion runs
+        once per family; each explicit formula was checked at build."""
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        table, walk = self.term_table
+        table.extend(islice(walk, max(0, n + 1 - len(table))))
+        return table[n]
 
     def c_A(self, n):
         return self.A.dominant_coeff.value_at(n)
@@ -391,33 +397,25 @@ class HypothesisReport(namedtuple("HypothesisReport", "first_n_all_pass bullet e
 
 
 def check_hypotheses(fam: FamilyInstance, n_probe: int) -> HypothesisReport:
-    """Check the family's sign-regime conditions for n = 1..n_probe."""
+    """Check the family's sign-regime conditions for n = 1..n_probe in one
+    pass; they hold from one past the last failing n, if they hold at n_probe."""
     if abs_compare(fam.beta, 1) <= 0:
         raise HypothesisViolated("|beta| must exceed 1")
 
     failures = []
-    per_n_ok = []
-    bullet_seen = None
-    equal_cond = None
+    ok, bullet, equal_cond = False, None, None
     for n in range(1, n_probe + 1):
         An, Bn = fam.terms(n)
         ok, reason, bullet = _bullet_check(An, Bn)
         if ok and fam.equal_modulus:
             ok, reason, equal_cond = _equal_modulus_check(fam, n)
-        per_n_ok.append(ok)
-        if ok:
-            bullet_seen = bullet
-        else:
+        if not ok:
             failures.append((n, reason))
 
-    first = None
-    for i in range(len(per_n_ok) - 1, -1, -1):
-        if not per_n_ok[i]:
-            break
-        first = i + 1
+    first = failures[-1][0] + 1 if failures else 1
     return HypothesisReport(
-        first_n_all_pass=first,
-        bullet=bullet_seen if first is not None else None,
+        first_n_all_pass=first if ok else None,
+        bullet=bullet if ok else None,
         equal_case_condition=equal_cond,
         failures=tuple(failures),
     )
@@ -440,7 +438,7 @@ def _equal_modulus_check(fam, n):
         return False, f"|c_B(n)| = |c_A(n)| at n={n}", None
     cB_order = abs_compare(cB, 1)
     if cB_order == 0:
-        if diff.is_zero or abs_compare(diff, 1) == 0:
+        if abs_compare(diff, 1) == 0:
             return False, f"|c_B-c_A| in {{0,1}} at n={n}", None
         return True, None, "unit-modulus"
     if cB_order > 0:
@@ -452,8 +450,6 @@ def _equal_modulus_check(fam, n):
             return True, None, "large-cB"
         return False, f"|c_B - c_A| <= 1/|c_B| at n={n}", None
     # 0 < |c_B| < 1 case: need 0 < |c_B - c_A| < 1
-    if diff.is_zero:
-        return False, f"c_B = c_A at n={n}", None
     order = abs_compare(diff, 1)
     if order == 0:
         return False, f"|c_B - c_A| = 1 at n={n}", None

@@ -197,6 +197,18 @@ def test_zero_dominant_coefficient_is_a_hypothesis_violation(tmp_path, capsys, z
     assert capsys.readouterr().err == f"hypothesis violated: {message}\n"
 
 
+@pytest.mark.parametrize("n_lo", [2, 4])
+def test_integer_zero_of_a_dominant_coefficient_is_a_hypothesis_violation(tmp_path, capsys, n_lo):
+    # A_n = (n - 3)(-2)^n: c_A(3) = 0, decided exactly, also for n = 4..6
+    p = tmp_path / "zero-at-3.json"
+    p.write_text(json.dumps({
+        "A": {"recurrence": [1, 4, 4], "initial": [-3, 4]},
+        "B": {"recurrence": [1, 2, -3, 4, -4], "initial": [-4, -2, 7, -3]},
+        "options": {"n_lo": n_lo, "n_hi": 6},
+    }))
+    _assert_hypothesis_violation(p, capsys, "coefficient polynomial vanishes at n=3")
+
+
 def test_zero_dominant_root_is_a_hypothesis_violation(tmp_path, capsys):
     # A = 5, 0, 0, ...: the dominant root alpha = 0 has no logarithm
     p = tmp_path / "zero.json"
@@ -250,7 +262,6 @@ def test_verify_runs_each_stage_once(monkeypatch, capsys):
     monkeypatch.setattr(sequences.FamilyInstance, "build", recording_build)
     coeff_logs = count_property(monkeypatch, "coeff_logs")
     xi_rhs = count_property(monkeypatch, "xi_rhs")
-    sequences.FamilyInstance.terms.cache_clear()
     # the memo's misses count the computations of the family's constants
     constants = cubic.compute_constants.cache_info().misses
     code, report = run(["verify", EXAMPLE_CONFIG], capsys)
@@ -497,17 +508,19 @@ def test_non_object_config_is_usage_error(tmp_path, capsys, config, message):
     assert captured.err == f"error: {message}\n"
 
 
-# sha256 of the canonical reports (stdout, then --md-out and --csv-out for
-# verify) and the exit code of each command: a refactor must leave every
-# byte of them unchanged
+# sha256 of the canonical reports (stdout, then the files written by the
+# output flags, in order) and the exit code of each command: a refactor must
+# leave every byte of them unchanged
 PINNED_REPORTS = {
     "solve-fib-pow2": (
         ["solve", EXAMPLE_CONFIG, "--n-lo", "2", "--n-hi", "12", "--y-max", str(10**30)],
+        (),
         cli.EXIT_OK,
         ("fb8422283ea036cb14b15575495b7233000de34abadd1496cf563bc1bf8715d9",),
     ),
     "verify-fib-pow2": (
         ["verify", EXAMPLE_CONFIG, "--n-lo", "2", "--n-hi", "60", "--y-max", "50", "--bits", "512"],
+        ("--md-out", "--csv-out"),
         cli.EXIT_OK,
         (
             "c03b4f021c9d0ffed8db9d82787cfa83a156bf75be972bdaf4473fdba00f7a1c",
@@ -517,16 +530,25 @@ PINNED_REPORTS = {
     ),
     "bounds-fib-pow2-cap-1e19": (
         ["bounds", EXAMPLE_CONFIG, "--n-cap", str(10**19)],
+        ("--md-out",),
         cli.EXIT_BOUND,
-        ("d44fb15120aca66c4eaab695ea776beb44a4dc7c4f876d1438b345b406ef2607",),
+        (
+            "d44fb15120aca66c4eaab695ea776beb44a4dc7c4f876d1438b345b406ef2607",
+            "ab093d199b6c804bd074330a26aff7d9d2f2ca7e4e17ac5056f2224f1577a8cf",
+        ),
     ),
     "bounds-fib-pow2-cap-1e25": (
         ["bounds", EXAMPLE_CONFIG, "--n-cap", str(10**25)],
+        ("--md-out",),
         cli.EXIT_OK,
-        ("7287043efa9bff7a0439ac5931e15ed2f8a9589bd0559e01f40fde27841a1715",),
+        (
+            "7287043efa9bff7a0439ac5931e15ed2f8a9589bd0559e01f40fde27841a1715",
+            "690367d694fc27776e14ce1377959e0be3c91f95b1a39453168a02d3f560f8d4",
+        ),
     ),
     "verify-equal-modulus": (
         ["verify", EQUAL_MODULUS_CONFIG, "--n-lo", "2", "--n-hi", "40", "--y-max", "50", "--bits", "512"],
+        ("--md-out", "--csv-out"),
         cli.EXIT_OK,
         (
             "9ba706246f141c377e2062c7f48dbed3479f7b20dcaddf333cff99a81eda3d15",
@@ -536,6 +558,7 @@ PINNED_REPORTS = {
     ),
     "bounds-equal-modulus-cap-1e40": (
         ["bounds", EQUAL_MODULUS_CONFIG, "--n-cap", str(10**40)],
+        (),
         cli.EXIT_OK,
         ("a43bfea5c9d901d97262d220c34160ebf26ab79a8c62d5e8e61478cdfc9c9beb",),
     ),
@@ -544,11 +567,10 @@ PINNED_REPORTS = {
 
 @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
 def test_canonical_reports_are_pinned(name, tmp_path, capsys):
-    argv, want_code, want_hashes = PINNED_REPORTS[name]
-    files = []
-    if argv[0] == "verify":
-        files = [tmp_path / "report.md", tmp_path / "residuals.csv"]
-        argv = argv + ["--md-out", str(files[0]), "--csv-out", str(files[1])]
+    argv, flags, want_code, want_hashes = PINNED_REPORTS[name]
+    files = [tmp_path / f"out-{i}" for i in range(len(flags))]
+    for flag, path in zip(flags, files):
+        argv = argv + [flag, str(path)]
     code = cli.main(argv)
     outputs = [capsys.readouterr().out.encode()] + [f.read_bytes() for f in files]
     assert code == want_code

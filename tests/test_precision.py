@@ -22,7 +22,6 @@ def _clear_memos():
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
-    sequences.FamilyInstance.terms.cache_clear()
 
 
 FIB_POW2 = ({"recurrence": [1, -1, -1], "initial": [1, 2]}, {"recurrence": [1, -2], "initial": [2]})

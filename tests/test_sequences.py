@@ -1,11 +1,11 @@
 import time
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from split_thue.algebraic import AlgebraicNumber
 from split_thue.cubic import compute_constants, family_ivs
-from split_thue.precision import SplitThueError
 from split_thue.sequences import (
     CoefficientPolynomial,
     FamilyInstance,
@@ -20,7 +20,7 @@ from split_thue.sequences import (
 def checked_terms(seq, count):
     """The terms n < count by the recursion, each held by the explicit
     formula's enclosure."""
-    terms = [seq.eval_recursion(n) for n in range(count)]
+    terms = list(islice(seq.iter_terms(), count))
     for n, value in enumerate(terms):
         enc = seq.explicit_iv(n)
         assert enc.inf <= value <= enc.sup
@@ -72,7 +72,7 @@ def test_abs_lower_inf_finds_an_interior_minimum():
 
 
 def test_abs_lower_inf_rejects_an_integer_zero():
-    with pytest.raises(SplitThueError, match="n=7"):
+    with pytest.raises(HypothesisViolated, match="vanishes at n=7"):
         _rational_poly(-7, 1).abs_lower_inf(2, 128)
 
 
@@ -220,6 +220,107 @@ def test_hypotheses_fail_outside_bullets():
     rep = check_hypotheses(fam, 1)
     assert [n for n, _ in rep.failures] == [1]
     assert not rep.passed
+
+
+def _outside(*pairs):
+    return tuple((n, f"A_n={a}, B_n={b} outside both bullet ranges") for n, a, b in pairs)
+
+
+def _each_n(reason, ns):
+    return tuple((n, f"{reason} at n={n}") for n in ns)
+
+
+# (A, B) as (recurrence, initial) pairs, and the whole report of
+# check_hypotheses(fam, 8): one family outside both bullet ranges, then each
+# verdict of _equal_modulus_check
+HYPOTHESIS_REPORTS = {
+    "outside-bullets": (
+        ([1, 5], [1]), ([1, 2], [-1]),
+        (None, None, None, _outside(
+            (1, 2, -5), (2, -4, 25), (3, 8, -125), (4, -16, 625), (5, 32, -3125), (6, -64, 15625),
+            (7, 128, -78125), (8, -256, 390625),
+        )),
+    ),
+    "large-cB": (
+        ([1, -2], [-3]), ([1, -2], [-4]),
+        (2, "negative", "large-cB", _outside((1, -6, -8))),
+    ),
+    "small-cB": (
+        ([1, -2], [1]), ([1, -1, -2], [-4, 5]),
+        (None, None, "small-cB", _outside(
+            (2, 4, -3), (3, 8, 7), (4, 16, 1), (5, 32, 15), (6, 64, 17), (7, 128, 47), (8, 256, 81),
+        )),
+    ),
+    "unit-modulus": (
+        ([1, 2], [-2]), ([1, -3, 2], [5, 6]),
+        (None, None, "unit-modulus", _outside(
+            (2, -8, 8), (3, 16, 12), (4, -32, 20), (5, 64, 36), (6, -128, 68), (7, 256, 132), (8, -512, 260),
+        )),
+    ),
+    "equal-abs-coefficients": (
+        ([1, -2], [1]), ([1, -3, 2], [3, 4]),
+        (None, None, None, _each_n("|c_B(n)| = |c_A(n)|", range(1, 9))),
+    ),
+    "unit-modulus-diff-0-or-1": (
+        ([1, -2], [2]), ([1, -3, 2], [5, 6]),
+        (None, None, None, ((1, "|c_B-c_A| in {0,1} at n=1"),) + _outside(
+            (2, 8, 8), (3, 16, 12), (4, 32, 20), (5, 64, 36), (6, 128, 68), (7, 256, 132), (8, 512, 260),
+        )),
+    ),
+    "large-cB-diff-equals-inverse": (
+        ([1, -1, -2], [-4, -4]), ([1, -2], [-3]),
+        (None, None, None, _outside((1, -4, -6), (2, -12, -12)) + _each_n("|c_B - c_A| = 1/|c_B|", range(3, 9))),
+    ),
+    "large-cB-diff-below-inverse": (
+        ([1, -2], [-2]), ([1, -1, -2], [-4, -3]),
+        (None, None, None, _outside((1, -4, -3)) + _each_n("|c_B - c_A| <= 1/|c_B|", [2])
+         + _outside((3, -16, -17)) + _each_n("|c_B - c_A| <= 1/|c_B|", range(4, 9))),
+    ),
+    "small-cB-diff-one": (
+        ([1, -1, -2], [-4, -1]), ([1, -1, -2], [2, -4]),
+        (None, None, None, _each_n("|c_B - c_A| = 1", [1]) + _outside(
+            (2, -9, 0), (3, -11, -8), (4, -29, -8), (5, -51, -24), (6, -109, -40), (7, -211, -88),
+            (8, -429, -168),
+        )),
+    ),
+    "small-cB-diff-above-one": (
+        ([1, -2], [2]), ([1, -1, -2], [-4, 6]),
+        (None, None, None, _each_n("|c_B - c_A| > 1", [1]) + _outside(
+            (2, 8, -2), (3, 16, 10), (4, 32, 6), (5, 64, 26), (6, 128, 38), (7, 256, 90), (8, 512, 166),
+        )),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HYPOTHESIS_REPORTS))
+def test_hypothesis_reports_are_pinned(name):
+    A, B, want = HYPOTHESIS_REPORTS[name]
+    fam = FamilyInstance.build(RecurrentSequence.from_recurrence(*A), RecurrentSequence.from_recurrence(*B))
+    assert tuple(check_hypotheses(fam, 8)) == want
+
+
+def test_each_recursion_step_runs_once_per_family(monkeypatch):
+    produced = []
+    walk = RecurrentSequence.iter_terms
+
+    def counting(seq):
+        produced.append(0)
+        i = len(produced) - 1
+        for term in walk(seq):
+            produced[i] += 1
+            yield term
+
+    monkeypatch.setattr(RecurrentSequence, "iter_terms", counting)
+    fam = FamilyInstance.build(
+        RecurrentSequence.from_recurrence([1, -1, -1], [1, 2]),
+        RecurrentSequence.from_recurrence([1, -2], [2]),
+    )
+    assert check_hypotheses(fam, 300).passed
+    for n in range(301):
+        fam.terms(n)
+    assert produced == [301, 301]
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        fam.terms(-1)
 
 
 def test_sequence_from_json_plain():
