@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 
 from .algebraic import AlgebraicNumber, field_arith
 from .precision import WORKING_BITS, Frozen, Interval, SplitThueError, Value, _set
-from .cubic import ApproxConstants, closed_forms, combine, compute_constants, family_ivs
+from .cubic import closed_forms, combine, family_ivs
 from .sequences import FamilyInstance
 
 
@@ -61,17 +61,6 @@ def _n_free_log(x, bits: int) -> Interval:
 
 
 _CLAMP_BITS = 256
-
-
-def _decay_ratio(consts) -> Fraction:
-    """The family's decay ratio eps, which the chain's error envelope
-    C n^d2 eps^n and the xi upper bound read.  eps = 0 (equal moduli, no
-    secondary root) is refused: the envelope would be 0, which the true log
-    residuals exceed, so every bound read from it would rest on a false
-    lemma."""
-    if consts.eps == 0:
-        raise SplitThueError("no certified decay ratio: eps = 0 (equal moduli, no secondary root)")
-    return consts.eps
 
 
 # -- linear-form lower bound -----------------------------------------------
@@ -163,37 +152,47 @@ def field_degree(fam: FamilyInstance) -> int:
 # -- the chain at one n ----------------------------------------------------
 
 class ChainProbe(Frozen):
-    """The bound chain at one n: its closed forms in n over the family's
-    constants at precision ``bits``, each a cached property computed once.
-    ``compute_n0`` keeps one probe per probed n, which every branch at that n
-    reads; only the xi lower bound reads ``D``, the field degree.  It
-    compares by identity."""
+    """The bound chain at one n, built from the family, n and the field
+    degree ``D`` (which only the xi lower bound reads): its closed forms in
+    n at ``CHAIN_BITS`` over the constants, log|alpha|, log|beta|, C and eps
+    of ``family_ivs(fam, CHAIN_BITS)``, each a cached property computed once.
+    ``compute_n0`` keeps one probe per probed n, which every branch at that
+    n reads.  It compares by identity."""
 
-    def __init__(self, fam: FamilyInstance, consts: ApproxConstants, n: int, bits: int, D: int | None = None):
+    def __init__(self, fam: FamilyInstance, n: int, D: int | None = None):
         _set(self, "fam", fam)
-        _set(self, "consts", consts)
         _set(self, "n", n)
-        _set(self, "bits", bits)
         _set(self, "D", D)
 
     @cached_property
+    def fam_ivs(self):
+        """``family_ivs`` at ``CHAIN_BITS``, looked up once per probe.  eps = 0
+        (equal moduli, no secondary root) is refused: the error envelope
+        C n^d2 eps^n would be 0, which the true log residuals exceed, so
+        every bound read from it would rest on a false lemma."""
+        f = family_ivs(self.fam, CHAIN_BITS)
+        if f.consts.eps == 0:
+            raise SplitThueError("no certified decay ratio: eps = 0 (equal moduli, no secondary root)")
+        return f
+
+    @cached_property
     def logn(self) -> Interval:
-        return _log(self.n, self.bits)
+        return _log(self.n, CHAIN_BITS)
 
     @cached_property
     def m(self) -> Fraction:
         """Upper bound m(n) on |log| of every coefficient value at n (dominant
         coefficients and, in the equal-modulus case, their difference)."""
-        return max(self.consts.log_coeff_neg, self.consts.log_coeff_pos + self.fam.d2 * self.logn.sup)
+        consts = self.fam_ivs.consts
+        return max(consts.log_coeff_neg, consts.log_coeff_pos + self.fam.d2 * self.logn.sup)
 
     @cached_property
     def e(self) -> Fraction:
         """Rational upper bound of the decaying error envelope C n^d2 eps^n,
         rounded up to 2^-_CLAMP_BITS when it is even tinier (an exact
         conversion would need astronomically long denominators)."""
-        consts, bits = self.consts, self.bits
-        eps = _decay_ratio(consts)
-        v = Interval.of(consts.C, bits) * Interval.of(self.n, bits) ** self.fam.d2 * Interval.of(eps, bits) ** self.n
+        f = self.fam_ivs
+        v = f.C * Interval.of(self.n, CHAIN_BITS) ** self.fam.d2 * f.eps**self.n
         sign, man, exp, bc = v._mpi_[1]
         if man != 0 and exp + bc < -_CLAMP_BITS:
             return Fraction(1, 2**_CLAMP_BITS) if not sign else Fraction(0)
@@ -205,13 +204,13 @@ class ChainProbe(Frozen):
         log|l1|, log|l1-A|, log|l2| and log|l2-A| of ``closed_forms``, each
         coefficient log ranging over [-m, m], plus the error envelope e once
         per row."""
-        m, e, n, bits = self.m, self.e, self.n, self.bits
-        la, lb = family_ivs(self.fam, bits).log_ab
+        m, e, n = self.m, self.e, self.n
+        la, lb = self.fam_ivs.log_ab
         rows = closed_forms(self.fam.equal_modulus)
 
         def enclose(name):
             k = sum(map(abs, rows[name][2:]))
-            return n * combine(rows[name][:2], (la, lb)) + Interval.between(-(k * m + e), k * m + e, bits)
+            return n * combine(rows[name][:2], (la, lb)) + Interval.between(-(k * m + e), k * m + e, CHAIN_BITS)
 
         x1, y1, x2, y2 = map(enclose, ("log|l1|", "log|l1-A|", "log|l2|", "log|l2-A|"))
         det = abs(x1 * y2 - x2 * y1)
@@ -220,23 +219,23 @@ class ChainProbe(Frozen):
     @cached_property
     def logH(self) -> Fraction:
         """Upper bound on log of the largest form coefficient, |A_n B_n|."""
-        la, lb = family_ivs(self.fam, self.bits).log_ab
+        la, lb = self.fam_ivs.log_ab
         val = (self.n * (la + lb)).sup + 2 * (self.m + 1) + self.e
         return max(val, Fraction(2))  # H >= 3 floor
 
     @cached_property
     def logy(self) -> Fraction:
         """Explicit upper bound on log|y| for any solution at n."""
-        return bugy_bound(self.regulator[1], self.logH, self.bits)
+        return bugy_bound(self.regulator[1], self.logH, CHAIN_BITS)
 
     @cached_property
     def xi_upper(self) -> Fraction:
         """log of the right-hand side of the transformed-form upper bound,
         evaluated in closed form (safe at astronomically large n)."""
-        fam, consts, n, bits, logn = self.fam, self.consts, self.n, self.bits, self.logn
-        la, lb = family_ivs(fam, bits).log_ab
+        fam, n, logn, bits = self.fam, self.n, self.logn, CHAIN_BITS
+        consts, (la, lb) = self.fam_ivs.consts, self.fam_ivs.log_ab
         t1 = _n_free_log(4, bits) - 3 * _n_free_log(consts.c5, bits) - fam.d1 * logn - n * (2 * la + lb)
-        t2 = _n_free_log(6 * consts.C, bits) + fam.d2 * logn + n * _n_free_log(_decay_ratio(consts), bits)
+        t2 = _n_free_log(6 * consts.C, bits) + fam.d2 * logn + n * _n_free_log(consts.eps, bits)
         return max(t1.sup, t2.sup) + _n_free_log(2, bits).sup
 
     @cached_property
@@ -245,13 +244,13 @@ class ChainProbe(Frozen):
         direct evaluation clamps the decay factor q at 2^-256, which forfeits
         the contradiction at astronomically large n, while log q is linear in
         n and stays exact-scale.  None while the chain is vacuous."""
-        fam, consts, n, bits = self.fam, self.consts, self.n, self.bits
+        fam, n, bits = self.fam, self.n, CHAIN_BITS
         if fam.equal_modulus:
             raise SplitThueError("chain requires distinct dominant-root moduli")
         r_low = self.regulator[0]
         if r_low <= 2:
             return None
-        la, lb = family_ivs(fam, bits).log_ab
+        consts, (la, lb) = self.fam_ivs.consts, self.fam_ivs.log_ab
         log_q = _n_free_log(2 * consts.U_A, bits) + fam.d2 * self.logn + n * (la - lb) - _n_free_log(consts.L_B, bits)
         if log_q.sup >= _n_free_log(Fraction(1, 4), bits).inf:
             return None
@@ -263,8 +262,8 @@ class ChainProbe(Frozen):
         form's logarithms at n, as (label, height) pairs."""
         D, m, logn = self.D, self.m, self.logn.sup
         floor = Fraction(16, 100) / D
-        h_alpha, h_beta, coeff_heights = self.consts.heights
-        la, lb = family_ivs(self.fam, self.bits).log_ab
+        h_alpha, h_beta, coeff_heights = self.fam_ivs.consts.heights
+        la, lb = self.fam_ivs.log_ab
         la_abs, lb_abs = abs(la).sup, abs(lb).sup
         out = [("alpha", max(h_alpha, la_abs / D, floor))]
         if not self.fam.equal_modulus:
@@ -279,7 +278,7 @@ class ChainProbe(Frozen):
         if R_low <= 0:
             raise ValueError("need a positive regulator lower bound")
         m, e, n = self.m, self.e, self.n
-        la, lb = family_ivs(self.fam, self.bits).log_ab
+        la, lb = self.fam_ivs.log_ab
         entry = (n * (la + lb)).sup + 2 * m + e  # largest |log| matrix entry
         maxdiff = (n * lb).sup + m + e  # largest log root difference
         b_bound = (2 * entry) * (logy + maxdiff) / R_low + 1
@@ -294,37 +293,38 @@ class ChainProbe(Frozen):
         if r_low <= 0:
             return None
         B_exp = self.exponent_bound(self.logy, r_low)
-        return baker_lower([h for _, h in self.heights], self.D, _log(B_exp, self.bits).sup, self.bits)
+        return baker_lower([h for _, h in self.heights], self.D, _log(B_exp, CHAIN_BITS).sup, CHAIN_BITS)
 
 
 # The six readers below remain only for the benchmark's perfbench/check.py,
-# which calls them; each reads one value of a fresh probe.
+# which calls them; each reads one value of a fresh probe, which finds the
+# constants and its precision itself: ``consts`` and ``bits`` are ignored.
 
 LogyUpper = namedtuple("LogyUpper", "value")
 
 
 def regulator_bounds(fam: FamilyInstance, consts, n: int, bits: int):
-    return ChainProbe(fam, consts, n, bits).regulator
+    return ChainProbe(fam, n).regulator
 
 
 def logy_upper(fam: FamilyInstance, consts, n: int, bits: int) -> LogyUpper:
-    return LogyUpper(ChainProbe(fam, consts, n, bits).logy)
+    return LogyUpper(ChainProbe(fam, n).logy)
 
 
 def log_logy_lower_altunit(fam: FamilyInstance, consts, n: int, bits: int):
-    return ChainProbe(fam, consts, n, bits).altunit_lower
+    return ChainProbe(fam, n).altunit_lower
 
 
 def xi_heights(fam: FamilyInstance, n: int, D: int, bits=WORKING_BITS):
-    return ChainProbe(fam, compute_constants(fam), n, CHAIN_BITS, D).heights  # ``bits`` is ignored
+    return ChainProbe(fam, n, D).heights
 
 
 def exponent_bound_B(fam: FamilyInstance, consts, n: int, logy: Fraction, R_low: Fraction, bits: int) -> Fraction:
-    return ChainProbe(fam, consts, n, bits).exponent_bound(logy, R_low)
+    return ChainProbe(fam, n).exponent_bound(logy, R_low)
 
 
 def xi_upper_log(fam: FamilyInstance, consts, n: int, bits: int) -> Fraction:
-    return ChainProbe(fam, consts, n, bits).xi_upper
+    return ChainProbe(fam, n).xi_upper
 
 
 # -- the crossing search ---------------------------------------------------
@@ -361,7 +361,7 @@ N0Result = namedtuple("N0Result", "n0 no_crossing n_cap branch_thresholds trace"
 def _branch_report(probe: ChainProbe, branch: str) -> BoundReport:
     if branch == "altunit-j1":
         # log-domain comparison: chain lower bound vs upper bound
-        lower, upper = probe.altunit_lower, _log(probe.logy, probe.bits).sup
+        lower, upper = probe.altunit_lower, _log(probe.logy, CHAIN_BITS).sup
     else:
         lower, upper = probe.xi_lower, probe.xi_upper
     contra = lower is not None and lower > upper
@@ -373,10 +373,12 @@ def _branch_report(probe: ChainProbe, branch: str) -> BoundReport:
     )
 
 
-def compute_n0(fam: FamilyInstance, consts, n_cap: int) -> N0Result:
+def compute_n0(fam: FamilyInstance, n_cap: int) -> N0Result:
     """Smallest n beyond which every solution-type branch yields a
     contradiction between the lower and upper linear-form bounds, verified
-    over a sanity window; per-branch thresholds and a probe trace included."""
+    over a sanity window; per-branch thresholds and a probe trace included.
+    The window after a threshold t probes t..t+WINDOW, which can pass the
+    cap: at cap 568 on fib-pow2 the trace reaches 578."""
     D = field_degree(fam)
     branches = ["xi-j2", "xi-j3"]
     if fam.equal_modulus:
@@ -389,13 +391,12 @@ def compute_n0(fam: FamilyInstance, consts, n_cap: int) -> N0Result:
 
     def contra(n, branch):
         if n not in probes:
-            probes[n] = ChainProbe(fam, consts, n, CHAIN_BITS, D)
+            probes[n] = ChainProbe(fam, n, D)
         rep = _branch_report(probes[n], branch)
         trace.append(rep)
         return rep.verdict == "contradiction"
 
     thresholds = {}
-    no_crossing = False
     for branch in branches:
         lo, hi = None, None
         n = N_START
@@ -408,10 +409,9 @@ def compute_n0(fam: FamilyInstance, consts, n_cap: int) -> N0Result:
         if hi is None:
             # last chance: probe the cap itself before giving up
             if lo is not None and lo < n_cap and contra(n_cap, branch):
-                lo, hi = lo, n_cap
+                hi = n_cap
             else:
                 thresholds[branch] = None
-                no_crossing = True
                 continue
         lo = lo if lo is not None else 0
         while hi - lo > 1:
@@ -426,16 +426,10 @@ def compute_n0(fam: FamilyInstance, consts, n_cap: int) -> N0Result:
             if all(contra(start + w, branch) for w in range(WINDOW + 1)):
                 break
             start += 1
-        if start > n_cap:
-            thresholds[branch] = None
-            no_crossing = True
-        else:
-            thresholds[branch] = start
-    n0 = None
-    if not no_crossing:
-        n0 = max(thresholds.values())
+        thresholds[branch] = start if start <= n_cap else None
+    no_crossing = None in thresholds.values()
     return N0Result(
-        n0=n0,
+        n0=None if no_crossing else max(thresholds.values()),
         no_crossing=no_crossing,
         n_cap=n_cap,
         branch_thresholds=thresholds,

@@ -188,7 +188,7 @@ def cmd_bounds(config, args):
     fam, _ = build_family(config, args)
     opts = config["options"]
     consts = cubic.compute_constants(fam)
-    res = bounds.compute_n0(fam, consts, n_cap=opts["n_cap"])
+    res = bounds.compute_n0(fam, n_cap=opts["n_cap"])
     trace = [
         {
             "n": r.n,

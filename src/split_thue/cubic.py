@@ -7,9 +7,9 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .algebraic import Enclosure, poly_eval_sign, refine_bracket
+from .algebraic import Enclosure, abs_compare, poly_eval_sign, refine_bracket
 from .precision import MIN_WORKING_BITS, WORKING_BITS, Interval, SplitThueError, Value, _set
-from .sequences import FamilyInstance
+from .sequences import FamilyInstance, HypothesisViolated
 
 
 class AnchorSignFailure(SplitThueError):
@@ -287,8 +287,12 @@ def _heights(fam: FamilyInstance):
 def compute_constants(fam: FamilyInstance) -> ApproxConstants:
     """The family's constants, once per family: the shared decay ratio eps,
     the log-residual constant C, root-difference constants c5 <= c6, and
-    from the same envelopes the values the bound chain reads."""
+    from the same envelopes the values the bound chain reads.  The
+    hypothesis |beta| > 1 is decided here, first: ``verify_family`` and
+    ``bounds`` compute the constants before any other check."""
     alpha, beta = fam.alpha, fam.beta
+    if abs_compare(beta, 1) <= 0:
+        raise HypothesisViolated("|beta| must exceed 1")
     ratios = []
     for root, _ in fam.B.secondary:
         ratios.append(_ratio_upper(root, beta))
@@ -306,8 +310,8 @@ def compute_constants(fam: FamilyInstance) -> ApproxConstants:
     U_cB = cB.abs_coeff_sum_upper(_CONST_BITS)
     U_cA_sec = [c.abs_coeff_sum_upper(_CONST_BITS) for _, c in fam.A.secondary]
     U_cB_sec = [c.abs_coeff_sum_upper(_CONST_BITS) for _, c in fam.B.secondary]
-    L_cA = cA.abs_lower_inf(_N_MIN, _CONST_BITS)
-    L_cB = cB.abs_lower_inf(_N_MIN, _CONST_BITS)
+    L_cA = cA.abs_lower_inf(_N_MIN, _CONST_BITS, "c_A")
+    L_cB = cB.abs_lower_inf(_N_MIN, _CONST_BITS, "c_B")
     ups = [U_cA + sum(U_cA_sec, Fraction(0)), U_cB + sum(U_cB_sec, Fraction(0))]
     lows = [L_cA, L_cB]
 
@@ -317,7 +321,7 @@ def compute_constants(fam: FamilyInstance) -> ApproxConstants:
     c3 = U_max / L_cB
     if fam.equal_modulus:
         diff = fam.coeff_diff
-        L_diff = diff.abs_lower_inf(_N_MIN, _CONST_BITS)
+        L_diff = diff.abs_lower_inf(_N_MIN, _CONST_BITS, "c_B - c_A")
         c4 = U_max / L_diff
         ups.append(diff.abs_coeff_sum_upper(_CONST_BITS))
         lows.append(L_diff)

@@ -78,8 +78,9 @@ class CoefficientPolynomial(Value):
             total += abs(c.approx(bits))
         return total.sup
 
-    def abs_lower_inf(self, n_min=2, bits=128):
-        """Certified positive lower bound on inf_{n >= n_min} |c(n)|.
+    def abs_lower_inf(self, n_min=2, bits=128, name="coefficient polynomial"):
+        """Certified positive lower bound on inf_{n >= n_min} |c(n)|; each
+        error names the polynomial by ``name``, such as "c_A".
 
         Beyond the point n_star where the leading term dominates, |c(n)|
         increases.  The prefix [n_min, n_star] is searched by bisection: a
@@ -90,7 +91,7 @@ class CoefficientPolynomial(Value):
         g = self.degree
         L = abs(self.coeffs[g].approx(bits)).inf
         if L <= 0:
-            raise SplitThueError("leading coefficient not separated from 0")
+            raise SplitThueError(f"leading coefficient of {name} not separated from 0")
         if g == 0:
             return L
         # |c(n)| >= n^(g-1) (|lead| n - R), increasing for n > R/|lead|
@@ -101,8 +102,8 @@ class CoefficientPolynomial(Value):
             lo = abs(self.approx_at(n, bits)).inf
             if lo <= 0:
                 if self.value_at(n).is_zero:
-                    raise HypothesisViolated(f"coefficient polynomial vanishes at n={n}")
-                raise SplitThueError(f"coefficient polynomial not separated from 0 at n={n}")
+                    raise HypothesisViolated(f"{name} vanishes at n={n}")
+                raise SplitThueError(f"{name} not separated from 0 at n={n}")
             return lo
 
         best = at(n_min)
@@ -398,10 +399,9 @@ class HypothesisReport(namedtuple("HypothesisReport", "first_n_all_pass bullet e
 
 def check_hypotheses(fam: FamilyInstance, n_probe: int) -> HypothesisReport:
     """Check the family's sign-regime conditions for n = 1..n_probe in one
-    pass; they hold from one past the last failing n, if they hold at n_probe."""
-    if abs_compare(fam.beta, 1) <= 0:
-        raise HypothesisViolated("|beta| must exceed 1")
-
+    pass; they hold from one past the last failing n, if they hold at n_probe.
+    The hypothesis |beta| > 1 is decided with the family's constants
+    (``cubic.compute_constants``), not here."""
     failures = []
     ok, bullet, equal_cond = False, None, None
     for n in range(1, n_probe + 1):
@@ -439,7 +439,7 @@ def _equal_modulus_check(fam, n):
     cB_order = abs_compare(cB, 1)
     if cB_order == 0:
         if abs_compare(diff, 1) == 0:
-            return False, f"|c_B-c_A| in {{0,1}} at n={n}", None
+            return False, f"|c_B - c_A| = 1 at n={n}", None
         return True, None, "unit-modulus"
     if cB_order > 0:
         # need |c_B - c_A| > 1/|c_B|, i.e. |(c_B - c_A) c_B| > 1

@@ -153,7 +153,7 @@ def test_criterion_03_log_approx_residuals(fib_pow2, fib_pow2_consts, bits):
 
 # -- 4: regulator growth -----------------------------------------------------
 
-def test_criterion_04_regulator_growth(fib_pow2, fib_pow2_consts, bits):
+def test_criterion_04_regulator_growth(fib_pow2, bits):
     # the closed-form enclosure that the n0 chain uses must bracket the
     # regulator of the certified roots, and the regulator must not depend on
     # the pair of embeddings: the three pairs' intervals overlap
@@ -161,7 +161,7 @@ def test_criterion_04_regulator_growth(fib_pow2, fib_pow2_consts, bits):
     for n in probes:
         rs = isolate_roots(fib_pow2, n, bits)
         r12, r23, r13 = (regulator(rs, pair) for pair in ((1, 2), (2, 3), (1, 3)))
-        r_low, r_up = ChainProbe(fib_pow2, fib_pow2_consts, n, CHAIN_BITS).regulator
+        r_low, r_up = ChainProbe(fib_pow2, n).regulator
         assert 0 < r_low <= r12.inf and r12.sup <= r_up, f"n={n}: closed form misses R"
         assert max(r.inf for r in (r12, r23, r13)) <= min(r.sup for r in (r12, r23, r13)), (
             f"n={n}: regulator depends on the embedding pair"
@@ -243,9 +243,9 @@ def test_criterion_07_bound_micro_instances():
 
 # -- 8: effective threshold n0 ----------------------------------------------
 
-def test_criterion_08_effective_n0(fib_pow2, fib_pow2_consts, bits):
+def test_criterion_08_effective_n0(fib_pow2, bits):
     t0 = time.time()
-    res = compute_n0(fib_pow2, fib_pow2_consts, n_cap=10**25)
+    res = compute_n0(fib_pow2, n_cap=10**25)
     elapsed = time.time() - t0
     assert not res.no_crossing and res.n0 is not None
     n0 = res.n0
@@ -253,13 +253,13 @@ def test_criterion_08_effective_n0(fib_pow2, fib_pow2_consts, bits):
     # sanity window: every branch contradicts at n0..n0+10 ...
     window_ok = True
     for n in list(range(n0, n0 + 11)):
-        probe = ChainProbe(fib_pow2, fib_pow2_consts, n, CHAIN_BITS, D)
+        probe = ChainProbe(fib_pow2, n, D)
         for branch in ("xi-j2", "xi-j3", "altunit-j1"):
             r = _branch_report(probe, branch)
             if r.verdict != "contradiction":
                 window_ok = False
     # ... and the largest branch threshold really is the first crossing point
-    below = _branch_report(ChainProbe(fib_pow2, fib_pow2_consts, n0 - 1, CHAIN_BITS, D), "xi-j2")
+    below = _branch_report(ChainProbe(fib_pow2, n0 - 1, D), "xi-j2")
     strict_ok = below.verdict == "no-contradiction"
     outcome(
         "criterion-08 effective n0",

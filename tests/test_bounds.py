@@ -154,8 +154,8 @@ def test_field_degree_of_a_cubic_next_to_a_quadratic(a, b):
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_log_coeff_bound_positive(fib_pow2, fib_pow2_consts):
-    assert ChainProbe(fib_pow2, fib_pow2_consts, 10, CHAIN_BITS).m > 0
+def test_log_coeff_bound_positive(fib_pow2):
+    assert ChainProbe(fib_pow2, 10).m > 0
 
 
 def test_regulator_bounds_bracket_true_regulator(fib_pow2, fib_pow2_consts, bits):
@@ -201,13 +201,13 @@ def test_xi_upper_log_decreases(fib_pow2, fib_pow2_consts):
 
 def test_chain_refuses_zero_decay_ratio(pow2_seq):
     # A_n = 2^(n+1), B_n = 3 2^(n+1): equal moduli and no secondary root;
-    # each value that reads eps refuses it, whichever a caller reads first
+    # the probe's one lookup of the family's values refuses it, so every value
+    # that reads eps does, whichever a caller reads first
     fam = FamilyInstance.build(pow2_seq, RecurrentSequence.from_recurrence([1, -2], [6]))
-    consts = compute_constants(fam)
-    assert consts.eps == 0
-    for name in ("e", "xi_upper", "regulator"):
+    assert compute_constants(fam).eps == 0
+    for name in ("fam_ivs", "e", "xi_upper", "regulator"):
         with pytest.raises(SplitThueError, match="no certified decay ratio"):
-            getattr(ChainProbe(fam, consts, 10, CHAIN_BITS), name)
+            getattr(ChainProbe(fam, 10), name)
 
 
 def test_logy_lower_altunit(fib_pow2, fib_pow2_consts):
@@ -218,9 +218,31 @@ def test_logy_lower_altunit(fib_pow2, fib_pow2_consts):
     assert 0 < v600 < v700
 
 
-def test_compute_n0_small_cap_reports_no_crossing(fib_pow2, fib_pow2_consts):
-    res = compute_n0(fib_pow2, fib_pow2_consts, n_cap=10**4)
+def test_compute_n0_small_cap_reports_no_crossing(fib_pow2):
+    res = compute_n0(fib_pow2, n_cap=10**4)
     assert res.no_crossing and res.n0 is None
+
+
+def _altunit_ns(res):
+    return [rep.n for rep in res.trace if rep.branch == "altunit-j1"]
+
+
+def test_compute_n0_probes_the_cap_when_the_doubling_passes_it(fib_pow2):
+    # 1024 > 1000: the cap itself contradicts and the bisection starts there;
+    # the xi branches cross far beyond the cap
+    doubling = [8, 16, 32, 64, 128, 256, 512]
+    res = compute_n0(fib_pow2, n_cap=1000)
+    assert res.branch_thresholds == {"xi-j2": None, "xi-j3": None, "altunit-j1": 568}
+    assert res.no_crossing and res.n0 is None
+    assert _altunit_ns(res)[:12] == doubling + [1000, 756, 634, 573, 542]
+    # below the threshold the cap does not contradict, and the branch gives up
+    res = compute_n0(fib_pow2, n_cap=567)
+    assert res.branch_thresholds["altunit-j1"] is None
+    assert _altunit_ns(res) == doubling + [567]
+    # at the threshold the sanity window 568..578 passes the cap
+    res = compute_n0(fib_pow2, n_cap=568)
+    assert res.branch_thresholds["altunit-j1"] == 568
+    assert _altunit_ns(res)[-11:] == list(range(568, 579))
 
 
 def test_compute_n0_bisects_below_its_first_probe():
@@ -230,13 +252,13 @@ def test_compute_n0_bisects_below_its_first_probe():
         RecurrentSequence.from_recurrence([1, -3], [1]),
         RecurrentSequence.from_recurrence([1, -1000000000], [1]),
     )
-    res = compute_n0(fam, compute_constants(fam), n_cap=10**6)
+    res = compute_n0(fam, n_cap=10**6)
     assert res.branch_thresholds["altunit-j1"] == 6
-    assert [rep.n for rep in res.trace if rep.branch == "altunit-j1"][:4] == [8, 4, 6, 5]
+    assert _altunit_ns(res)[:4] == [8, 4, 6, 5]
 
 
-def test_compute_n0_finite_at_large_cap(fib_pow2, fib_pow2_consts):
-    res = compute_n0(fib_pow2, fib_pow2_consts, n_cap=10**25)
+def test_compute_n0_finite_at_large_cap(fib_pow2):
+    res = compute_n0(fib_pow2, n_cap=10**25)
     assert not res.no_crossing
     assert res.n0 == 59362923407947902848
     assert set(res.branch_thresholds) == {"xi-j2", "xi-j3", "altunit-j1"}
@@ -258,14 +280,12 @@ def test_compute_n0_builds_no_family_constants(fib_pow2, fib_pow2_consts, monkey
     for name in ("abs_coeff_sum_upper", "abs_lower_inf"):
         monkeypatch.setattr(poly, name, counting(getattr(poly, name), "envelope"))
     monkeypatch.setattr(AlgebraicNumber, "height", counting(AlgebraicNumber.height, "height"))
-    res = compute_n0(fib_pow2, fib_pow2_consts, n_cap=10**19)
+    res = compute_n0(fib_pow2, n_cap=10**19)
     assert len(res.trace) == 152
     assert calls == {"envelope": 0, "height": 0}
 
 
-def test_compute_n0_evaluates_the_xi_branches_once_per_n(
-    fib_pow2, fib_pow2_consts, monkeypatch
-):
+def test_compute_n0_evaluates_the_xi_branches_once_per_n(fib_pow2, monkeypatch):
     # every branch at n reads one probe, and xi-j2 and xi-j3 read one lower
     # bound: one probe, one regulator and one Baker bound per distinct n
     probes, regulators, lower_bounds = [], [], []
@@ -280,7 +300,7 @@ def test_compute_n0_evaluates_the_xi_branches_once_per_n(
     monkeypatch.setattr(bounds, "ChainProbe", counting(bounds.ChainProbe, probes))
     monkeypatch.setattr(bounds, "closed_forms", counting(bounds.closed_forms, regulators))
     monkeypatch.setattr(bounds, "baker_lower", counting(bounds.baker_lower, lower_bounds))
-    res = compute_n0(fib_pow2, fib_pow2_consts, n_cap=10**19)
+    res = compute_n0(fib_pow2, n_cap=10**19)
     assert len(res.trace) == 152
     assert len(probes) == len({p.n for p in probes}) == len({rep.n for rep in res.trace}) == 80
     assert len(regulators) == 80

@@ -206,7 +206,20 @@ def test_integer_zero_of_a_dominant_coefficient_is_a_hypothesis_violation(tmp_pa
         "B": {"recurrence": [1, 2, -3, 4, -4], "initial": [-4, -2, 7, -3]},
         "options": {"n_lo": n_lo, "n_hi": 6},
     }))
-    _assert_hypothesis_violation(p, capsys, "coefficient polynomial vanishes at n=3")
+    _assert_hypothesis_violation(p, capsys, "c_A vanishes at n=3")
+
+
+def test_beta_on_the_unit_circle_is_a_hypothesis_violation(tmp_path, capsys):
+    # A_n = 1, B_n = 3: |beta| = 1, decided with the family's constants, so
+    # bounds exits 2 as verify does; solve reads no constants and answers
+    p = tmp_path / "beta-one.json"
+    p.write_text(json.dumps({
+        "A": {"recurrence": [1, -1], "initial": [1]},
+        "B": {"recurrence": [1, -1], "initial": [3]},
+    }))
+    _assert_hypothesis_violation(p, capsys, "|beta| must exceed 1")
+    assert cli.main(["solve", str(p)]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_zero_dominant_root_is_a_hypothesis_violation(tmp_path, capsys):

@@ -36,7 +36,7 @@ def test_per_n_path_never_sets_the_global_precision(monkeypatch, fib_pow2, fib_p
     the test.  The complex-pair family computes with Boxes while it is
     built."""
     bits = 512
-    probes = bounds.compute_n0(fib_pow2, fib_pow2_consts, 10**19).trace
+    probes = bounds.compute_n0(fib_pow2, 10**19).trace
 
     def forbidden(ctx, value):
         raise AssertionError(f"iv.prec set to {value}")
@@ -65,7 +65,7 @@ def test_per_n_path_never_sets_the_global_precision(monkeypatch, fib_pow2, fib_p
         if (a, b) == FIB_POW2:
             assert D == 2 and consts == fib_pow2_consts
             for traced in probes:
-                probe = bounds.ChainProbe(fam, consts, traced.n, bounds.CHAIN_BITS, D)
+                probe = bounds.ChainProbe(fam, traced.n, D)
                 assert bounds._branch_report(probe, traced.branch) == traced
     assert D == 1 and all(isinstance(r.approx(bits), Box) for r, _ in fam.A.secondary)
 

@@ -263,7 +263,7 @@ HYPOTHESIS_REPORTS = {
     ),
     "unit-modulus-diff-0-or-1": (
         ([1, -2], [2]), ([1, -3, 2], [5, 6]),
-        (None, None, None, ((1, "|c_B-c_A| in {0,1} at n=1"),) + _outside(
+        (None, None, None, _each_n("|c_B - c_A| = 1", [1]) + _outside(
             (2, 8, 8), (3, 16, 12), (4, 32, 20), (5, 64, 36), (6, 128, 68), (7, 256, 132), (8, 512, 260),
         )),
     ),
