@@ -34,6 +34,7 @@ from .precision import (
     Value,
     _raw_to_fraction,
     _set,
+    compare,
     ladder,
 )
 
@@ -498,11 +499,9 @@ def abs_compare(x, y, bits=WORKING_BITS):
         a, b = abs(x.as_fraction()), abs(y.as_fraction())
         return (a > b) - (a < b)
     for p in ladder(bits):
-        a, b = abs(x.approx(p)), abs(y.approx(p))
-        if a.sup < b.inf:
-            return -1
-        if a.inf > b.sup:
-            return 1
+        verdict = compare(abs(x.approx(p)), abs(y.approx(p)))
+        if verdict is not None:
+            return -1 if verdict else 1
         if p == bits and _moduli_tie(x, y):
             return 0
     raise UndecidedComparison(f"interval comparison undecided at {p} bits")

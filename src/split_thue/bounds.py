@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 
 from .algebraic import AlgebraicNumber, field_arith
 from .precision import WORKING_BITS, Frozen, Interval, SplitThueError, Value, _set
-from .cubic import closed_forms, combine, family_ivs
+from .cubic import closed_forms, combine, envelope, family_ivs
 from .sequences import FamilyInstance
 
 
@@ -191,8 +191,7 @@ class ChainProbe(Frozen):
         """Rational upper bound of the decaying error envelope C n^d2 eps^n,
         rounded up to 2^-_CLAMP_BITS when it is even tinier (an exact
         conversion would need astronomically long denominators)."""
-        f = self.fam_ivs
-        v = f.C * Interval.of(self.n, CHAIN_BITS) ** self.fam.d2 * f.eps**self.n
+        v = envelope(self.fam_ivs, self.n, self.fam.d2)
         sign, man, exp, bc = v._mpi_[1]
         if man != 0 and exp + bc < -_CLAMP_BITS:
             return Fraction(1, 2**_CLAMP_BITS) if not sign else Fraction(0)

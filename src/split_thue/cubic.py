@@ -8,7 +8,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .algebraic import Enclosure, abs_compare, poly_eval_sign, refine_bracket
-from .precision import MIN_WORKING_BITS, WORKING_BITS, Interval, SplitThueError, Value, _set
+from .precision import (
+    MIN_WORKING_BITS, WORKING_BITS, Interval, SplitThueError, UndecidedComparison, Value, _set, compare,
+)
 from .sequences import FamilyInstance, HypothesisViolated
 
 
@@ -80,20 +82,29 @@ class CubicRootSet(
         return a_abs**self.n, b_abs**self.n, n_iv**self.fam.d1, n_iv**self.fam.d2
 
     @cached_property
-    def xi_rhs(self) -> Fraction:
-        """Certified lower bound on the right-hand side of the transformed-form
-        upper bound 4 c5^-3 n^-d1 |alpha|^-2n |beta|^-n + 6 C n^d2 eps^n at
-        ``work_bits``: a |xi_j| at most this value is at most the bound itself.
+    def envelope(self) -> Interval:
+        """The log lemma's error envelope C n^d2 eps^n at ``work_bits``."""
+        return envelope(self.fam_ivs, self.n, self.fam.d2)
+
+    @cached_property
+    def xi_rhs(self) -> Interval:
+        """The right-hand side of the transformed-form upper bound
+        4 c5^-3 n^-d1 |alpha|^-2n |beta|^-n + 6 C n^d2 eps^n at ``work_bits``.
 
         The source states the first term with c5 cubed; the derivation uses the
         *inverse* of the root-difference lower bounds, so we evaluate 4 c5^{-3}
         and flag the discrepancy in reports.
         """
-        an, bn, nd1, nd2 = self.powers
-        f = self.fam_ivs
-        t1 = 4 / (f.c5**3 * nd1 * an * an * bn)
-        t2 = 6 * f.C * nd2 * f.eps**self.n
-        return (t1 + t2).inf
+        an, bn, nd1, _ = self.powers
+        return 4 / (self.fam_ivs.c5**3 * nd1 * an * an * bn) + 6 * self.envelope
+
+    def decide(self, lhs: Interval, rhs: Interval, what: str) -> bool:
+        """lhs < rhs for the check ``what`` at this n, by ``compare``; intervals
+        that overlap raise UndecidedComparison naming the check, n and bits."""
+        verdict = compare(lhs, rhs)
+        if verdict is None:
+            raise UndecidedComparison(f"{what} at n={self.n} not decided at {self.work_bits} bits")
+        return verdict
 
 
 def _coeff_polys(fam: FamilyInstance):
@@ -102,6 +113,12 @@ def _coeff_polys(fam: FamilyInstance):
 
 
 FamilyIvs = namedtuple("FamilyIvs", "consts abs_ab log_ab coeff_logs c5 c6 C eps")
+
+
+def envelope(f: FamilyIvs, n: int, d2: int) -> Interval:
+    """The log lemma's error envelope C n^d2 eps^n as an interval, from the
+    ``family_ivs`` record ``f``, at the precision of its C and eps."""
+    return f.C * Interval.of(n, f.C.prec) ** d2 * f.eps**n
 
 
 @lru_cache(maxsize=64)
@@ -395,44 +412,36 @@ def log_closed_forms(rs: CubicRootSet):
 
 
 def verify_log_approx(rs: CubicRootSet) -> ResidualReport:
-    """Six log approximations against the shared decaying error term
-    C n^d2 eps^n, at the context's working precision.
-
-    The scale n^d2 eps^n and the bound C n^d2 eps^n are kept as unreduced
-    integer fractions: each row is compared with the bound by
-    cross-multiplication, and its ratio to the scale is an int true
-    division, which is correctly rounded, as ``float`` of the reduced
-    Fraction is, without a gcd on the long integers of eps^n."""
-    n, C, eps = rs.n, rs.fam_ivs.consts.C, rs.fam_ivs.consts.eps
-    scale_num, scale_den = n**rs.fam.d2 * eps.numerator**n, eps.denominator**n
-    bound_num, bound_den = C.numerator * scale_num, C.denominator * scale_den
-    bound = bound_num / bound_den
+    """Six log approximations against the shared decaying error envelope
+    C n^d2 eps^n, at the context's working precision: a row passes when its
+    residual is below the envelope (``CubicRootSet.decide``)."""
+    env = rs.envelope
+    bound, inv_scale = float(env.sup), (rs.fam_ivs.C / env if rs.fam_ivs.consts.eps else None)
     computed = dict(zip(_ROOT_LOGS, (v for pair in zip(rs.log_abs, rs.log_abs_A) for v in pair)))
     closed = log_closed_forms(rs)
     entries = []
     for name in computed:
-        sup = abs(computed[name] - closed[name]).sup
-        ok = sup.numerator * bound_den <= bound_num * sup.denominator
-        ratio = sup.numerator * scale_den / (sup.denominator * scale_num) if scale_num else None
-        entries.append(ResidualEntry(name, float(sup), bound, ok, ratio))
-    return ResidualReport(n, tuple(entries))
+        r = abs(computed[name] - closed[name])
+        ok = rs.decide(r, env, name)
+        ratio = None if inv_scale is None else float((r * inv_scale).sup)
+        entries.append(ResidualEntry(name, float(r.sup), bound, ok, ratio))
+    return ResidualReport(rs.n, tuple(entries))
 
 
 def verify_root_diff(rs: CubicRootSet) -> ResidualReport:
     """The six two-sided root-difference bounds, at the working precision."""
     l1, l2, l3 = (v.at(rs.work_bits) for v in rs.ivs)
-    d12 = abs(l1 - l2)
-    d13 = abs(l1 - l3)
-    d23 = abs(l2 - l3)
+    d12, d13, d23 = abs(l1 - l2), abs(l1 - l3), abs(l2 - l3)
     an, bn, nd1, nd2 = rs.powers
-    c5, c6 = rs.fam_ivs.c5, rs.fam_ivs.c6
+    c5, c6_nd2 = rs.fam_ivs.c5, rs.fam_ivs.c6 * nd2
+    c5_nd1, c6_nd2_bn = c5 * nd1, c6_nd2 * bn
     checks = [
-        ("c5 b^n <= |l1-l2|", (c5 * bn).sup <= d12.inf),
-        ("|l1-l2| <= c6 n^d2 b^n", d12.sup <= (c6 * nd2 * bn).inf),
-        ("c5 n^d1 b^n <= |l1-l3|", (c5 * nd1 * bn).sup <= d13.inf),
-        ("|l1-l3| <= c6 n^d2 b^n", d13.sup <= (c6 * nd2 * bn).inf),
-        ("c5 n^d1 a^n <= |l2-l3|", (c5 * nd1 * an).sup <= d23.inf),
-        ("|l2-l3| <= c6 n^d2 a^n", d23.sup <= (c6 * nd2 * an).inf),
+        ("c5 b^n <= |l1-l2|", c5 * bn, d12),
+        ("|l1-l2| <= c6 n^d2 b^n", d12, c6_nd2_bn),
+        ("c5 n^d1 b^n <= |l1-l3|", c5_nd1 * bn, d13),
+        ("|l1-l3| <= c6 n^d2 b^n", d13, c6_nd2_bn),
+        ("c5 n^d1 a^n <= |l2-l3|", c5_nd1 * an, d23),
+        ("|l2-l3| <= c6 n^d2 a^n", d23, c6_nd2 * an),
     ]
-    entries = tuple(ResidualEntry(name, 0.0, 0.0, ok) for name, ok in checks)
+    entries = tuple(ResidualEntry(name, 0.0, 0.0, rs.decide(lhs, rhs, name)) for name, lhs, rhs in checks)
     return ResidualReport(rs.n, entries)

@@ -223,12 +223,11 @@ XiBoundReport = namedtuple("XiBoundReport", "j n value bound ok")
 def verify_xi_bound(ue: UnitExponents, rs: CubicRootSet) -> XiBoundReport:
     """Check |xi_j|, the interval value of the transformed linear form of
     ``ue`` at the context's working precision, against its decaying upper
-    bound: the upper end of |xi_j| must not exceed the lower end of the
-    bound, the context's ``xi_rhs``. The bound only holds for exponents that
+    bound, the context's ``xi_rhs``: it passes when |xi_j| is below the
+    bound (``CubicRootSet.decide``). The bound only holds for exponents that
     come from a genuine solution."""
     fam, n, bits = rs.fam, rs.n, rs.work_bits
     xi = xi_form(ue.j, fam.case_tag, n, ue.b1, ue.b2)
-    value = combine(xi, rs.coeff_logs, Interval.of(0, bits))
-    rhs = rs.xi_rhs
-    sup = abs(value).sup
-    return XiBoundReport(ue.j, n, float(sup), float(rhs), sup <= rhs)
+    value = abs(combine(xi, rs.coeff_logs, Interval.of(0, bits)))
+    ok = rs.decide(value, rs.xi_rhs, f"|xi_{ue.j}|")
+    return XiBoundReport(ue.j, n, float(value.sup), float(rs.xi_rhs.inf), ok)

@@ -119,6 +119,18 @@ def test_bounds_refuses_zero_decay_ratio(capsys, tmp_path):
     )
 
 
+def test_undecided_lemma_row_is_not_a_failed_lemma(capsys):
+    # at n = 300 and 64 bits the log|l1| residual is the width of its
+    # interval, which overlaps the envelope: an undecided row stops the run
+    # with exit 5, where a failed lemma would exit 3
+    argv = ["verify", EXAMPLE_CONFIG, "--n-lo", "300", "--n-hi", "300", "--y-max", "5", "--bits", "64"]
+    assert cli.main(argv) == cli.EXIT_PRECISION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "not certified: UndecidedComparison: log|l1| at n=300 not decided at 64 bits\n"
+    assert cli.main(argv[:-1] + ["256"]) == cli.EXIT_OK
+
+
 @pytest.mark.parametrize(
     "argv, want, keys",
     [

@@ -3,18 +3,22 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from split_thue import FamilyInstance, RecurrentSequence
+from split_thue import FamilyInstance, RecurrentSequence, cubic
+from split_thue.bounds import _CLAMP_BITS, CHAIN_BITS, ChainProbe
 from split_thue.cubic import (
     AnchorSignFailure,
     _bracket_around,
+    compute_constants,
     cubic_coeffs,
+    envelope,
     family_ivs,
     isolate_roots,
+    log_closed_forms,
     verify_log_approx,
     verify_root_approx,
     verify_root_diff,
 )
-from split_thue.precision import Interval
+from split_thue.precision import Interval, UndecidedComparison
 from split_thue.solver import verify_family
 
 
@@ -151,3 +155,38 @@ def test_family_ivs_once_per_family_and_precision(fib_seq, pow2_seq):
         computed.append(family_ivs.cache_info().misses - before)
     assert computed == [1, 1, 0]
     assert runs[0] == runs[2]
+
+
+def test_undecided_log_row_is_not_a_failure(monkeypatch, fib_pow2, bits):
+    # an envelope that straddles the residual of log|l1| decides nothing:
+    # the check stops instead of reporting the lemma as failed
+    rs = isolate_roots(fib_pow2, 10, bits)
+    residual = abs(rs.log_abs[0] - log_closed_forms(rs)["log|l1|"])
+    monkeypatch.setattr(cubic, "envelope", lambda f, n, d2: residual)
+    with pytest.raises(UndecidedComparison, match=r"^log\|l1\| at n=10 not decided at 256 bits$"):
+        verify_log_approx(rs)
+
+
+@pytest.fixture(scope="module")
+def n_dependent_cA():
+    # A_n = (n+2) 2^(n-1), B_n = 3^n: c_A(n) = (n+2)/2, so d2 = 1
+    A = RecurrentSequence.from_recurrence([1, -4, 4], [1, 3])
+    B = RecurrentSequence.from_recurrence([1, -3], [1])
+    return FamilyInstance.build(A, B)
+
+
+@pytest.mark.parametrize("family", ["fib_pow2", "pow2_equal_modulus", "n_dependent_cA"])
+def test_envelope_encloses_the_exact_bound(request, family):
+    # the one envelope C n^d2 eps^n encloses its exact rational value at
+    # every precision, and the chain's e is its clamped upper end at 160 bits
+    fam = request.getfixturevalue(family)
+    consts = compute_constants(fam)
+    assert fam.d2 == (1 if family == "n_dependent_cA" else 0)
+    for n in (1, 2, 60, 150, 1000):
+        exact = consts.C * Fraction(n) ** fam.d2 * consts.eps**n
+        for bits in (64, 160, 512):
+            env = envelope(family_ivs(fam, bits), n, fam.d2)
+            assert env.inf <= exact <= env.sup, (n, bits)
+        sup = envelope(family_ivs(fam, CHAIN_BITS), n, fam.d2).sup
+        tiny = sup < Fraction(1, 2 ** (_CLAMP_BITS + 1))
+        assert ChainProbe(fam, n).e == (Fraction(1, 2**_CLAMP_BITS) if tiny else sup), n

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 from mpmath import iv
-from split_thue.cubic import compute_constants, isolate_roots
+from split_thue.cubic import CubicRootSet, compute_constants, isolate_roots
 from split_thue.precision import (
     Interval,
     PrecisionExhausted,
+    UndecidedComparison,
 )
 from split_thue.solver import solve_bruteforce
 from split_thue.units import (
@@ -298,8 +299,19 @@ def test_xi_upper_rhs_is_a_lower_end(fib_pow2):
     # a pass compares sup|xi| with a lower bound on the right-hand side: in
     # a coarse context its wider enclosure puts that bound lower
     for n in (15, 60, 150):
-        coarse, fine = (isolate_roots(fib_pow2, n, bits).xi_rhs for bits in (64, 512))
+        coarse, fine = (isolate_roots(fib_pow2, n, bits).xi_rhs.inf for bits in (64, 512))
         assert 0 < coarse <= fine
+
+
+def test_undecided_xi_row_is_not_a_failure(monkeypatch, fib_pow2, bits):
+    # a right-hand side that straddles |xi_2| of (7, 4) at n = 1 decides
+    # nothing: the check stops instead of reporting the bound as failed
+    rs = isolate_roots(fib_pow2, 1, bits)
+    ue = unit_decompose(7, 4, rs)
+    assert ue.j == 2 and 1 < verify_xi_bound(ue, rs).value < 2
+    monkeypatch.setattr(CubicRootSet, "xi_rhs", property(lambda rs: Interval.between(1, 2, bits)))
+    with pytest.raises(UndecidedComparison, match=r"^\|xi_2\| at n=1 not decided at 256 bits$"):
+        verify_xi_bound(ue, rs)
 
 
 def test_xi_value_matches_computed_form(rs20):
