@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 
 from .algebraic import AlgebraicNumber, field_arith
 from .precision import WORKING_BITS, Frozen, Interval, SplitThueError, Value, _set
-from .cubic import closed_forms, combine, envelope, family_ivs
+from .cubic import closed_forms, combine, envelope, family_ivs, xi_terms
 from .sequences import FamilyInstance
 
 
@@ -154,8 +154,8 @@ def field_degree(fam: FamilyInstance) -> int:
 class ChainProbe(Frozen):
     """The bound chain at one n, built from the family, n and the field
     degree ``D`` (which only the xi lower bound reads): its closed forms in
-    n at ``CHAIN_BITS`` over the constants, log|alpha|, log|beta|, C and eps
-    of ``family_ivs(fam, CHAIN_BITS)``, each a cached property computed once.
+    n at ``CHAIN_BITS`` over the constants and n-free intervals of
+    ``family_ivs(fam, CHAIN_BITS)``, each a cached property computed once.
     ``compute_n0`` keeps one probe per probed n, which every branch at that
     n reads.  It compares by identity."""
 
@@ -187,11 +187,16 @@ class ChainProbe(Frozen):
         return max(consts.log_coeff_neg, consts.log_coeff_pos + self.fam.d2 * self.logn.sup)
 
     @cached_property
+    def envelope(self) -> Interval:
+        """The log lemma's error envelope C n^d2 eps^n at ``CHAIN_BITS``."""
+        return envelope(self.fam_ivs, self.n, self.fam.d2)
+
+    @cached_property
     def e(self) -> Fraction:
-        """Rational upper bound of the decaying error envelope C n^d2 eps^n,
-        rounded up to 2^-_CLAMP_BITS when it is even tinier (an exact
-        conversion would need astronomically long denominators)."""
-        v = envelope(self.fam_ivs, self.n, self.fam.d2)
+        """Rational upper bound of ``envelope``, rounded up to 2^-_CLAMP_BITS
+        when it is even tinier (an exact conversion would need
+        astronomically long denominators)."""
+        v = self.envelope
         sign, man, exp, bc = v._mpi_[1]
         if man != 0 and exp + bc < -_CLAMP_BITS:
             return Fraction(1, 2**_CLAMP_BITS) if not sign else Fraction(0)
@@ -229,13 +234,10 @@ class ChainProbe(Frozen):
 
     @cached_property
     def xi_upper(self) -> Fraction:
-        """log of the right-hand side of the transformed-form upper bound,
-        evaluated in closed form (safe at astronomically large n)."""
-        fam, n, logn, bits = self.fam, self.n, self.logn, CHAIN_BITS
-        consts, (la, lb) = self.fam_ivs.consts, self.fam_ivs.log_ab
-        t1 = _n_free_log(4, bits) - 3 * _n_free_log(consts.c5, bits) - fam.d1 * logn - n * (2 * la + lb)
-        t2 = _n_free_log(6 * consts.C, bits) + fam.d2 * logn + n * _n_free_log(consts.eps, bits)
-        return max(t1.sup, t2.sup) + _n_free_log(2, bits).sup
+        """Upper bound on the log of the xi bound t1 + t2 of
+        ``cubic.xi_terms``: log(t1 + t2) <= max(log t1, log t2) + log 2."""
+        t1, t2 = xi_terms(self.fam_ivs, self.n, self.fam.d1, self.envelope)
+        return max(t1.log().sup, t2.log().sup) + _n_free_log(2, CHAIN_BITS).sup
 
     @cached_property
     def altunit_lower(self) -> Fraction | None:
@@ -272,8 +274,14 @@ class ChainProbe(Frozen):
         return out
 
     def exponent_bound(self, logy: Fraction, R_low: Fraction) -> Fraction:
-        """Upper bound on max(|b1|, |b2|) from the inverted log system, times n
-        to cover the transformed form's table coefficients."""
+        """Upper bound 4 n (b + 1) on the coefficients of the transformed form
+        (``units.xi_form``), where b = 2 E (logy + M) / R_low + 1 bounds
+        max(|b1|, |b2|) from the inverted log system, with
+        E = n (log|alpha| + log|beta|) + 2m + e, the largest |log| matrix
+        entry, and M = n log|beta| + m + e, the largest log root difference.
+        The form's coefficients are at most 4 n max(|b1|, |b2|), or n when
+        b1 = b2 = 0, and b >= 1, so 4 n b covers them: the outer + 1 is slack
+        by 4n.  It stays, since lowering it moves n0."""
         if R_low <= 0:
             raise ValueError("need a positive regulator lower bound")
         m, e, n = self.m, self.e, self.n
@@ -335,23 +343,22 @@ WINDOW = 10
 
 
 class BoundReport(Value):
-    """One probe of one branch. The verdict compares the exact lower bound
-    (None while the chain gives none) with the exact upper bound; the
+    """One probe of one branch. The verdict is derived here, and only here:
+    "contradiction" when the exact lower bound (None while the chain gives
+    none) exceeds the exact upper bound, so a tie is no contradiction.  The
     floats are for the report only."""
 
     __slots__ = ("n", "branch", "R_upper", "logy_upper", "baker_lower_exponent", "xi_upper_log", "verdict")
 
-    def __init__(self, n, branch, R_upper, logy_upper, baker_lower_exponent, xi_upper_log, verdict):
+    def __init__(self, n, branch, R_upper, logy_upper, baker_lower_exponent, xi_upper_log):
         contra = baker_lower_exponent is not None and baker_lower_exponent > xi_upper_log
-        if verdict != ("contradiction" if contra else "no-contradiction"):
-            raise ValueError("verdict inconsistent with the recorded bounds")
         _set(self, "n", n)
         _set(self, "branch", branch)
         _set(self, "R_upper", R_upper)
         _set(self, "logy_upper", logy_upper)
         _set(self, "baker_lower_exponent", baker_lower_exponent)
         _set(self, "xi_upper_log", xi_upper_log)
-        _set(self, "verdict", verdict)
+        _set(self, "verdict", "contradiction" if contra else "no-contradiction")
 
 
 N0Result = namedtuple("N0Result", "n0 no_crossing n_cap branch_thresholds trace")
@@ -363,12 +370,10 @@ def _branch_report(probe: ChainProbe, branch: str) -> BoundReport:
         lower, upper = probe.altunit_lower, _log(probe.logy, CHAIN_BITS).sup
     else:
         lower, upper = probe.xi_lower, probe.xi_upper
-    contra = lower is not None and lower > upper
     return BoundReport(
         n=probe.n, branch=branch, R_upper=float(probe.regulator[1]), logy_upper=float(probe.logy),
         baker_lower_exponent=lower,
         xi_upper_log=upper,
-        verdict="contradiction" if contra else "no-contradiction",
     )
 
 

@@ -74,29 +74,16 @@ class CubicRootSet(
         return (*f.log_ab, lcA, lcB, ldiff)
 
     @cached_property
-    def powers(self):
-        """(|alpha|^n, |beta|^n, n^d1, n^d2) at ``work_bits``, which
-        ``verify_root_diff`` and ``xi_rhs`` read."""
-        a_abs, b_abs = self.fam_ivs.abs_ab
-        n_iv = Interval.of(self.n, self.work_bits)
-        return a_abs**self.n, b_abs**self.n, n_iv**self.fam.d1, n_iv**self.fam.d2
-
-    @cached_property
     def envelope(self) -> Interval:
         """The log lemma's error envelope C n^d2 eps^n at ``work_bits``."""
         return envelope(self.fam_ivs, self.n, self.fam.d2)
 
     @cached_property
     def xi_rhs(self) -> Interval:
-        """The right-hand side of the transformed-form upper bound
-        4 c5^-3 n^-d1 |alpha|^-2n |beta|^-n + 6 C n^d2 eps^n at ``work_bits``.
-
-        The source states the first term with c5 cubed; the derivation uses the
-        *inverse* of the root-difference lower bounds, so we evaluate 4 c5^{-3}
-        and flag the discrepancy in reports.
-        """
-        an, bn, nd1, _ = self.powers
-        return 4 / (self.fam_ivs.c5**3 * nd1 * an * an * bn) + 6 * self.envelope
+        """The right-hand side t1 + t2 of the xi bound (``xi_terms``) at
+        ``work_bits``."""
+        t1, t2 = xi_terms(self.fam_ivs, self.n, self.fam.d1, self.envelope)
+        return t1 + t2
 
     def decide(self, lhs: Interval, rhs: Interval, what: str) -> bool:
         """lhs < rhs for the check ``what`` at this n, by ``compare``; intervals
@@ -119,6 +106,40 @@ def envelope(f: FamilyIvs, n: int, d2: int) -> Interval:
     """The log lemma's error envelope C n^d2 eps^n as an interval, from the
     ``family_ivs`` record ``f``, at the precision of its C and eps."""
     return f.C * Interval.of(n, f.C.prec) ** d2 * f.eps**n
+
+
+def xi_terms(f: FamilyIvs, n: int, d1: int, env: Interval):
+    """The two terms (t1, t2) of the xi bound |xi_j| <= t1 + t2 at n, as
+    intervals at the precision of the ``family_ivs`` record ``f``:
+    t1 = 4 c5^-3 n^-d1 (|alpha|^2 |beta|)^-n and t2 = 6 env, where ``env`` is
+    the log lemma's error envelope C n^d2 eps^n at n (``envelope``).  This is
+    the one place the bound is written: ``CubicRootSet.xi_rhs`` is t1 + t2,
+    and ``bounds.ChainProbe.xi_upper`` bounds its log by max(log t1, log t2)
+    + log 2.
+
+    xi_j is Lambda = log|1 + gamma| of Siegel's identity with each of its logs
+    replaced by its closed form (``units.xi_form``), so |xi_j| <= |Lambda| +
+    |xi_j - Lambda|, and each term bounds one summand:
+
+    * t1 bounds |Lambda|: it is the source's bound, from Siegel's identity
+      and the root-difference lower bounds of ``verify_root_diff``.  The
+      source states it with c5 cubed; the derivation divides by those lower
+      bounds, so c5 enters inverted, as c5^-3, and reports flag the
+      discrepancy.
+    * t2 bounds |xi_j - Lambda| by the log lemma: Lambda is b1 log|l_l / l_k|
+      + b2 log|(l_l - A_n) / (l_k - A_n)| + log|(l_j - l_k) / (l_j - l_l)|,
+      and each of its six logs lies within env of its closed form, so
+      |xi_j - Lambda| <= (2|b1| + 2|b2| + 2) env.  That is 6 env when
+      |b1| + |b2| <= 2, as for every trivial solution, whose (j, b1, b2) are
+      (3, 1, 0), (2, 0, 1) and (1, -1, -1).  The bound chain applies the
+      same t2 to exponents up to its exponent bound B, where this gives
+      (4B + 2) env.
+
+    (|alpha|^2 |beta|)^n is an ordinary interval even at the chain's n near
+    10^20: mpmath's exponents are unbounded."""
+    a_abs, b_abs = f.abs_ab
+    n_iv = Interval.of(n, f.C.prec)
+    return 4 / (f.c5**3 * n_iv**d1 * (a_abs * a_abs * b_abs) ** n), 6 * env
 
 
 @lru_cache(maxsize=64)
@@ -432,7 +453,8 @@ def verify_root_diff(rs: CubicRootSet) -> ResidualReport:
     """The six two-sided root-difference bounds, at the working precision."""
     l1, l2, l3 = (v.at(rs.work_bits) for v in rs.ivs)
     d12, d13, d23 = abs(l1 - l2), abs(l1 - l3), abs(l2 - l3)
-    an, bn, nd1, nd2 = rs.powers
+    (a_abs, b_abs), n_iv = rs.fam_ivs.abs_ab, Interval.of(rs.n, rs.work_bits)
+    an, bn, nd1, nd2 = a_abs**rs.n, b_abs**rs.n, n_iv**rs.fam.d1, n_iv**rs.fam.d2
     c5, c6_nd2 = rs.fam_ivs.c5, rs.fam_ivs.c6 * nd2
     c5_nd1, c6_nd2_bn = c5 * nd1, c6_nd2 * bn
     checks = [

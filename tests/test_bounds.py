@@ -70,6 +70,12 @@ def test_baker_lower_enforces_height_floor():
         baker_lower([Fraction(1, 100)], 1, Fraction(1), CHAIN_BITS)
     with pytest.raises(ValueError):
         baker_lower([], 1, Fraction(1), CHAIN_BITS)
+    # at the edge: a height of exactly 0.16 / D passes, a millionth below is refused
+    for D in (1, 3):
+        floor = Fraction(16, 100) / D
+        assert baker_lower([floor, Fraction(1)], D, Fraction(1), CHAIN_BITS) < 0
+        with pytest.raises(SplitThueError, match="below its floor"):
+            baker_lower([floor * (1 - Fraction(1, 10**6)), Fraction(1)], D, Fraction(1), CHAIN_BITS)
 
 
 def test_field_degree(fib_pow2):
@@ -199,6 +205,33 @@ def test_xi_upper_log_decreases(fib_pow2, fib_pow2_consts):
     assert v200 < v100 < 0
 
 
+def test_exponent_bound_is_its_closed_form(fib_pow2):
+    # 4 n (b + 1) with b = 2 E (logy + M) / R_low + 1, E = n (log|alpha| +
+    # log|beta|) + 2m + e and M = n log|beta| + m + e; at this small logy / R_low
+    # b is near 1, so the outer + 1 is about half the bound
+    p = ChainProbe(fib_pow2, 60)
+    logy, r_low = Fraction(1), Fraction(10**6)
+    (la, lb), n = p.fam_ivs.log_ab, p.n
+    E = n * (la.sup + lb.sup) + 2 * p.m + p.e
+    M = n * lb.sup + p.m + p.e
+    closed = 4 * n * (2 * E * (logy + M) / r_low + 2)
+    assert closed <= p.exponent_bound(logy, r_low) <= closed * (1 + Fraction(1, 2**100))
+    assert 400 < closed < 500
+
+
+def test_branch_verdict_at_an_exact_tie_is_no_contradiction(fib_pow2):
+    # only lower > upper contradicts: a tie, or no lower bound yet, does not
+    tie = Fraction(-7, 3)
+    assert BoundReport(8, "xi-j2", 1.0, 2.0, tie, tie).verdict == "no-contradiction"
+    assert BoundReport(8, "xi-j2", 1.0, 2.0, None, tie).verdict == "no-contradiction"
+    assert BoundReport(8, "xi-j2", 1.0, 2.0, tie + Fraction(1, 10**40), tie).verdict == "contradiction"
+    # the branch report takes its verdict from BoundReport: a probe whose two
+    # xi bounds tie does not contradict
+    probe = ChainProbe(fib_pow2, 60, 2)
+    vars(probe)["xi_lower"] = probe.xi_upper
+    assert bounds._branch_report(probe, "xi-j2").verdict == "no-contradiction"
+
+
 def test_chain_refuses_zero_decay_ratio(pow2_seq):
     # A_n = 2^(n+1), B_n = 3 2^(n+1): equal moduli and no secondary root;
     # the probe's one lookup of the family's values refuses it, so every value
@@ -308,7 +341,5 @@ def test_compute_n0_evaluates_the_xi_branches_once_per_n(fib_pow2, monkeypatch):
     j3 = [rep for rep in res.trace if rep.branch == "xi-j3"]
     assert len(j3) == len(j2) == 62
     for a, b in zip(j2, j3):
-        assert BoundReport(
-            b.n, "xi-j2", b.R_upper, b.logy_upper, b.baker_lower_exponent, b.xi_upper_log, b.verdict
-        ) == a
+        assert BoundReport(b.n, "xi-j2", b.R_upper, b.logy_upper, b.baker_lower_exponent, b.xi_upper_log) == a
     assert len(lower_bounds) == len({rep.n for rep in j2 if rep.baker_lower_exponent is not None})

@@ -17,6 +17,7 @@ from split_thue.cubic import (
     verify_log_approx,
     verify_root_approx,
     verify_root_diff,
+    xi_terms,
 )
 from split_thue.precision import Interval, UndecidedComparison
 from split_thue.solver import verify_family
@@ -190,3 +191,40 @@ def test_envelope_encloses_the_exact_bound(request, family):
         sup = envelope(family_ivs(fam, CHAIN_BITS), n, fam.d2).sup
         tiny = sup < Fraction(1, 2 ** (_CLAMP_BITS + 1))
         assert ChainProbe(fam, n).e == (Fraction(1, 2**_CLAMP_BITS) if tiny else sup), n
+
+
+@pytest.fixture(scope="module")
+def both_coefficients_grow():
+    # A_n = (n+2) 2^(n-1), B_n = (n+1) 3^n: c_A and c_B both of degree 1, so d1 = 1
+    A = RecurrentSequence.from_recurrence([1, -4, 4], [1, 3])
+    B = RecurrentSequence.from_recurrence([1, -6, 9], [1, 6])
+    return FamilyInstance.build(A, B)
+
+
+@pytest.mark.parametrize("family", ["fib_pow2", "both_coefficients_grow"])
+@pytest.mark.parametrize("prec", [512, CHAIN_BITS])
+def test_xi_terms_enclose_the_bound_recomputed_from_the_constants(request, family, prec):
+    # t1 = 4 / (c5^3 n^d1 (|alpha|^2 |beta|)^n) and t2 = 6 C n^d2 eps^n at
+    # n = 60, recomputed with Fractions: the constants exactly, and |alpha|
+    # and |beta| from 2048-bit enclosures, far narrower than the terms'
+    fam, n = request.getfixturevalue(family), 60
+    assert fam.d1 == (1 if family == "both_coefficients_grow" else 0)
+    consts, f = compute_constants(fam), family_ivs(fam, prec)
+    t1, t2 = xi_terms(f, n, fam.d1, envelope(f, n, fam.d2))
+    a, b = (abs(r.approx(2048)) for r in (fam.alpha, fam.beta))
+    scale = 4 / (consts.c5**3 * Fraction(n) ** fam.d1)
+    assert t1.inf <= scale / (a.sup**2 * b.sup) ** n <= scale / (a.inf**2 * b.inf) ** n <= t1.sup
+    assert t2.inf <= 6 * consts.C * Fraction(n) ** fam.d2 * consts.eps**n <= t2.sup
+
+
+@pytest.mark.parametrize("family", ["fib_pow2", "both_coefficients_grow"])
+def test_verify_and_the_chain_read_one_xi_bound(request, family):
+    # log xi_rhs at 512 bits lies in [xi_upper - log 2, xi_upper]: the chain's
+    # max(log t1, log t2) + log 2 bounds the t1 + t2 that verify decides with.
+    # The lower end allows the chain's rounding at 160 bits: when t1 is below
+    # t2 by more than 2^-160, log xi_rhs is log t2 to within it
+    fam = request.getfixturevalue(family)
+    log_rhs = isolate_roots(fam, 60, 512).xi_rhs.log()
+    upper = ChainProbe(fam, 60).xi_upper
+    lower = upper - Interval.of(2, CHAIN_BITS).log().sup - abs(upper) / 2**150
+    assert lower <= log_rhs.inf <= log_rhs.sup <= upper

@@ -270,13 +270,19 @@ def test_xi_form_is_the_closed_form_of_siegels_lambda(request, bits, family):
 @pytest.mark.parametrize("case_tag", ["strict", "equal_modulus"])
 def test_xi_form_coefficients_within_the_exponent_bound(case_tag):
     # bounds.exponent_bound_B covers the form's coefficients by 4 n (B + 1)
-    # for a bound B on max(|b1|, |b2|)
+    # for a bound B on max(|b1|, |b2|); that exceeds what they need by 4n:
+    # the largest is 4 n max(|b1|, |b2|), or n when b1 = b2 = 0
     for n in (1, 2, 7, 60):
+        worst = {}
         for j in (1, 2, 3):
             for b1 in range(-6, 7):
                 for b2 in range(-6, 7):
-                    cap = 4 * n * (max(abs(b1), abs(b2)) + 1)
-                    assert all(abs(c) <= cap for c in xi_form(j, case_tag, n, b1, b2)), (n, j, b1, b2)
+                    big = max(abs(b1), abs(b2))
+                    cap = 4 * n * (big + 1)
+                    coeffs = xi_form(j, case_tag, n, b1, b2)
+                    assert all(abs(c) <= cap for c in coeffs), (n, j, b1, b2)
+                    worst[big] = max(worst.get(big, 0), *map(abs, coeffs))
+        assert worst == {big: n * max(4 * big, 1) for big in range(7)}, n
 
 
 def test_xi_form_rejects_bad_input():

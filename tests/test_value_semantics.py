@@ -48,7 +48,7 @@ def test_value_types_compare_and_hash_by_value():
 
 def test_fields_cannot_be_assigned(fib_pow2, bits):
     rs = isolate_roots(fib_pow2, 5, bits)
-    report = BoundReport(8, "xi-j2", 1.0, 2.0, None, Fraction(1), "no-contradiction")
+    report = BoundReport(8, "xi-j2", 1.0, 2.0, None, Fraction(1))
     sentinel = object()
     for obj, field in (
         (Solution(1, 0, 5, 1, "trivial-(1,0)"), "x"),
@@ -68,8 +68,6 @@ def test_validated_classes_check_every_construction():
     with pytest.raises(ValueError, match="sign must be"):
         UnitExponents(1, 0, 0, 0)
     assert UnitExponents(1, 0, 0, -1) == UnitExponents(1, 0, 0, -1)
-    with pytest.raises(ValueError, match="verdict inconsistent"):
-        BoundReport(8, "xi-j2", 1.0, 2.0, Fraction(2), Fraction(1), "no-contradiction")
 
 
 def test_families_compare_by_identity(fib_seq, pow2_seq):
