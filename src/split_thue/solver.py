@@ -249,7 +249,10 @@ def verify_family(
     The xi bound is checked once per mirror pair +-(x, y), on the solution
     with y > 0: x - lambda y = sign lambda^b1 (lambda - A_n)^b2 gives
     -x + lambda y the same type j and exponents (b1, b2) with the opposite
-    sign, and xi_j reads only (j, b1, b2, n)."""
+    sign, and xi_j reads only (j, b1, b2, n). Every such solution goes
+    through ``units.unit_decompose`` and ``units.verify_xi_bound``, which
+    certify the trivial orbit (0, 1), (A_n, 1), (B_n, 1) by exact identities
+    in Z[lambda] and its zero xi rows, and take logs only for the others."""
     if n_lo > n_hi:
         raise ValueError("empty n range")
     consts = cubic.compute_constants(fam)

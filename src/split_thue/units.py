@@ -100,18 +100,24 @@ def unit_product(b1: int, b2: int, A: int, B: int):
     return out
 
 
+# (b1, b2) of the trivial orbit: x - lambda y is -lambda at (0, 1),
+# -(lambda - A_n) at (A_n, 1) and B_n - lambda = -lambda^-1 (lambda - A_n)^-1
+# at (B_n, 1), by lambda (lambda - A_n)(lambda - B_n) = 1
+TRIVIAL_EXPONENTS = ((1, 0), (0, 1), (-1, -1))
+
+
 def unit_decompose(x: int, y: int, rs: CubicRootSet) -> UnitExponents:
     """Solution type j, integer exponents (b1, b2) and sign with x - lambda y =
     sign * lambda^b1 (lambda - A_n)^b2, an identity in Z[lambda].
 
-    Both come from the exact magnitudes |x - lambda_i y| (Intervals at
-    precision 0), built once: j is the index of the smallest, and the
-    exponents lie in the enclosures solved from the logs of the first two at
-    MIN_WORKING_BITS, with the root context's ``unit_log_matrix``. f_n is
-    squarefree, so the identity holds at all three embeddings, and every
-    integer pair in the enclosures is tried exactly. The norm form is the
-    norm of x - lambda y, and lambda and lambda - A_n have norm 1, so the
-    sign is the norm form's value.
+    j is the index of the smallest of the exact magnitudes |x - lambda_i y|
+    (Intervals at precision 0). The norm form is the norm of x - lambda y,
+    and lambda and lambda - A_n have norm 1, so the sign is the norm form's
+    value. The exponents of the trivial orbit, ``TRIVIAL_EXPONENTS``, are
+    tried first, each by the exact identity in Z[lambda]; lambda and
+    lambda - A_n are multiplicatively independent, so a match is the one
+    decomposition, and no log is taken. Every other solution has its
+    exponents solved from logs (``_log_solve``).
     """
     A, B = rs.A, rs.B
     nf = norm_form(x, y, A, B)
@@ -119,6 +125,24 @@ def unit_decompose(x: int, y: int, rs: CubicRootSet) -> UnitExponents:
         raise NotAUnit(f"norm form value {nf} is not a unit")
     mags = [abs(x - y * r.at(0)) for r in rs.ivs]
     j = _solution_type(x, y, rs, mags)
+    target = (nf * x, -nf * y, 0)
+    for b1, b2 in TRIVIAL_EXPONENTS:
+        if unit_product(b1, b2, A, B) == target:
+            return UnitExponents(j, b1, b2, nf)
+    return UnitExponents(j, *_log_solve(x, y, rs, mags, target), nf)
+
+
+def _log_solve(x, y, rs, mags, target):
+    """The integer (b1, b2) with lambda^b1 (lambda - A_n)^b2 = ``target``,
+    the triple of sign * (x - lambda y) in Z[lambda], from the exact
+    magnitudes ``mags``.
+
+    The exponents lie in the enclosures solved from the logs of the first
+    two magnitudes at MIN_WORKING_BITS, with the root context's
+    ``unit_log_matrix``. f_n is squarefree, so the identity holds at all
+    three embeddings, and every integer pair in the enclosures is tried
+    exactly.
+    """
     # at precision 0, x - y lambda_i is exact and loses no bits to its
     # cancellation, so 64 bits leave the enclosures of b1, b2 narrow
     r1, r2 = (m.at(MIN_WORKING_BITS).log() for m in mags[:2])
@@ -131,8 +155,8 @@ def unit_decompose(x: int, y: int, rs: CubicRootSet) -> UnitExponents:
         raise PrecisionExhausted(f"unit exponents of ({x}, {y}) unbounded") from None
     for b1 in range(math.ceil(lo1), math.floor(hi1) + 1):
         for b2 in range(math.ceil(lo2), math.floor(hi2) + 1):
-            if unit_product(b1, b2, A, B) == (nf * x, -nf * y, 0):
-                return UnitExponents(j, b1, b2, nf)
+            if unit_product(b1, b2, rs.A, rs.B) == target:
+                return b1, b2
     raise NotAUnit(f"x - lambda y is not +- lambda^b1 (lambda - A)^b2 at (x, y) = ({x}, {y})")
 
 
@@ -225,9 +249,19 @@ def verify_xi_bound(ue: UnitExponents, rs: CubicRootSet) -> XiBoundReport:
     ``ue`` at the context's working precision, against its decaying upper
     bound, the context's ``xi_rhs``: it passes when |xi_j| is below the
     bound (``CubicRootSet.decide``). The bound only holds for exponents that
-    come from a genuine solution."""
+    come from a genuine solution.
+
+    When ``xi_form`` gives the zero row, as it does for the trivial
+    solutions (0, 1), (A_n, 1) and (B_n, 1), xi_j = 0 exactly, and the check
+    passes with no log evaluated and no ``xi_rhs`` built: the right-hand
+    side is at least t1 = 4 / (c5^3 n^d1 (|alpha|^2 |beta|)^n) > 0, since
+    c5 > 0. The report's ``value`` is then 0.0 and its ``bound`` None;
+    otherwise they are the upper end of |xi_j| and the lower end of
+    ``xi_rhs``."""
     fam, n, bits = rs.fam, rs.n, rs.work_bits
     xi = xi_form(ue.j, fam.case_tag, n, ue.b1, ue.b2)
+    if not any(xi):
+        return XiBoundReport(ue.j, n, 0.0, None, True)
     value = abs(combine(xi, rs.coeff_logs, Interval.of(0, bits)))
     ok = rs.decide(value, rs.xi_rhs, f"|xi_{ue.j}|")
     return XiBoundReport(ue.j, n, float(value.sup), float(rs.xi_rhs.inf), ok)

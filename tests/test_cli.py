@@ -304,14 +304,17 @@ def test_verify_runs_each_stage_once(monkeypatch, capsys):
     # sequences are built, and never evaluated after that
     assert calls["explicit_iv_at_build"] > 0
     assert calls["explicit_iv"] == calls["explicit_iv_at_build"]
-    # per-n values are computed once per n, not once per solution or stage
+    # per-n values are computed once per n, not once per solution or stage;
+    # the xi bound's right-hand side at most once per n, and never at an n
+    # whose xi rows are all zero, as the trivial orbit's are
     assert coeff_logs == in_scope
-    assert xi_rhs == in_scope
+    assert xi_rhs == []
 
 
 def test_verify_checks_xi_at_the_working_precision(monkeypatch, capsys):
-    # the xi bound reads the per-n logs of the root context, at --bits, the
-    # precision the lemma checks read them at: one computation per in-scope n
+    # the lemma checks read the per-n logs of the root context at --bits:
+    # one computation per in-scope n; the trivial orbit's xi rows are zero,
+    # so its xi checks build no right-hand side
     contexts = []
     isolate = cubic.isolate_roots
 
@@ -326,8 +329,19 @@ def test_verify_checks_xi_at_the_working_precision(monkeypatch, capsys):
     assert code == cli.EXIT_OK
     in_scope = [row["n"] for row in report["per_n"] if row["in_scope"]]
     assert in_scope == list(range(2, 6))
-    assert coeff_logs == xi_rhs == in_scope
+    assert coeff_logs == in_scope
+    assert xi_rhs == []
     assert [rs.work_bits for rs in contexts] == [512] * len(in_scope)
+
+
+def test_verify_builds_the_xi_bound_once_for_nonzero_rows(monkeypatch, capsys):
+    # at n = 1 the nontrivial (7, 4) and (38, 273) have nonzero xi rows: both
+    # are checked against one right-hand side
+    xi_rhs = count_property(monkeypatch, "xi_rhs")
+    code, report = run(["verify", EXAMPLE_CONFIG, "--n-lo", "1", "--n-hi", "1", "--y-max", "300"], capsys)
+    assert code == cli.EXIT_NONTRIVIAL
+    assert report["per_n"][0]["xi_bound_ok"] is True
+    assert xi_rhs == [1]
 
 
 def test_verify_decomposes_one_solution_of_each_mirror_pair(monkeypatch, capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import iv
+from split_thue import FamilyInstance, RecurrentSequence, units
 from split_thue.cubic import CubicRootSet, compute_constants, isolate_roots
 from split_thue.precision import (
     Interval,
@@ -17,6 +18,7 @@ from split_thue.units import (
     norm_form,
     regulator,
     ring_mul,
+    _log_solve,
     _solution_type,
     siegel_gamma,
     unit_decompose,
@@ -157,30 +159,106 @@ def test_unit_products_agree_with_interval_products(rs20):
     assert len(set(products.values())) == len(products)
 
 
-@pytest.mark.parametrize(
+@pytest.fixture(scope="module")
+def rs1(fib_pow2, bits):
+    # n = 1 has the nontrivial solutions +-(7, 4) and +-(38, 273)
+    return isolate_roots(fib_pow2, 1, bits)
+
+
+CORRUPTIONS = pytest.mark.parametrize(
     "perturb",
     [lambda v: -v, lambda v: v + 1],
     ids=["inverted-second-unit", "shifted-log"],
 )
-def test_unit_decompose_refuses_wrong_logs(rs20, perturb):
-    """With wrong logs the exponent enclosures miss the true exponents (the
-    inverted unit puts them around the integer pair (b1, -b2)); the exact
-    check then finds no match, and no exponents are returned."""
-    bad = rs20._replace(log_abs_A=tuple(perturb(v) for v in rs20.log_abs_A))
-    A, B = rs20.A, rs20.B
-    # (1, 0) and (0, 1) have b2 = 0, so their enclosures do not read log_abs_A
-    for x, y in ((A, 1), (B, 1)):
+
+
+@CORRUPTIONS
+def test_unit_decompose_refuses_wrong_logs(rs1, perturb):
+    """With wrong logs the exponent enclosures of a nontrivial solution miss
+    its true exponents (the inverted unit puts them around the integer pair
+    (b1, -b2)); the exact check then finds no match, and no exponents are
+    returned."""
+    bad = rs1._replace(log_abs_A=tuple(perturb(v) for v in rs1.log_abs_A))
+    for x, y in ((7, 4), (38, 273)):
         for sx, sy in ((x, y), (-x, -y)):
             with pytest.raises(NotAUnit):
                 unit_decompose(sx, sy, bad)
 
 
-def test_unit_decompose_unbounded_enclosure(rs20):
-    # a root interval wide enough to hold B makes log|B - lambda_1| unbounded
-    wide = Interval.between(rs20.B - 1, rs20.B + 1, rs20.bits)
-    coarse = rs20._replace(ivs=(wide,) + rs20.ivs[1:])
-    with pytest.raises(PrecisionExhausted):
-        unit_decompose(rs20.B, 1, coarse)
+@CORRUPTIONS
+def test_corrupted_logs_leave_trivial_exponents_unchanged(rs20, perturb):
+    # the trivial orbit is answered by its exact ring identities, which read
+    # no log
+    bad = rs20._replace(log_abs_A=tuple(perturb(v) for v in rs20.log_abs_A))
+    for x, y in ((0, 1), (rs20.A, 1), (rs20.B, 1)):
+        for sx, sy in ((x, y), (-x, -y)):
+            assert unit_decompose(sx, sy, bad) == unit_decompose(sx, sy, rs20), (sx, sy)
+
+
+def test_unit_decompose_unbounded_enclosure(rs1):
+    # a root interval wide enough to hold x / y makes log|x - lambda_2 y|
+    # unbounded
+    for x, y in ((7, 4), (38, 273)):
+        wide = Interval.between(Fraction(x, y) - 1, Fraction(x, y) + 1, rs1.bits)
+        coarse = rs1._replace(ivs=(rs1.ivs[0], wide, rs1.ivs[2]))
+        with pytest.raises(PrecisionExhausted):
+            unit_decompose(x, y, coarse)
+
+
+# A_n = 3^n + 2 cos(pi n / 2), a complex secondary pair +-i, with B_n = 4^n;
+# and A_n = (n + 2) 2^(n-1), whose c_A(n) = (n + 2) / 2, with B_n = 3^n
+COMPLEX_PAIR = (([1, -3, 1, -3], [3, 3, 7]), ([1, -4], [4]))
+N_DEPENDENT_CA = (([1, -4, 4], [1, 3]), ([1, -3], [1]))
+
+
+def _family(request, family):
+    if family in ("fib_pow2", "pow2_equal_modulus"):
+        return request.getfixturevalue(family)
+    a, b = COMPLEX_PAIR if family == "complex_pair" else N_DEPENDENT_CA
+    return FamilyInstance.build(*(RecurrentSequence.from_recurrence(*seq) for seq in (a, b)))
+
+
+def _log_solved(x, y, rs):
+    """The exponents of (x, y) from the 64-bit log solve alone."""
+    nf = norm_form(x, y, rs.A, rs.B)
+    mags = [abs(x - y * r.at(0)) for r in rs.ivs]
+    return UnitExponents(_type(x, y, rs), *_log_solve(x, y, rs, mags, (nf * x, -nf * y, 0)), nf)
+
+
+@pytest.mark.parametrize("family", ["fib_pow2", "pow2_equal_modulus", "complex_pair", "n_dependent_cA"])
+def test_trivial_orbit_exponents_match_the_log_solve(request, bits, family):
+    """The exact identities of the trivial orbit give the exponents the log
+    solve finds, for (0, 1), (A_n, 1), (B_n, 1) and their mirrors at
+    n = 2..60."""
+    fam = _family(request, family)
+    for n in range(2, 61):
+        rs = isolate_roots(fam, n, bits)
+        for x, y in ((0, 1), (rs.A, 1), (rs.B, 1)):
+            for sx, sy in ((x, y), (-x, -y)):
+                assert unit_decompose(sx, sy, rs) == _log_solved(sx, sy, rs), (n, sx, sy)
+
+
+def test_only_nontrivial_solutions_take_the_log_solve(monkeypatch, fib_pow2, bits):
+    # every solution with y != 0 at n = 1 (y_max 300) and n = 2..60: the
+    # nontrivial ones are log-solved, once each, and no trivial one is
+    solved = []
+    log_solve = units._log_solve
+
+    def counting(x, y, *args):
+        solved.append((x, y))
+        return log_solve(x, y, *args)
+
+    monkeypatch.setattr(units, "_log_solve", counting)
+    nontrivial = []
+    for n in range(1, 61):
+        rs = isolate_roots(fib_pow2, n, bits)
+        for s in solve_bruteforce(fib_pow2, n, 300 if n == 1 else 50):
+            if s.y != 0:
+                unit_decompose(s.x, s.y, rs)
+                if s.classification == "nontrivial":
+                    nontrivial.append((s.x, s.y))
+    assert sorted(nontrivial) == [(-38, -273), (-7, -4), (7, 4), (38, 273)]
+    assert solved == nontrivial
 
 
 def test_unit_decompose_rejects_non_unit(rs20):
@@ -318,6 +396,29 @@ def test_undecided_xi_row_is_not_a_failure(monkeypatch, fib_pow2, bits):
     monkeypatch.setattr(CubicRootSet, "xi_rhs", property(lambda rs: Interval.between(1, 2, bits)))
     with pytest.raises(UndecidedComparison, match=r"^\|xi_2\| at n=1 not decided at 256 bits$"):
         verify_xi_bound(ue, rs)
+
+
+def test_zero_xi_row_passes_without_the_right_hand_side(fib_pow2, bits):
+    # the trivial orbit's rows are zero, so xi_j = 0 exactly: the check
+    # passes with no log evaluated and no xi_rhs built, and reports the
+    # value 0.0 and no bound
+    rs = isolate_roots(fib_pow2, 30, bits)
+    for x, y in ((0, 1), (rs.A, 1), (rs.B, 1)):
+        rep = verify_xi_bound(unit_decompose(x, y, rs), rs)
+        assert (rep.value, rep.bound, rep.ok) == (0.0, None, True), (x, y)
+    assert "xi_rhs" not in vars(rs) and "coeff_logs" not in vars(rs)
+
+
+def test_nonzero_xi_row_is_decided_against_the_right_hand_side(monkeypatch, rs1, bits):
+    # |xi_2| of (7, 4) at n = 1 lies in (1, 2): a right-hand side below it
+    # fails the check, and one above it passes it
+    ue = unit_decompose(7, 4, rs1)
+    below, above = Interval.between(Fraction(1, 4), Fraction(1, 2), bits), Interval.between(4, 8, bits)
+    for rhs, ok in ((below, False), (above, True)):
+        monkeypatch.setattr(CubicRootSet, "xi_rhs", property(lambda rs, rhs=rhs: rhs))
+        rep = verify_xi_bound(ue, rs1)
+        assert (rep.ok, rep.bound) == (ok, float(rhs.inf))
+        assert 1 < rep.value < 2
 
 
 def test_xi_value_matches_computed_form(rs20):

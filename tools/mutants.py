@@ -1,7 +1,8 @@
 """The mutant gate: tier-1 must fail on each of a list of one-line mutants
 of the bound code, ten that change the chain's and the xi bound's terms and
-branch verdict, and one for each constant of ``baker_constant``,
-``bugy_constant``, ``envelope`` and ``compute_constants``.
+branch verdict, one for each constant of ``baker_constant``,
+``bugy_constant``, ``envelope`` and ``compute_constants``, and three that
+break the trivial orbit's shortcuts in ``units``: 29 in all.
 
     python tools/mutants.py
 
@@ -27,7 +28,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-BOUNDS, CUBIC = "src/split_thue/bounds.py", "src/split_thue/cubic.py"
+BOUNDS, CUBIC, UNITS = "src/split_thue/bounds.py", "src/split_thue/cubic.py", "src/split_thue/units.py"
 
 MUTANTS = (
     ("window-0", BOUNDS, "WINDOW = 10", "WINDOW = 0"),
@@ -172,6 +173,20 @@ MUTANTS = (
     ),
     ("c6-2-to-1", CUBIC, "    c6 = 2 * (ups[0] + ups[1] + 1)", "    c6 = 1 * (ups[0] + ups[1] + 1)"),
     ("c5-4-to-3", CUBIC, "    c5 = min(lows) / 4", "    c5 = min(lows) / 3"),
+    # the trivial orbit's exact identities and its zero xi rows
+    (
+        "trivial-candidate-unchecked",
+        UNITS,
+        "        if unit_product(b1, b2, A, B) == target:",
+        "        if True:",
+    ),
+    ("zero-row-shortcut-always", UNITS, "    if not any(xi):", "    if True:"),
+    (
+        "trivial-candidate-b2-0",
+        UNITS,
+        "TRIVIAL_EXPONENTS = ((1, 0), (0, 1), (-1, -1))",
+        "TRIVIAL_EXPONENTS = ((1, 0), (0, 1), (-1, 0))",
+    ),
 )
 
 TIMEOUT = 600  # seconds; a mutant that makes tier-1 run longer counts as caught
