@@ -42,9 +42,6 @@ class CubicRootSet(
     cached properties below are kept in the instance ``__dict__``.
     """
 
-    def roots(self):
-        return (self.lambda1, self.lambda2, self.lambda3)
-
     @cached_property
     def unit_log_matrix(self):
         """(m11, m12, m21, m22, det): log|lambda_i|, log|lambda_i - A_n| for

@@ -468,8 +468,13 @@ def sequence_from_json(data: dict) -> RecurrentSequence:
 
     which fixes the explicit formula (``RecurrentSequence.from_recurrence``).
     """
+    if not isinstance(data, dict):
+        raise ValueError(f"expected an object with 'recurrence' and 'initial', got {data!r}")
     if "roots" in data:
         raise ValueError("'roots' is not supported: recurrence and initial fix the explicit formula")
+    for key in ("recurrence", "initial"):
+        if key not in data:
+            raise ValueError(f"{key!r} is missing")
     return RecurrentSequence.from_recurrence(data["recurrence"], data["initial"])
 
 

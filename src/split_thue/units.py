@@ -6,21 +6,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
-from .algebraic import refine_bracket
 from .cubic import CubicRootSet, closed_forms, combine
-from .precision import (
-    MIN_WORKING_BITS,
-    Interval,
-    PrecisionExhausted,
-    SplitThueError,
-    UndecidedComparison,
-    Value,
-    _set,
-    compare,
-    ladder,
-)
+from .precision import MIN_WORKING_BITS, Interval, PrecisionExhausted, SplitThueError, Value, _set
 
 
 class NotAUnit(SplitThueError):
@@ -110,42 +98,55 @@ def unit_decompose(x: int, y: int, rs: CubicRootSet) -> UnitExponents:
     """Solution type j, integer exponents (b1, b2) and sign with x - lambda y =
     sign * lambda^b1 (lambda - A_n)^b2, an identity in Z[lambda].
 
-    j is the index of the smallest of the exact magnitudes |x - lambda_i y|
-    (Intervals at precision 0). The norm form is the norm of x - lambda y,
-    and lambda and lambda - A_n have norm 1, so the sign is the norm form's
-    value. The exponents of the trivial orbit, ``TRIVIAL_EXPONENTS``, are
-    tried first, each by the exact identity in Z[lambda]; lambda and
-    lambda - A_n are multiplicatively independent, so a match is the one
-    decomposition, and no log is taken. Every other solution has its
-    exponents solved from logs (``_log_solve``).
+    The norm form is the norm of x - lambda y, and lambda and lambda - A_n
+    have norm 1, so the sign is the norm form's value. The exponents of the
+    trivial orbit, ``TRIVIAL_EXPONENTS``, are tried first, each by the exact
+    identity in Z[lambda]; lambda and lambda - A_n are multiplicatively
+    independent, so a match is the one decomposition, and no log is taken.
+    Every other solution has its exponents solved from logs (``_log_solve``).
+
+    j, the index of the root nearest x / y, is then read off the exponents:
+    the identity holds at every embedding, so log|x - lambda_i y| = b1
+    log|lambda_i| + b2 log|lambda_i - A_n|, from the context's ``log_abs`` and
+    ``log_abs_A``, and j is the index of the smallest, each comparison
+    decided by ``CubicRootSet.decide``. There are no ties for y != 0:
+    |x - lambda_i y| = |x - lambda_j y| would make x/y the midpoint of
+    lambda_i and lambda_j, but f_n is irreducible, so lambda_i + lambda_j =
+    A_n + B_n - lambda_k is irrational. When y = 0 every |x - lambda_i y| is
+    1, and j is 1.
     """
     A, B = rs.A, rs.B
     nf = norm_form(x, y, A, B)
     if nf not in (1, -1):
         raise NotAUnit(f"norm form value {nf} is not a unit")
-    mags = [abs(x - y * r.at(0)) for r in rs.ivs]
-    j = _solution_type(x, y, rs, mags)
     target = (nf * x, -nf * y, 0)
     for b1, b2 in TRIVIAL_EXPONENTS:
         if unit_product(b1, b2, A, B) == target:
-            return UnitExponents(j, b1, b2, nf)
-    return UnitExponents(j, *_log_solve(x, y, rs, mags, target), nf)
+            break
+    else:
+        b1, b2 = _log_solve(x, y, rs, target)
+    j = 1
+    if y:
+        logs = [combine((b1, b2), pair) for pair in zip(rs.log_abs, rs.log_abs_A)]
+        for i in (2, 3):
+            if rs.decide(logs[i - 1], logs[j - 1], f"solution type of ({x}, {y})"):
+                j = i
+    return UnitExponents(j, b1, b2, nf)
 
 
-def _log_solve(x, y, rs, mags, target):
+def _log_solve(x, y, rs, target):
     """The integer (b1, b2) with lambda^b1 (lambda - A_n)^b2 = ``target``,
-    the triple of sign * (x - lambda y) in Z[lambda], from the exact
-    magnitudes ``mags``.
+    the triple of sign * (x - lambda y) in Z[lambda].
 
-    The exponents lie in the enclosures solved from the logs of the first
-    two magnitudes at MIN_WORKING_BITS, with the root context's
-    ``unit_log_matrix``. f_n is squarefree, so the identity holds at all
-    three embeddings, and every integer pair in the enclosures is tried
-    exactly.
+    The exponents lie in the enclosures solved from the logs of the exact
+    magnitudes |x - lambda_i y|, i = 1, 2, at MIN_WORKING_BITS, with the root
+    context's ``unit_log_matrix``. f_n is squarefree, so the identity holds
+    at all three embeddings, and every integer pair in the enclosures is
+    tried exactly.
     """
     # at precision 0, x - y lambda_i is exact and loses no bits to its
     # cancellation, so 64 bits leave the enclosures of b1, b2 narrow
-    r1, r2 = (m.at(MIN_WORKING_BITS).log() for m in mags[:2])
+    r1, r2 = (abs(x - y * r.at(0)).at(MIN_WORKING_BITS).log() for r in rs.ivs[:2])
     m11, m12, m21, m22, det = rs.unit_log_matrix
     b1_iv = (r1 * m22 - r2 * m12) / det
     b2_iv = (m11 * r2 - m21 * r1) / det
@@ -158,51 +159,6 @@ def _log_solve(x, y, rs, mags, target):
             if unit_product(b1, b2, rs.A, rs.B) == target:
                 return b1, b2
     raise NotAUnit(f"x - lambda y is not +- lambda^b1 (lambda - A)^b2 at (x, y) = ({x}, {y})")
-
-
-def _solution_type(x, y, rs, mags) -> int:
-    """Index j minimizing mags[j - 1] = |x - lambda_j y|; 1 when y = 0.
-
-    There are no ties for y != 0: |x - lambda_i y| = |x - lambda_j y| would
-    make x/y the midpoint of lambda_i and lambda_j, but f_n is irreducible,
-    so lambda_i + lambda_j = A_n + B_n - lambda_k is irrational.  The
-    magnitudes are compared as intervals; overlapping ones are settled on
-    the exact brackets, refined up the precision ladder from the root
-    context's ``bits``.
-    """
-    if y == 0:
-        return 1
-    best = 1
-    for i in (2, 3):
-        verdict = compare(mags[i - 1], mags[best - 1])
-        if verdict is None:
-            verdict = _closer(x, y, rs, i, best)
-        if verdict:
-            best = i
-    return best
-
-
-def _closer(x, y, rs, i, j):
-    """|x - lambda_i y| < |x - lambda_j y|, decided exactly on the brackets
-    of lambda_i and lambda_j."""
-    for bits in ladder(rs.bits):
-        width = Fraction(1, 1 << bits)
-        (lo_i, hi_i), (lo_j, hi_j) = (
-            _abs_range(x, y, refine_bracket(rs.coeffs, rs.roots()[k - 1], width)) for k in (i, j)
-        )
-        if hi_i < lo_j:
-            return True
-        if lo_i > hi_j:
-            return False
-    raise UndecidedComparison(f"|x - lambda_j y| undecided at {bits} bits")
-
-
-def _abs_range(x, y, box):
-    """Exact bounds on |x - lambda y| for lambda in ``box``."""
-    ends = sorted((x - box.lo * y, x - box.hi * y))
-    if ends[0] <= 0 <= ends[1]:
-        return Fraction(0), max(-ends[0], ends[1])
-    return min(map(abs, ends)), max(map(abs, ends))
 
 
 def siegel_gamma(x: int, y: int, rs: CubicRootSet, j: int):

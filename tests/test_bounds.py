@@ -1,3 +1,4 @@
+import itertools
 import math
 import signal
 import time
@@ -217,6 +218,29 @@ def test_exponent_bound_is_its_closed_form(fib_pow2):
     closed = 4 * n * (2 * E * (logy + M) / r_low + 2)
     assert closed <= p.exponent_bound(logy, r_low) <= closed * (1 + Fraction(1, 2**100))
     assert 400 < closed < 500
+
+
+def test_exponent_bound_covers_the_worst_log_system(fib_pow2):
+    # the log system has entries log|lambda_i|, log|lambda_i - A_n| of size at
+    # most E and right side log|x - lambda_i y| of size at most logy + M; with
+    # entries +-E and determinant R_low = 2 E^2, Cramer's rule attains
+    # max(|b1|, |b2|) = 2 E (logy + M) / R_low on the right sides +-(logy + M),
+    # and the bound covers 4 n times it, with the two slacks of 4n on top
+    for n in (2, 60, 10**19):
+        p = ChainProbe(fib_pow2, n)
+        (la, lb), logy = p.fam_ivs.log_ab, p.logy
+        E = (n * (la + lb)).sup + 2 * p.m + p.e
+        M = (n * lb).sup + p.m + p.e
+        L, r_low = logy + M, 2 * E * E
+        worst = 0
+        for a, b, c, d in itertools.product((E, -E), repeat=4):
+            det = a * d - b * c
+            if abs(det) != r_low:
+                continue
+            for r1, r2 in itertools.product((L, -L), repeat=2):
+                worst = max(worst, abs(r1 * d - r2 * b) / det, abs(a * r2 - c * r1) / det)
+        assert worst == 2 * E * L / r_low, n
+        assert p.exponent_bound(logy, r_low) == 4 * n * worst + 8 * n, n
 
 
 def test_branch_verdict_at_an_exact_tie_is_no_contradiction(fib_pow2):

@@ -472,6 +472,10 @@ def test_short_initial_terms_is_usage_error(tmp_path, capsys):
          "initial entries must be integers, got 2.5"),
         ({"recurrence": [1, -1, -1], "initial": [False, 2]},
          "initial entries must be integers, got False"),
+        (5, "expected an object with 'recurrence' and 'initial', got 5"),
+        ([1, -1, -1], "expected an object with 'recurrence' and 'initial', got [1, -1, -1]"),
+        ({"recurrence": [1, -1, -1]}, "'initial' is missing"),
+        ({"initial": [1, 2]}, "'recurrence' is missing"),
     ],
 )
 def test_non_integer_spec_is_usage_error(tmp_path, capsys, spec, message):

@@ -34,7 +34,7 @@ def test_bracket_around_rejects_no_sign_change():
 
 def test_isolate_roots_disjoint_and_ordered(fib_pow2, bits):
     rs = isolate_roots(fib_pow2, 6, bits)
-    l1, l2, l3 = rs.roots()
+    l1, l2, l3 = rs.lambda1, rs.lambda2, rs.lambda3
     assert l3.hi < l2.lo < l2.hi < l1.lo
     A, B = fib_pow2.terms(6)
     assert abs(l1.mid() - B) < 1

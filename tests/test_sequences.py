@@ -329,8 +329,10 @@ def test_sequence_from_json_plain():
 
 
 def test_sequence_from_json_bad_input():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^'initial' is missing$"):
         sequence_from_json({"recurrence": [1, -2]})
+    with pytest.raises(ValueError, match="^expected an object with 'recurrence' and 'initial', got 5$"):
+        sequence_from_json(5)
 
 
 @pytest.mark.parametrize(

@@ -85,7 +85,8 @@ def test_root_brackets_overlap_isolated_roots(fib_pow2):
     for n in range(2, 61):
         A, B = fib_pow2.terms(n)
         K, brackets = root_brackets(A, B, y_max)
-        enclosures = sorted(isolate_roots(fib_pow2, n, 64).roots(), key=lambda r: r.lo)
+        rs = isolate_roots(fib_pow2, n, 64)
+        enclosures = sorted((rs.lambda1, rs.lambda2, rs.lambda3), key=lambda r: r.lo)
         assert len(brackets) == 3
         for (lo, hi), r in zip(brackets, enclosures):
             assert Fraction(hi - lo, 2**K) <= Fraction(1, 4 * y_max)

@@ -1,10 +1,12 @@
-import random
+import itertools
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import iv
-from split_thue import FamilyInstance, RecurrentSequence, units
-from split_thue.cubic import CubicRootSet, compute_constants, isolate_roots
+from split_thue import FamilyInstance, RecurrentSequence, cli, units
+from split_thue.cubic import CubicRootSet, closed_forms, combine, compute_constants, isolate_roots, xi_terms
 from split_thue.precision import (
     Interval,
     PrecisionExhausted,
@@ -19,7 +21,6 @@ from split_thue.units import (
     regulator,
     ring_mul,
     _log_solve,
-    _solution_type,
     siegel_gamma,
     unit_decompose,
     unit_product,
@@ -119,6 +120,7 @@ def test_mirror_solution_has_the_same_type_and_exponents(request, bits, family):
             if s.y == 0:
                 continue
             ue = unit_decompose(s.x, s.y, rs)
+            assert ue.j == _type(s.x, s.y, rs), (n, s)
             assert unit_decompose(-s.x, -s.y, rs) == UnitExponents(ue.j, ue.b1, ue.b2, -ue.sign), (n, s)
             pairs.add((n, s.x, s.y))
     if family == "fib_pow2":
@@ -187,12 +189,13 @@ def test_unit_decompose_refuses_wrong_logs(rs1, perturb):
 
 @CORRUPTIONS
 def test_corrupted_logs_leave_trivial_exponents_unchanged(rs20, perturb):
-    # the trivial orbit is answered by its exact ring identities, which read
-    # no log
+    # the trivial orbit's exponents and sign come from its exact ring
+    # identities, which read no log; its type is read off the logs
     bad = rs20._replace(log_abs_A=tuple(perturb(v) for v in rs20.log_abs_A))
     for x, y in ((0, 1), (rs20.A, 1), (rs20.B, 1)):
         for sx, sy in ((x, y), (-x, -y)):
-            assert unit_decompose(sx, sy, bad) == unit_decompose(sx, sy, rs20), (sx, sy)
+            got, want = unit_decompose(sx, sy, bad), unit_decompose(sx, sy, rs20)
+            assert (got.b1, got.b2, got.sign) == (want.b1, want.b2, want.sign), (sx, sy)
 
 
 def test_unit_decompose_unbounded_enclosure(rs1):
@@ -218,11 +221,23 @@ def _family(request, family):
     return FamilyInstance.build(*(RecurrentSequence.from_recurrence(*seq) for seq in (a, b)))
 
 
-def _log_solved(x, y, rs):
-    """The exponents of (x, y) from the 64-bit log solve alone."""
-    nf = norm_form(x, y, rs.A, rs.B)
+def _type(x, y, rs):
+    """The index of the smallest exact magnitude |x - lambda_i y| (Intervals
+    at precision 0), which must be below the other two; 1 when y = 0.  It
+    reads no log and no exponent."""
+    if y == 0:
+        return 1
     mags = [abs(x - y * r.at(0)) for r in rs.ivs]
-    return UnitExponents(_type(x, y, rs), *_log_solve(x, y, rs, mags, (nf * x, -nf * y, 0)), nf)
+    i = min(range(3), key=lambda k: mags[k].sup)
+    assert all(mags[i].sup < mags[k].inf for k in range(3) if k != i), (x, y)
+    return i + 1
+
+
+def _log_solved(x, y, rs):
+    """The type of (x, y) from its exact magnitudes, and its exponents from
+    the 64-bit log solve alone."""
+    nf = norm_form(x, y, rs.A, rs.B)
+    return UnitExponents(_type(x, y, rs), *_log_solve(x, y, rs, (nf * x, -nf * y, 0)), nf)
 
 
 @pytest.mark.parametrize("family", ["fib_pow2", "pow2_equal_modulus", "complex_pair", "n_dependent_cA"])
@@ -274,21 +289,26 @@ def test_solution_type(fib_pow2, rs20):
     assert unit_decompose(0, 1, rs20).j == 3
 
 
-def _type(x, y, rs):
-    return _solution_type(x, y, rs, [abs(x - y * r.at(0)) for r in rs.ivs])
+def _wide_logs(rs):
+    """The root context with each log|lambda_i| widened by +-10^6."""
+    return rs._replace(log_abs=tuple(v + Interval.between(-10**6, 10**6, v.prec) for v in rs.log_abs))
 
 
-def test_solution_type_decides_overlapping_intervals(rs20):
-    # intervals far too wide to compare: the exact brackets decide, and an
-    # overlap never reads as a tie
-    wide = tuple(r + Interval.between(-10**6, 10**6, rs20.bits) for r in rs20.ivs)
-    coarse = rs20._replace(ivs=wide)
-    A, B = rs20.A, rs20.B
-    assert [_type(x, 1, coarse) for x in (B, A, 0)] == [1, 2, 3]
-    rng = random.Random(3)
-    for _ in range(20):
-        x, y = rng.randint(-10**12, 10**12), rng.randint(1, 10**6)
-        assert _type(x, y, coarse) == _type(x, y, rs20)
+def test_overlapping_type_rows_are_undecided(monkeypatch, capsys, rs20, bits):
+    # log|lambda_i| too wide to compare: the type of (0, 1), whose rows are
+    # log|x - lambda_i y| = log|lambda_i|, is not decided, an overlap never
+    # reads as a tie, and verify stops with exit 5 and one stderr line
+    undecided = f"solution type of (0, 1) at n=20 not decided at {bits} bits"
+    with pytest.raises(UndecidedComparison, match=rf"^{re.escape(undecided)}$"):
+        unit_decompose(0, 1, _wide_logs(rs20))
+    decompose = units.unit_decompose
+    monkeypatch.setattr(units, "unit_decompose", lambda x, y, rs: decompose(x, y, _wide_logs(rs)))
+    config = str(Path(__file__).parent.parent / "configs" / "fibonacci_pow2.json")
+    argv = ["verify", config, "--n-lo", "20", "--n-hi", "20", "--y-max", "5"]
+    assert cli.main(argv) == cli.EXIT_PRECISION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"not certified: UndecidedComparison: {undecided}\n"
 
 
 def test_siegel_gamma_small_for_solution(rs20):
@@ -343,6 +363,57 @@ def test_xi_form_is_the_closed_form_of_siegels_lambda(request, bits, family):
                     )
                     residual = abs(lam_j - _xi_value(rs, j, b1, b2)).sup
                     assert residual <= (2 * abs(b1) + 2 * abs(b2) + 2) * envelope, (n, j, b1, b2)
+
+
+def test_six_log_errors_reach_the_second_xi_term(fib_pow2, bits):
+    """Lambda = b1 log|l_l / l_k| + b2 log|(l_l - A_n) / (l_k - A_n)| +
+    log|(l_j - l_k) / (l_j - l_l)| is xi_j when each of its six logs is its
+    closed form; with each off by +-env, the worst sign pattern puts
+    |Lambda - xi_j| at exactly (2|b1| + 2|b2| + 2) env, which for
+    |b1| + |b2| <= 2 is at most xi_terms' t2 = 6 env, and equal to it when
+    |b1| + |b2| = 2."""
+    n = 20
+    rs = isolate_roots(fib_pow2, n, bits)
+    env = rs.envelope.sup
+    _, t2 = xi_terms(rs.fam_ivs, n, fib_pow2.d1, rs.envelope)
+    assert t2.inf <= 6 * rs.envelope.inf and 6 * env <= t2.sup
+    # any values of the coefficient logs: the closed forms are linear in them
+    coeff = (Fraction(7, 5), Fraction(-3, 2), Fraction(1, 3), Fraction(2, 7), Fraction(-5, 11))
+    small = [(b1, b2) for b1 in range(-2, 3) for b2 in range(-2, 3) if abs(b1) + abs(b2) <= 2]
+    for case_tag in ("strict", "equal_modulus"):
+        rows = closed_forms(case_tag == "equal_modulus")
+        closed = {name: sum(c * v for c, v in zip((n * r[0], n * r[1], *r[2:]), coeff)) for name, r in rows.items()}
+        for j, (k, l) in KL_CONVENTION.items():
+            names = (f"l{l}", f"l{k}", f"l{l}-A", f"l{k}-A", f"l{j}-l{k}", f"l{j}-l{l}")
+            for b1, b2 in small:
+                xi = sum(c * v for c, v in zip(xi_form(j, case_tag, n, b1, b2), coeff))
+
+                def error(signs):
+                    ll, lk, llA, lkA, jk, jl = (closed[f"log|{m}|"] + s * env for m, s in zip(names, signs))
+                    return abs(b1 * (ll - lk) + b2 * (llA - lkA) + jk - jl - xi)
+
+                assert error((0,) * 6) == 0, (case_tag, j, b1, b2)
+                worst = max(map(error, itertools.product((1, -1), repeat=6)))
+                size = abs(b1) + abs(b2)
+                assert worst == (2 * size + 2) * env, (case_tag, j, b1, b2)
+                assert worst <= 6 * env <= t2.sup and (worst == 6 * env) == (size == 2), (case_tag, j, b1, b2)
+
+
+@pytest.mark.parametrize("family", ["fib_pow2", "pow2_equal_modulus", "complex_pair", "n_dependent_cA"])
+def test_root_difference_logs_are_within_the_envelope(request, bits, family):
+    # t2 rests on log|lambda_j - lambda_k| lying within the lemma envelope of
+    # its closed form too, which none of verify's six log rows checks
+    fam = _family(request, family)
+    rows = closed_forms(fam.equal_modulus)
+    for n in range(2, 61):
+        rs = isolate_roots(fam, n, bits)
+        la, lb, *coeff = rs.coeff_logs
+        lam = [v.at(rs.work_bits) for v in rs.ivs]
+        for i, k in ((1, 2), (1, 3), (2, 3)):
+            name = f"log|l{i}-l{k}|"
+            closed = combine(rows[name][2:], coeff, n * combine(rows[name][:2], (la, lb)))
+            residual = abs(abs(lam[i - 1] - lam[k - 1]).log() - closed)
+            assert rs.decide(residual, rs.envelope, name), (n, name)
 
 
 @pytest.mark.parametrize("case_tag", ["strict", "equal_modulus"])

@@ -1,8 +1,9 @@
 """The mutant gate: tier-1 must fail on each of a list of one-line mutants
 of the bound code, ten that change the chain's and the xi bound's terms and
 branch verdict, one for each constant of ``baker_constant``,
-``bugy_constant``, ``envelope`` and ``compute_constants``, and three that
-break the trivial orbit's shortcuts in ``units``: 29 in all.
+``bugy_constant``, ``envelope`` and ``compute_constants``, three that
+break the trivial orbit's shortcuts in ``units`` and one that drops a root
+from its type decision: 30 in all.
 
     python tools/mutants.py
 
@@ -187,6 +188,8 @@ MUTANTS = (
         "TRIVIAL_EXPONENTS = ((1, 0), (0, 1), (-1, -1))",
         "TRIVIAL_EXPONENTS = ((1, 0), (0, 1), (-1, 0))",
     ),
+    # the solution type, read off the exponents
+    ("type-without-lambda3", UNITS, "        for i in (2, 3):", "        for i in (2,):"),
 )
 
 TIMEOUT = 600  # seconds; a mutant that makes tier-1 run longer counts as caught
