@@ -336,8 +336,14 @@ def xi_upper_log(fam: FamilyInstance, consts, n: int, bits: int) -> Fraction:
 
 # -- the crossing search ---------------------------------------------------
 
-# The doubling search starts at N_START; a threshold must also contradict on
-# the WINDOW values of n after it.
+# Each branch threshold is found by an unbounded search (Bentley and Yao, "An
+# almost optimal algorithm for unbounded searching", Inf. Process. Lett. 5,
+# 1976): gallop through n = N_START 2^(2^j - 1), that is 8, 16, 64, 1024,
+# 262144, ..., probing the cap itself when the next n would pass it, then
+# bisect the bracket (lo, hi] at isqrt(lo hi) while hi > 2 lo and at its
+# arithmetic midpoint after that.  A threshold near 2^k thus takes O(log k)
+# probes to bracket, not k.  It must also contradict on the WINDOW values of
+# n after it.
 N_START = 8
 WINDOW = 10
 
@@ -377,12 +383,44 @@ def _branch_report(probe: ChainProbe, branch: str) -> BoundReport:
     )
 
 
+def _threshold(contra, n_cap: int) -> int | None:
+    """The first n <= n_cap at which ``contra(n)`` holds and holds on the
+    WINDOW values of n after it, or None; the window may pass the cap.  The
+    search is the one described above ``N_START``, and the window advances
+    past any non-monotone wiggle.  ``contra`` is called at most once per n."""
+    holds = lru_cache(maxsize=None)(contra)
+    lo, hi, j = 0, N_START, 0
+    while hi <= n_cap and not holds(hi):
+        lo, j = hi, j + 1
+        hi = N_START << ((1 << j) - 1)
+    if hi > n_cap:
+        # last chance: probe the cap itself before giving up; a cap below
+        # N_START is not probed
+        if not 0 < lo < n_cap or not holds(n_cap):
+            return None
+        hi = n_cap
+    while hi - lo > 1:
+        # a bracket (0, hi] is split arithmetically
+        mid = math.isqrt(lo * hi) if hi > 2 * lo > 0 else (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    start = hi
+    while start <= n_cap:
+        if all(holds(start + w) for w in range(WINDOW + 1)):
+            return start
+        start += 1
+    return None
+
+
 def compute_n0(fam: FamilyInstance, n_cap: int) -> N0Result:
     """Smallest n beyond which every solution-type branch yields a
     contradiction between the lower and upper linear-form bounds, verified
-    over a sanity window; per-branch thresholds and a probe trace included.
-    The window after a threshold t probes t..t+WINDOW, which can pass the
-    cap: at cap 568 on fib-pow2 the trace reaches 578."""
+    over a sanity window; per-branch thresholds (``_threshold``) and a probe
+    trace included, which holds each probed (n, branch) once.  The window
+    after a threshold t probes t..t+WINDOW, which can pass the cap: at cap
+    568 on fib-pow2 the trace reaches 578."""
     D = field_degree(fam)
     branches = ["xi-j2", "xi-j3"]
     if fam.equal_modulus:
@@ -400,37 +438,7 @@ def compute_n0(fam: FamilyInstance, n_cap: int) -> N0Result:
         trace.append(rep)
         return rep.verdict == "contradiction"
 
-    thresholds = {}
-    for branch in branches:
-        lo, hi = None, None
-        n = N_START
-        while n <= n_cap:
-            if contra(n, branch):
-                hi = n
-                break
-            lo = n
-            n *= 2
-        if hi is None:
-            # last chance: probe the cap itself before giving up
-            if lo is not None and lo < n_cap and contra(n_cap, branch):
-                hi = n_cap
-            else:
-                thresholds[branch] = None
-                continue
-        lo = lo if lo is not None else 0
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if contra(mid, branch):
-                hi = mid
-            else:
-                lo = mid
-        # sanity window, advancing past any non-monotone wiggle
-        start = hi
-        while start <= n_cap:
-            if all(contra(start + w, branch) for w in range(WINDOW + 1)):
-                break
-            start += 1
-        thresholds[branch] = start if start <= n_cap else None
+    thresholds = {branch: _threshold(lambda n: contra(n, branch), n_cap) for branch in branches}
     no_crossing = None in thresholds.values()
     return N0Result(
         n0=None if no_crossing else max(thresholds.values()),

@@ -483,8 +483,11 @@ def _is_integer(value):
 
 
 def _integers(values, what):
-    """The values as a tuple of ints; a float (even 2.0) or a boolean is an
-    error, never truncated."""
+    """The values, a list or tuple, as a tuple of ints; any other value, or an
+    entry that is a float (even 2.0) or a boolean, is an error, never
+    truncated."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{what} must be a list of integers, got {values!r}")
     values = tuple(values)
     for v in values:
         if not _is_integer(v):

@@ -5,12 +5,15 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from split_thue import FamilyInstance, RecurrentSequence, bounds
 from split_thue.algebraic import AlgebraicNumber, Enclosure
 from split_thue.bounds import (
     CHAIN_BITS,
     C_RANK2_CUBIC,
+    N_START,
+    WINDOW,
     BoundReport,
     ChainProbe,
     baker_constant,
@@ -284,22 +287,58 @@ def _altunit_ns(res):
     return [rep.n for rep in res.trace if rep.branch == "altunit-j1"]
 
 
-def test_compute_n0_probes_the_cap_when_the_doubling_passes_it(fib_pow2):
-    # 1024 > 1000: the cap itself contradicts and the bisection starts there;
-    # the xi branches cross far beyond the cap
-    doubling = [8, 16, 32, 64, 128, 256, 512]
+def test_compute_n0_probes_the_cap_when_the_gallop_passes_it(fib_pow2):
+    # 1024 > 1000: the cap itself contradicts and the bisection starts there,
+    # at isqrt(lo hi) while hi > 2 lo; the xi branches cross far beyond the cap
+    gallop = [8, 16, 64]
     res = compute_n0(fib_pow2, n_cap=1000)
     assert res.branch_thresholds == {"xi-j2": None, "xi-j3": None, "altunit-j1": 568}
     assert res.no_crossing and res.n0 is None
-    assert _altunit_ns(res)[:12] == doubling + [1000, 756, 634, 573, 542]
+    assert _altunit_ns(res)[:12] == gallop + [1000, 252, 501, 750, 625, 563, 594, 578, 570]
     # below the threshold the cap does not contradict, and the branch gives up
     res = compute_n0(fib_pow2, n_cap=567)
     assert res.branch_thresholds["altunit-j1"] is None
-    assert _altunit_ns(res) == doubling + [567]
-    # at the threshold the sanity window 568..578 passes the cap
+    assert _altunit_ns(res) == gallop + [567]
+    # at the threshold the sanity window 568..578 passes the cap; 568 itself
+    # was the cap's probe, and no n is probed twice
     res = compute_n0(fib_pow2, n_cap=568)
     assert res.branch_thresholds["altunit-j1"] == 568
-    assert _altunit_ns(res)[-11:] == list(range(568, 579))
+    assert _altunit_ns(res)[-11:] == [567] + list(range(569, 579))
+
+
+@given(st.integers(1, 10**30), st.integers(1, 10**31) | st.integers(1, 10**4))
+@settings(max_examples=300, deadline=None)
+def test_threshold_search_on_a_monotone_predicate(t, n_cap):
+    # the search on the stub predicate n >= t, with the (n, verdict) of every
+    # probe in order
+    probes = []
+
+    def contra(n):
+        probes.append((n, n >= t))
+        return n >= t
+
+    found = bounds._threshold(contra, n_cap)
+    # a cap below N_START probes nothing
+    assert found == (t if max(t, N_START) <= n_cap else None)
+    assert len({n for n, _ in probes}) == len(probes)
+    # each probe up to the bracket (t - 1, t] lies strictly inside the bracket
+    # known so far, the gallop's above every n that did not contradict, and
+    # the window's after t
+    lo, hi = 0, None
+    for n, verdict in probes:
+        if hi is not None and hi - lo == 1:
+            assert hi < n <= hi + WINDOW
+            continue
+        assert lo < n and (hi is None or n < hi)
+        lo, hi = (lo, n) if verdict else (n, hi)
+    # the budget: bit_length(k) each for the gallop and the geometric halving,
+    # k for the arithmetic bisection, where k = t.bit_length(), and the window;
+    # a search that passes the cap stops after the gallop and the cap itself
+    if found is not None:
+        k = t.bit_length()
+        assert len(probes) <= k + 2 * k.bit_length() + WINDOW
+    else:
+        assert len(probes) <= n_cap.bit_length().bit_length() + 1
 
 
 def test_compute_n0_bisects_below_its_first_probe():
@@ -324,7 +363,7 @@ def test_compute_n0_finite_at_large_cap(fib_pow2):
 
 def test_compute_n0_builds_no_family_constants(fib_pow2, fib_pow2_consts, monkeypatch):
     # the envelopes and heights do not depend on n: they are built with the
-    # constants, and a full run at cap 10**19 (152 probes) builds none again
+    # constants, and a full run at cap 10**19 (38 probes) builds none again
     calls = {"envelope": 0, "height": 0}
 
     def counting(method, key):
@@ -338,7 +377,7 @@ def test_compute_n0_builds_no_family_constants(fib_pow2, fib_pow2_consts, monkey
         monkeypatch.setattr(poly, name, counting(getattr(poly, name), "envelope"))
     monkeypatch.setattr(AlgebraicNumber, "height", counting(AlgebraicNumber.height, "height"))
     res = compute_n0(fib_pow2, n_cap=10**19)
-    assert len(res.trace) == 152
+    assert len(res.trace) == 38
     assert calls == {"envelope": 0, "height": 0}
 
 
@@ -358,12 +397,13 @@ def test_compute_n0_evaluates_the_xi_branches_once_per_n(fib_pow2, monkeypatch):
     monkeypatch.setattr(bounds, "closed_forms", counting(bounds.closed_forms, regulators))
     monkeypatch.setattr(bounds, "baker_lower", counting(bounds.baker_lower, lower_bounds))
     res = compute_n0(fib_pow2, n_cap=10**19)
-    assert len(res.trace) == 152
-    assert len(probes) == len({p.n for p in probes}) == len({rep.n for rep in res.trace}) == 80
-    assert len(regulators) == 80
+    assert len(res.trace) == 38
+    assert len(probes) == len({p.n for p in probes}) == len({rep.n for rep in res.trace}) == 27
+    assert len(regulators) == 27
     j2 = [rep for rep in res.trace if rep.branch == "xi-j2"]
     j3 = [rep for rep in res.trace if rep.branch == "xi-j3"]
-    assert len(j3) == len(j2) == 62
+    # the gallop 8 2^(2^j - 1) up to 8 2^31, then the cap
+    assert [rep.n for rep in j3] == [rep.n for rep in j2] == [8, 16, 64, 1024, 2**18, 2**34, 10**19]
     for a, b in zip(j2, j3):
         assert BoundReport(b.n, "xi-j2", b.R_upper, b.logy_upper, b.baker_lower_exponent, b.xi_upper_log) == a
     assert len(lower_bounds) == len({rep.n for rep in j2 if rep.baker_lower_exponent is not None})

@@ -100,7 +100,7 @@ def test_n_dependent_coefficient_n0(capsys, tmp_path):
     n0 = 7636976776585388261696
     assert report["n0"] == n0
     assert report["branch_thresholds"] == {"altunit-j1": 313, "xi-j2": n0, "xi-j3": n0}
-    assert len(report["trace"]) == 334
+    assert len(report["trace"]) == 209
 
 
 def test_bounds_refuses_zero_decay_ratio(capsys, tmp_path):
@@ -476,6 +476,8 @@ def test_short_initial_terms_is_usage_error(tmp_path, capsys):
         ([1, -1, -1], "expected an object with 'recurrence' and 'initial', got [1, -1, -1]"),
         ({"recurrence": [1, -1, -1]}, "'initial' is missing"),
         ({"initial": [1, 2]}, "'recurrence' is missing"),
+        ({"recurrence": 5, "initial": [1]}, "recurrence must be a list of integers, got 5"),
+        ({"recurrence": [1, -1, -1], "initial": 7}, "initial must be a list of integers, got 7"),
     ],
 )
 def test_non_integer_spec_is_usage_error(tmp_path, capsys, spec, message):
@@ -576,7 +578,7 @@ PINNED_REPORTS = {
         ("--md-out",),
         cli.EXIT_BOUND,
         (
-            "d44fb15120aca66c4eaab695ea776beb44a4dc7c4f876d1438b345b406ef2607",
+            "d1ac4f8f879c6520a503a472166295fc8b098e9cbcbcb1aaf19fec0057562ae2",
             "ab093d199b6c804bd074330a26aff7d9d2f2ca7e4e17ac5056f2224f1577a8cf",
         ),
     ),
@@ -585,7 +587,7 @@ PINNED_REPORTS = {
         ("--md-out",),
         cli.EXIT_OK,
         (
-            "7287043efa9bff7a0439ac5931e15ed2f8a9589bd0559e01f40fde27841a1715",
+            "d66281ae5134448be415485cbd45a7fab745fa35df1171e6eade385eb2ddef63",
             "690367d694fc27776e14ce1377959e0be3c91f95b1a39453168a02d3f560f8d4",
         ),
     ),
@@ -603,7 +605,7 @@ PINNED_REPORTS = {
         ["bounds", EQUAL_MODULUS_CONFIG, "--n-cap", str(10**40)],
         (),
         cli.EXIT_OK,
-        ("a43bfea5c9d901d97262d220c34160ebf26ab79a8c62d5e8e61478cdfc9c9beb",),
+        ("b3fad4caaf627e4454c25771aa7038c201098e50ebf8fcb5d0519b5070a310ae",),
     ),
 }
 

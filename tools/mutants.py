@@ -1,9 +1,9 @@
 """The mutant gate: tier-1 must fail on each of a list of one-line mutants
 of the bound code, ten that change the chain's and the xi bound's terms and
-branch verdict, one for each constant of ``baker_constant``,
-``bugy_constant``, ``envelope`` and ``compute_constants``, three that
-break the trivial orbit's shortcuts in ``units`` and one that drops a root
-from its type decision: 30 in all.
+branch verdict, two that change which n the threshold search probes, one
+for each constant of ``baker_constant``, ``bugy_constant``, ``envelope`` and
+``compute_constants``, three that break the trivial orbit's shortcuts in
+``units`` and one that drops a root from its type decision: 32 in all.
 
     python tools/mutants.py
 
@@ -86,6 +86,14 @@ MUTANTS = (
         CUBIC,
         "    return 4 / (f.c5**3 * n_iv**d1 * (a_abs * a_abs * b_abs) ** n), 6 * env",
         "    return 3 / (f.c5**3 * n_iv**d1 * (a_abs * a_abs * b_abs) ** n), 6 * env",
+    ),
+    # which n the threshold search probes
+    ("gallop-exponent-2^j", BOUNDS, "        hi = N_START << ((1 << j) - 1)", "        hi = N_START << (1 << j)"),
+    (
+        "bisect-arithmetic-only",
+        BOUNDS,
+        "        mid = math.isqrt(lo * hi) if hi > 2 * lo > 0 else (lo + hi) // 2",
+        "        mid = (lo + hi) // 2",
     ),
     # the constants of baker_constant, bugy_constant, envelope and compute_constants
     (
